@@ -14,6 +14,9 @@
 //     ScoreAll is genuinely cheaper per text, even on one core);
 //   - the cascade beats always-deep QPS at the pinned accuracy budget
 //     (most requests stop at the simple tier).
+// The committed BENCH_serve.json comes from a Release build run with
+// SEMTAG_NUM_THREADS=1 (inherited by every spawned daemon), so the gates
+// compare batching, not how the pool's threads share the host's cores.
 // --smoke is the CI configuration: a short closed loop against a tiny
 // cascade, gating on non-zero QPS, zero protocol errors, and a clean
 // SIGTERM drain (daemon exit status 0).
@@ -407,7 +410,6 @@ std::vector<std::string> DaemonArgs(const Config& config) {
       "--model",       config.model,
       "--port",        "0",
       "--batch-cap",   StrFormat("%d", config.batch_cap),
-      "--deadline-us", "2000",
       "--queue-cap",   "4096",
   };
   if (!config.cascade.empty()) {
@@ -541,8 +543,9 @@ int BenchMain(const std::string& binary, const std::string& out,
     json += i + 1 < configs.size() ? ",\n" : "\n";
   }
   json += "  ],\n";
-  json += StrFormat("  \"open_loop\": {\"rate_qps\": %.1f,\n%s\n  },\n",
-                    open_rate, ConfigJson(open_config).c_str());
+  json += StrFormat(
+      "  \"open_loop\": {\"rate_qps\": %.1f, \"result\":\n%s\n  },\n",
+      open_rate, ConfigJson(open_config).c_str());
   json += StrFormat(
       "  \"gates\": {\"cap32_vs_cap1_qps\": %.3f, "
       "\"cap32_p99_le_cap1\": %s, \"cascade_vs_deep_qps\": %.3f, "
@@ -699,11 +702,11 @@ int DriftMain(const std::string& binary, const std::string& out) {
   }
 
   const std::vector<std::string> base_args = {
-      "--dataset",     "SUGG",    "--records",   "2000",
-      "--seed",        "1",       "--model",     "CASCADE",
-      "--cascade",     "SVM+CNN", "--budget",    "0.5",
-      "--port",        "0",       "--batch-cap", "32",
-      "--deadline-us", "2000",    "--queue-cap", "16384",
+      "--dataset",   "SUGG",    "--records",   "2000",
+      "--seed",      "1",       "--model",     "CASCADE",
+      "--cascade",   "SVM+CNN", "--budget",    "0.5",
+      "--port",      "0",       "--batch-cap", "32",
+      "--queue-cap", "16384",
   };
 
   // One daemon for the whole scripted run, detector armed via env

@@ -8,10 +8,10 @@
 // Trains (or loads) the initial model, binds the epoll front end, and
 // serves the length-prefixed protocol (src/serve/protocol.h) until
 // SIGTERM/SIGINT, which triggers a graceful drain: queued requests are
-// flushed as final partial batches and every pending response is written
-// before exit. Runtime knobs: SEMTAG_SERVE_BATCH_CAP,
-// SEMTAG_SERVE_DEADLINE_US, SEMTAG_SERVE_QUEUE_CAP (or the flag twins
+// scored and every pending response is written before exit. Runtime
+// knobs: SEMTAG_SERVE_BATCH_CAP, SEMTAG_SERVE_QUEUE_CAP (or the flag twins
 // below); the model tier composes with SEMTAG_QUANT / SEMTAG_DEEP_BATCH.
+// Unrecognised flags are logged and ignored.
 // Hot-swap: write a sealed spec (kSwap op or WriteModelSpecFile) and send
 // its path with opcode 0x04 — scoring continues on the old model until the
 // replacement is trained, then a pointer flip swaps it in.
@@ -51,7 +51,6 @@ int Usage() {
       "  --host H           bind address (default 127.0.0.1)\n"
       "  --port N           bind port (default 0 = ephemeral, printed)\n"
       "  --batch-cap N      $SEMTAG_SERVE_BATCH_CAP (default 32)\n"
-      "  --deadline-us N    $SEMTAG_SERVE_DEADLINE_US (default 1000)\n"
       "  --queue-cap N      $SEMTAG_SERVE_QUEUE_CAP (default 1024)\n"
       "  --max-conns N      connection limit (default 1024)\n"
       "  --replan           enable online re-planning ($SEMTAG_REPLAN;\n"
@@ -60,6 +59,17 @@ int Usage() {
       "  --metrics[=path]   arm the obs registry / export snapshot\n"
       "  --trace[=path]     arm tracing / export spans\n");
   return 2;
+}
+
+/// The flags Usage() lists, less the obs pair HandleObsFlag consumes.
+bool IsKnownFlag(const std::string& key) {
+  for (const char* flag :
+       {"help", "dataset", "records", "model", "cascade", "budget", "seed",
+        "spec", "host", "port", "batch-cap", "queue-cap", "max-conns",
+        "replan"}) {
+    if (key == flag) return true;
+  }
+  return false;
 }
 
 std::map<std::string, std::string> ParseFlags(int argc, char** argv) {
@@ -73,6 +83,11 @@ std::map<std::string, std::string> ParseFlags(int argc, char** argv) {
       flags[key] = argv[++i];
     } else {
       flags[key] = "true";
+    }
+    // Non-fatal, so old command lines keep working; a typo is visible.
+    if (!IsKnownFlag(key)) {
+      SEMTAG_LOG(kWarning, "ignoring unrecognised flag --%s", key.c_str());
+      flags.erase(key);
     }
   }
   return flags;
@@ -153,7 +168,6 @@ int Main(int argc, char** argv) {
   }
   if (!FlagInt(flags, "port", &options.port) ||
       !FlagInt(flags, "batch-cap", &options.batching.batch_cap) ||
-      !FlagInt(flags, "deadline-us", &options.batching.deadline_us) ||
       !FlagInt(flags, "queue-cap", &options.batching.queue_cap) ||
       !FlagInt(flags, "max-conns", &options.max_connections)) {
     return 2;

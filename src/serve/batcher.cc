@@ -32,7 +32,6 @@ int EnvInt(const char* name, int fallback) {
 BatchingOptions BatchingOptions::Resolved() const {
   BatchingOptions r = *this;
   r.batch_cap = std::max(r.batch_cap, 1);
-  r.deadline_us = std::max(r.deadline_us, 0);
   r.queue_cap = std::max(r.queue_cap, 1);
   return r;
 }
@@ -40,8 +39,6 @@ BatchingOptions BatchingOptions::Resolved() const {
 BatchingOptions BatchingOptionsFromEnv() {
   BatchingOptions options;
   options.batch_cap = EnvInt("SEMTAG_SERVE_BATCH_CAP", options.batch_cap);
-  options.deadline_us =
-      EnvInt("SEMTAG_SERVE_DEADLINE_US", options.deadline_us);
   options.queue_cap = EnvInt("SEMTAG_SERVE_QUEUE_CAP", options.queue_cap);
   return options.Resolved();
 }
@@ -116,39 +113,25 @@ std::deque<Batcher::Pending> Batcher::TakeBatchLocked() {
 }
 
 void Batcher::RunScheduler() {
-  const auto deadline = std::chrono::microseconds(options_.deadline_us);
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    // Sleep until work arrives. A deadline with an empty queue is a
-    // non-event: nothing is armed until a request exists, so the thread
-    // burns zero CPU while idle.
+    // Sleep until work arrives (an idle thread burns no CPU), then score
+    // whatever is queued at once, up to batch_cap: work-conserving.
     cv_.wait(lock, [this] { return !queue_.empty() || draining_; });
-    if (queue_.empty()) {
-      if (draining_) return;
-      continue;  // spurious wake
-    }
-    // Work exists: collect until the batch is full or the OLDEST request
-    // has waited out the deadline. Draining skips the wait — shutdown
-    // flushes partial batches immediately.
-    const auto flush_at = queue_.front().enqueued + deadline;
-    while (!draining_ &&
-           queue_.size() < static_cast<size_t>(options_.batch_cap)) {
-      if (cv_.wait_until(lock, flush_at) == std::cv_status::timeout) break;
-    }
-    if (queue_.empty()) continue;  // raced a concurrent flush (none today)
+    if (queue_.empty()) return;  // draining and fully flushed
     SEMTAG_OBS_OBSERVE("serve/queue_depth_at_flush", obs::DepthBuckets(),
                        static_cast<double>(queue_.size()));
     std::deque<Pending> batch = TakeBatchLocked();
+    const auto dequeued = std::chrono::steady_clock::now();
     ++batches_;
     lock.unlock();
-    ScoreBatch(std::move(batch));
+    ScoreBatch(std::move(batch), dequeued);
     lock.lock();
-    // Loop; on drain keep flushing until the queue is empty, then exit.
-    if (draining_ && queue_.empty()) return;
   }
 }
 
-void Batcher::ScoreBatch(std::deque<Pending> batch) {
+void Batcher::ScoreBatch(std::deque<Pending> batch,
+                         std::chrono::steady_clock::time_point dequeued) {
   obs::TraceSpan span("serve/batch");
   std::vector<std::string> texts;
   texts.reserve(batch.size());
@@ -182,10 +165,13 @@ void Batcher::ScoreBatch(std::deque<Pending> batch) {
       stats_->Record(std::string_view(batch[i].text), result.probability);
     }
     SEMTAG_OBS_COUNT("serve/requests_scored", 1);
-    using WaitUs = std::chrono::duration<double, std::micro>;
-    const double wait_us = WaitUs(now - batch[i].enqueued).count();
+    // queue_delay_us ends when the batch is cut; queue_wait_us also
+    // includes this batch's ScoreAll (`now` is read after scoring).
+    using Us = std::chrono::duration<double, std::micro>;
+    SEMTAG_OBS_OBSERVE("serve/queue_delay_us", obs::ServeLatencyBucketsUs(),
+                       Us(dequeued - batch[i].enqueued).count());
     SEMTAG_OBS_OBSERVE("serve/queue_wait_us", obs::ServeLatencyBucketsUs(),
-                       wait_us);
+                       Us(now - batch[i].enqueued).count());
     if (batch[i].done) batch[i].done(result);
   }
   if (stats_ != nullptr) stats_->PublishGauges();

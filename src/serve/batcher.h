@@ -19,11 +19,9 @@ class Replanner;
 
 /// Knobs of the dynamic-batching scheduler, each with an env twin:
 ///   SEMTAG_SERVE_BATCH_CAP    max requests per batch          (32)
-///   SEMTAG_SERVE_DEADLINE_US  max wait for a fuller batch     (1000)
 ///   SEMTAG_SERVE_QUEUE_CAP    admission-control queue bound   (1024)
 struct BatchingOptions {
   int batch_cap = 32;
-  int deadline_us = 1000;
   int queue_cap = 1024;
 
   /// This instance with invalid fields clamped to sane minimums.
@@ -46,20 +44,20 @@ using ScoreCallback = std::function<void(const ScoredRequest&)>;
 
 /// Dynamic-batching scheduler (DESIGN.md "Serving architecture").
 ///
-/// Submit() appends to a bounded queue; a single scheduler thread forms
-/// batches with the classic deadline rule — score immediately once
-/// batch_cap requests are waiting, otherwise when the OLDEST queued
-/// request has waited deadline_us — and drives the model's batched
-/// ScoreAll (the cascade tier by default, composing with
-/// SEMTAG_DEEP_BATCH and SEMTAG_QUANT underneath). Each batch acquires
-/// one registry snapshot, so a hot-swap mid-stream never splits a batch
-/// across model versions and in-flight batches finish on the old model.
+/// Submit() appends to a bounded queue; a single work-conserving
+/// scheduler thread takes up to batch_cap queued requests the moment it
+/// is idle — never holding a partial batch for company, so batch size
+/// follows the load — and drives the model's batched ScoreAll (the
+/// cascade tier by default, composing with SEMTAG_DEEP_BATCH and
+/// SEMTAG_QUANT underneath). Each batch acquires one registry snapshot,
+/// so a hot-swap mid-stream never splits a batch across model versions
+/// and in-flight batches finish on the old model.
 ///
 /// Admission control: Submit() returns false (shed) when queue_cap
 /// requests are already waiting or the batcher is draining; callers map
-/// that to StatusCode::kShed. Stop() flushes whatever is queued as final
-/// partial batches before joining the thread, so accepted requests are
-/// always answered.
+/// that to StatusCode::kShed. Stop() lets the scheduler score whatever is
+/// queued before joining the thread, so accepted requests are always
+/// answered.
 ///
 /// Determinism: a batch's scores are exactly model->ScoreAll(texts) for
 /// the texts in arrival order — the same whole-corpus path offline
@@ -109,7 +107,8 @@ class Batcher {
   void RunScheduler();
   /// Takes up to batch_cap requests (caller holds the lock).
   std::deque<Pending> TakeBatchLocked();
-  void ScoreBatch(std::deque<Pending> batch);
+  void ScoreBatch(std::deque<Pending> batch,
+                  std::chrono::steady_clock::time_point dequeued);
 
   const ModelRegistry* registry_;
   TrafficStats* stats_;

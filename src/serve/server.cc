@@ -209,10 +209,9 @@ Status Server::Start() {
   batcher_.Start();
   running_.store(true);
   loop_thread_ = std::thread([this] { RunLoop(); });
-  SEMTAG_LOG(kInfo, "serving on %s:%d (batch cap %d, deadline %dus, "
-             "queue cap %d)",
+  SEMTAG_LOG(kInfo, "serving on %s:%d (batch cap %d, queue cap %d)",
              options_.host.c_str(), port_, batcher_.options().batch_cap,
-             batcher_.options().deadline_us, batcher_.options().queue_cap);
+             batcher_.options().queue_cap);
   return Status::OK();
 }
 
@@ -482,9 +481,9 @@ void Server::FlushAndClose() {
   // shutdown signal (or 5s) abandons stragglers.
   const int initial_signals =
       options_.watch_signals ? ShutdownSignal::Install().count() : 0;
-  const double deadline_us = NowUs() + 5e6;
+  const double give_up_us = NowUs() + 5e6;
   bool pending = true;
-  while (pending && NowUs() < deadline_us) {
+  while (pending && NowUs() < give_up_us) {
     if (options_.watch_signals &&
         ShutdownSignal::Install().count() > initial_signals) {
       break;

@@ -479,7 +479,9 @@ struct DriftRunResult {
 
 /// Runs the canonical clean->dirty schedule through a real batcher +
 /// synchronous replanner at `threads` pool threads, one 32-record wave at
-/// a time (each wave is exactly one batch and seals exactly one epoch).
+/// a time. Each wave seals exactly one epoch: the batcher may score a
+/// wave as several batches, but epochs seal by request count and the
+/// replanner only steps on a sealed epoch, so a swap lands between waves.
 DriftRunResult RunDriftLoop(int threads) {
   SetGlobalPoolThreads(threads);
   const std::vector<data::DriftRecord> stream =
@@ -522,7 +524,6 @@ DriftRunResult RunDriftLoop(int threads) {
 
   BatchingOptions batching;
   batching.batch_cap = kWave;
-  batching.deadline_us = 500000;  // waves submit in microseconds
   Batcher batcher(&registry, &stats, batching, &replanner);
   batcher.Start();
 
@@ -555,7 +556,7 @@ TEST(ReplanLoopTest, MidStreamSwapNeverSplitsABatchAndEndsOnPlannedPair) {
   const DriftRunResult run = RunDriftLoop(/*threads=*/4);
   ASSERT_EQ(run.versions.size(), static_cast<size_t>(kRunRecords));
 
-  // (a) No batch is ever split across model versions.
+  // (a) No wave (hence no batch) is ever split across model versions.
   for (int wave = 0; wave < 2 * kSegmentWaves; ++wave) {
     for (int i = 1; i < kWave; ++i) {
       ASSERT_EQ(run.versions[wave * kWave + i],

@@ -1,7 +1,8 @@
 // Serving stack (src/serve/): wire protocol framing, the CRC-sealed model
 // registry with hot-swap, the dynamic-batching scheduler's edge cases
-// (ISSUE 9 satellite: empty-queue deadline, cap=1 bit-identity, partial
-// flush on shutdown, admission rejection, swap-mid-stream consistency),
+// (an idle batcher scores nothing, cap=1 bit-identity, partial flush on
+// shutdown, admission rejection, swap-mid-stream consistency, one queue
+// delay per scored request),
 // traffic stats, and an end-to-end socket test pinning responses
 // bit-identical to offline Score().
 
@@ -32,6 +33,7 @@
 #include "data/specs.h"
 #include "models/factory.h"
 #include "models/simple/linear_svm.h"
+#include "obs/metrics.h"
 #include "serve/batcher.h"
 #include "serve/model_registry.h"
 #include "serve/protocol.h"
@@ -362,12 +364,11 @@ struct CollectedScores {
   }
 };
 
-TEST(BatcherTest, EmptyQueueDeadlineIsANonEvent) {
+TEST(BatcherTest, IdleBatcherScoresNothing) {
   const data::Dataset dataset = TinyDataset();
   ModelRegistry registry;
   registry.Install(TrainedSvm(dataset), "svm");
   BatchingOptions options;
-  options.deadline_us = 100;  // would fire constantly if armed while idle
   Batcher batcher(&registry, nullptr, options);
   batcher.Start();
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -411,18 +412,57 @@ TEST(BatcherTest, StopFlushesPartialBatch) {
   registry.Install(TrainedSvm(dataset), "svm");
   BatchingOptions options;
   options.batch_cap = 32;
-  options.deadline_us = 10 * 1000 * 1000;  // would wait 10s for a full batch
   Batcher batcher(&registry, nullptr, options);
   batcher.Start();
   CollectedScores collected;
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(batcher.Submit(dataset[i].text, collected.Collector()));
   }
-  // Stop must flush the 3-request partial batch immediately, not wait out
-  // the deadline: Stop() returning implies the callbacks ran.
+  // Stop must answer the 3 requests, far short of the cap, before it
+  // returns: Stop() returning implies the callbacks ran.
   batcher.Stop();
   EXPECT_EQ(collected.results.size(), 3u);
   EXPECT_GE(batcher.BatchCount(), 1u);
+}
+
+TEST(BatcherTest, QueueDelayObservedOncePerScoredRequest) {
+  const data::Dataset dataset = TinyDataset();
+  ModelRegistry registry;
+  registry.Install(TrainedSvm(dataset), "svm");
+  const bool was_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  obs::ResetMetricsForTest();
+
+  BatchingOptions options;
+  options.batch_cap = 4;
+  Batcher batcher(&registry, nullptr, options);
+  // Queue the whole backlog before the scheduler starts, so it must cut
+  // it into batches of 4 + 4 + 2.
+  CollectedScores collected;
+  const int n = 10;
+  for (int i = 0; i < n; ++i) {
+    ASSERT_TRUE(batcher.Submit(dataset[i].text, collected.Collector()));
+  }
+  batcher.Start();
+  ASSERT_TRUE(collected.WaitForCount(n));
+  batcher.Stop();
+  const obs::MetricsSnapshot snap = obs::SnapshotMetrics();
+  obs::ResetMetricsForTest();
+  obs::SetMetricsEnabled(was_enabled);
+
+  EXPECT_EQ(batcher.BatchCount(), 3u);
+  const obs::HistogramSnapshot* delay = nullptr;
+  const obs::HistogramSnapshot* wait = nullptr;
+  for (const auto& [name, hist] : snap.histograms) {
+    if (name == "serve/queue_delay_us") delay = &hist;
+    if (name == "serve/queue_wait_us") wait = &hist;
+  }
+  ASSERT_NE(delay, nullptr);
+  ASSERT_NE(wait, nullptr);
+  EXPECT_EQ(delay->count, static_cast<uint64_t>(n));
+  EXPECT_EQ(wait->count, static_cast<uint64_t>(n));
+  // The wait runs on past the cut by each batch's ScoreAll.
+  EXPECT_LE(delay->sum, wait->sum);
 }
 
 TEST(BatcherTest, AdmissionControlShedsWhenFull) {
@@ -432,7 +472,6 @@ TEST(BatcherTest, AdmissionControlShedsWhenFull) {
   BatchingOptions options;
   options.queue_cap = 2;
   options.batch_cap = 32;
-  options.deadline_us = 10 * 1000 * 1000;
   Batcher batcher(&registry, nullptr, options);
   // Not started: nothing drains the queue, so the bound is exact.
   CollectedScores collected;
@@ -460,7 +499,6 @@ TEST(BatcherTest, HotSwapMidStreamIsPerBatchConsistent) {
 
   BatchingOptions options;
   options.batch_cap = 4;
-  options.deadline_us = 500;
   Batcher batcher(&registry, nullptr, options);
   batcher.Start();
 
@@ -735,7 +773,6 @@ TEST(ServerTest, ShedResponseWhenQueueFull) {
   ServerOptions options;
   options.batching.queue_cap = 1;
   options.batching.batch_cap = 1;
-  options.batching.deadline_us = 0;
   Server server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   TestClient client;
