@@ -597,6 +597,35 @@ int RunSmoke() {
     kt.sparse_axpy(entries.data(), entries.size(), 0.5f, out1.data());
     kt.adam_update(out1.data(), b0.data(), m.data(), v.data(), kN, 1e-3f,
                    0.9f, 0.999f, 1e-8f, 0.1f, 0.001f);
+    {
+      std::vector<float> scratch(kN);
+      GeluBackward(kt, a.data(), b0.data(), kN, scratch.data(), out1.data());
+    }
+
+    // Fused attention: one 7-position, 5-wide head tile (both odd, so
+    // every padded-lane path runs), forward then backward into out0/out1.
+    {
+      constexpr size_t kT = 7, kHd = 5, kLd = 3 * kHd;
+      Matrix qkv = RandomMatrix(kT, kLd, 60), grad(kT, kLd);
+      Matrix mask(kT, kT), probs(kT, kT), heads(kT, kHd);
+      for (size_t i = 0; i < kT; ++i) mask(i, kT - 1) = -1e9f;
+      std::vector<float> work(AttentionWorkFloats(kT, kHd));
+      AttentionTile tile;
+      tile.t = kT;
+      tile.hd = kHd;
+      tile.ld = kLd;
+      tile.scale = 0.5f;
+      tile.q = qkv.data();
+      tile.k = qkv.data() + kHd;
+      tile.v = qkv.data() + 2 * kHd;
+      tile.mask = mask.data();
+      tile.probs = probs.data();
+      tile.work = work.data();
+      kt.attention_forward(tile, heads.data(), kHd);
+      kt.attention_backward(tile, heads.data(), kHd, grad.data(),
+                            grad.data() + kHd, grad.data() + 2 * kHd);
+      acc += heads.Sum() + grad.Sum();
+    }
 
     // Int8 inference tier: quantize -> integer dots -> fused dequant.
     std::vector<int8_t> qa(kN), qb0(kN), qb1(kN), qb2(kN), qb3(kN);

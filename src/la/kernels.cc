@@ -152,6 +152,25 @@ const char* SimdLevelName(SimdLevel level) {
   return "unknown";
 }
 
+void GeluBackward(const KernelTable& kt, const float* x, const float* g,
+                  size_t n, float* scratch, float* dx) {
+  // d/dx 0.5x(1 + tanh(u)), u = sqrt(2/pi)(x + 0.044715 x^3).
+  constexpr float kC = 0.7978845608f;  // sqrt(2/pi)
+  constexpr float kA = 0.044715f;
+  for (size_t i = 0; i < n; ++i) {
+    const float xi = x[i];
+    scratch[i] = kC * (xi + kA * xi * xi * xi);
+  }
+  kt.vtanh(scratch, n);
+  for (size_t i = 0; i < n; ++i) {
+    const float xi = x[i];
+    const float t = scratch[i];
+    const float dinner = kC * (1.0f + 3.0f * kA * xi * xi);
+    const float dy = 0.5f * (1.0f + t) + 0.5f * xi * (1.0f - t * t) * dinner;
+    dx[i] += g[i] * dy;
+  }
+}
+
 const KernelTable& Kernels() { return SelectedTable(); }
 
 SimdLevel ActiveSimdLevel() { return SelectedTable().level; }

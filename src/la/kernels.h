@@ -19,6 +19,35 @@ enum class SimdLevel {
 /// "scalar" / "sse2" / "avx2".
 const char* SimdLevelName(SimdLevel level);
 
+/// One (sequence, head) tile of scaled dot-product attention: t query rows
+/// attend over the same t key rows with head width hd. q/k/v point at the
+/// tile's first row inside a fused [rows x 3d] Q|K|V matrix (row stride
+/// ld); the kernels never touch columns outside [0, hd) of each row.
+struct AttentionTile {
+  size_t t = 0;
+  size_t hd = 0;
+  size_t ld = 0;
+  float scale = 1.0f;
+  const float* q = nullptr;
+  const float* k = nullptr;
+  const float* v = nullptr;
+  /// t x t additive mask (row stride t): 0 for visible keys, -1e9 for
+  /// padded ones. Every row must leave at least one key visible.
+  const float* mask = nullptr;
+  /// t x t softmax probabilities (row stride t): written by the forward,
+  /// read by the backward.
+  float* probs = nullptr;
+  /// Scratch of AttentionWorkFloats(t, hd) floats; contents are undefined
+  /// on entry and on return.
+  float* work = nullptr;
+};
+
+/// Scratch size, in floats, that every tier's attention kernels need.
+inline size_t AttentionWorkFloats(size_t t, size_t hd) {
+  const size_t tp = (t + 7) / 8 * 8;
+  return t * tp + 3 * hd * tp + 2 * tp;
+}
+
 /// The hot-kernel function-pointer table. One table per SIMD tier; the
 /// process selects a single table at first use (see Kernels()).
 ///
@@ -95,6 +124,17 @@ struct KernelTable {
                       float lr, float beta1, float beta2, float eps,
                       float bc1, float bc2);
 
+  // ---- fused attention (DESIGN.md "Batched execution") -------------------
+  /// probs = softmax(q k^T * scale + mask) row-wise, out = probs v: out row
+  /// i (hd floats, row stride ldo) is written, not accumulated.
+  void (*attention_forward)(const AttentionTile& tile, float* out,
+                            size_t ldo);
+  /// Backward of attention_forward from its output gradient dout (row
+  /// stride ldo) and the stored probs: accumulates (+=) into dq, dk and dv,
+  /// which share the tile's row stride ld.
+  void (*attention_backward)(const AttentionTile& tile, const float* dout,
+                             size_t ldo, float* dq, float* dk, float* dv);
+
   // ---- int8 inference tier (DESIGN.md "Int8 inference tier") -------------
   /// Symmetric per-row absmax quantization: q[i] = round(x[i] * 127/absmax)
   /// clamped to [-127, 127] (-128 is never produced, which keeps the AVX2
@@ -118,6 +158,13 @@ struct KernelTable {
                              const float* w_scales, const float* bias,
                              size_t n, bool fuse_relu);
 };
+
+/// Tanh-approximation GELU backward, composed from table entries:
+/// dx[i] += g[i] * gelu'(x[i]). The n inner polynomials are written to
+/// `scratch` and go through one kt.vtanh sweep; on the scalar table that is
+/// std::tanh per element, bit-identical to a per-element loop.
+void GeluBackward(const KernelTable& kt, const float* x, const float* g,
+                  size_t n, float* scratch, float* dx);
 
 /// The dispatched table. Selected exactly once, at first call:
 /// the highest tier this binary was compiled with AND this CPU supports,

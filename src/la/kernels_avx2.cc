@@ -14,6 +14,7 @@
 #include <immintrin.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "la/kernels_internal.h"
 
@@ -89,12 +90,16 @@ inline __m256 ExpPs(__m256 x) {
   y = _mm256_fmadd_ps(y, _mm256_mul_ps(x, x), _mm256_add_ps(x, kOne));
 
   // * 2^z via exponent-field construction (z in [-126, 127] after clamp).
+  // Underflowed lanes are zeroed *before* the scale: at z = -126 the
+  // product y * 2^z is denormal, and producing one costs a microcode
+  // assist per vector — every masked or padded attention key would pay it.
+  // 0 * 2^z is the same +0 the lane would have been masked to.
   const __m256i emm0 =
       _mm256_slli_epi32(_mm256_add_epi32(_mm256_cvttps_epi32(z),
                                          _mm256_set1_epi32(127)),
                         23);
-  const __m256 r = _mm256_mul_ps(y, _mm256_castsi256_ps(emm0));
-  return _mm256_andnot_ps(underflow, r);
+  return _mm256_mul_ps(_mm256_andnot_ps(underflow, y),
+                       _mm256_castsi256_ps(emm0));
 }
 
 // Cephes tanhf, vectorized: odd polynomial below |x| < 0.625, exp-based
@@ -565,6 +570,178 @@ void Avx2AdamUpdate(float* w, const float* g, float* m, float* v, size_t n,
   }
 }
 
+inline size_t RoundUp8(size_t n) { return (n + 7) / 8 * 8; }
+
+/// dst[c * tp + j] = rows[j * ld + c] for c < hd, j < t; lanes j in
+/// [t, tp) are zeroed so padded columns contribute nothing downstream.
+void TransposePadded(const float* rows, size_t ld, size_t t, size_t hd,
+                     size_t tp, float* dst) {
+  for (size_t c = 0; c < hd; ++c) {
+    float* d = dst + c * tp;
+    for (size_t j = 0; j < t; ++j) d[j] = rows[j * ld + c];
+    for (size_t j = t; j < tp; ++j) d[j] = 0.0f;
+  }
+}
+
+/// out[j] = sum_c x[c] * xt[c * tp + j] for j in [0, tp): t dot products
+/// against a transposed operand, vectorized over j.
+void DotTransposed(const float* x, const float* xt, size_t hd, size_t tp,
+                   float* out) {
+  for (size_t jb = 0; jb < tp; jb += 8) {
+    __m256 acc0 = _mm256_setzero_ps();
+    __m256 acc1 = _mm256_setzero_ps();
+    size_t c = 0;
+    for (; c + 2 <= hd; c += 2) {
+      acc0 = _mm256_fmadd_ps(_mm256_set1_ps(x[c]),
+                             _mm256_loadu_ps(xt + c * tp + jb), acc0);
+      acc1 = _mm256_fmadd_ps(_mm256_set1_ps(x[c + 1]),
+                             _mm256_loadu_ps(xt + (c + 1) * tp + jb), acc1);
+    }
+    if (c < hd) {
+      acc0 = _mm256_fmadd_ps(_mm256_set1_ps(x[c]),
+                             _mm256_loadu_ps(xt + c * tp + jb), acc0);
+    }
+    _mm256_storeu_ps(out + jb, _mm256_add_ps(acc0, acc1));
+  }
+}
+
+/// acc[c * tp + j] += x[c] * y[j] for c < hd, j < tp (transposed rank-1).
+void RankOneTransposed(float* acc, const float* x, const float* y,
+                       size_t hd, size_t tp) {
+  for (size_t c = 0; c < hd; ++c) {
+    const __m256 vx = _mm256_set1_ps(x[c]);
+    float* row = acc + c * tp;
+    for (size_t jb = 0; jb < tp; jb += 8) {
+      _mm256_storeu_ps(row + jb,
+                       _mm256_fmadd_ps(vx, _mm256_loadu_ps(y + jb),
+                                       _mm256_loadu_ps(row + jb)));
+    }
+  }
+}
+
+/// out[0, n) += sum_j a[j] * rows[j * ld + (0, n)] over j in [0, m).
+/// Four accumulators rotate over j so the FMA chain is not latency-bound
+/// at n = 8, where the whole row is one vector.
+void AccumulateRows(float* out, const float* a, const float* rows, size_t ld,
+                    size_t m, size_t n) {
+  size_t c = 0;
+  for (; c + 8 <= n; c += 8) {
+    __m256 acc0 = _mm256_loadu_ps(out + c);
+    __m256 acc1 = _mm256_setzero_ps();
+    __m256 acc2 = _mm256_setzero_ps();
+    __m256 acc3 = _mm256_setzero_ps();
+    const float* r = rows + c;
+    size_t j = 0;
+    for (; j + 4 <= m; j += 4, r += 4 * ld) {
+      acc0 = _mm256_fmadd_ps(_mm256_set1_ps(a[j]), _mm256_loadu_ps(r), acc0);
+      acc1 = _mm256_fmadd_ps(_mm256_set1_ps(a[j + 1]),
+                             _mm256_loadu_ps(r + ld), acc1);
+      acc2 = _mm256_fmadd_ps(_mm256_set1_ps(a[j + 2]),
+                             _mm256_loadu_ps(r + 2 * ld), acc2);
+      acc3 = _mm256_fmadd_ps(_mm256_set1_ps(a[j + 3]),
+                             _mm256_loadu_ps(r + 3 * ld), acc3);
+    }
+    for (; j < m; ++j, r += ld) {
+      acc0 = _mm256_fmadd_ps(_mm256_set1_ps(a[j]), _mm256_loadu_ps(r), acc0);
+    }
+    _mm256_storeu_ps(out + c, _mm256_add_ps(_mm256_add_ps(acc0, acc1),
+                                            _mm256_add_ps(acc2, acc3)));
+  }
+  for (; c < n; ++c) {
+    float acc = out[c];
+    for (size_t j = 0; j < m; ++j) acc += a[j] * rows[j * ld + c];
+    out[c] = acc;
+  }
+}
+
+/// Score of a padded key lane: far below ExpPs's clamp floor, so it
+/// softmaxes to exact 0 without the inf - inf hazard of -infinity.
+constexpr float kPadScore = -1e30f;
+
+void Avx2AttentionForward(const AttentionTile& tile, float* out,
+                          size_t ldo) {
+  const size_t t = tile.t, hd = tile.hd, ld = tile.ld, tp = RoundUp8(t);
+  float* kt = tile.work;      // [hd x tp] K^T
+  float* s = kt + hd * tp;    // [tp] one score row
+  TransposePadded(tile.k, ld, t, hd, tp, kt);
+  const __m256 vscale = _mm256_set1_ps(tile.scale);
+  for (size_t i = 0; i < t; ++i) {
+    DotTransposed(tile.q + i * ld, kt, hd, tp, s);
+    const float* mask = tile.mask + i * t;
+    size_t j = 0;
+    for (; j + 8 <= t; j += 8) {
+      _mm256_storeu_ps(s + j,
+                       _mm256_add_ps(_mm256_mul_ps(_mm256_loadu_ps(s + j),
+                                                   vscale),
+                                     _mm256_loadu_ps(mask + j)));
+    }
+    for (; j < t; ++j) s[j] = s[j] * tile.scale + mask[j];
+    for (; j < tp; ++j) s[j] = kPadScore;
+    __m256 vmax = _mm256_loadu_ps(s);
+    for (size_t jb = 8; jb < tp; jb += 8) {
+      vmax = _mm256_max_ps(vmax, _mm256_loadu_ps(s + jb));
+    }
+    const __m256 vmx = _mm256_set1_ps(HMax8(vmax));
+    __m256 vsum = _mm256_setzero_ps();
+    for (size_t jb = 0; jb < tp; jb += 8) {
+      const __m256 e = ExpPs(_mm256_sub_ps(_mm256_loadu_ps(s + jb), vmx));
+      _mm256_storeu_ps(s + jb, e);
+      vsum = _mm256_add_ps(vsum, e);
+    }
+    const __m256 vinv = _mm256_set1_ps(1.0f / HSum8(vsum));
+    for (size_t jb = 0; jb < tp; jb += 8) {
+      _mm256_storeu_ps(s + jb, _mm256_mul_ps(_mm256_loadu_ps(s + jb), vinv));
+    }
+    std::memcpy(tile.probs + i * t, s, t * sizeof(float));
+    float* o = out + i * ldo;
+    for (size_t c = 0; c < hd; ++c) o[c] = 0.0f;
+    AccumulateRows(o, s, tile.v, ld, t, hd);
+  }
+}
+
+void Avx2AttentionBackward(const AttentionTile& tile, const float* dout,
+                           size_t ldo, float* dq, float* dk, float* dv) {
+  const size_t t = tile.t, hd = tile.hd, ld = tile.ld, tp = RoundUp8(t);
+  // dK and dV accumulate transposed ([hd x tp]) so each query row's
+  // contribution is one vectorized rank-1 update; they are scattered back
+  // into the strided rows once at the end.
+  float* vt = tile.work;
+  float* dkt = vt + hd * tp;
+  float* dvt = dkt + hd * tp;
+  float* p = dvt + hd * tp;  // [tp] zero-padded probs row
+  float* g = p + tp;         // [tp] dP, then dS
+  TransposePadded(tile.v, ld, t, hd, tp, vt);
+  std::memset(dkt, 0, 2 * hd * tp * sizeof(float));
+  const __m256 vscale = _mm256_set1_ps(tile.scale);
+  for (size_t i = 0; i < t; ++i) {
+    std::memcpy(p, tile.probs + i * t, t * sizeof(float));
+    for (size_t j = t; j < tp; ++j) p[j] = 0.0f;
+    const float* go = dout + i * ldo;
+    DotTransposed(go, vt, hd, tp, g);
+    RankOneTransposed(dvt, go, p, hd, tp);
+    __m256 vdot = _mm256_setzero_ps();
+    for (size_t jb = 0; jb < tp; jb += 8) {
+      vdot = _mm256_fmadd_ps(_mm256_loadu_ps(p + jb),
+                             _mm256_loadu_ps(g + jb), vdot);
+    }
+    const __m256 vd = _mm256_set1_ps(HSum8(vdot));
+    for (size_t jb = 0; jb < tp; jb += 8) {
+      const __m256 ds = _mm256_mul_ps(
+          _mm256_loadu_ps(p + jb),
+          _mm256_sub_ps(_mm256_loadu_ps(g + jb), vd));
+      _mm256_storeu_ps(g + jb, _mm256_mul_ps(ds, vscale));
+    }
+    AccumulateRows(dq + i * ld, g, tile.k, ld, t, hd);
+    RankOneTransposed(dkt, tile.q + i * ld, g, hd, tp);
+  }
+  for (size_t j = 0; j < t; ++j) {
+    for (size_t c = 0; c < hd; ++c) {
+      dk[j * ld + c] += dkt[c * tp + j];
+      dv[j * ld + c] += dvt[c * tp + j];
+    }
+  }
+}
+
 inline int32_t HSumI32x8(__m256i v) {
   __m128i lo = _mm256_castsi256_si128(v);
   const __m128i hi = _mm256_extracti128_si256(v, 1);
@@ -843,6 +1020,8 @@ const KernelTable& Avx2Table() {
       &Avx2SparseDot,
       &ScalarSparseAxpy,  // no scatter in AVX2; scalar loop stays
       &Avx2AdamUpdate,
+      &Avx2AttentionForward,
+      &Avx2AttentionBackward,
       &Avx2QuantizeRowI8,
       &Avx2DotI8,
       &Avx2Dot4I8,

@@ -48,6 +48,15 @@ void ScalarSparseAxpy(const SparseEntry* e, size_t nnz, float s,
 void ScalarAdamUpdate(float* w, const float* g, float* m, float* v, size_t n,
                       float lr, float beta1, float beta2, float eps,
                       float bc1, float bc2);
+// Fused attention tile. The reference runs the exact operation chain of the
+// per-head op graph it replaced: MatMulTransB's dot4/dot split for the
+// scores, scale, mask add, softmax_row, and MatMul's 4-wide k-panel updates
+// for probs x V (and the matching transposed products in the backward).
+// SSE2 reuses these entries.
+void ScalarAttentionForward(const AttentionTile& tile, float* out,
+                            size_t ldo);
+void ScalarAttentionBackward(const AttentionTile& tile, const float* dout,
+                             size_t ldo, float* dq, float* dk, float* dv);
 // Int8 inference tier. These are shared by the SSE2 table too: the whole
 // quantized pipeline is integer-exact (and the float edges avoid FMA and
 // round nearest-even), so reusing the scalar entries keeps SSE2

@@ -195,6 +195,79 @@ void ScalarAdamUpdate(float* w, const float* g, float* m, float* v, size_t n,
   }
 }
 
+namespace {
+
+/// out[0, n) += sum_j a[j * a_stride] * rows[j][0, n) over j in [0, m), in
+/// MatMul's k-panel order: 4-wide gemm_update4 groups, then axpy for the
+/// remainder. `rows` are `m` rows at row stride ld.
+void AccumulateRows(float* out, const float* a, size_t a_stride,
+                    const float* rows, size_t ld, size_t m, size_t n) {
+  size_t j = 0;
+  for (; j + 4 <= m; j += 4) {
+    ScalarGemmUpdate4(out, rows + j * ld, rows + (j + 1) * ld,
+                      rows + (j + 2) * ld, rows + (j + 3) * ld,
+                      a[j * a_stride], a[(j + 1) * a_stride],
+                      a[(j + 2) * a_stride], a[(j + 3) * a_stride], n);
+  }
+  for (; j < m; ++j) ScalarAxpy(out, rows + j * ld, a[j * a_stride], n);
+}
+
+/// out[j] = dot(x, rows[j]) for j in [0, m): MatMulTransB's dot4/dot split.
+void DotRows(const float* x, const float* rows, size_t ld, size_t m,
+             size_t n, float* out) {
+  size_t j = 0;
+  for (; j + 4 <= m; j += 4) {
+    ScalarDot4(x, rows + j * ld, rows + (j + 1) * ld, rows + (j + 2) * ld,
+               rows + (j + 3) * ld, n, out + j);
+  }
+  for (; j < m; ++j) out[j] = ScalarDot(x, rows + j * ld, n);
+}
+
+}  // namespace
+
+void ScalarAttentionForward(const AttentionTile& tile, float* out,
+                            size_t ldo) {
+  const size_t t = tile.t, hd = tile.hd, ld = tile.ld;
+  for (size_t i = 0; i < t; ++i) {
+    float* p = tile.probs + i * t;
+    DotRows(tile.q + i * ld, tile.k, ld, t, hd, p);
+    ScalarScale(p, tile.scale, t);
+    ScalarAdd(p, tile.mask + i * t, t);
+    ScalarSoftmaxRow(p, t);
+    float* o = out + i * ldo;
+    ScalarFill(o, 0.0f, hd);
+    AccumulateRows(o, p, 1, tile.v, ld, t, hd);
+  }
+}
+
+void ScalarAttentionBackward(const AttentionTile& tile, const float* dout,
+                             size_t ldo, float* dq, float* dk, float* dv) {
+  const size_t t = tile.t, hd = tile.hd, ld = tile.ld;
+  const float* probs = tile.probs;
+  // dV = P^T dout, one key row at a time down column j of P.
+  for (size_t j = 0; j < t; ++j) {
+    AccumulateRows(dv + j * ld, probs + j, t, dout, ldo, t, hd);
+  }
+  // dS = scale * softmax'(dP), dP = dout V^T, kept whole in `work` because
+  // dK reads it column-wise.
+  float* ds = tile.work;
+  for (size_t i = 0; i < t; ++i) {
+    float* g = ds + i * t;
+    const float* y = probs + i * t;
+    DotRows(dout + i * ldo, tile.v, ld, t, hd, g);
+    float dot = 0.0f;
+    for (size_t c = 0; c < t; ++c) dot += y[c] * g[c];
+    for (size_t c = 0; c < t; ++c) g[c] = y[c] * (g[c] - dot);
+    ScalarScale(g, tile.scale, t);
+  }
+  for (size_t i = 0; i < t; ++i) {
+    AccumulateRows(dq + i * ld, ds + i * t, 1, tile.k, ld, t, hd);
+  }
+  for (size_t j = 0; j < t; ++j) {
+    AccumulateRows(dk + j * ld, ds + j, t, tile.q, ld, t, hd);
+  }
+}
+
 float ScalarQuantizeRowI8(const float* x, size_t n, int8_t* q) {
   float absmax = 0.0f;
   for (size_t i = 0; i < n; ++i) {
@@ -283,6 +356,8 @@ const KernelTable& ScalarTable() {
       &ScalarSparseDot,
       &ScalarSparseAxpy,
       &ScalarAdamUpdate,
+      &ScalarAttentionForward,
+      &ScalarAttentionBackward,
       &ScalarQuantizeRowI8,
       &ScalarDotI8,
       &ScalarDot4I8,

@@ -263,6 +263,8 @@ const KernelTable& Sse2Table() {
       &ScalarSparseDot,
       &ScalarSparseAxpy,
       &ScalarAdamUpdate,
+      &ScalarAttentionForward,
+      &ScalarAttentionBackward,
       // Int8 tier: the scalar entries are already exact (integer
       // accumulation; nearest-even rounding; no FMA), so SSE2 reuses them
       // rather than maintaining a third bit-identical implementation.

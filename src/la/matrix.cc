@@ -218,10 +218,8 @@ namespace {
 /// (j, k) so the B panel is reused across the whole row range, with the
 /// k-loop unrolled 4-wide: one load+store of the out segment amortizes
 /// four B rows, cutting store traffic 4x versus the rank-1 ikj update.
-/// `b_row_off` shifts the B operand down by that many rows so the block-
-/// diagonal variants can aim at one stacked block; 0 is plain MatMul.
 void MatMulRows(const Matrix& a, const Matrix& b, Matrix* out, size_t i0,
-                size_t i1, size_t b_row_off) {
+                size_t i1) {
   const KernelTable& kr = Kernels();
   const size_t k = a.cols(), n = b.cols();
   for (size_t jj = 0; jj < n; jj += kBlockN) {
@@ -244,15 +242,13 @@ void MatMulRows(const Matrix& a, const Matrix& b, Matrix* out, size_t i0,
                                arow0[kk + 3]};
           const float a1[4] = {arow1[kk], arow1[kk + 1], arow1[kk + 2],
                                arow1[kk + 3]};
-          kr.gemm_update4x2(orow0 + jj, orow1 + jj,
-                            b.Row(b_row_off + kk) + jj,
-                            b.Row(b_row_off + kk + 1) + jj,
-                            b.Row(b_row_off + kk + 2) + jj,
-                            b.Row(b_row_off + kk + 3) + jj, a0, a1, jlen);
+          kr.gemm_update4x2(orow0 + jj, orow1 + jj, b.Row(kk) + jj,
+                            b.Row(kk + 1) + jj, b.Row(kk + 2) + jj,
+                            b.Row(kk + 3) + jj, a0, a1, jlen);
         }
         for (; kk < kend; ++kk) {
-          kr.axpy(orow0 + jj, b.Row(b_row_off + kk) + jj, arow0[kk], jlen);
-          kr.axpy(orow1 + jj, b.Row(b_row_off + kk) + jj, arow1[kk], jlen);
+          kr.axpy(orow0 + jj, b.Row(kk) + jj, arow0[kk], jlen);
+          kr.axpy(orow1 + jj, b.Row(kk) + jj, arow1[kk], jlen);
         }
       }
       for (; i < i1; ++i) {
@@ -260,14 +256,12 @@ void MatMulRows(const Matrix& a, const Matrix& b, Matrix* out, size_t i0,
         float* orow = out->Row(i);
         size_t kk = kk0;
         for (; kk + 4 <= kend; kk += 4) {
-          kr.gemm_update4(orow + jj, b.Row(b_row_off + kk) + jj,
-                          b.Row(b_row_off + kk + 1) + jj,
-                          b.Row(b_row_off + kk + 2) + jj,
-                          b.Row(b_row_off + kk + 3) + jj, arow[kk],
+          kr.gemm_update4(orow + jj, b.Row(kk) + jj, b.Row(kk + 1) + jj,
+                          b.Row(kk + 2) + jj, b.Row(kk + 3) + jj, arow[kk],
                           arow[kk + 1], arow[kk + 2], arow[kk + 3], jlen);
         }
         for (; kk < kend; ++kk) {
-          kr.axpy(orow + jj, b.Row(b_row_off + kk) + jj, arow[kk], jlen);
+          kr.axpy(orow + jj, b.Row(kk) + jj, arow[kk], jlen);
         }
       }
     }
@@ -279,16 +273,10 @@ void MatMulRows(const Matrix& a, const Matrix& b, Matrix* out, size_t i0,
 /// step are gathered down a column of `a` (stride m); each gathered value
 /// is reused across the whole jend-jj segment, so the strided loads are
 /// amortized n-fold.
-///
-/// The block-diagonal variant aims this at one stacked block: `k` is the
-/// per-block row count of A/B, the `*_off` values shift the operand and
-/// output row windows, and [i0, i1) stays block-local. The un-blocked
-/// call passes k = a.rows() and zero offsets — the original loop verbatim.
 void MatMulTransARows(const Matrix& a, const Matrix& b, Matrix* out,
-                      size_t i0, size_t i1, size_t k, size_t a_row_off,
-                      size_t b_row_off, size_t out_row_off) {
+                      size_t i0, size_t i1) {
   const KernelTable& kr = Kernels();
-  const size_t n = b.cols();
+  const size_t k = a.rows(), n = b.cols();
   for (size_t jj = 0; jj < n; jj += kBlockN) {
     const size_t jend = std::min(jj + kBlockN, n);
     const size_t jlen = jend - jj;
@@ -296,44 +284,33 @@ void MatMulTransARows(const Matrix& a, const Matrix& b, Matrix* out,
       const size_t kend = std::min(kk0 + kBlockK, k);
       size_t i = i0;
       for (; i + 2 <= i1; i += 2) {
-        float* orow0 = out->Row(out_row_off + i);
-        float* orow1 = out->Row(out_row_off + i + 1);
+        float* orow0 = out->Row(i);
+        float* orow1 = out->Row(i + 1);
         size_t kk = kk0;
         for (; kk + 4 <= kend; kk += 4) {
-          const float a0[4] = {
-              a(a_row_off + kk, i), a(a_row_off + kk + 1, i),
-              a(a_row_off + kk + 2, i), a(a_row_off + kk + 3, i)};
-          const float a1[4] = {
-              a(a_row_off + kk, i + 1), a(a_row_off + kk + 1, i + 1),
-              a(a_row_off + kk + 2, i + 1), a(a_row_off + kk + 3, i + 1)};
-          kr.gemm_update4x2(orow0 + jj, orow1 + jj,
-                            b.Row(b_row_off + kk) + jj,
-                            b.Row(b_row_off + kk + 1) + jj,
-                            b.Row(b_row_off + kk + 2) + jj,
-                            b.Row(b_row_off + kk + 3) + jj, a0, a1, jlen);
+          const float a0[4] = {a(kk, i), a(kk + 1, i), a(kk + 2, i),
+                               a(kk + 3, i)};
+          const float a1[4] = {a(kk, i + 1), a(kk + 1, i + 1),
+                               a(kk + 2, i + 1), a(kk + 3, i + 1)};
+          kr.gemm_update4x2(orow0 + jj, orow1 + jj, b.Row(kk) + jj,
+                            b.Row(kk + 1) + jj, b.Row(kk + 2) + jj,
+                            b.Row(kk + 3) + jj, a0, a1, jlen);
         }
         for (; kk < kend; ++kk) {
-          kr.axpy(orow0 + jj, b.Row(b_row_off + kk) + jj,
-                  a(a_row_off + kk, i), jlen);
-          kr.axpy(orow1 + jj, b.Row(b_row_off + kk) + jj,
-                  a(a_row_off + kk, i + 1), jlen);
+          kr.axpy(orow0 + jj, b.Row(kk) + jj, a(kk, i), jlen);
+          kr.axpy(orow1 + jj, b.Row(kk) + jj, a(kk, i + 1), jlen);
         }
       }
       for (; i < i1; ++i) {
-        float* orow = out->Row(out_row_off + i);
+        float* orow = out->Row(i);
         size_t kk = kk0;
         for (; kk + 4 <= kend; kk += 4) {
-          kr.gemm_update4(orow + jj, b.Row(b_row_off + kk) + jj,
-                          b.Row(b_row_off + kk + 1) + jj,
-                          b.Row(b_row_off + kk + 2) + jj,
-                          b.Row(b_row_off + kk + 3) + jj,
-                          a(a_row_off + kk, i), a(a_row_off + kk + 1, i),
-                          a(a_row_off + kk + 2, i), a(a_row_off + kk + 3, i),
-                          jlen);
+          kr.gemm_update4(orow + jj, b.Row(kk) + jj, b.Row(kk + 1) + jj,
+                          b.Row(kk + 2) + jj, b.Row(kk + 3) + jj, a(kk, i),
+                          a(kk + 1, i), a(kk + 2, i), a(kk + 3, i), jlen);
         }
         for (; kk < kend; ++kk) {
-          kr.axpy(orow + jj, b.Row(b_row_off + kk) + jj,
-                  a(a_row_off + kk, i), jlen);
+          kr.axpy(orow + jj, b.Row(kk) + jj, a(kk, i), jlen);
         }
       }
     }
@@ -343,22 +320,19 @@ void MatMulTransARows(const Matrix& a, const Matrix& b, Matrix* out,
 /// Core of MatMulTransB: out rows [i0, i1) of a[m,k] * b^T with b stored
 /// [n, k]. Row-by-row dot products, four output columns at a time so each
 /// loaded A element feeds four independent accumulators (B rows j..j+3).
-/// `n` is the B row count of one block and `b_row_off` shifts into the
-/// stack; the un-blocked call passes b.rows() and 0 — the original loop.
 void MatMulTransBRows(const Matrix& a, const Matrix& b, Matrix* out,
-                      size_t i0, size_t i1, size_t n, size_t b_row_off) {
+                      size_t i0, size_t i1) {
   const KernelTable& kr = Kernels();
-  const size_t k = a.cols();
+  const size_t k = a.cols(), n = b.rows();
   for (size_t i = i0; i < i1; ++i) {
     const float* arow = a.Row(i);
     float* orow = out->Row(i);
     size_t j = 0;
     for (; j + 4 <= n; j += 4) {
-      kr.dot4(arow, b.Row(b_row_off + j), b.Row(b_row_off + j + 1),
-              b.Row(b_row_off + j + 2), b.Row(b_row_off + j + 3), k,
+      kr.dot4(arow, b.Row(j), b.Row(j + 1), b.Row(j + 2), b.Row(j + 3), k,
               orow + j);
     }
-    for (; j < n; ++j) orow[j] = kr.dot(arow, b.Row(b_row_off + j), k);
+    for (; j < n; ++j) orow[j] = kr.dot(arow, b.Row(j), k);
   }
 }
 
@@ -371,10 +345,10 @@ void MatMul(const Matrix& a, const Matrix& b, Matrix* out) {
   *out = Matrix(m, n);
   if (WorthParallel(m, n, k)) {
     ParallelFor(0, m, 1, [&](size_t lo, size_t hi) {
-      MatMulRows(a, b, out, lo, hi, /*b_row_off=*/0);
+      MatMulRows(a, b, out, lo, hi);
     });
   } else {
-    MatMulRows(a, b, out, 0, m, /*b_row_off=*/0);
+    MatMulRows(a, b, out, 0, m);
   }
 }
 
@@ -385,10 +359,10 @@ void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* out) {
   *out = Matrix(m, n);
   if (WorthParallel(m, n, k)) {
     ParallelFor(0, m, 1, [&](size_t lo, size_t hi) {
-      MatMulTransARows(a, b, out, lo, hi, k, 0, 0, 0);
+      MatMulTransARows(a, b, out, lo, hi);
     });
   } else {
-    MatMulTransARows(a, b, out, 0, m, k, 0, 0, 0);
+    MatMulTransARows(a, b, out, 0, m);
   }
 }
 
@@ -401,75 +375,10 @@ void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* out) {
   *out = Matrix::Uninitialized(m, n);
   if (WorthParallel(m, n, k)) {
     ParallelFor(0, m, 1, [&](size_t lo, size_t hi) {
-      MatMulTransBRows(a, b, out, lo, hi, n, /*b_row_off=*/0);
+      MatMulTransBRows(a, b, out, lo, hi);
     });
   } else {
-    MatMulTransBRows(a, b, out, 0, m, n, /*b_row_off=*/0);
-  }
-}
-
-void BlockMatMul(const Matrix& a, const Matrix& b, size_t blocks,
-                 Matrix* out) {
-  SEMTAG_CHECK(blocks > 0 && a.rows() % blocks == 0 &&
-               b.rows() % blocks == 0);
-  const size_t s = b.rows() / blocks;
-  SEMTAG_CHECK(a.cols() == s);
-  const size_t r = a.rows() / blocks, n = b.cols();
-  NoteGemm(a.rows(), n, s);
-  *out = Matrix(a.rows(), n);
-  for (size_t blk = 0; blk < blocks; ++blk) {
-    const size_t i0 = blk * r;
-    const size_t b_off = blk * s;
-    if (WorthParallel(r, n, s)) {
-      ParallelFor(i0, i0 + r, 1, [&](size_t lo, size_t hi) {
-        MatMulRows(a, b, out, lo, hi, b_off);
-      });
-    } else {
-      MatMulRows(a, b, out, i0, i0 + r, b_off);
-    }
-  }
-}
-
-void BlockMatMulTransA(const Matrix& a, const Matrix& b, size_t blocks,
-                       Matrix* out) {
-  SEMTAG_CHECK(blocks > 0 && a.rows() == b.rows() &&
-               a.rows() % blocks == 0);
-  const size_t s = a.rows() / blocks;
-  const size_t r = a.cols(), n = b.cols();
-  NoteGemm(blocks * r, n, s);
-  *out = Matrix(blocks * r, n);
-  for (size_t blk = 0; blk < blocks; ++blk) {
-    const size_t off = blk * s;
-    const size_t out_off = blk * r;
-    if (WorthParallel(r, n, s)) {
-      ParallelFor(0, r, 1, [&](size_t lo, size_t hi) {
-        MatMulTransARows(a, b, out, lo, hi, s, off, off, out_off);
-      });
-    } else {
-      MatMulTransARows(a, b, out, 0, r, s, off, off, out_off);
-    }
-  }
-}
-
-void BlockMatMulTransB(const Matrix& a, const Matrix& b, size_t blocks,
-                       Matrix* out) {
-  SEMTAG_CHECK(blocks > 0 && a.cols() == b.cols() &&
-               a.rows() % blocks == 0 && b.rows() % blocks == 0);
-  const size_t r = a.rows() / blocks, nb = b.rows() / blocks;
-  const size_t k = a.cols();
-  NoteGemm(a.rows(), nb, k);
-  // Dot-product writes cover every element; no zero fill needed.
-  *out = Matrix::Uninitialized(a.rows(), nb);
-  for (size_t blk = 0; blk < blocks; ++blk) {
-    const size_t i0 = blk * r;
-    const size_t b_off = blk * nb;
-    if (WorthParallel(r, nb, k)) {
-      ParallelFor(i0, i0 + r, 1, [&](size_t lo, size_t hi) {
-        MatMulTransBRows(a, b, out, lo, hi, nb, b_off);
-      });
-    } else {
-      MatMulTransBRows(a, b, out, i0, i0 + r, nb, b_off);
-    }
+    MatMulTransBRows(a, b, out, 0, m);
   }
 }
 

@@ -116,24 +116,6 @@ void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* out);
 /// out = a * b^T.
 void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* out);
 
-/// Block-diagonal GEMM family: `a` and `b` are vertical stacks of `blocks`
-/// equally sized row blocks, and block i of the output is the product of
-/// block i of `a` with block i of `b` — B independent sequences riding one
-/// call (batched attention). With blocks == 1 each function runs the exact
-/// loop of its un-blocked counterpart, so results are bit-identical to it.
-///
-/// out block i = a_i [R x S] * b_i [S x n] -> [R x n]; out is [(B*R) x n].
-void BlockMatMul(const Matrix& a, const Matrix& b, size_t blocks,
-                 Matrix* out);
-
-/// out block i = a_i^T [S x R] * b_i [S x n] -> [R x n]; out is [(B*R) x n].
-void BlockMatMulTransA(const Matrix& a, const Matrix& b, size_t blocks,
-                       Matrix* out);
-
-/// out block i = a_i [R x k] * b_i^T [n x k] -> [R x n]; out is [(B*R) x n].
-void BlockMatMulTransB(const Matrix& a, const Matrix& b, size_t blocks,
-                       Matrix* out);
-
 /// Adds the 1xC row vector `row` to every row of `m` in place.
 void AddRowBroadcast(Matrix* m, const Matrix& row);
 

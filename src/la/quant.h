@@ -75,8 +75,7 @@ void QuantMatMul(const Matrix& x, const QuantizedMatrix& wq,
                  const Matrix* bias, QuantAct act, Matrix* out);
 
 /// QuantMatMul against activations already quantized with
-/// QuantizeActivations — attention quantizes x once and reuses it for all
-/// Q/K/V projections.
+/// QuantizeActivations (QuantMatMul is quantize-then-this).
 struct QuantizedActivations {
   size_t rows = 0;
   size_t cols = 0;

@@ -23,8 +23,9 @@ constexpr int kCorpusAvgLen = 16;
 constexpr uint64_t kCorpusSeed = 999;
 constexpr int kRobertaCorpusSentences = 8000;
 /// Bump to invalidate cached checkpoints after pretraining or checkpoint
-/// format changes (v4: CRC32-footer crash-safe format).
-constexpr int kPretrainVersion = 4;
+/// format changes (v4: CRC32-footer crash-safe format; v5: one fused
+/// Q|K|V projection per encoder layer).
+constexpr int kPretrainVersion = 5;
 
 struct VariantSetup {
   BertConfig config;

@@ -52,18 +52,6 @@ MiniBertBackbone::MiniBertBackbone(const BertConfig& config,
       /*requires_grad=*/true);
 }
 
-la::Matrix MiniBertBackbone::AttentionMask(
-    const std::vector<int32_t>& ids) const {
-  const size_t L = ids.size();
-  la::Matrix mask(L, L);
-  for (size_t j = 0; j < L; ++j) {
-    if (ids[j] == text::kPadId) {
-      for (size_t i = 0; i < L; ++i) mask(i, j) = -1e9f;
-    }
-  }
-  return mask;
-}
-
 std::vector<int32_t> MiniBertBackbone::EncodeIds(
     std::string_view text) const {
   return encoder_.Encode(text);
@@ -71,18 +59,7 @@ std::vector<int32_t> MiniBertBackbone::EncodeIds(
 
 nn::Variable MiniBertBackbone::Encode(const std::vector<int32_t>& ids,
                                       Rng* rng, bool training) const {
-  SEMTAG_CHECK(static_cast<int>(ids.size()) == config_.max_len);
-  nn::Variable h = token_embedding_->Forward(ids);
-  h = nn::Add(h, position_table_);
-  h = embedding_norm_->Forward(h);
-  h = nn::Dropout(h, config_.dropout, rng, training);
-  const la::Matrix mask = AttentionMask(ids);
-  for (int l = 0; l < config_.layers; ++l) {
-    const auto& layer =
-        layers_[config_.share_layers ? 0 : static_cast<size_t>(l)];
-    h = layer->Forward(h, mask, config_.dropout, rng, training);
-  }
-  return h;
+  return EncodeBatch({&ids}, rng, training);
 }
 
 la::Matrix MiniBertBackbone::BatchAttentionMask(

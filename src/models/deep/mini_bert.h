@@ -55,15 +55,16 @@ class MiniBertBackbone {
  public:
   MiniBertBackbone(const BertConfig& config, text::Vocabulary word_vocab);
 
-  /// Encodes one already-padded id sequence to hidden states [max_len x d].
+  /// Encodes one already-padded id sequence to hidden states [max_len x d]:
+  /// EncodeBatch of a batch of one.
   nn::Variable Encode(const std::vector<int32_t>& ids, Rng* rng,
                       bool training) const;
 
   /// Encodes B already-padded id sequences in one stacked forward pass to
   /// hidden states [B*max_len x d] (block-major: sequence s occupies rows
-  /// [s*max_len, (s+1)*max_len)). One embedding lookup, one Q/K/V
-  /// projection GEMM per head, per-sequence attention via block products,
-  /// one pad mask built per batch and reused across layers.
+  /// [s*max_len, (s+1)*max_len)). One embedding lookup, one fused Q|K|V
+  /// projection GEMM per layer, per-sequence attention tiles, one pad mask
+  /// built per batch and reused across layers.
   nn::Variable EncodeBatch(
       const std::vector<const std::vector<int32_t>*>& batch, Rng* rng,
       bool training) const;
@@ -94,11 +95,9 @@ class MiniBertBackbone {
   int32_t vocab_size() const { return encoder_.vocab_size(); }
 
  private:
-  /// Additive attention mask: key j masked (-1e9) when ids[j] is [PAD].
-  la::Matrix AttentionMask(const std::vector<int32_t>& ids) const;
-
-  /// B stacked per-sequence masks [B*max_len x max_len], built once per
-  /// batch into one pool-backed matrix and reused across all layers.
+  /// B stacked per-sequence additive masks [B*max_len x max_len] (key j
+  /// of sequence s is -1e9 when its id is [PAD]), built once per batch into
+  /// one pool-backed matrix and reused across all layers.
   la::Matrix BatchAttentionMask(
       const std::vector<const std::vector<int32_t>*>& batch) const;
 

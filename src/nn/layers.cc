@@ -1,7 +1,7 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "common/logging.h"
 #include "la/init.h"
@@ -229,77 +229,54 @@ void LayerNormLayer::CollectParameters(std::vector<Variable>* out) {
 
 MultiHeadSelfAttention::MultiHeadSelfAttention(size_t dim, size_t num_heads,
                                                Rng* rng)
-    : dim_(dim), num_heads_(num_heads), head_dim_(dim / num_heads) {
+    : num_heads_(num_heads),
+      w_qkv_(MakeZeroParam(dim, 3 * dim)),
+      b_qkv_(MakeZeroParam(1, 3 * dim)) {
   SEMTAG_CHECK(dim % num_heads == 0);
-  for (size_t h = 0; h < num_heads_; ++h) {
-    w_q_.push_back(MakeParam(dim_, head_dim_, rng));
-    w_k_.push_back(MakeParam(dim_, head_dim_, rng));
-    w_v_.push_back(MakeParam(dim_, head_dim_, rng));
-    b_q_.push_back(MakeZeroParam(1, head_dim_));
-    b_k_.push_back(MakeZeroParam(1, head_dim_));
-    b_v_.push_back(MakeZeroParam(1, head_dim_));
+  const size_t head_dim = dim / num_heads;
+  // Each head's Q, K and V blocks are drawn as separate [d x head_dim]
+  // Xavier matrices, in head order, so a seed gives the same values it
+  // gave the per-head parameters this layout replaced.
+  la::Matrix& w = w_qkv_.mutable_value();
+  for (size_t h = 0; h < num_heads; ++h) {
+    for (size_t section = 0; section < 3; ++section) {
+      la::Matrix block(dim, head_dim);
+      la::XavierUniform(&block, rng);
+      const size_t c0 = section * dim + h * head_dim;
+      for (size_t r = 0; r < dim; ++r) {
+        std::copy(block.Row(r), block.Row(r) + head_dim, w.Row(r) + c0);
+      }
+    }
   }
-  w_o_ = MakeParam(dim_, dim_, rng);
-  b_o_ = MakeZeroParam(1, dim_);
+  w_o_ = MakeParam(dim, dim, rng);
+  b_o_ = MakeZeroParam(1, dim);
 }
 
 Variable MultiHeadSelfAttention::Forward(const Variable& x,
                                          const la::Matrix& mask) const {
-  // mask is B stacked [T x T] additive masks; B == 1 is the single-
-  // sequence case and runs the exact per-example op chain (blocks == 1
-  // block products are their un-blocked counterparts bit for bit).
-  SEMTAG_CHECK(mask.cols() > 0 && mask.rows() == x.rows() &&
-               x.rows() % mask.cols() == 0);
-  const size_t blocks = x.rows() / mask.cols();
-  const float scale =
-      1.0f / std::sqrt(static_cast<float>(head_dim_));
-  // When the int8 tier is routable, x is quantized once and shared across
-  // every head's Q/K/V projection; the score softmax and attn x V products
-  // stay fp32 (their operands are activations on both sides, where int8
-  // buys little and costs accuracy).
-  const bool quant = QuantRoutable(w_o_);
-  std::optional<la::QuantizedActivations> xq;
-  if (quant) xq.emplace(la::QuantizeActivations(x.value()));
-  std::vector<Variable> heads;
-  heads.reserve(num_heads_);
-  for (size_t h = 0; h < num_heads_; ++h) {
-    Variable q =
-        quant ? QuantAffinePre(*xq, w_q_[h], &b_q_[h], la::QuantAct::kNone)
-              : AddRowBroadcast(MatMul(x, w_q_[h]), b_q_[h]);
-    Variable k =
-        quant ? QuantAffinePre(*xq, w_k_[h], &b_k_[h], la::QuantAct::kNone)
-              : AddRowBroadcast(MatMul(x, w_k_[h]), b_k_[h]);
-    Variable v =
-        quant ? QuantAffinePre(*xq, w_v_[h], &b_v_[h], la::QuantAct::kNone)
-              : AddRowBroadcast(MatMul(x, w_v_[h]), b_v_[h]);
-    Variable scores =
-        AddConst(ScalarMul(BlockMatMulBT(q, k, blocks), scale), mask);
-    Variable attn = RowSoftmax(scores);
-    heads.push_back(BlockMatMul(attn, v, blocks));
-  }
-  Variable cat = ConcatCols(heads);
-  return quant ? QuantAffine(cat, w_o_, &b_o_, la::QuantAct::kNone)
-               : AddRowBroadcast(MatMul(cat, w_o_), b_o_);
+  const size_t head_dim = w_o_.rows() / num_heads_;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  // Under int8 the fused projection is one quantized GEMM (per-column
+  // scales, so each head's columns quantize exactly as a per-head weight
+  // would); the attention tiles and their softmax stay fp32.
+  Variable qkv =
+      QuantRoutable(w_qkv_)
+          ? QuantAffine(x, w_qkv_, &b_qkv_, la::QuantAct::kNone)
+          : AddRowBroadcast(MatMul(x, w_qkv_), b_qkv_);
+  Variable heads = MultiHeadAttention(qkv, mask, num_heads_, scale);
+  return QuantRoutable(w_o_)
+             ? QuantAffine(heads, w_o_, &b_o_, la::QuantAct::kNone)
+             : AddRowBroadcast(MatMul(heads, w_o_), b_o_);
 }
 
 void MultiHeadSelfAttention::PrepareQuantInference() {
-  for (size_t h = 0; h < num_heads_; ++h) {
-    PrepareQuantWeight(w_q_[h]);
-    PrepareQuantWeight(w_k_[h]);
-    PrepareQuantWeight(w_v_[h]);
-  }
+  PrepareQuantWeight(w_qkv_);
   PrepareQuantWeight(w_o_);
 }
 
 void MultiHeadSelfAttention::CollectParameters(std::vector<Variable>* out) {
-  for (size_t h = 0; h < num_heads_; ++h) {
-    out->push_back(w_q_[h]);
-    out->push_back(w_k_[h]);
-    out->push_back(w_v_[h]);
-    out->push_back(b_q_[h]);
-    out->push_back(b_k_[h]);
-    out->push_back(b_v_[h]);
-  }
+  out->push_back(w_qkv_);
+  out->push_back(b_qkv_);
   out->push_back(w_o_);
   out->push_back(b_o_);
 }

@@ -148,12 +148,11 @@ class LayerNormLayer : public Layer {
   Variable bias_;
 };
 
-/// Multi-head self-attention over [L x d]; `mask` is an additive [L x L]
-/// constant (0 for visible, -1e9 for padded keys). Block-aware: with x of
-/// shape [B*T x d] and mask [B*T x T] (B stacked per-sequence T x T
-/// masks), B sequences ride one Q/K/V projection GEMM and attention stays
-/// per-sequence via block-diagonal score/value products. The batch size is
-/// inferred as x.rows() / mask.cols().
+/// Multi-head self-attention over B stacked length-T sequences: x is
+/// [B*T x d] and `mask` [B*T x T] (B stacked per-sequence additive masks,
+/// 0 for visible and -1e9 for padded keys), so B = x.rows() / mask.cols().
+/// One fused Q|K|V projection GEMM feeds one nn::MultiHeadAttention node;
+/// attention itself stays per sequence.
 class MultiHeadSelfAttention : public Layer {
  public:
   MultiHeadSelfAttention(size_t dim, size_t num_heads, Rng* rng);
@@ -163,15 +162,13 @@ class MultiHeadSelfAttention : public Layer {
   void PrepareQuantInference() override;
 
  private:
-  size_t dim_;
   size_t num_heads_;
-  size_t head_dim_;
-  // Per-head projection weights [d x head_dim] (equivalent to slicing a
-  // single [d x d] projection, but avoids a column-slice op).
-  std::vector<Variable> w_q_, w_k_, w_v_;
-  std::vector<Variable> b_q_, b_k_, b_v_;  // [1 x head_dim]
-  Variable w_o_;                           // [d x d]
-  Variable b_o_;                           // [1 x d]
+  // Fused projection [d x 3d]: Q, K, V sections side by side, head h in
+  // columns [h*hd, (h+1)*hd) of each section.
+  Variable w_qkv_;
+  Variable b_qkv_;  // [1 x 3d]
+  Variable w_o_;    // [d x d]
+  Variable b_o_;    // [1 x d]
 };
 
 /// Post-norm transformer encoder layer (attention + FFN with GELU),

@@ -68,44 +68,60 @@ Variable MatMulBT(const Variable& a, const Variable& b) {
   });
 }
 
-Variable BlockMatMul(const Variable& a, const Variable& b, size_t blocks) {
-  la::Matrix out;
-  la::BlockMatMul(a.value(), b.value(), blocks, &out);
-  return MakeOpNode(std::move(out), Parents({&a, &b}), [blocks](Node* n) {
-    const la::Matrix& g = n->grad;
-    Node* pa = n->parents[0].get();
-    Node* pb = n->parents[1].get();
-    if (Wants(n, 0)) {
-      la::Matrix da;
-      la::BlockMatMulTransB(g, pb->value, blocks, &da);  // g_i * b_i^T
-      pa->EnsureGrad()->Add(da);
+Variable MultiHeadAttention(const Variable& qkv, const la::Matrix& mask,
+                            size_t heads, float scale) {
+  const size_t t = mask.cols();
+  SEMTAG_CHECK(t > 0 && heads > 0 && mask.rows() == qkv.rows() &&
+               qkv.rows() % t == 0 && qkv.cols() % (3 * heads) == 0);
+  const size_t d = qkv.cols() / 3;
+  const size_t hd = d / heads;
+  const size_t blocks = qkv.rows() / t;
+  // Tile (sequence s, head h): its Q block starts at row s*t, column h*hd
+  // of `m` (K and V follow d and 2d columns on), and its probabilities
+  // live in rows [(s*heads + h)*t, +t) of `probs`.
+  auto tile_at = [=](const la::Matrix& m, la::Matrix& probs, float* work,
+                     size_t s, size_t h) {
+    la::AttentionTile tile;
+    tile.t = t;
+    tile.hd = hd;
+    tile.ld = 3 * d;
+    tile.scale = scale;
+    tile.q = m.Row(s * t) + h * hd;
+    tile.k = tile.q + d;
+    tile.v = tile.q + 2 * d;
+    tile.probs = probs.Row((s * heads + h) * t);
+    tile.work = work;
+    return tile;
+  };
+  la::Matrix probs = la::Matrix::Uninitialized(blocks * heads * t, t);
+  la::Matrix out = la::Matrix::Uninitialized(qkv.rows(), d);
+  la::Matrix work =
+      la::Matrix::Uninitialized(1, la::AttentionWorkFloats(t, hd));
+  const la::KernelTable& kr = la::Kernels();
+  for (size_t s = 0; s < blocks; ++s) {
+    for (size_t h = 0; h < heads; ++h) {
+      la::AttentionTile tile = tile_at(qkv.value(), probs, work.data(), s, h);
+      tile.mask = mask.Row(s * t);
+      kr.attention_forward(tile, out.Row(s * t) + h * hd, d);
     }
-    if (Wants(n, 1)) {
-      la::Matrix db;
-      la::BlockMatMulTransA(pa->value, g, blocks, &db);  // a_i^T * g_i
-      pb->EnsureGrad()->Add(db);
-    }
-  });
-}
-
-Variable BlockMatMulBT(const Variable& a, const Variable& b, size_t blocks) {
-  la::Matrix out;
-  la::BlockMatMulTransB(a.value(), b.value(), blocks, &out);
-  return MakeOpNode(std::move(out), Parents({&a, &b}), [blocks](Node* n) {
-    const la::Matrix& g = n->grad;  // [B*R x nb]
-    Node* pa = n->parents[0].get();
-    Node* pb = n->parents[1].get();
-    if (Wants(n, 0)) {
-      la::Matrix da;
-      la::BlockMatMul(g, pb->value, blocks, &da);  // g_i * b_i
-      pa->EnsureGrad()->Add(da);
-    }
-    if (Wants(n, 1)) {
-      la::Matrix db;
-      la::BlockMatMulTransA(g, pa->value, blocks, &db);  // g_i^T * a_i
-      pb->EnsureGrad()->Add(db);
-    }
-  });
+  }
+  return MakeOpNode(
+      std::move(out), Parents({&qkv}),
+      [probs = std::move(probs), work = std::move(work), tile_at, blocks,
+       heads, t, hd, d](Node* n) mutable {
+        if (!Wants(n, 0)) return;
+        Node* p = n->parents[0].get();
+        la::Matrix* g = p->EnsureGrad();
+        const la::KernelTable& kr = la::Kernels();
+        for (size_t s = 0; s < blocks; ++s) {
+          for (size_t h = 0; h < heads; ++h) {
+            float* dq = g->Row(s * t) + h * hd;
+            kr.attention_backward(tile_at(p->value, probs, work.data(), s, h),
+                                  n->grad.Row(s * t) + h * hd, d, dq, dq + d,
+                                  dq + 2 * d);
+          }
+        }
+      });
 }
 
 Variable Add(const Variable& a, const Variable& b) {
@@ -237,24 +253,15 @@ Variable Relu(const Variable& a) {
 }
 
 Variable Gelu(const Variable& a) {
-  // 0.5x(1 + tanh(sqrt(2/pi)(x + 0.044715 x^3))).
-  constexpr float kC = 0.7978845608f;  // sqrt(2/pi)
-  constexpr float kA = 0.044715f;
   la::Matrix out = a.value();
   la::Kernels().vgelu(out.data(), out.size());
   return MakeOpNode(std::move(out), Parents({&a}), [](Node* n) {
     if (!Wants(n, 0)) return;
     la::Matrix* pg = n->parents[0]->EnsureGrad();
     const la::Matrix& x = n->parents[0]->value;
-    for (size_t i = 0; i < x.size(); ++i) {
-      const float xi = x.data()[i];
-      const float inner = kC * (xi + kA * xi * xi * xi);
-      const float t = std::tanh(inner);
-      const float dinner = kC * (1.0f + 3.0f * kA * xi * xi);
-      const float dy =
-          0.5f * (1.0f + t) + 0.5f * xi * (1.0f - t * t) * dinner;
-      pg->data()[i] += n->grad.data()[i] * dy;
-    }
+    la::Matrix scratch = la::Matrix::Uninitialized(x.rows(), x.cols());
+    la::GeluBackward(la::Kernels(), x.data(), n->grad.data(), x.size(),
+                     scratch.data(), pg->data());
   });
 }
 

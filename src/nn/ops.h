@@ -19,14 +19,16 @@ Variable MatMul(const Variable& a, const Variable& b);
 /// a * b^T : [m,k] x [n,k] -> [m,n] (attention scores).
 Variable MatMulBT(const Variable& a, const Variable& b);
 
-/// Block-diagonal product: a and b are vertical stacks of `blocks` equal
-/// row blocks and out block i = a_i * b_i. The batched-attention op —
-/// B sequences' (attn x V) products in one node. blocks == 1 is MatMul.
-Variable BlockMatMul(const Variable& a, const Variable& b, size_t blocks);
-
-/// Block-diagonal a_i * b_i^T (batched attention scores: Q_i K_i^T).
-/// blocks == 1 is MatMulBT.
-Variable BlockMatMulBT(const Variable& a, const Variable& b, size_t blocks);
+/// Fused multi-head scaled dot-product attention over B stacked sequences.
+/// qkv is [B*T x 3d]: the Q, K and V projections side by side, head h in
+/// columns [h*hd, (h+1)*hd) of each d-wide section (hd = d / heads). mask
+/// is [B*T x T]: B stacked per-sequence additive masks. Returns [B*T x d]
+/// with head h in columns [h*hd, (h+1)*hd). Each (sequence, head) tile runs
+/// through la::Kernels().attention_forward on its own, so a sequence's rows
+/// do not depend on the batch it rides in; the backward writes dQ, dK and
+/// dV straight into the qkv gradient.
+Variable MultiHeadAttention(const Variable& qkv, const la::Matrix& mask,
+                            size_t heads, float scale);
 
 /// Adds the [TxC] `block` to every vertically stacked [TxC] block of x
 /// ([B*T x C]) — the batched position-embedding add. Gradient of `block`

@@ -49,15 +49,6 @@ Variable QuantAffine(const Variable& x, const Variable& w,
   return ConstNode(std::move(out));
 }
 
-Variable QuantAffinePre(const la::QuantizedActivations& xq,
-                        const Variable& w, const Variable* bias,
-                        la::QuantAct act) {
-  la::Matrix out;
-  la::QuantMatMulPre(xq, View(w),
-                     bias != nullptr ? &bias->value() : nullptr, act, &out);
-  return ConstNode(std::move(out));
-}
-
 Variable QuantEmbeddingLookup(const Variable& table,
                               const std::vector<int32_t>& ids) {
   la::Matrix out;

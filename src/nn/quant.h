@@ -41,13 +41,6 @@ void DropQuantWeight(const Variable& w);
 Variable QuantAffine(const Variable& x, const Variable& w,
                      const Variable* bias, la::QuantAct act);
 
-/// QuantAffine against activations quantized once by the caller —
-/// attention shares one la::QuantizeActivations across every head's
-/// Q/K/V projection instead of re-quantizing x 3*H times.
-Variable QuantAffinePre(const la::QuantizedActivations& xq,
-                        const Variable& w, const Variable* bias,
-                        la::QuantAct act);
-
 /// EmbeddingLookup served from the table's per-row int8 view, dequantized
 /// at gather time.
 Variable QuantEmbeddingLookup(const Variable& table,

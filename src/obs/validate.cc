@@ -59,7 +59,21 @@ class Parser {
     return ParseNumber(out);
   }
 
+  /// Counts one nesting level for the lifetime of a container parse.
+  class DepthGuard {
+   public:
+    explicit DepthGuard(int* depth) : depth_(depth) { ++*depth_; }
+    ~DepthGuard() { --*depth_; }
+    DepthGuard(const DepthGuard&) = delete;
+    DepthGuard& operator=(const DepthGuard&) = delete;
+
+   private:
+    int* depth_;
+  };
+
   bool ParseObject(JsonValue* out) {
+    const DepthGuard guard(&depth_);
+    if (depth_ > kMaxJsonDepth) return Fail("nesting too deep");
     out->kind = JsonValue::Kind::kObject;
     ++pos_;  // '{'
     SkipWs();
@@ -95,6 +109,8 @@ class Parser {
   }
 
   bool ParseArray(JsonValue* out) {
+    const DepthGuard guard(&depth_);
+    if (depth_ > kMaxJsonDepth) return Fail("nesting too deep");
     out->kind = JsonValue::Kind::kArray;
     ++pos_;  // '['
     SkipWs();
@@ -214,6 +230,7 @@ class Parser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // open arrays/objects on the parse stack
   std::string error_;
 };
 

@@ -29,7 +29,13 @@ struct JsonValue {
   const JsonValue* Find(const std::string& key) const;
 };
 
-/// Parses `text`; returns false and fills *error (with offset) on failure.
+/// Deepest array/object nesting ParseJson accepts. The parser recurses
+/// once per level, so a cap keeps hostile input (say, 100k '[') from
+/// overflowing the stack; real metrics, trace and BENCH files nest < 10.
+constexpr int kMaxJsonDepth = 256;
+
+/// Parses `text`; returns false and fills *error (with offset) on failure,
+/// including nesting deeper than kMaxJsonDepth.
 bool ParseJson(const std::string& text, JsonValue* out, std::string* error);
 
 struct ValidationResult {

@@ -129,7 +129,12 @@ Result<ModelSpec> LoadModelSpecFile(const std::string& path) {
       spec.dataset = value;
     } else if (key == "file") {
       spec.file = value;
-    } else if (key == "records" && ParseInt64(value, &n)) {
+    } else if (key == "records") {
+      if (!ParseInt64(value, &n) || n <= 0 || n > kMaxSpecRecords) {
+        return invalid(StrFormat("records must be in [1, %d]: ",
+                                 kMaxSpecRecords) +
+                       value);
+      }
       spec.records = static_cast<int>(n);
     } else if (key == "seed" && ParseInt64(value, &n) && n >= 0) {
       spec.seed = static_cast<uint64_t>(n);

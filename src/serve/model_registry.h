@@ -12,6 +12,10 @@
 
 namespace semtag::serve {
 
+/// Largest `records` a spec may ask for: 25x the largest built-in dataset
+/// spec (BOOK, 36000), and far inside int range.
+constexpr int kMaxSpecRecords = 1000000;
+
 /// What a model-spec file asks the daemon to serve. Exactly one of
 /// `dataset` (train from a synthetic spec) or `file` (load a persisted
 /// LR/SVM checkpoint from `semtag train`) must be set.
@@ -19,7 +23,7 @@ struct ModelSpec {
   std::string model = "CASCADE";  // models::ModelKindName
   std::string dataset;            // data::FindSpec name, e.g. "HETER"
   std::string file;               // saved LR/SVM model path
-  int records = 0;                // > 0 overrides spec.scaled_records
+  int records = 0;  // > 0 overrides spec.scaled_records; <= kMaxSpecRecords
   uint64_t seed = 0;
   /// Cascade pair pin: "auto", "simple", or "<S>+<D>" (split at the last
   /// '+'). Empty means auto. Ignored for non-CASCADE models.

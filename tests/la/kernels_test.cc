@@ -19,6 +19,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -124,6 +125,20 @@ void AdamUpdate(float* w, const float* g, float* m, float* v, size_t n,
   }
 }
 
+void GeluBackward(const float* x, const float* g, size_t n, float* dx) {
+  constexpr float kC = 0.7978845608f;  // sqrt(2/pi)
+  constexpr float kA = 0.044715f;
+  for (size_t i = 0; i < n; ++i) {
+    const float xi = x[i];
+    const float inner = kC * (xi + kA * xi * xi * xi);
+    const float t = std::tanh(inner);
+    const float dinner = kC * (1.0f + 3.0f * kA * xi * xi);
+    const float dy =
+        0.5f * (1.0f + t) + 0.5f * xi * (1.0f - t * t) * dinner;
+    dx[i] += g[i] * dy;
+  }
+}
+
 }  // namespace seed
 
 TEST(KernelsScalarSeedTest, DotMatchesSeedBitwise) {
@@ -222,6 +237,23 @@ TEST(KernelsScalarSeedTest, AdamUpdateMatchesSeedBitwise) {
     ASSERT_TRUE(BitIdentical(w_got, w_want)) << "n=" << n;
     ASSERT_TRUE(BitIdentical(m_got, m_want)) << "n=" << n;
     ASSERT_TRUE(BitIdentical(v_got, v_want)) << "n=" << n;
+  }
+}
+
+TEST(KernelsScalarSeedTest, GeluBackwardMatchesSeedBitwise) {
+  // The vtanh-sweep GELU backward on the scalar table reproduces the
+  // per-element std::tanh loop nn::Gelu used before it.
+  const KernelTable& kt = KernelTableFor(SimdLevel::kScalar);
+  Rng rng(17);
+  for (size_t n : kSizes) {
+    const auto x = RandomVec(&rng, n, -6.0, 6.0);
+    const auto g = RandomVec(&rng, n);
+    auto got = RandomVec(&rng, n);
+    auto want = got;
+    std::vector<float> scratch(n);
+    GeluBackward(kt, x.data(), g.data(), n, scratch.data(), got.data());
+    seed::GeluBackward(x.data(), g.data(), n, want.data());
+    ASSERT_TRUE(BitIdentical(got, want)) << "n=" << n;
   }
 }
 
@@ -481,6 +513,88 @@ TEST_P(KernelsTierParityTest, SparseKernelsWithinTolerance) {
     kt.sparse_axpy(entries.data(), nnz, 0.5f, got.data());
     Ref().sparse_axpy(entries.data(), nnz, 0.5f, want.data());
     ASSERT_TRUE(BitIdentical(got, want)) << "sparse_axpy nnz=" << nnz;
+  }
+}
+
+/// One attention tile's operands inside a strided fused Q|K|V buffer, with
+/// the forward already run on `kt`.
+struct AttentionCase {
+  size_t t, hd, ld, ldo;
+  std::vector<float> qkv, mask, probs, out, dout, work;
+
+  AttentionCase(size_t t_in, size_t hd_in, Rng* rng)
+      : t(t_in), hd(hd_in), ld(3 * hd_in + 3), ldo(hd_in + 2) {
+    qkv = RandomVec(rng, t * ld);
+    mask.assign(t * t, 0.0f);
+    // Pad the last third of the keys (key 0 always stays visible).
+    for (size_t j = t - t / 3; j < t; ++j) {
+      for (size_t i = 0; i < t; ++i) mask[i * t + j] = -1e9f;
+    }
+    probs.assign(t * t, 0.0f);
+    out.assign(t * ldo, 0.0f);
+    dout = RandomVec(rng, t * ldo);
+    work.assign(AttentionWorkFloats(t, hd), 0.0f);
+  }
+
+  AttentionTile Tile() {
+    AttentionTile tile;
+    tile.t = t;
+    tile.hd = hd;
+    tile.ld = ld;
+    tile.scale = 1.0f / std::sqrt(static_cast<float>(hd));
+    tile.q = qkv.data();
+    tile.k = qkv.data() + hd;
+    tile.v = qkv.data() + 2 * hd;
+    tile.mask = mask.data();
+    tile.probs = probs.data();
+    tile.work = work.data();
+    return tile;
+  }
+};
+
+TEST_P(KernelsTierParityTest, AttentionTileWithinTolerance) {
+  // Reassociated t-term sums plus the polynomial exp: both tiers agree to
+  // 1e-4 relative (with a 1e-4 absolute floor) at these magnitudes.
+  const KernelTable& kt = Tier();
+  Rng rng(30);
+  const std::pair<size_t, size_t> shapes[] = {
+      {1, 1}, {3, 2}, {5, 8}, {9, 3}, {17, 16}, {20, 8}, {20, 13}};
+  auto near = [](float got, float want) {
+    return std::abs(static_cast<double>(got) - want) <=
+           1e-4 * (1.0 + std::abs(static_cast<double>(want)));
+  };
+  for (auto [t, hd] : shapes) {
+    AttentionCase got(t, hd, &rng);
+    AttentionCase want = got;
+    kt.attention_forward(got.Tile(), got.out.data(), got.ldo);
+    Ref().attention_forward(want.Tile(), want.out.data(), want.ldo);
+    for (size_t i = 0; i < t * t; ++i) {
+      ASSERT_TRUE(near(got.probs[i], want.probs[i]))
+          << "probs t=" << t << " hd=" << hd << " i=" << i;
+      if (want.mask[i] != 0.0f) {
+        ASSERT_EQ(got.probs[i], 0.0f);
+      }
+    }
+    for (size_t i = 0; i < got.out.size(); ++i) {
+      ASSERT_TRUE(near(got.out[i], want.out[i]))
+          << "out t=" << t << " hd=" << hd << " i=" << i;
+    }
+    // Backward accumulates into non-zero gradients laid out like qkv.
+    const auto base = RandomVec(&rng, t * got.ld);
+    auto dgot = base, dwant = base;
+    kt.attention_backward(got.Tile(), got.dout.data(), got.ldo, dgot.data(),
+                          dgot.data() + hd, dgot.data() + 2 * hd);
+    Ref().attention_backward(want.Tile(), want.dout.data(), want.ldo,
+                             dwant.data(), dwant.data() + hd,
+                             dwant.data() + 2 * hd);
+    for (size_t i = 0; i < base.size(); ++i) {
+      ASSERT_TRUE(near(dgot[i], dwant[i]))
+          << "grad t=" << t << " hd=" << hd << " i=" << i;
+      // Columns past the tile's 3*hd are never written.
+      if (i % got.ld >= 3 * hd) {
+        ASSERT_EQ(dgot[i], base[i]);
+      }
+    }
   }
 }
 

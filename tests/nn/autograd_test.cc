@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "la/init.h"
+#include "la/kernels.h"
 #include "nn/ops.h"
 #include "nn/variable.h"
 
@@ -222,41 +223,91 @@ TEST(AutogradTest, Conv1dBlocked) {
       });
 }
 
-TEST(AutogradTest, BlockMatMul) {
-  // a: two stacked 3x4 blocks, b: two stacked 4x2 blocks.
-  Rng rng(22);
-  CheckGradients({RandomMatrix(6, 4, &rng), RandomMatrix(8, 2, &rng)},
-                 [](const std::vector<Variable>& v) {
-                   return BlockMatMul(v[0], v[1], /*blocks=*/2);
-                 });
-}
-
-TEST(AutogradTest, BlockMatMulBT) {
-  // a: two stacked 3x4 blocks, b: two stacked 5x4 blocks -> [6 x 5].
-  Rng rng(23);
-  CheckGradients({RandomMatrix(6, 4, &rng), RandomMatrix(10, 4, &rng)},
-                 [](const std::vector<Variable>& v) {
-                   return BlockMatMulBT(v[0], v[1], /*blocks=*/2);
-                 });
-}
-
-TEST(AutogradTest, BlockOpsWithOneBlockMatchUnblockedBitwise) {
-  // blocks=1 must route through the exact un-blocked arithmetic: the
-  // batch-size-1 numeric contract rests on this.
-  Rng rng(24);
-  Matrix a = RandomMatrix(3, 4, &rng);
-  Matrix b = RandomMatrix(4, 2, &rng);
-  Matrix bt = RandomMatrix(5, 4, &rng);
-  Variable va(a), vb(b), vbt(bt);
-  Variable blocked = BlockMatMul(va, vb, 1);
-  Variable plain = MatMul(va, vb);
-  for (size_t i = 0; i < plain.value().size(); ++i) {
-    EXPECT_EQ(blocked.value().data()[i], plain.value().data()[i]);
+/// B stacked [T x T] additive masks; sequence s pads its last (s % T)
+/// keys (never the first, so every row keeps a visible key).
+Matrix PaddedKeyMask(size_t blocks, size_t t) {
+  Matrix mask(blocks * t, t);
+  for (size_t s = 0; s < blocks; ++s) {
+    for (size_t j = t - s % t; j < t; ++j) {
+      for (size_t i = 0; i < t; ++i) mask(s * t + i, j) = -1e9f;
+    }
   }
-  Variable blocked_bt = BlockMatMulBT(va, vbt, 1);
-  Variable plain_bt = MatMulBT(va, vbt);
-  for (size_t i = 0; i < plain_bt.value().size(); ++i) {
-    EXPECT_EQ(blocked_bt.value().data()[i], plain_bt.value().data()[i]);
+  return mask;
+}
+
+/// The per-head op chain MultiHeadAttention fuses, one sequence at a time.
+Variable ReferenceAttention(const Variable& qkv, const Matrix& mask,
+                            size_t heads, float scale) {
+  const size_t t = mask.cols(), d = qkv.cols() / 3, hd = d / heads;
+  std::vector<Variable> rows;
+  for (size_t s = 0; s < qkv.rows() / t; ++s) {
+    Variable seq = SliceRows(qkv, s * t, (s + 1) * t);
+    Matrix seq_mask(t, t);
+    for (size_t i = 0; i < t; ++i) {
+      for (size_t j = 0; j < t; ++j) seq_mask(i, j) = mask(s * t + i, j);
+    }
+    std::vector<Variable> outs;
+    for (size_t h = 0; h < heads; ++h) {
+      Variable q = SliceColsRange(seq, h * hd, (h + 1) * hd);
+      Variable k = SliceColsRange(seq, d + h * hd, d + (h + 1) * hd);
+      Variable v = SliceColsRange(seq, 2 * d + h * hd, 2 * d + (h + 1) * hd);
+      Variable p =
+          RowSoftmax(AddConst(ScalarMul(MatMulBT(q, k), scale), seq_mask));
+      outs.push_back(MatMul(p, v));
+    }
+    rows.push_back(ConcatCols(outs));
+  }
+  // Stack the per-sequence outputs back into [B*T x d].
+  Matrix stacked(qkv.rows(), d);
+  for (size_t s = 0; s < rows.size(); ++s) {
+    for (size_t i = 0; i < t; ++i) {
+      for (size_t c = 0; c < d; ++c) {
+        stacked(s * t + i, c) = rows[s].value()(i, c);
+      }
+    }
+  }
+  return Variable(stacked);
+}
+
+TEST(AutogradTest, MultiHeadAttention) {
+  // B in {1, 3} stacked length-3 sequences, 1 and 4 heads over d = 8,
+  // with padded keys in every sequence but the first.
+  Rng rng(22);
+  const size_t t = 3, d = 8;
+  for (size_t blocks : {1u, 3u}) {
+    for (size_t heads : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "B=" << blocks << " heads=" << heads);
+      const Matrix mask = PaddedKeyMask(blocks, t);
+      const float scale = 1.0f / std::sqrt(static_cast<float>(d / heads));
+      CheckGradients({RandomMatrix(blocks * t, 3 * d, &rng)},
+                     [&](const std::vector<Variable>& v) {
+                       return MultiHeadAttention(v[0], mask, heads, scale);
+                     });
+    }
+  }
+}
+
+TEST(AutogradTest, MultiHeadAttentionMatchesPerHeadChain) {
+  // Forward values equal the unfused per-head graph it replaced.
+  Rng rng(23);
+  const size_t t = 5, d = 16, blocks = 3;
+  for (size_t heads : {1u, 2u, 4u}) {
+    const Matrix mask = PaddedKeyMask(blocks, t);
+    const float scale = 1.0f / std::sqrt(static_cast<float>(d / heads));
+    Variable qkv(RandomMatrix(blocks * t, 3 * d, &rng, 2.0f));
+    const Matrix fused = MultiHeadAttention(qkv, mask, heads, scale).value();
+    const Matrix ref = ReferenceAttention(qkv, mask, heads, scale).value();
+    ASSERT_TRUE(fused.SameShape(ref));
+    // The scalar attention kernel runs the chain's exact arithmetic.
+    const bool exact = la::ActiveSimdLevel() == la::SimdLevel::kScalar;
+    for (size_t i = 0; i < ref.size(); ++i) {
+      if (exact) {
+        ASSERT_EQ(fused.data()[i], ref.data()[i]) << "heads " << heads;
+      } else {
+        EXPECT_NEAR(fused.data()[i], ref.data()[i], 1e-5) << "heads " << heads;
+      }
+    }
   }
 }
 

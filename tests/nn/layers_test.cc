@@ -137,7 +137,9 @@ TEST(TransformerLayerTest, ShapePreservedAndTrainable) {
   Backward(SumToScalar(y));
   std::vector<Variable> params;
   layer.CollectParameters(&params);
-  EXPECT_GE(params.size(), 16u);  // attention + 2 norms + 2 ffn linears
+  // Attention (fused Q|K|V weight + bias, output weight + bias), then two
+  // norms and two ffn linears at two parameters each.
+  EXPECT_EQ(params.size(), 12u);
   int with_grad = 0;
   for (auto& p : params) {
     if (p.grad().SameShape(p.value()) && p.grad().Norm() > 0.0f) {

@@ -227,5 +227,31 @@ TEST(BucketPresetTest, ServeLatencyBucketsResolveSloPercentiles) {
   }
 }
 
+TEST(ParseJsonTest, HostileNestingIsAParseErrorNotAStackOverflow) {
+  // 100k unclosed '[' used to recurse once per level and overflow the
+  // stack (an ASan crash); the depth cap turns it into a plain error.
+  JsonValue root;
+  std::string err;
+  EXPECT_FALSE(ParseJson(std::string(100000, '['), &root, &err));
+  EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+  // Objects count toward the same cap as arrays.
+  EXPECT_FALSE(ParseJson(std::string(50000, '[') + "{\"k\":" +
+                             std::string(50000, '['),
+                         &root, &err));
+  EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+}
+
+TEST(ParseJsonTest, NestingUpToTheCapParses) {
+  JsonValue root;
+  std::string err;
+  const std::string at_cap = std::string(kMaxJsonDepth, '[') +
+                             std::string(kMaxJsonDepth, ']');
+  ASSERT_TRUE(ParseJson(at_cap, &root, &err)) << err;
+  EXPECT_TRUE(root.is_array());
+  const std::string over = std::string(kMaxJsonDepth + 1, '[') +
+                           std::string(kMaxJsonDepth + 1, ']');
+  EXPECT_FALSE(ParseJson(over, &root, &err));
+}
+
 }  // namespace
 }  // namespace semtag::obs

@@ -179,6 +179,32 @@ TEST(ModelSpecTest, SemanticErrorDoesNotQuarantine) {
   EXPECT_TRUE(ReadFileToString(path).ok()) << "file must not be quarantined";
 }
 
+TEST(ModelSpecTest, OutOfRangeRecordsAreInvalidNotTruncated) {
+  // A sealed spec's records is int64 on disk; 99999999999 used to be
+  // static_cast to a wrapped int. Every out-of-range value is a plain
+  // semantic reject: no quarantine.
+  for (const char* records : {"99999999999", "0", "-5", "1000001", "12x"}) {
+    std::string body = "semtag-model-spec-v1\nmodel SVM\ndataset HETER\n";
+    body += StrFormat("records %s\n", records);
+    body += StrFormat("crc %08x\n", Crc32(body));
+    const std::string path = TempPath("spec_records.spec");
+    ASSERT_TRUE(WriteFileAtomic(path, body).ok());
+    const auto loaded = LoadModelSpecFile(path);
+    ASSERT_FALSE(loaded.ok()) << "records " << records;
+    EXPECT_NE(loaded.status().ToString().find("records"), std::string::npos)
+        << loaded.status().ToString();
+    EXPECT_TRUE(ReadFileToString(path).ok()) << "records " << records;
+  }
+  std::string body =
+      "semtag-model-spec-v1\nmodel SVM\ndataset HETER\nrecords 1000000\n";
+  body += StrFormat("crc %08x\n", Crc32(body));
+  const std::string path = TempPath("spec_records_cap.spec");
+  ASSERT_TRUE(WriteFileAtomic(path, body).ok());
+  const auto loaded = LoadModelSpecFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->records, kMaxSpecRecords);
+}
+
 data::Dataset TinyDataset(uint64_t seed = 5) {
   data::DatasetSpec spec = data::FindSpec("HETER").ValueOrDie();
   spec.scaled_records = 220;
