@@ -178,9 +178,7 @@ BENCHMARK(BM_Dot)->Arg(1024)->Arg(65536);
 
 std::vector<SimdLevel> AllAvailableLevels() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  for (SimdLevel level : {SimdLevel::kSse2, SimdLevel::kAvx2}) {
-    if (SimdLevelAvailable(level)) levels.push_back(level);
-  }
+  if (SimdLevelAvailable(SimdLevel::kAvx2)) levels.push_back(SimdLevel::kAvx2);
   return levels;
 }
 

@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -186,7 +187,7 @@ void BM_MiniBertTrainStep(benchmark::State& state) {
   const std::vector<int32_t> ids = bert.EncodeIds(d[0].text);
   const std::vector<int32_t> labels = {1};
   auto step = [&] {
-    nn::Variable hidden = bert.Encode(ids, &rng, /*training=*/true);
+    nn::Variable hidden = bert.EncodeBatch({&ids}, &rng, /*training=*/true);
     nn::Variable pooled = nn::MeanRows(hidden);
     nn::Variable logits = nn::MatMul(pooled, head);
     nn::Backward(nn::SoftmaxCrossEntropy(logits, labels));
@@ -204,20 +205,15 @@ void BM_MiniBertTrainStep(benchmark::State& state) {
 BENCHMARK(BM_MiniBertTrainStep);
 
 // ---------------------------------------------------------------------------
-// Deep-batch suite (--deep-batch -> BENCH_deep_batch.json): the same
-// fine-tune epoch / inference sweep timed per-example (SEMTAG_DEEP_BATCH=1,
-// the seed execution) and batched (cap 32), all on one pool thread so the
-// ratio isolates minibatching from multithreading.
+// Deep-batch suite (--deep-batch -> BENCH_deep_batch.json): one fine-tune
+// epoch per deep family at the model's own batch size, and CNN inference
+// over the same texts handed to ScoreAll in spans of 1 (a serve batch cap
+// of 1) or 32, all on one pool thread so the span ratio isolates
+// minibatching from multithreading.
 // ---------------------------------------------------------------------------
-
-/// arg<=1 forces the per-example path; otherwise caps the batch at arg.
-void SetDeepBatchCap(int64_t cap) {
-  ::setenv("SEMTAG_DEEP_BATCH", std::to_string(cap).c_str(), /*overwrite=*/1);
-}
 
 void BM_DeepBatchCnnEpoch(benchmark::State& state) {
   SetGlobalPoolThreads(1);
-  SetDeepBatchCap(state.range(0));
   const data::Dataset d = BenchDataset(256);
   for (auto _ : state) {
     models::CnnOptions options;
@@ -226,14 +222,12 @@ void BM_DeepBatchCnnEpoch(benchmark::State& state) {
     models::TextCnn model(options);
     SEMTAG_CHECK(model.Train(d).ok());
   }
-  ::unsetenv("SEMTAG_DEEP_BATCH");
   state.SetItemsProcessed(state.iterations() * 256);
 }
-BENCHMARK(BM_DeepBatchCnnEpoch)->Arg(1)->Arg(32)->Iterations(1);
+BENCHMARK(BM_DeepBatchCnnEpoch)->Iterations(1);
 
 void BM_DeepBatchLstmEpoch(benchmark::State& state) {
   SetGlobalPoolThreads(1);
-  SetDeepBatchCap(state.range(0));
   const data::Dataset d = BenchDataset(256);
   for (auto _ : state) {
     models::LstmOptions options;
@@ -242,14 +236,12 @@ void BM_DeepBatchLstmEpoch(benchmark::State& state) {
     models::TextLstm model(options);
     SEMTAG_CHECK(model.Train(d).ok());
   }
-  ::unsetenv("SEMTAG_DEEP_BATCH");
   state.SetItemsProcessed(state.iterations() * 256);
 }
-BENCHMARK(BM_DeepBatchLstmEpoch)->Arg(1)->Arg(32)->Iterations(1);
+BENCHMARK(BM_DeepBatchLstmEpoch)->Iterations(1);
 
 void BM_DeepBatchMiniBertFinetuneEpoch(benchmark::State& state) {
   SetGlobalPoolThreads(1);
-  SetDeepBatchCap(state.range(0));
   const data::Dataset d = BenchDataset(256);
   models::BertConfig config;
   config.layers = 2;
@@ -267,14 +259,15 @@ void BM_DeepBatchMiniBertFinetuneEpoch(benchmark::State& state) {
     models::MiniBert model("BERT", backbone, options);
     SEMTAG_CHECK(model.Train(d).ok());
   }
-  ::unsetenv("SEMTAG_DEEP_BATCH");
   state.SetItemsProcessed(state.iterations() * 256);
 }
-BENCHMARK(BM_DeepBatchMiniBertFinetuneEpoch)->Arg(1)->Arg(32)->Iterations(1);
+BENCHMARK(BM_DeepBatchMiniBertFinetuneEpoch)->Iterations(1);
 
-void BM_DeepBatchScoreAll(benchmark::State& state) {
+/// Scores 512 texts with a small trained CNN, handing ScoreAll spans of
+/// state.range(0) texts — what a serve batcher capped at that size does.
+/// `quant` arms the int8 inference tier (SEMTAG_QUANT=1) after training.
+void ScoreCnnInSpans(benchmark::State& state, bool quant) {
   SetGlobalPoolThreads(1);
-  ::setenv("SEMTAG_DEEP_BATCH", "1", 1);
   const data::Dataset d = BenchDataset(512);
   models::CnnOptions options;
   options.epochs = 1;
@@ -282,38 +275,33 @@ void BM_DeepBatchScoreAll(benchmark::State& state) {
   options.max_train_examples = 128;
   models::TextCnn model(options);
   SEMTAG_CHECK(model.Train(d).ok());
-  SetDeepBatchCap(state.range(0));
+  if (quant) ::setenv("SEMTAG_QUANT", "1", 1);
   const auto texts = d.Texts();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.ScoreAll(texts));
+  const size_t span = static_cast<size_t>(state.range(0));
+  std::vector<std::vector<std::string>> spans;
+  for (size_t start = 0; start < texts.size(); start += span) {
+    spans.emplace_back(texts.begin() + start,
+                       texts.begin() + std::min(start + span, texts.size()));
   }
-  ::unsetenv("SEMTAG_DEEP_BATCH");
+  for (auto _ : state) {
+    for (const auto& chunk : spans) {
+      benchmark::DoNotOptimize(model.ScoreAll(chunk));
+    }
+  }
+  if (quant) ::unsetenv("SEMTAG_QUANT");
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(texts.size()));
+}
+
+void BM_DeepBatchScoreAll(benchmark::State& state) {
+  ScoreCnnInSpans(state, /*quant=*/false);
 }
 BENCHMARK(BM_DeepBatchScoreAll)->Arg(1)->Arg(32)->Iterations(2);
 
 void BM_DeepBatchScoreAllQuant(benchmark::State& state) {
   // Same sweep through the int8 inference tier (SEMTAG_QUANT=1): the
-  // batch-32 row against BM_DeepBatchScoreAll/32 isolates what
-  // quantization adds on top of minibatching.
-  SetGlobalPoolThreads(1);
-  ::setenv("SEMTAG_DEEP_BATCH", "1", 1);
-  const data::Dataset d = BenchDataset(512);
-  models::CnnOptions options;
-  options.epochs = 1;
-  options.min_optimizer_steps = 1;
-  options.max_train_examples = 128;
-  models::TextCnn model(options);
-  SEMTAG_CHECK(model.Train(d).ok());
-  SetDeepBatchCap(state.range(0));
-  ::setenv("SEMTAG_QUANT", "1", 1);
-  const auto texts = d.Texts();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.ScoreAll(texts));
-  }
-  ::unsetenv("SEMTAG_QUANT");
-  ::unsetenv("SEMTAG_DEEP_BATCH");
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(texts.size()));
+  // span-32 row against BM_DeepBatchScoreAll/32 isolates what quantization
+  // adds on top of minibatching.
+  ScoreCnnInSpans(state, /*quant=*/true);
 }
 BENCHMARK(BM_DeepBatchScoreAllQuant)->Arg(1)->Arg(32)->Iterations(2);
 
@@ -323,7 +311,7 @@ BENCHMARK(BM_DeepBatchScoreAllQuant)->Arg(1)->Arg(32)->Iterations(2);
 int main(int argc, char** argv) {
   semtag::SetLogLevel(semtag::LogLevel::kWarning);
   // --deep-batch runs the BM_DeepBatch* suite -> BENCH_deep_batch.json
-  // (the tracked per-example vs batch-32 comparison). A bare run keeps the
+  // (the tracked per-family epochs and span-1 vs span-32 inference). A bare run keeps the
   // full suite with google-benchmark's default output. Explicit
   // --benchmark_out= / --benchmark_filter= win over the defaults.
   bool deep_batch = false, has_out = false, has_filter = false;

@@ -10,7 +10,7 @@
 // SIGTERM/SIGINT, which triggers a graceful drain: queued requests are
 // scored and every pending response is written before exit. Runtime
 // knobs: SEMTAG_SERVE_BATCH_CAP, SEMTAG_SERVE_QUEUE_CAP (or the flag twins
-// below); the model tier composes with SEMTAG_QUANT / SEMTAG_DEEP_BATCH.
+// below); the model tier composes with SEMTAG_QUANT.
 // Unrecognised flags are logged and ignored.
 // Hot-swap: write a sealed spec (kSwap op or WriteModelSpecFile) and send
 // its path with opcode 0x04 — scoring continues on the old model until the

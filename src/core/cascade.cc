@@ -408,8 +408,8 @@ std::vector<double> Cascade::ScoreAll(
   SEMTAG_OBS_OBSERVE("cascade/simple_pass_us", obs::LatencyBucketsUs(),
                      simple_timer.ElapsedSeconds() * 1e6);
   // Tier 2: low-margin examples ride the deep model's batched ScoreAll —
-  // dense absolute-boundary batches (composing with $SEMTAG_DEEP_BATCH)
-  // through whichever kernel tier $SEMTAG_QUANT selects.
+  // dense absolute-boundary batches through whichever kernel tier
+  // $SEMTAG_QUANT selects.
   if (!escalated.empty()) {
     WallTimer deep_timer;
     obs::TraceSpan deep_span("cascade/deep_pass");

@@ -528,7 +528,6 @@ ShardConfig ShardConfig::Current(uint64_t seed) {
   ShardConfig config;
   config.num_threads = DefaultThreadCount();
   config.simd = la::SimdLevelName(la::ActiveSimdLevel());
-  config.deep_batch = models::DeepBatchLimit();
   config.quant = la::QuantInferenceEnabled() ? 1 : 0;
   if (const char* env = std::getenv("SEMTAG_CASCADE");
       env != nullptr && *env != '\0') {
@@ -545,15 +544,15 @@ ShardConfig ShardConfig::Current(uint64_t seed) {
 
 std::string ShardConfig::Describe() const {
   // %.17g round-trips the budget exactly, so Parse(Describe()) == *this.
-  return StrFormat("threads=%d;simd=%s;deep_batch=%d;quant=%d;cascade=%s;"
+  return StrFormat("threads=%d;simd=%s;quant=%d;cascade=%s;"
                    "cascade_budget=%.17g;seed=%" PRIu64,
-                   num_threads, simd.c_str(), deep_batch, quant,
-                   cascade.c_str(), cascade_budget, seed);
+                   num_threads, simd.c_str(), quant, cascade.c_str(),
+                   cascade_budget, seed);
 }
 
 bool ShardConfig::Parse(const std::string& text, ShardConfig* out) {
   ShardConfig config;
-  bool have[5] = {};
+  bool have[4] = {};
   for (const auto& field : Split(text, ';')) {
     const auto eq = field.find('=');
     if (eq == std::string::npos) return false;
@@ -567,12 +566,11 @@ bool ShardConfig::Parse(const std::string& text, ShardConfig* out) {
     } else if (key == "simd" && !value.empty()) {
       config.simd = value;
       have[1] = true;
-    } else if (key == "deep_batch" && ParseInt64(value, &n)) {
-      config.deep_batch = static_cast<int>(n);
-      have[2] = true;
+    } else if (key == "deep_batch") {
+      // Legacy: older stamps pinned the since-deleted deep-batch cap.
     } else if (key == "quant" && ParseInt64(value, &n)) {
       config.quant = static_cast<int>(n);
-      have[3] = true;
+      have[2] = true;
     } else if (key == "cascade" && !value.empty()) {
       // Optional: pre-cascade stamps lack it; the default ("auto") then
       // matches Current() in an environment with the knob unset.
@@ -581,12 +579,12 @@ bool ShardConfig::Parse(const std::string& text, ShardConfig* out) {
       config.cascade_budget = d;
     } else if (key == "seed" && ParseInt64(value, &n) && n >= 0) {
       config.seed = static_cast<uint64_t>(n);
-      have[4] = true;
+      have[3] = true;
     } else {
       return false;
     }
   }
-  if (!(have[0] && have[1] && have[2] && have[3] && have[4])) return false;
+  if (!(have[0] && have[1] && have[2] && have[3])) return false;
   *out = config;
   return true;
 }
@@ -595,11 +593,6 @@ void ShardConfig::ApplyToEnv() const {
 #ifdef __unix__
   setenv("SEMTAG_NUM_THREADS", std::to_string(num_threads).c_str(), 1);
   setenv("SEMTAG_SIMD", simd.c_str(), 1);
-  if (deep_batch > 0) {
-    setenv("SEMTAG_DEEP_BATCH", std::to_string(deep_batch).c_str(), 1);
-  } else {
-    unsetenv("SEMTAG_DEEP_BATCH");
-  }
   setenv("SEMTAG_QUANT", quant != 0 ? "1" : "0", 1);
   setenv("SEMTAG_CASCADE", cascade.c_str(), 1);
   setenv("SEMTAG_CASCADE_BUDGET", StrFormat("%.17g", cascade_budget).c_str(),

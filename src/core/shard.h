@@ -30,7 +30,6 @@ namespace semtag::core {
 struct ShardConfig {
   int num_threads = 0;   // resolved SEMTAG_NUM_THREADS
   std::string simd;      // dispatched kernel tier (SEMTAG_SIMD)
-  int deep_batch = 0;    // SEMTAG_DEEP_BATCH cap; 0 = model-chosen
   int quant = 0;         // SEMTAG_QUANT routing (0/1)
   /// SEMTAG_CASCADE pair policy ("auto" when unset) and the F1-point
   /// accuracy budget — cascade cells' escalation sets depend on both, so
@@ -42,14 +41,16 @@ struct ShardConfig {
 
   /// The calling process's resolved config.
   static ShardConfig Current(uint64_t seed);
-  /// "threads=8;simd=avx2;deep_batch=0;quant=0;seed=0" — the stamp written
-  /// into every worker report.
+  /// "threads=8;simd=avx2;quant=0;cascade=auto;cascade_budget=0.5;seed=0"
+  /// — the stamp written into every worker report.
   std::string Describe() const;
-  /// Parses a Describe() string; false on malformed input.
+  /// Parses a Describe() string; false on malformed input. Stamps from
+  /// before the deep-batch knob was deleted carry a deep_batch=N field,
+  /// which is accepted and ignored.
   static bool Parse(const std::string& text, ShardConfig* out);
   /// Pins this config into the environment (SEMTAG_NUM_THREADS, _SIMD,
-  /// _DEEP_BATCH, _QUANT, _CASCADE, _CASCADE_BUDGET) so spawned workers
-  /// resolve identical values.
+  /// _QUANT, _CASCADE, _CASCADE_BUDGET) so spawned workers resolve
+  /// identical values.
   void ApplyToEnv() const;
 
   bool operator==(const ShardConfig&) const = default;

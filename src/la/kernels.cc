@@ -15,45 +15,14 @@ namespace {
 
 using kernel_detail::ScalarTable;
 
-bool CompiledIn(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return true;
-    case SimdLevel::kSse2:
-#if defined(SEMTAG_LA_HAVE_SSE2)
-      return true;
+/// True when the AVX2 table is compiled in and this CPU runs AVX2 + FMA.
+bool Avx2Runnable() {
+#if defined(SEMTAG_LA_HAVE_AVX2) && (defined(__x86_64__) || defined(__i386__))
+  return __builtin_cpu_supports("avx2") != 0 &&
+         __builtin_cpu_supports("fma") != 0;
 #else
-      return false;
-#endif
-    case SimdLevel::kAvx2:
-#if defined(SEMTAG_LA_HAVE_AVX2)
-      return true;
-#else
-      return false;
-#endif
-  }
   return false;
-}
-
-bool CpuSupports(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return true;
-    case SimdLevel::kSse2:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("sse2") != 0;
-#else
-      return false;
 #endif
-    case SimdLevel::kAvx2:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx2") != 0 &&
-             __builtin_cpu_supports("fma") != 0;
-#else
-      return false;
-#endif
-  }
-  return false;
 }
 
 /// Parses SEMTAG_SIMD. Returns true and sets *out when the variable is set
@@ -65,28 +34,19 @@ bool ParseSimdEnv(SimdLevel* out) {
     *out = SimdLevel::kScalar;
     return true;
   }
-  if (std::strcmp(env, "sse2") == 0) {
-    *out = SimdLevel::kSse2;
-    return true;
-  }
   if (std::strcmp(env, "avx2") == 0) {
     *out = SimdLevel::kAvx2;
     return true;
   }
-  SEMTAG_LOG(kWarning, "SEMTAG_SIMD=%s not recognized (want avx2|sse2|scalar); using auto-detect", env);
+  SEMTAG_LOG(kWarning, "SEMTAG_SIMD=%s not recognized (want avx2|scalar); using auto-detect", env);
   return false;
 }
 
 SimdLevel ClampToAvailable(SimdLevel want) {
-  SimdLevel level = want;
-  while (level != SimdLevel::kScalar && !SimdLevelAvailable(level)) {
-    level = static_cast<SimdLevel>(static_cast<int>(level) - 1);
-  }
-  if (level != want) {
-    SEMTAG_LOG(kWarning, "SIMD level %s unavailable on this build/CPU; falling back to %s",
-               SimdLevelName(want), SimdLevelName(level));
-  }
-  return level;
+  if (SimdLevelAvailable(want)) return want;
+  SEMTAG_LOG(kWarning, "SIMD level %s unavailable on this build/CPU; falling back to scalar",
+             SimdLevelName(want));
+  return SimdLevel::kScalar;
 }
 
 SimdLevel SelectLevel() {
@@ -100,10 +60,6 @@ const KernelTable& TableForUnchecked(SimdLevel level) {
 #if defined(SEMTAG_LA_HAVE_AVX2)
     case SimdLevel::kAvx2:
       return kernel_detail::Avx2Table();
-#endif
-#if defined(SEMTAG_LA_HAVE_SSE2)
-    case SimdLevel::kSse2:
-      return kernel_detail::Sse2Table();
 #endif
     default:
       return ScalarTable();
@@ -125,8 +81,8 @@ const KernelTable& SelectedTable() {
 }
 
 /// Snapshot collector: publishes the dispatched tier so a metrics dump
-/// records which kernel table produced the numbers (0=scalar 1=sse2
-/// 2=avx2, plus a name-keyed one-hot for greppability), and whether the
+/// records which kernel table produced the numbers (0=scalar 2=avx2, plus
+/// a name-keyed one-hot for greppability), and whether the
 /// int8 inference tier was armed at snapshot time.
 void CollectKernelMetrics() {
   const SimdLevel level = ActiveSimdLevel();
@@ -144,8 +100,6 @@ const char* SimdLevelName(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kSse2:
-      return "sse2";
     case SimdLevel::kAvx2:
       return "avx2";
   }
@@ -176,17 +130,15 @@ const KernelTable& Kernels() { return SelectedTable(); }
 SimdLevel ActiveSimdLevel() { return SelectedTable().level; }
 
 SimdLevel BestSupportedSimdLevel() {
-  static const SimdLevel best = [] {
-    for (SimdLevel level : {SimdLevel::kAvx2, SimdLevel::kSse2}) {
-      if (CompiledIn(level) && CpuSupports(level)) return level;
-    }
-    return SimdLevel::kScalar;
-  }();
+  static const SimdLevel best = SimdLevelAvailable(SimdLevel::kAvx2)
+                                    ? SimdLevel::kAvx2
+                                    : SimdLevel::kScalar;
   return best;
 }
 
 bool SimdLevelAvailable(SimdLevel level) {
-  return CompiledIn(level) && CpuSupports(level);
+  return level == SimdLevel::kScalar ||
+         (level == SimdLevel::kAvx2 && Avx2Runnable());
 }
 
 const KernelTable& KernelTableFor(SimdLevel level) {

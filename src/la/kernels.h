@@ -8,15 +8,14 @@
 
 namespace semtag::la {
 
-/// Instruction-set tier of a kernel table. Higher enumerators strictly
-/// extend lower ones (AVX2 implies SSE2 on every CPU we dispatch for).
+/// Instruction-set tier of a kernel table. The values are the
+/// `la/simd_tier` gauge; 1 is retired (a former SSE2 tier).
 enum class SimdLevel {
   kScalar = 0,  ///< portable C++; bit-identical to the pre-kernel seed code
-  kSse2 = 1,    ///< 128-bit vectors (x86-64 baseline)
   kAvx2 = 2,    ///< 256-bit vectors + FMA
 };
 
-/// "scalar" / "sse2" / "avx2".
+/// "scalar" / "avx2".
 const char* SimdLevelName(SimdLevel level);
 
 /// One (sequence, head) tile of scaled dot-product attention: t query rows
@@ -141,7 +140,7 @@ struct KernelTable {
   /// maddubs sign-trick saturation-safe). Returns the dequant scale
   /// absmax/127; an all-zero row returns 0 and writes zeros. Rounding is
   /// nearest-even at every tier, so quantized rows are bit-identical
-  /// across scalar/sse2/avx2 — as is the whole int8 pipeline: integer
+  /// across scalar/avx2 — as is the whole int8 pipeline: integer
   /// accumulation is exact and dequant avoids FMA.
   float (*quantize_row_i8)(const float* x, size_t n, int8_t* q);
   /// sum_i a[i] * b[i] in exact int32 arithmetic.
@@ -168,8 +167,8 @@ void GeluBackward(const KernelTable& kt, const float* x, const float* g,
 
 /// The dispatched table. Selected exactly once, at first call:
 /// the highest tier this binary was compiled with AND this CPU supports,
-/// overridable with SEMTAG_SIMD=avx2|sse2|scalar (an unsupported request
-/// logs a warning and falls down to the best supported tier).
+/// overridable with SEMTAG_SIMD=avx2|scalar (an unsupported request logs a
+/// warning and falls back to scalar).
 const KernelTable& Kernels();
 
 /// Tier of the dispatched table.

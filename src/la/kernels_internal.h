@@ -6,8 +6,8 @@
 #include "la/kernels.h"
 
 /// Cross-TU declarations for the kernel layer. The scalar kernels are the
-/// reference implementations; the SSE2/AVX2 tables reuse them for entries
-/// they do not vectorize. Table factories live one per translation unit so
+/// reference implementations; the AVX2 table reuses them for entries it
+/// does not vectorize. Table factories live one per translation unit so
 /// each is compiled with exactly its own -m flags.
 
 namespace semtag::la::kernel_detail {
@@ -52,15 +52,13 @@ void ScalarAdamUpdate(float* w, const float* g, float* m, float* v, size_t n,
 // per-head op graph it replaced: MatMulTransB's dot4/dot split for the
 // scores, scale, mask add, softmax_row, and MatMul's 4-wide k-panel updates
 // for probs x V (and the matching transposed products in the backward).
-// SSE2 reuses these entries.
 void ScalarAttentionForward(const AttentionTile& tile, float* out,
                             size_t ldo);
 void ScalarAttentionBackward(const AttentionTile& tile, const float* dout,
                              size_t ldo, float* dq, float* dk, float* dv);
-// Int8 inference tier. These are shared by the SSE2 table too: the whole
-// quantized pipeline is integer-exact (and the float edges avoid FMA and
-// round nearest-even), so reusing the scalar entries keeps SSE2
-// bit-identical to scalar without a third implementation.
+// Int8 inference tier: the whole quantized pipeline is integer-exact (and
+// the float edges avoid FMA and round nearest-even), so every tier's int8
+// entries are bit-identical to these.
 float ScalarQuantizeRowI8(const float* x, size_t n, int8_t* q);
 int32_t ScalarDotI8(const int8_t* a, const int8_t* b, size_t n);
 void ScalarDot4I8(const int8_t* a, const int8_t* b0, const int8_t* b1,
@@ -72,12 +70,6 @@ void ScalarDequantAffineRow(float* out, const int32_t* acc, float a_scale,
 
 /// Fully-scalar table (kernels_scalar.cc).
 const KernelTable& ScalarTable();
-
-#if defined(SEMTAG_LA_HAVE_SSE2)
-/// SSE2 table (kernels_sse2.cc): vectorizes the bandwidth-bound kernels,
-/// falls back to scalar for transcendentals and fused rows.
-const KernelTable& Sse2Table();
-#endif
 
 #if defined(SEMTAG_LA_HAVE_AVX2)
 /// AVX2+FMA table (kernels_avx2.cc): vectorizes everything, including the

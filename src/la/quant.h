@@ -16,13 +16,13 @@ namespace semtag::la {
 /// quantized per row on the fly at each GEMM. The int8 x int8 -> int32
 /// accumulation is exact, and the float edges (quantize, dequantize) round
 /// identically at every SIMD tier, so quantized results are bit-identical
-/// under SEMTAG_SIMD=scalar|sse2|avx2 — only SEMTAG_QUANT=0 vs =1 changes
+/// under SEMTAG_SIMD=scalar|avx2 — only SEMTAG_QUANT=0 vs =1 changes
 /// numerics.
 
 /// True when $SEMTAG_QUANT=1: frozen models route inference GEMMs through
-/// the int8 kernels. Re-read from the environment on every call (the
-/// SEMTAG_DEEP_BATCH precedent) so parity tests can toggle it in-process;
-/// the getenv is nowhere near a per-element hot path.
+/// the int8 kernels. Re-read from the environment on every call so parity
+/// tests can toggle it in-process; the getenv is nowhere near a
+/// per-element hot path.
 bool QuantInferenceEnabled();
 
 /// Activation fused into the dequantize pass of a quantized GEMM.

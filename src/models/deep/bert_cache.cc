@@ -5,6 +5,7 @@
 #include <map>
 #include <mutex>
 
+#include "common/file_io.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "data/generator.h"
@@ -99,13 +100,41 @@ std::string CacheDir() {
   return dir;
 }
 
+bool LoadOrPretrain(
+    const std::string& checkpoint, MiniBertBackbone* backbone,
+    const std::function<void(MiniBertBackbone*)>& pretrain) {
+  auto params = backbone->Parameters();
+  auto load = [&] {
+    if (!nn::LoadCheckpoint(checkpoint, &params).ok()) return false;
+    SEMTAG_OBS_COUNT("bert_cache/disk_hits", 1);
+    SEMTAG_LOG(kInfo, "loaded pretrained backbone from %s",
+               checkpoint.c_str());
+    return true;
+  };
+  // Warm cache: no lock needed (saves are atomic renames).
+  if (load()) return true;
+  // Miss: another process may be pretraining this checkpoint right now.
+  // Its lock is held across pretrain-and-save, so once ours is granted
+  // the file is either there or nobody is making it.
+  const FileLock lock(checkpoint);
+  if (load()) return true;
+  SEMTAG_OBS_COUNT("bert_cache/pretrains", 1);
+  pretrain(backbone);
+  const Status save = nn::SaveCheckpoint(checkpoint, backbone->Parameters());
+  if (!save.ok()) {
+    SEMTAG_LOG(kWarning, "cannot save checkpoint: %s",
+               save.ToString().c_str());
+  }
+  return false;
+}
+
 const MiniBertBackbone& GetPretrainedBackbone(BertVariant variant) {
   // Parallel cross-validation folds and experiment cells all reach for the
   // shared backbones concurrently; the mutex makes the checkpoint
-  // load-or-pretrain-and-save step happen exactly once per variant (and
-  // keeps two threads from pretraining the same variant or racing on the
-  // checkpoint file). Returned references are safe to share: fine-tuning
-  // clones the backbone and never mutates the cached copy.
+  // load-or-pretrain-and-save step happen exactly once per variant in this
+  // process (LoadOrPretrain's file lock does the same across processes).
+  // Returned references are safe to share: fine-tuning clones the backbone
+  // and never mutates the cached copy.
   static std::mutex& mu = *new std::mutex();
   static std::map<BertVariant, std::unique_ptr<MiniBertBackbone>>& cache =
       *new std::map<BertVariant, std::unique_ptr<MiniBertBackbone>>();
@@ -126,27 +155,16 @@ const MiniBertBackbone& GetPretrainedBackbone(BertVariant variant) {
   const std::string checkpoint =
       CacheDir() + "/pretrained_" + BertVariantName(variant) + "_v" +
       std::to_string(kPretrainVersion) + ".bin";
-  auto params = backbone->Parameters();
-  Status load = nn::LoadCheckpoint(checkpoint, &params);
-  if (load.ok()) {
-    SEMTAG_OBS_COUNT("bert_cache/disk_hits", 1);
-    SEMTAG_LOG(kInfo, "loaded pretrained %s from %s",
-               BertVariantName(variant), checkpoint.c_str());
-  } else {
-    SEMTAG_OBS_COUNT("bert_cache/pretrains", 1);
+  auto pretrain = [&](MiniBertBackbone* b) {
     SEMTAG_LOG(kInfo, "pretraining %s with MLM (%d sentences, %d epochs)...",
                BertVariantName(variant), setup.corpus_sentences,
                setup.pretrain.epochs);
     WallTimer timer;
-    backbone->Pretrain(corpus, setup.pretrain);
+    b->Pretrain(corpus, setup.pretrain);
     SEMTAG_LOG(kInfo, "pretrained %s in %.1fs", BertVariantName(variant),
                timer.ElapsedSeconds());
-    const Status save = nn::SaveCheckpoint(checkpoint, backbone->Parameters());
-    if (!save.ok()) {
-      SEMTAG_LOG(kWarning, "cannot save checkpoint: %s",
-                 save.ToString().c_str());
-    }
-  }
+  };
+  LoadOrPretrain(checkpoint, backbone.get(), pretrain);
   // The cached backbone is frozen from here on (fine-tuning clones it):
   // build its int8 views under the same mutex that guards the cache, so
   // featurizer users get a quant-ready backbone when $SEMTAG_QUANT=1.

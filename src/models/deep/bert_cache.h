@@ -1,6 +1,7 @@
 #ifndef SEMTAG_MODELS_DEEP_BERT_CACHE_H_
 #define SEMTAG_MODELS_DEEP_BERT_CACHE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -20,12 +21,23 @@ const char* BertVariantName(BertVariant variant);
 /// "./semtag_cache"; created on first use.
 std::string CacheDir();
 
+/// Fills `backbone` from `checkpoint` if it loads; otherwise runs
+/// `pretrain` on it and saves the result there. A miss takes the
+/// checkpoint's inter-process FileLock and retries the load before
+/// pretraining, holding the lock through pretrain-and-save, so processes
+/// that miss at once (ctest -j, concurrent benches) pretrain it once: the
+/// rest wait on the lock and load. Returns true when the weights came from
+/// disk. Counts bert_cache/disk_hits or bert_cache/pretrains.
+bool LoadOrPretrain(const std::string& checkpoint, MiniBertBackbone* backbone,
+                    const std::function<void(MiniBertBackbone*)>& pretrain);
+
 /// Returns the shared pretrained backbone for a variant. The first call in
 /// a process loads the checkpoint from CacheDir(); if absent, it generates
 /// the synthetic wiki corpus, pretrains with MLM (tens of seconds), and
-/// saves the checkpoint. Thread-safe: an internal mutex serializes the
-/// load-or-pretrain step (parallel CV folds and experiment cells hit this
-/// concurrently), and the returned reference is immutable thereafter.
+/// saves the checkpoint (LoadOrPretrain). Thread-safe: an internal mutex
+/// serializes the load-or-pretrain step (parallel CV folds and experiment
+/// cells hit this concurrently), and the returned reference is immutable
+/// thereafter.
 ///
 /// BERT/ALBERT/ROBERTA differ exactly as the real models do at this scale:
 /// ALBERT shares encoder parameters across layers; ROBERTA pretrains longer

@@ -16,23 +16,11 @@ namespace semtag::models {
 BertFeaturizer::BertFeaturizer(const MiniBertBackbone* backbone)
     : backbone_(backbone) {}
 
-std::vector<float> BertFeaturizer::Embed(std::string_view text) const {
-  const auto ids = backbone_->EncodeIds(text);
-  nn::Variable hidden =
-      backbone_->Encode(ids, /*rng=*/nullptr, /*training=*/false);
-  const la::Matrix& h = hidden.value();
-  return std::vector<float>(h.Row(0), h.Row(0) + h.cols());
-}
-
 std::vector<std::vector<float>> BertFeaturizer::EmbedBatch(
     std::span<const std::string> texts) const {
-  const size_t batch = EffectiveDeepBatch(EmbedBatchSize());
+  const size_t batch = EmbedBatchSize();
   std::vector<std::vector<float>> out;
   out.reserve(texts.size());
-  if (batch <= 1 || texts.size() <= 1) {
-    for (const auto& t : texts) out.push_back(Embed(t));
-    return out;
-  }
   for (size_t start = 0; start < texts.size(); start += batch) {
     const size_t end = std::min(start + batch, texts.size());
     const size_t bsz = end - start;
@@ -78,8 +66,7 @@ Status EmbeddingLinearModel::Train(const data::Dataset& train) {
   // Featurization runs the transformer forward — the dominant cost of this
   // model — so it goes through the backbone a batch at a time and the
   // deadline is checked per chunk.
-  const size_t chunk = std::max<size_t>(
-      1, EffectiveDeepBatch(BertFeaturizer::EmbedBatchSize()));
+  const size_t chunk = BertFeaturizer::EmbedBatchSize();
   for (size_t start = 0; start < texts.size(); start += chunk) {
     SEMTAG_RETURN_NOT_OK(CheckCancelled());
     const size_t end = std::min(start + chunk, texts.size());
@@ -134,22 +121,9 @@ Status EmbeddingLinearModel::Train(const data::Dataset& train) {
   return Status::OK();
 }
 
-double EmbeddingLinearModel::Score(std::string_view text) const {
-  SEMTAG_CHECK(trained_);
-  const auto x = featurizer_.Embed(text);
-  double z = bias_;
-  for (size_t j = 0; j < x.size(); ++j) z += weights_[j] * x[j];
-  if (options_.hinge) return z;
-  return 1.0 / (1.0 + std::exp(-z));
-}
-
 std::vector<double> EmbeddingLinearModel::ScoreBatch(
     std::span<const std::string> texts) const {
   SEMTAG_CHECK(trained_);
-  const size_t batch = EffectiveDeepBatch(score_batch_size());
-  if (batch <= 1 || texts.size() <= 1) {
-    return TaggingModel::ScoreBatch(texts);  // per-example (bit-identical)
-  }
   const auto features = featurizer_.EmbedBatch(texts);
   std::vector<double> out(texts.size());
   for (size_t i = 0; i < texts.size(); ++i) {

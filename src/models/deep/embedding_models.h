@@ -19,16 +19,14 @@ class BertFeaturizer {
   /// Does not take ownership; `backbone` must outlive the featurizer.
   explicit BertFeaturizer(const MiniBertBackbone* backbone);
 
-  std::vector<float> Embed(std::string_view text) const;
-
-  /// Embeds texts through stacked backbone forwards (chunks of
-  /// EmbedBatchSize(), or one at a time under SEMTAG_DEEP_BATCH=1).
+  /// Embeds texts through stacked backbone forwards, EmbedBatchSize() texts
+  /// at a time; row i is texts[i]'s last-layer [CLS] vector.
   std::vector<std::vector<float>> EmbedBatch(
       std::span<const std::string> texts) const;
 
   size_t dim() const;
 
-  /// Preferred featurization chunk size before the SEMTAG_DEEP_BATCH cap.
+  /// Featurization chunk size.
   static constexpr size_t EmbedBatchSize() { return 32; }
 
  private:
@@ -58,7 +56,9 @@ class EmbeddingLinearModel : public TaggingModel {
   std::string name() const override { return display_name_; }
   bool is_deep() const override { return false; }
   Status Train(const data::Dataset& train) override;
-  double Score(std::string_view text) const override;
+  double Score(std::string_view text) const override {
+    return ScoreAsBatchOfOne(text);
+  }
   std::vector<double> ScoreBatch(
       std::span<const std::string> texts) const override;
   double DecisionThreshold() const override {

@@ -1,12 +1,13 @@
 #include "models/deep/mini_bert.h"
 
 #include <algorithm>
-#include <cmath>
+#include <functional>
 #include <numeric>
 
 #include "common/logging.h"
 #include "common/timer.h"
 #include "la/init.h"
+#include "models/deep/sequence_classifier.h"
 #include "nn/quant.h"
 #include "nn/train_guard.h"
 #include "obs/trace.h"
@@ -55,11 +56,6 @@ MiniBertBackbone::MiniBertBackbone(const BertConfig& config,
 std::vector<int32_t> MiniBertBackbone::EncodeIds(
     std::string_view text) const {
   return encoder_.Encode(text);
-}
-
-nn::Variable MiniBertBackbone::Encode(const std::vector<int32_t>& ids,
-                                      Rng* rng, bool training) const {
-  return EncodeBatch({&ids}, rng, training);
 }
 
 la::Matrix MiniBertBackbone::BatchAttentionMask(
@@ -143,17 +139,15 @@ PretrainStats MiniBertBackbone::Pretrain(
   nn::TrainGuard guard(&optimizer, guard_options);
   const int32_t vocab = vocab_size();
   const size_t T = static_cast<size_t>(config_.max_len);
-  const size_t batch = EffectiveDeepBatch(
-      static_cast<size_t>(std::max(1, options.batch_size)));
+  const size_t batch = static_cast<size_t>(std::max(1, options.batch_size));
   std::vector<size_t> order(corpus.size());
   std::iota(order.begin(), order.end(), size_t{0});
   int64_t steps = 0;
   double loss_acc = 0.0;
   int64_t loss_count = 0;
 
-  // Per-sequence MLM corruption (shared by both execution paths; the
-  // corruption RNG is consumed in the same per-sequence order either way).
-  // Returns false when no position was maskable.
+  // Per-sequence MLM corruption, consuming the RNG in corpus-shuffle
+  // order. Returns false when no position was maskable.
   auto corrupt = [&](const std::vector<int32_t>& ids,
                      std::vector<int32_t>* corrupted,
                      std::vector<int32_t>* positions,
@@ -188,99 +182,56 @@ PretrainStats MiniBertBackbone::Pretrain(
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     obs::TraceSpan epoch_span("train/BERT/pretrain_epoch");
     rng.Shuffle(&order);
-    if (batch <= 1) {
-      // Per-example path (SEMTAG_DEEP_BATCH=1): bit-identical to the
-      // pre-batching loop except the partial-batch flush now reports the
-      // real mean loss (value feeds only the finiteness check when
-      // training is healthy).
-      int in_batch = 0;
-      double batch_loss = 0.0;
-      for (size_t idx : order) {
-        const std::vector<int32_t> ids = encoder_.Encode(corpus[idx]);
-        std::vector<int32_t> corrupted, positions, targets;
-        if (!corrupt(ids, &corrupted, &positions, &targets)) continue;
-        nn::Variable hidden = Encode(corrupted, &rng, /*training=*/true);
-        nn::Variable picked = nn::GatherRows(hidden, positions);
-        // Tied-weight MLM head: logits = picked * E^T + bias.
-        nn::Variable logits = nn::AddRowBroadcast(
-            nn::MatMulBT(picked, token_embedding_->table()), mlm_bias_);
-        nn::Variable loss = nn::SoftmaxCrossEntropy(logits, targets);
-        loss_acc += loss.value().At(0, 0);
-        batch_loss += loss.value().At(0, 0);
-        ++loss_count;
-        nn::Backward(loss);
-        if (++in_batch >= options.batch_size) {
-          const Status st = guard.Step(loss.value().At(0, 0));
-          if (!st.ok()) {
-            abort_with(st);
-            return stats;
-          }
-          in_batch = 0;
-          batch_loss = 0.0;
-        }
-        ++steps;
-      }
-      if (in_batch > 0) {
-        const Status st =
-            guard.Step(batch_loss / static_cast<double>(in_batch));
+    // Accumulate corrupted sequences and run each batch of them through
+    // one stacked forward/backward. The loss is the mean over all masked
+    // positions in the batch; seeding Backward with the sequence count
+    // scales the parameter gradients to a sum over the B sequences.
+    std::vector<std::vector<int32_t>> pend_ids;
+    std::vector<int32_t> pend_positions;  // global rows into [B*T x d]
+    std::vector<int32_t> pend_targets;
+    auto run_batch = [&]() -> Status {
+      const size_t nseq = pend_ids.size();
+      if (nseq == 0) return Status::OK();
+      std::vector<const std::vector<int32_t>*> ptrs;
+      ptrs.reserve(nseq);
+      for (const auto& ids : pend_ids) ptrs.push_back(&ids);
+      nn::Variable hidden = EncodeBatch(ptrs, &rng, /*training=*/true);
+      nn::Variable picked = nn::GatherRows(hidden, pend_positions);
+      // Tied-weight MLM head: logits = picked * E^T + bias.
+      nn::Variable logits = nn::AddRowBroadcast(
+          nn::MatMulBT(picked, token_embedding_->table()), mlm_bias_);
+      nn::Variable loss = nn::SoftmaxCrossEntropy(logits, pend_targets);
+      const double mean_loss = loss.value().At(0, 0);
+      loss_acc += mean_loss * static_cast<double>(nseq);
+      loss_count += static_cast<int64_t>(nseq);
+      steps += static_cast<int64_t>(nseq);
+      nn::Backward(loss, static_cast<float>(nseq));
+      pend_ids.clear();
+      pend_positions.clear();
+      pend_targets.clear();
+      return guard.Step(mean_loss);
+    };
+    for (size_t idx : order) {
+      const std::vector<int32_t> ids = encoder_.Encode(corpus[idx]);
+      std::vector<int32_t> corrupted, positions, targets;
+      if (!corrupt(ids, &corrupted, &positions, &targets)) continue;
+      const int32_t row0 = static_cast<int32_t>(pend_ids.size() * T);
+      for (int32_t p : positions) pend_positions.push_back(row0 + p);
+      pend_targets.insert(pend_targets.end(), targets.begin(),
+                          targets.end());
+      pend_ids.push_back(std::move(corrupted));
+      if (pend_ids.size() >= batch) {
+        const Status st = run_batch();
         if (!st.ok()) {
           abort_with(st);
           return stats;
         }
       }
-    } else {
-      // Batched path: accumulate corrupted sequences and run them through
-      // one stacked forward/backward. The loss is the mean over all masked
-      // positions in the batch; seeding Backward with the sequence count
-      // keeps the parameter-gradient scale of the accumulation loop (which
-      // sums B per-sequence mean losses).
-      std::vector<std::vector<int32_t>> pend_ids;
-      std::vector<int32_t> pend_positions;  // global rows into [B*T x d]
-      std::vector<int32_t> pend_targets;
-      auto run_batch = [&]() -> Status {
-        const size_t nseq = pend_ids.size();
-        if (nseq == 0) return Status::OK();
-        std::vector<const std::vector<int32_t>*> ptrs;
-        ptrs.reserve(nseq);
-        for (const auto& ids : pend_ids) ptrs.push_back(&ids);
-        nn::Variable hidden = EncodeBatch(ptrs, &rng, /*training=*/true);
-        nn::Variable picked = nn::GatherRows(hidden, pend_positions);
-        nn::Variable logits = nn::AddRowBroadcast(
-            nn::MatMulBT(picked, token_embedding_->table()), mlm_bias_);
-        nn::Variable loss = nn::SoftmaxCrossEntropy(logits, pend_targets);
-        const double mean_loss = loss.value().At(0, 0);
-        loss_acc += mean_loss * static_cast<double>(nseq);
-        loss_count += static_cast<int64_t>(nseq);
-        steps += static_cast<int64_t>(nseq);
-        nn::Backward(loss, static_cast<float>(nseq));
-        pend_ids.clear();
-        pend_positions.clear();
-        pend_targets.clear();
-        return guard.Step(mean_loss);
-      };
-      for (size_t idx : order) {
-        const std::vector<int32_t> ids = encoder_.Encode(corpus[idx]);
-        std::vector<int32_t> corrupted, positions, targets;
-        if (!corrupt(ids, &corrupted, &positions, &targets)) continue;
-        const int32_t row0 =
-            static_cast<int32_t>(pend_ids.size() * T);
-        for (int32_t p : positions) pend_positions.push_back(row0 + p);
-        pend_targets.insert(pend_targets.end(), targets.begin(),
-                            targets.end());
-        pend_ids.push_back(std::move(corrupted));
-        if (pend_ids.size() >= batch) {
-          const Status st = run_batch();
-          if (!st.ok()) {
-            abort_with(st);
-            return stats;
-          }
-        }
-      }
-      const Status st = run_batch();  // real mean loss on the final flush
-      if (!st.ok()) {
-        abort_with(st);
-        return stats;
-      }
+    }
+    const Status st = run_batch();  // real mean loss on the final flush
+    if (!st.ok()) {
+      abort_with(st);
+      return stats;
     }
     const double mean_loss =
         loss_count ? loss_acc / static_cast<double>(loss_count) : 0.0;
@@ -325,94 +276,23 @@ Status MiniBert::Train(const data::Dataset& train_full) {
   for (const auto& e : train.examples()) {
     encoded.push_back(backbone_->EncodeIds(e.text));
   }
-  const auto labels = train.Labels();
 
   std::vector<nn::Variable> params = backbone_->Parameters();
   cls_head_->CollectParameters(&params);
-  nn::Adam optimizer(std::move(params),
-                     static_cast<float>(options_.learning_rate));
-  std::vector<size_t> order(train.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  const int effective_epochs = std::max<int>(
-      options_.epochs,
-      static_cast<int>((static_cast<size_t>(options_.min_optimizer_steps) *
-                            static_cast<size_t>(options_.batch_size) +
-                        train.size() - 1) /
-                       train.size()));
-  nn::TrainGuardOptions guard_options;
-  guard_options.context = display_name_ + "@" + train.name();
-  nn::TrainGuard guard(&optimizer, guard_options);
-  const size_t T = static_cast<size_t>(backbone_->config().max_len);
-  const size_t batch = EffectiveDeepBatch(
-      static_cast<size_t>(std::max(1, options_.batch_size)));
-  Status train_status = Status::OK();
-  for (int epoch = 0; epoch < effective_epochs && train_status.ok();
-       ++epoch) {
-    obs::TraceSpan epoch_span("train/BERT/finetune_epoch",
-                              train.name().c_str());
-    rng_.Shuffle(&order);
-    if (batch <= 1) {
-      // Per-example path (SEMTAG_DEEP_BATCH=1): bit-identical to the
-      // pre-batching loop; the partial-batch flush reports the real mean
-      // loss instead of 0 (finiteness check only when healthy).
-      int in_batch = 0;
-      double batch_loss = 0.0;
-      for (size_t i : order) {
-        train_status = CheckCancelled();
-        if (!train_status.ok()) break;
-        nn::Variable hidden =
-            backbone_->Encode(encoded[i], &rng_, /*training=*/true);
-        nn::Variable cls = nn::SliceRows(hidden, 0, 1);
-        nn::Variable logits = cls_head_->Forward(cls);
-        nn::Variable loss =
-            nn::SoftmaxCrossEntropy(logits, {labels[i]});
-        batch_loss += loss.value().At(0, 0);
-        nn::Backward(loss);
-        if (++in_batch >= options_.batch_size) {
-          train_status = guard.Step(loss.value().At(0, 0));
-          if (!train_status.ok()) break;
-          in_batch = 0;
-          batch_loss = 0.0;
-        }
-      }
-      if (train_status.ok() && in_batch > 0) {
-        train_status =
-            guard.Step(batch_loss / static_cast<double>(in_batch));
-      }
-    } else {
-      // Batched path: B sequences per stacked forward, one optimizer step
-      // per batch. The mean-over-B loss is backpropagated with seed B so
-      // parameter gradients match the per-example accumulation loop's sum
-      // of per-example gradients (same effective learning rate).
-      for (size_t start = 0; start < order.size() && train_status.ok();
-           start += batch) {
-        train_status = CheckCancelled();
-        if (!train_status.ok()) break;
-        const size_t end = std::min(start + batch, order.size());
-        const size_t bsz = end - start;
-        std::vector<const std::vector<int32_t>*> ptrs;
-        std::vector<int32_t> batch_labels;
-        std::vector<int32_t> cls_rows;
-        ptrs.reserve(bsz);
-        batch_labels.reserve(bsz);
-        cls_rows.reserve(bsz);
-        for (size_t k = start; k < end; ++k) {
-          const size_t i = order[k];
-          ptrs.push_back(&encoded[i]);
-          batch_labels.push_back(labels[i]);
-          cls_rows.push_back(static_cast<int32_t>((k - start) * T));
-        }
-        nn::Variable hidden =
-            backbone_->EncodeBatch(ptrs, &rng_, /*training=*/true);
-        nn::Variable cls = nn::GatherRows(hidden, cls_rows);  // [B x d]
-        nn::Variable logits = cls_head_->Forward(cls);
-        nn::Variable loss = nn::SoftmaxCrossEntropy(logits, batch_labels);
-        nn::Backward(loss, static_cast<float>(bsz));
-        train_status = guard.Step(loss.value().At(0, 0));
-      }
-    }
-  }
-  set_train_retries(guard.retries());
+  ClassifierTrainOptions loop;
+  loop.epochs = options_.epochs;
+  loop.min_optimizer_steps = options_.min_optimizer_steps;
+  loop.batch_size = options_.batch_size;
+  loop.learning_rate = options_.learning_rate;
+  loop.context = display_name_ + "@" + train.name();
+  loop.epoch_span = "train/BERT/finetune_epoch";
+  loop.span_tag = train.name();
+  int retries = 0;
+  const Status train_status = TrainSequenceClassifier(
+      loop, std::move(params), encoded, train.Labels(), &rng_,
+      cancellation(), std::bind_front(&MiniBert::LogitsBatch, this),
+      &retries);
+  set_train_retries(retries);
   set_train_seconds(timer.ElapsedSeconds());
   if (!train_status.ok()) return train_status;
   trained_ = true;
@@ -425,97 +305,29 @@ Status MiniBert::Train(const data::Dataset& train_full) {
   return Status::OK();
 }
 
-double MiniBert::Score(std::string_view text) const {
-  SEMTAG_CHECK(trained_);
-  const auto ids = backbone_->EncodeIds(text);
-  // rng is nullptr: inference must not touch the model's mutable RNG, so
-  // concurrent ScoreAll shards cannot race (Dropout asserts this).
+nn::Variable MiniBert::LogitsBatch(
+    const std::vector<const std::vector<int32_t>*>& batch,
+    bool training) const {
+  const size_t T = static_cast<size_t>(backbone_->config().max_len);
+  std::vector<int32_t> cls_rows(batch.size());
+  for (size_t k = 0; k < batch.size(); ++k) {
+    cls_rows[k] = static_cast<int32_t>(k * T);
+  }
+  // Inference passes no RNG, so concurrent ScoreAll shards never touch the
+  // model's mutable rng_ (Dropout asserts this).
   nn::Variable hidden =
-      backbone_->Encode(ids, /*rng=*/nullptr, /*training=*/false);
-  nn::Variable cls = nn::SliceRows(hidden, 0, 1);
-  nn::Variable logits = cls_head_->Forward(cls);
-  const float a = logits.value().At(0, 0);
-  const float b = logits.value().At(0, 1);
-  // Softmax over two logits = sigmoid of their difference.
-  return 1.0 / (1.0 + std::exp(static_cast<double>(a - b)));
+      backbone_->EncodeBatch(batch, training ? &rng_ : nullptr, training);
+  nn::Variable cls = nn::GatherRows(hidden, cls_rows);  // [B x d]
+  return cls_head_->Forward(cls);
 }
 
 std::vector<double> MiniBert::ScoreBatch(
     std::span<const std::string> texts) const {
   SEMTAG_CHECK(trained_);
-  const size_t batch = EffectiveDeepBatch(score_batch_size());
-  if (batch <= 1 || texts.size() <= 1) {
-    return TaggingModel::ScoreBatch(texts);  // per-example (bit-identical)
-  }
-  const size_t T = static_cast<size_t>(backbone_->config().max_len);
-  std::vector<double> out(texts.size());
-  for (size_t start = 0; start < texts.size(); start += batch) {
-    const size_t end = std::min(start + batch, texts.size());
-    const size_t bsz = end - start;
-    std::vector<std::vector<int32_t>> encoded;
-    encoded.reserve(bsz);
-    for (size_t i = start; i < end; ++i) {
-      encoded.push_back(backbone_->EncodeIds(texts[i]));
-    }
-    std::vector<const std::vector<int32_t>*> ptrs;
-    std::vector<int32_t> cls_rows;
-    ptrs.reserve(bsz);
-    cls_rows.reserve(bsz);
-    for (size_t k = 0; k < bsz; ++k) {
-      ptrs.push_back(&encoded[k]);
-      cls_rows.push_back(static_cast<int32_t>(k * T));
-    }
-    nn::Variable hidden =
-        backbone_->EncodeBatch(ptrs, /*rng=*/nullptr, /*training=*/false);
-    nn::Variable cls = nn::GatherRows(hidden, cls_rows);
-    nn::Variable logits = cls_head_->Forward(cls);
-    for (size_t k = 0; k < bsz; ++k) {
-      const float a = logits.value().At(k, 0);
-      const float b = logits.value().At(k, 1);
-      out[start + k] = 1.0 / (1.0 + std::exp(static_cast<double>(a - b)));
-    }
-  }
-  return out;
-}
-
-std::vector<float> MiniBert::EmbedText(std::string_view text) const {
-  const auto ids = backbone_->EncodeIds(text);
-  nn::Variable hidden =
-      backbone_->Encode(ids, /*rng=*/nullptr, /*training=*/false);
-  const la::Matrix& h = hidden.value();
-  return std::vector<float>(h.Row(0), h.Row(0) + h.cols());
-}
-
-std::vector<std::vector<float>> MiniBert::EmbedTextBatch(
-    std::span<const std::string> texts) const {
-  std::vector<std::vector<float>> out;
-  out.reserve(texts.size());
-  const size_t batch = EffectiveDeepBatch(score_batch_size());
-  if (batch <= 1 || texts.size() <= 1) {
-    for (const std::string& t : texts) out.push_back(EmbedText(t));
-    return out;
-  }
-  const size_t T = static_cast<size_t>(backbone_->config().max_len);
-  for (size_t start = 0; start < texts.size(); start += batch) {
-    const size_t end = std::min(start + batch, texts.size());
-    const size_t bsz = end - start;
-    std::vector<std::vector<int32_t>> encoded;
-    encoded.reserve(bsz);
-    for (size_t i = start; i < end; ++i) {
-      encoded.push_back(backbone_->EncodeIds(texts[i]));
-    }
-    std::vector<const std::vector<int32_t>*> ptrs;
-    ptrs.reserve(bsz);
-    for (const auto& ids : encoded) ptrs.push_back(&ids);
-    nn::Variable hidden =
-        backbone_->EncodeBatch(ptrs, /*rng=*/nullptr, /*training=*/false);
-    const la::Matrix& h = hidden.value();
-    for (size_t k = 0; k < bsz; ++k) {
-      const float* row = h.Row(k * T);
-      out.emplace_back(row, row + h.cols());
-    }
-  }
-  return out;
+  return ScoreSequences(
+      texts, score_batch_size(),
+      [this](std::string_view text) { return backbone_->EncodeIds(text); },
+      std::bind_front(&MiniBert::LogitsBatch, this));
 }
 
 }  // namespace semtag::models

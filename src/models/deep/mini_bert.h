@@ -55,16 +55,11 @@ class MiniBertBackbone {
  public:
   MiniBertBackbone(const BertConfig& config, text::Vocabulary word_vocab);
 
-  /// Encodes one already-padded id sequence to hidden states [max_len x d]:
-  /// EncodeBatch of a batch of one.
-  nn::Variable Encode(const std::vector<int32_t>& ids, Rng* rng,
-                      bool training) const;
-
-  /// Encodes B already-padded id sequences in one stacked forward pass to
-  /// hidden states [B*max_len x d] (block-major: sequence s occupies rows
-  /// [s*max_len, (s+1)*max_len)). One embedding lookup, one fused Q|K|V
-  /// projection GEMM per layer, per-sequence attention tiles, one pad mask
-  /// built per batch and reused across layers.
+  /// Encodes B already-padded id sequences (B >= 1) in one stacked forward
+  /// pass to hidden states [B*max_len x d] (block-major: sequence s
+  /// occupies rows [s*max_len, (s+1)*max_len)). One embedding lookup, one
+  /// fused Q|K|V projection GEMM per layer, per-sequence attention tiles,
+  /// one pad mask built per batch and reused across layers.
   nn::Variable EncodeBatch(
       const std::vector<const std::vector<int32_t>*>& batch, Rng* rng,
       bool training) const;
@@ -79,7 +74,7 @@ class MiniBertBackbone {
 
   /// Builds int8 views of the frozen inference GEMM weights (token
   /// embedding rows, every encoder layer's Q/K/V/output/FFN weights) so
-  /// Encode/EncodeBatch route through the quantized kernels under
+  /// EncodeBatch routes through the quantized kernels under
   /// $SEMTAG_QUANT=1. Call only once the weights are final; training on a
   /// Clone() is unaffected (clones get fresh, view-less nodes).
   void PrepareQuantInference();
@@ -140,18 +135,11 @@ class MiniBert : public TaggingModel {
   std::string name() const override { return display_name_; }
   bool is_deep() const override { return true; }
   Status Train(const data::Dataset& train) override;
-  double Score(std::string_view text) const override;
+  double Score(std::string_view text) const override {
+    return ScoreAsBatchOfOne(text);
+  }
   std::vector<double> ScoreBatch(
       std::span<const std::string> texts) const override;
-
-  /// The last-layer [CLS] vector (the paper's featurization vector for
-  /// LR/SVM + pre-trained embeddings). Usable before Train().
-  std::vector<float> EmbedText(std::string_view text) const;
-
-  /// Batched EmbedText: one stacked forward pass, row i is texts[i]'s
-  /// [CLS] vector. Usable before Train().
-  std::vector<std::vector<float>> EmbedTextBatch(
-      std::span<const std::string> texts) const;
 
  protected:
   size_t score_batch_size() const override {
@@ -159,6 +147,13 @@ class MiniBert : public TaggingModel {
   }
 
  private:
+  /// The model's one forward graph: B sequences -> backbone -> each
+  /// sequence's last-layer [CLS] row -> [B x 2] logits (Score is a batch
+  /// of one).
+  nn::Variable LogitsBatch(
+      const std::vector<const std::vector<int32_t>*>& batch,
+      bool training) const;
+
   std::string display_name_;
   BertFinetuneOptions options_;
   std::unique_ptr<MiniBertBackbone> backbone_;

@@ -38,7 +38,9 @@ class TextCnn : public TaggingModel {
   std::string name() const override { return "CNN"; }
   bool is_deep() const override { return true; }
   Status Train(const data::Dataset& train) override;
-  double Score(std::string_view text) const override;
+  double Score(std::string_view text) const override {
+    return ScoreAsBatchOfOne(text);
+  }
   std::vector<double> ScoreBatch(
       std::span<const std::string> texts) const override;
 
@@ -48,10 +50,10 @@ class TextCnn : public TaggingModel {
   }
 
  private:
-  nn::Variable Logits(const std::vector<int32_t>& ids, bool training) const;
-  /// Stacked forward for B sequences -> [B x 2] logits. Embeddings are
-  /// block-major ([B*L x E]); each ConvPool runs the batch through one
-  /// im2col GEMM and per-block max pooling.
+  /// The model's one forward graph: B sequences -> [B x 2] logits (Score
+  /// is a batch of one). Embeddings are block-major ([B*L x E]); each
+  /// ConvPool runs the batch through one im2col GEMM and per-block max
+  /// pooling.
   nn::Variable LogitsBatch(
       const std::vector<const std::vector<int32_t>*>& batch,
       bool training) const;

@@ -1,14 +1,10 @@
 #include "models/deep/text_lstm.h"
 
-#include <algorithm>
-#include <cmath>
-#include <numeric>
+#include <functional>
 
 #include "common/logging.h"
 #include "common/timer.h"
-#include "nn/optimizer.h"
-#include "nn/train_guard.h"
-#include "obs/trace.h"
+#include "models/deep/sequence_classifier.h"
 
 namespace semtag::models {
 
@@ -51,86 +47,27 @@ Status TextLstm::Train(const data::Dataset& train_full) {
   std::vector<std::vector<int32_t>> encoded;
   encoded.reserve(train.size());
   for (const auto& t : texts) encoded.push_back(encoder_.Encode(t));
-  const auto labels = train.Labels();
 
   std::vector<nn::Variable> params;
   embedding_->CollectParameters(&params);
   if (lstm_ != nullptr) lstm_->CollectParameters(&params);
   if (gru_ != nullptr) gru_->CollectParameters(&params);
   head_->CollectParameters(&params);
-  nn::Adam optimizer(std::move(params),
-                     static_cast<float>(options_.learning_rate));
-
-  std::vector<size_t> order(train.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  const int effective_epochs = std::max<int>(
-      options_.epochs,
-      static_cast<int>((static_cast<size_t>(options_.min_optimizer_steps) *
-                            static_cast<size_t>(options_.batch_size) +
-                        train.size() - 1) /
-                       train.size()));
-  nn::TrainGuardOptions guard_options;
-  guard_options.context =
-      std::string(options_.cell == RnnCell::kGru ? "GRU@" : "LSTM@") +
-      train.name();
-  nn::TrainGuard guard(&optimizer, guard_options);
-  const size_t batch = EffectiveDeepBatch(
-      static_cast<size_t>(std::max(1, options_.batch_size)));
-  Status train_status = Status::OK();
-  for (int epoch = 0; epoch < effective_epochs && train_status.ok();
-       ++epoch) {
-    obs::TraceSpan epoch_span(
-        options_.cell == RnnCell::kGru ? "train/GRU/epoch" : "train/LSTM/epoch",
-        train.name().c_str());
-    rng_.Shuffle(&order);
-    if (batch <= 1) {
-      // Per-example path (SEMTAG_DEEP_BATCH=1): bit-identical to the
-      // pre-batching loop; the partial-batch flush reports the real mean
-      // loss instead of 0.
-      int in_batch = 0;
-      double batch_loss = 0.0;
-      for (size_t i : order) {
-        train_status = CheckCancelled();
-        if (!train_status.ok()) break;
-        nn::Variable logits = Logits(encoded[i], /*training=*/true);
-        nn::Variable loss = nn::SoftmaxCrossEntropy(logits, {labels[i]});
-        batch_loss += loss.value().At(0, 0);
-        nn::Backward(loss);
-        if (++in_batch >= options_.batch_size) {
-          train_status = guard.Step(loss.value().At(0, 0));
-          if (!train_status.ok()) break;
-          in_batch = 0;
-          batch_loss = 0.0;
-        }
-      }
-      if (train_status.ok() && in_batch > 0) {
-        train_status =
-            guard.Step(batch_loss / static_cast<double>(in_batch));
-      }
-    } else {
-      // Batched path: mean-over-B loss backpropagated with seed B, so the
-      // parameter gradients match the accumulation loop's per-example sum.
-      for (size_t start = 0; start < order.size() && train_status.ok();
-           start += batch) {
-        train_status = CheckCancelled();
-        if (!train_status.ok()) break;
-        const size_t end = std::min(start + batch, order.size());
-        std::vector<const std::vector<int32_t>*> ptrs;
-        std::vector<int32_t> batch_labels;
-        ptrs.reserve(end - start);
-        batch_labels.reserve(end - start);
-        for (size_t k = start; k < end; ++k) {
-          ptrs.push_back(&encoded[order[k]]);
-          batch_labels.push_back(labels[order[k]]);
-        }
-        nn::Variable logits = LogitsBatch(ptrs, /*training=*/true);
-        nn::Variable loss = nn::SoftmaxCrossEntropy(logits, batch_labels);
-        nn::Backward(loss, static_cast<float>(end - start));
-        train_status = guard.Step(loss.value().At(0, 0));
-      }
-    }
-  }
-  set_train_retries(guard.retries());
+  const std::string family = name();
+  ClassifierTrainOptions loop;
+  loop.epochs = options_.epochs;
+  loop.min_optimizer_steps = options_.min_optimizer_steps;
+  loop.batch_size = options_.batch_size;
+  loop.learning_rate = options_.learning_rate;
+  loop.context = family + "@" + train.name();
+  loop.epoch_span = "train/" + family + "/epoch";
+  loop.span_tag = train.name();
+  int retries = 0;
+  const Status train_status = TrainSequenceClassifier(
+      loop, std::move(params), encoded, train.Labels(), &rng_,
+      cancellation(), std::bind_front(&TextLstm::LogitsBatch, this),
+      &retries);
+  set_train_retries(retries);
   set_train_seconds(timer.ElapsedSeconds());
   if (!train_status.ok()) return train_status;
   trained_ = true;
@@ -141,15 +78,6 @@ Status TextLstm::Train(const data::Dataset& train_full) {
   if (gru_ != nullptr) gru_->PrepareQuantInference();
   head_->PrepareQuantInference();
   return Status::OK();
-}
-
-nn::Variable TextLstm::Logits(const std::vector<int32_t>& ids,
-                              bool training) const {
-  nn::Variable x = embedding_->Forward(ids);
-  nn::Variable h =
-      gru_ != nullptr ? gru_->Forward(x) : lstm_->Forward(x);
-  h = nn::Dropout(h, options_.dropout, training ? &rng_ : nullptr, training);
-  return head_->Forward(h);
 }
 
 nn::Variable TextLstm::LogitsBatch(
@@ -171,41 +99,13 @@ nn::Variable TextLstm::LogitsBatch(
   return head_->Forward(h);  // [B x 2]
 }
 
-double TextLstm::Score(std::string_view text) const {
-  SEMTAG_CHECK(trained_);
-  nn::Variable logits = Logits(encoder_.Encode(text), /*training=*/false);
-  const float a = logits.value().At(0, 0);
-  const float b = logits.value().At(0, 1);
-  return 1.0 / (1.0 + std::exp(static_cast<double>(a - b)));
-}
-
 std::vector<double> TextLstm::ScoreBatch(
     std::span<const std::string> texts) const {
   SEMTAG_CHECK(trained_);
-  const size_t batch = EffectiveDeepBatch(score_batch_size());
-  if (batch <= 1 || texts.size() <= 1) {
-    return TaggingModel::ScoreBatch(texts);  // per-example (bit-identical)
-  }
-  std::vector<double> out(texts.size());
-  for (size_t start = 0; start < texts.size(); start += batch) {
-    const size_t end = std::min(start + batch, texts.size());
-    const size_t bsz = end - start;
-    std::vector<std::vector<int32_t>> encoded;
-    encoded.reserve(bsz);
-    for (size_t i = start; i < end; ++i) {
-      encoded.push_back(encoder_.Encode(texts[i]));
-    }
-    std::vector<const std::vector<int32_t>*> ptrs;
-    ptrs.reserve(bsz);
-    for (const auto& ids : encoded) ptrs.push_back(&ids);
-    nn::Variable logits = LogitsBatch(ptrs, /*training=*/false);
-    for (size_t k = 0; k < bsz; ++k) {
-      const float a = logits.value().At(k, 0);
-      const float b = logits.value().At(k, 1);
-      out[start + k] = 1.0 / (1.0 + std::exp(static_cast<double>(a - b)));
-    }
-  }
-  return out;
+  return ScoreSequences(
+      texts, score_batch_size(),
+      [this](std::string_view text) { return encoder_.Encode(text); },
+      std::bind_front(&TextLstm::LogitsBatch, this));
 }
 
 }  // namespace semtag::models

@@ -44,7 +44,9 @@ class TextLstm : public TaggingModel {
   }
   bool is_deep() const override { return true; }
   Status Train(const data::Dataset& train) override;
-  double Score(std::string_view text) const override;
+  double Score(std::string_view text) const override {
+    return ScoreAsBatchOfOne(text);
+  }
   std::vector<double> ScoreBatch(
       std::span<const std::string> texts) const override;
 
@@ -54,10 +56,10 @@ class TextLstm : public TaggingModel {
   }
 
  private:
-  nn::Variable Logits(const std::vector<int32_t>& ids, bool training) const;
-  /// Stacked forward for B sequences -> [B x 2] logits. The embedded batch
-  /// is laid out timestep-major so each recurrent step is one [B x 4H]
-  /// (or [B x 2H]/[B x H] for GRU) gate GEMM.
+  /// The model's one forward graph: B sequences -> [B x 2] logits (Score
+  /// is a batch of one). The embedded batch is laid out timestep-major so
+  /// each recurrent step is one [B x 4H] (or [B x 2H]/[B x H] for GRU) gate
+  /// GEMM.
   nn::Variable LogitsBatch(
       const std::vector<const std::vector<int32_t>*>& batch,
       bool training) const;

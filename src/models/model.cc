@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -17,20 +16,6 @@ namespace {
 constexpr size_t kScoreGrain = 16;
 
 }  // namespace
-
-int DeepBatchLimit() {
-  const char* env = std::getenv("SEMTAG_DEEP_BATCH");
-  if (env == nullptr) return 0;
-  const int v = std::atoi(env);
-  return v >= 1 ? v : 0;
-}
-
-size_t EffectiveDeepBatch(size_t wanted) {
-  const int limit = DeepBatchLimit();
-  size_t batch = std::max<size_t>(1, wanted);
-  if (limit >= 1) batch = std::min(batch, static_cast<size_t>(limit));
-  return batch;
-}
 
 double TaggingModel::ProbabilityFromScore(double score) const {
   const double boundary = DecisionThreshold();
@@ -55,6 +40,11 @@ std::vector<double> TaggingModel::ScoreBatch(
   return out;
 }
 
+double TaggingModel::ScoreAsBatchOfOne(std::string_view text) const {
+  const std::string s(text);
+  return ScoreBatch(std::span<const std::string>(&s, 1))[0];
+}
+
 std::vector<double> TaggingModel::ScoreAll(
     const std::vector<std::string>& texts) const {
   // Score()/ScoreBatch() are const and draw no randomness at inference
@@ -62,7 +52,7 @@ std::vector<double> TaggingModel::ScoreAll(
   // pool. Each index writes only its own slot; results match the
   // sequential loop exactly.
   std::vector<double> out(texts.size());
-  const size_t batch = EffectiveDeepBatch(score_batch_size());
+  const size_t batch = score_batch_size();
   if (batch <= 1) {
     ParallelFor(0, texts.size(), kScoreGrain, [&](size_t lo, size_t hi) {
       for (size_t i = lo; i < hi; ++i) out[i] = Score(texts[i]);

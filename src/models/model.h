@@ -85,10 +85,10 @@ class TaggingModel {
   }
 
   /// Scores a batch of texts. The base implementation loops Score(); deep
-  /// models override it to run the whole batch through one stacked forward
-  /// pass. Must return exactly texts.size() scores, element i scoring
-  /// texts[i]. With SEMTAG_DEEP_BATCH=1 overrides fall back to the
-  /// per-example loop, bit-identical to Score().
+  /// models override it to run the batch through their one stacked forward
+  /// graph, score_batch_size() texts at a time (their Score() is a batch of
+  /// one). Must return exactly texts.size() scores, element i scoring
+  /// texts[i].
   virtual std::vector<double> ScoreBatch(
       std::span<const std::string> texts) const;
 
@@ -117,10 +117,13 @@ class TaggingModel {
   int train_retries() const { return train_retries_; }
 
  protected:
-  /// Preferred ScoreBatch chunk size (after the SEMTAG_DEEP_BATCH cap).
-  /// 1 (the default) keeps ScoreAll on its per-text sharding; deep models
-  /// return their training batch size.
+  /// Preferred ScoreBatch chunk size. 1 (the default) keeps ScoreAll on
+  /// its per-text sharding; deep models return their training batch size.
   virtual size_t score_batch_size() const { return 1; }
+
+  /// Score() of a model whose ScoreBatch is its one scoring path: a batch
+  /// of one.
+  double ScoreAsBatchOfOne(std::string_view text) const;
 
   void set_train_seconds(double s) { train_seconds_ = s; }
   void set_train_retries(int n) { train_retries_ = n; }
@@ -135,17 +138,6 @@ class TaggingModel {
   int train_retries_ = 0;
   CancellationToken cancellation_;
 };
-
-/// $SEMTAG_DEEP_BATCH: caps the deep models' batch size. Unset or invalid
-/// means 0 (no cap — each model uses its own batch size); 1 forces the
-/// per-example path (bit-identical to the pre-batching code); N > 1 caps
-/// batches at N. Re-read from the environment on every call so tests can
-/// toggle it.
-int DeepBatchLimit();
-
-/// The batch size a deep path should actually use for a wanted size:
-/// `wanted` clamped by DeepBatchLimit() (and to >= 1).
-size_t EffectiveDeepBatch(size_t wanted);
 
 }  // namespace semtag::models
 

@@ -71,10 +71,6 @@ ConvPool::ConvPool(int width, size_t embed_dim, size_t filters, Rng* rng)
                         rng)),
       bias_(MakeZeroParam(1, filters)) {}
 
-Variable ConvPool::Forward(const Variable& x) const {
-  return ForwardBatch(x, 1);
-}
-
 Variable ConvPool::ForwardBatch(const Variable& x, size_t blocks) const {
   SEMTAG_CHECK(blocks >= 1 && x.rows() % blocks == 0);
   SEMTAG_CHECK(x.rows() / blocks >= static_cast<size_t>(width_));
@@ -105,8 +101,6 @@ Lstm::Lstm(size_t input_dim, size_t hidden_dim, Rng* rng)
     bias_.mutable_value()(0, c) = 1.0f;
   }
 }
-
-Variable Lstm::Forward(const Variable& x) const { return ForwardBatch(x, 1); }
 
 Variable Lstm::ForwardBatch(const Variable& x, size_t batch) const {
   SEMTAG_CHECK(batch >= 1 && x.rows() % batch == 0);
@@ -158,8 +152,6 @@ Gru::Gru(size_t input_dim, size_t hidden_dim, Rng* rng)
       w_xc_(MakeParam(input_dim, hidden_dim, rng)),
       w_hc_(MakeParam(hidden_dim, hidden_dim, rng)),
       bias_c_(MakeZeroParam(1, hidden_dim)) {}
-
-Variable Gru::Forward(const Variable& x) const { return ForwardBatch(x, 1); }
 
 Variable Gru::ForwardBatch(const Variable& x, size_t batch) const {
   SEMTAG_CHECK(batch >= 1 && x.rows() % batch == 0);

@@ -66,11 +66,9 @@ class ConvPool : public Layer {
  public:
   ConvPool(int width, size_t embed_dim, size_t filters, Rng* rng);
 
-  /// x: [L x embed_dim] -> [1 x filters]. Requires L >= width (the caller
-  /// pads sequences to at least the maximum width).
-  Variable Forward(const Variable& x) const;
-  /// Batched: x is B stacked length-L sequences ([B*L x embed_dim],
-  /// block-major) -> [B x filters]. ForwardBatch(x, 1) == Forward(x).
+  /// x is B stacked length-L sequences ([B*L x embed_dim], block-major)
+  /// -> [B x filters]. Requires L >= width (the caller pads sequences to
+  /// at least the maximum width).
   Variable ForwardBatch(const Variable& x, size_t blocks) const;
   void CollectParameters(std::vector<Variable>* out) override;
   void PrepareQuantInference() override;
@@ -83,17 +81,14 @@ class ConvPool : public Layer {
   Variable bias_;    // [1 x filters]
 };
 
-/// Single-layer unidirectional LSTM over a [L x input] sequence.
+/// Single-layer unidirectional LSTM over B length-T sequences.
 class Lstm : public Layer {
  public:
   Lstm(size_t input_dim, size_t hidden_dim, Rng* rng);
 
-  /// Returns the final hidden state [1 x hidden].
-  Variable Forward(const Variable& x) const;
-  /// Batched: x is timestep-major [T*B x input] (timestep t's batch rows
-  /// are contiguous at [t*B, (t+1)*B)); one [B x 4H] gate GEMM per step.
-  /// Returns the final hidden states [B x hidden]. ForwardBatch(x, 1) is
-  /// Forward(x) exactly.
+  /// x is timestep-major [T*B x input] (timestep t's batch rows are
+  /// contiguous at [t*B, (t+1)*B)); one [B x 4H] gate GEMM per step.
+  /// Returns the final hidden states [B x hidden].
   Variable ForwardBatch(const Variable& x, size_t batch) const;
   void CollectParameters(std::vector<Variable>* out) override;
   void PrepareQuantInference() override;
@@ -108,15 +103,13 @@ class Lstm : public Layer {
   Variable bias_;
 };
 
-/// Single-layer GRU over a [L x input] sequence (the LSTM variant the
-/// paper cites via Chung et al. [9]).
+/// Single-layer GRU over B length-T sequences (the LSTM variant the paper
+/// cites via Chung et al. [9]).
 class Gru : public Layer {
  public:
   Gru(size_t input_dim, size_t hidden_dim, Rng* rng);
 
-  /// Returns the final hidden state [1 x hidden].
-  Variable Forward(const Variable& x) const;
-  /// Batched timestep-major counterpart, as Lstm::ForwardBatch.
+  /// Timestep-major input and [B x hidden] output, as Lstm::ForwardBatch.
   Variable ForwardBatch(const Variable& x, size_t batch) const;
   void CollectParameters(std::vector<Variable>* out) override;
   void PrepareQuantInference() override;

@@ -48,8 +48,7 @@ using ScoreCallback = std::function<void(const ScoredRequest&)>;
 /// scheduler thread takes up to batch_cap queued requests the moment it
 /// is idle — never holding a partial batch for company, so batch size
 /// follows the load — and drives the model's batched ScoreAll (the
-/// cascade tier by default, composing with SEMTAG_DEEP_BATCH and
-/// SEMTAG_QUANT underneath). Each batch acquires one registry snapshot,
+/// cascade tier by default, composing with SEMTAG_QUANT underneath). Each batch acquires one registry snapshot,
 /// so a hot-swap mid-stream never splits a batch across model versions
 /// and in-flight batches finish on the old model.
 ///

@@ -1,8 +1,9 @@
 // Confidence-gated cascade (core/cascade.h): calibration sweep, policy,
 // env parsing, end-to-end training, and the determinism contract — the
 // escalated set and the final scores must be bit-identical across thread
-// counts, SEMTAG_DEEP_BATCH caps, and within each SEMTAG_QUANT lane.
+// counts, batch caps, and within each SEMTAG_QUANT lane.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -429,23 +430,34 @@ TEST_F(CascadeDeterminismTest, ThresholdAndScoresInvariantAcrossThreads) {
 }
 
 TEST_F(CascadeDeterminismTest, EscalationInvariantAcrossDeepBatchCaps) {
-  // Train once (under the unset cap), then score under several caps: the
-  // escalated set and the final scores must not move. The escalation
-  // membership depends only on the simple tier, and the deep stacked
-  // forward reorders no per-row arithmetic, so this is bit-identity, not
-  // a tolerance (see ScorePathsAgreeBitIdentically for Score parity).
+  // Train once, then score the test set in the batches a serve batch_cap
+  // of 1, 3 or 16 cuts it into (the batcher hands each batch to
+  // ScoreAll): the escalated set and the final scores must not move. The
+  // escalation membership depends only on the simple tier, and the deep
+  // stacked forward reorders no per-row arithmetic, so this is
+  // bit-identity, not a tolerance (see ScorePathsAgreeBitIdentically for
+  // Score parity).
   data::Dataset d = CascadeDataset(300, 19);
   auto [train, test] = d.Split(0.8);
   Cascade cascade(PinnedPair());
   ASSERT_TRUE(cascade.Train(train).ok());
   const auto texts = test.Texts();
-  ScopedEnv clear("SEMTAG_DEEP_BATCH", nullptr);
   const auto mask = cascade.EscalationMask(texts);
   const auto scores = cascade.ScoreAll(texts);
-  for (const char* cap : {"1", "3", "16"}) {
-    ScopedEnv env("SEMTAG_DEEP_BATCH", cap);
-    EXPECT_EQ(cascade.EscalationMask(texts), mask) << "cap " << cap;
-    EXPECT_EQ(cascade.ScoreAll(texts), scores) << "cap " << cap;
+  for (size_t cap : {1, 3, 16}) {
+    std::vector<uint8_t> capped_mask;
+    std::vector<double> capped_scores;
+    for (size_t start = 0; start < texts.size(); start += cap) {
+      const std::vector<std::string> batch(
+          texts.begin() + start,
+          texts.begin() + std::min(start + cap, texts.size()));
+      const auto m = cascade.EscalationMask(batch);
+      const auto s = cascade.ScoreAll(batch);
+      capped_mask.insert(capped_mask.end(), m.begin(), m.end());
+      capped_scores.insert(capped_scores.end(), s.begin(), s.end());
+    }
+    EXPECT_EQ(capped_mask, mask) << "cap " << cap;
+    EXPECT_EQ(capped_scores, scores) << "cap " << cap;
   }
 }
 

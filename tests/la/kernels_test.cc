@@ -47,9 +47,7 @@ const size_t kSizes[] = {1, 2, 3, 7, 8, 15, 16, 17, 31, 63, 64, 100, 255,
 
 std::vector<SimdLevel> AvailableSimdTiers() {
   std::vector<SimdLevel> tiers;
-  for (SimdLevel level : {SimdLevel::kSse2, SimdLevel::kAvx2}) {
-    if (SimdLevelAvailable(level)) tiers.push_back(level);
-  }
+  if (SimdLevelAvailable(SimdLevel::kAvx2)) tiers.push_back(SimdLevel::kAvx2);
   return tiers;
 }
 
@@ -637,7 +635,6 @@ TEST(KernelsDispatchTest, ScalarAlwaysAvailable) {
 
 TEST(KernelsDispatchTest, LevelNames) {
   EXPECT_STREQ(SimdLevelName(SimdLevel::kScalar), "scalar");
-  EXPECT_STREQ(SimdLevelName(SimdLevel::kSse2), "sse2");
   EXPECT_STREQ(SimdLevelName(SimdLevel::kAvx2), "avx2");
 }
 

@@ -50,9 +50,7 @@ const size_t kSizes[] = {1, 2, 3, 7, 8, 15, 16, 31, 32, 33, 63, 64, 100,
 
 std::vector<SimdLevel> AvailableSimdTiers() {
   std::vector<SimdLevel> tiers;
-  for (SimdLevel level : {SimdLevel::kSse2, SimdLevel::kAvx2}) {
-    if (SimdLevelAvailable(level)) tiers.push_back(level);
-  }
+  if (SimdLevelAvailable(SimdLevel::kAvx2)) tiers.push_back(SimdLevel::kAvx2);
   return tiers;
 }
 

@@ -1,11 +1,10 @@
-// Batched-execution contract (see DESIGN.md "Batched execution"):
-//  * ScoreBatch must agree with per-example Score for every model kind.
-//  * Results must be batch-size-invariant: SEMTAG_DEEP_BATCH in {1, 4, 32}
-//    scores the same texts to the documented tolerance.
-//  * SEMTAG_DEEP_BATCH=1 forces the per-example path and is bit-identical.
+// Batched-execution contract (see DESIGN.md "Batched execution"): every
+// deep family has one stacked forward graph, and Score() is a batch of one
+// through it. Stacking reorders no per-row arithmetic (row-wise GEMMs,
+// per-row softmax/layer-norm, per-sequence attention tiles), so a text's
+// score is bit-identical whatever span ScoreBatch/ScoreAll receives it in.
 
-#include <cmath>
-#include <cstdlib>
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <string>
@@ -24,37 +23,10 @@
 namespace semtag::models {
 namespace {
 
-// The stacked deep forward reorders no per-row arithmetic (row-wise GEMMs,
-// per-row softmax/layer-norm), so batched scores track per-example scores
-// far tighter than this; the documented contract is 1e-5 on [0,1] scores.
-constexpr double kBatchTolerance = 1e-5;
-
-/// Restores (or clears) SEMTAG_DEEP_BATCH when leaving a scope so tests
-/// cannot leak the cap into the rest of the suite.
-class ScopedDeepBatch {
- public:
-  explicit ScopedDeepBatch(const char* value) {
-    const char* old = std::getenv("SEMTAG_DEEP_BATCH");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv("SEMTAG_DEEP_BATCH", value, /*overwrite=*/1);
-    } else {
-      ::unsetenv("SEMTAG_DEEP_BATCH");
-    }
-  }
-  ~ScopedDeepBatch() {
-    if (had_old_) {
-      ::setenv("SEMTAG_DEEP_BATCH", old_.c_str(), /*overwrite=*/1);
-    } else {
-      ::unsetenv("SEMTAG_DEEP_BATCH");
-    }
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
+/// Span sizes a caller (the serve batcher, the cascade's escalation
+/// gather) may hand a model: singletons, partial and odd chunks, and a
+/// full default batch.
+constexpr size_t kSpans[] = {1, 4, 7, 32};
 
 data::Dataset SmallDataset(int n, uint64_t seed = 77) {
   data::GeneratorConfig config;
@@ -70,15 +42,31 @@ data::Dataset SmallDataset(int n, uint64_t seed = 77) {
                                0.5);
 }
 
-void ExpectBatchMatchesPerExample(const TaggingModel& model,
-                                  const std::vector<std::string>& texts,
-                                  double tolerance) {
-  const std::vector<double> batched =
-      model.ScoreBatch(std::span<const std::string>(texts));
-  ASSERT_EQ(batched.size(), texts.size());
-  for (size_t i = 0; i < texts.size(); ++i) {
-    EXPECT_NEAR(batched[i], model.Score(texts[i]), tolerance)
-        << model.name() << " text " << i;
+/// Scores `texts` through ScoreBatch and through ScoreAll in consecutive
+/// spans of every kSpans size; each score must equal Score(text) exactly.
+void ExpectSpanInvariant(const TaggingModel& model,
+                         const std::vector<std::string>& texts) {
+  std::vector<double> reference;
+  for (const std::string& t : texts) reference.push_back(model.Score(t));
+  for (size_t span : kSpans) {
+    for (size_t start = 0; start < texts.size(); start += span) {
+      const size_t end = std::min(start + span, texts.size());
+      const std::vector<std::string> chunk(texts.begin() + start,
+                                           texts.begin() + end);
+      const std::vector<double> batched =
+          model.ScoreBatch(std::span<const std::string>(chunk));
+      const std::vector<double> all = model.ScoreAll(chunk);
+      ASSERT_EQ(batched.size(), chunk.size());
+      ASSERT_EQ(all.size(), chunk.size());
+      for (size_t k = 0; k < chunk.size(); ++k) {
+        EXPECT_EQ(batched[k], reference[start + k])
+            << model.name() << " ScoreBatch span " << span << " text "
+            << start + k;
+        EXPECT_EQ(all[k], reference[start + k])
+            << model.name() << " ScoreAll span " << span << " text "
+            << start + k;
+      }
+    }
   }
 }
 
@@ -95,7 +83,7 @@ TEST(BatchParityTest, FactoryModelsScoreBatchMatchesScore) {
   for (ModelKind kind : kinds) {
     auto model = CreateModelSeeded(kind, 5);
     ASSERT_TRUE(model->Train(train).ok()) << ModelKindName(kind);
-    ExpectBatchMatchesPerExample(*model, texts, kBatchTolerance);
+    ExpectSpanInvariant(*model, texts);
   }
 }
 
@@ -139,11 +127,10 @@ TEST_F(BatchParityBertTest, EncodeBatchMatchesPerSequenceEncode) {
   ASSERT_EQ(batched.value().rows(), texts.size() * T);
   for (size_t s = 0; s < texts.size(); ++s) {
     nn::Variable single =
-        backbone->Encode(ids[s], /*rng=*/nullptr, /*training=*/false);
+        backbone->EncodeBatch({&ids[s]}, /*rng=*/nullptr, /*training=*/false);
     for (size_t r = 0; r < T; ++r) {
       for (size_t c = 0; c < batched.value().cols(); ++c) {
-        EXPECT_NEAR(batched.value().At(s * T + r, c),
-                    single.value().At(r, c), 1e-5)
+        EXPECT_EQ(batched.value().At(s * T + r, c), single.value().At(r, c))
             << "sequence " << s << " row " << r << " col " << c;
       }
     }
@@ -158,17 +145,17 @@ TEST_F(BatchParityBertTest, MiniBertScoreBatchAndEmbedBatchMatch) {
   data::Dataset d = SmallDataset(120, 78);
   ASSERT_TRUE(model.Train(d).ok());
   const auto texts = d.Texts();
-  ExpectBatchMatchesPerExample(model, texts, kBatchTolerance);
+  ExpectSpanInvariant(model, texts);
 
-  const auto batched = model.EmbedTextBatch(
+  const BertFeaturizer featurizer(Backbone());
+  const auto batched = featurizer.EmbedBatch(
       std::span<const std::string>(texts.data(), 5));
   ASSERT_EQ(batched.size(), 5u);
   for (size_t i = 0; i < batched.size(); ++i) {
-    const auto single = model.EmbedText(texts[i]);
-    ASSERT_EQ(batched[i].size(), single.size());
-    for (size_t j = 0; j < single.size(); ++j) {
-      EXPECT_NEAR(batched[i][j], single[j], 1e-5) << i << "," << j;
-    }
+    const auto single =
+        featurizer.EmbedBatch(std::span<const std::string>(&texts[i], 1));
+    ASSERT_EQ(single.size(), 1u);
+    EXPECT_EQ(batched[i], single[0]) << "text " << i;
   }
 }
 
@@ -177,24 +164,24 @@ TEST_F(BatchParityBertTest, EmbeddingLinearModelsScoreBatchMatches) {
   auto [train, test] = d.Split(0.8);
   EmbeddingLinearModel lr("LR+eb", Backbone());
   ASSERT_TRUE(lr.Train(train).ok());
-  ExpectBatchMatchesPerExample(lr, test.Texts(), kBatchTolerance);
+  ExpectSpanInvariant(lr, test.Texts());
 
   EmbeddingLinearOptions svm_options;
   svm_options.hinge = true;
   EmbeddingLinearModel svm("SVM+eb", Backbone(), svm_options);
   ASSERT_TRUE(svm.Train(train).ok());
-  // Hinge scores are raw margins, not [0,1]; scale the tolerance.
-  ExpectBatchMatchesPerExample(svm, test.Texts(), 1e-4);
+  ExpectSpanInvariant(svm, test.Texts());
 }
 
 TEST_F(BatchParityBertTest, DeepBatchOneIsBitIdenticalToScore) {
+  // Score() is a batch of one; each text scored alone must equal the same
+  // text scored at any position inside one full stacked batch.
   BertFinetuneOptions options;
   options.epochs = 1;
   options.max_train_examples = 60;
   MiniBert model("BERT", *Backbone(), options);
   data::Dataset d = SmallDataset(80, 80);
   ASSERT_TRUE(model.Train(d).ok());
-  ScopedDeepBatch env("1");
   const auto texts = d.Texts();
   const auto batched = model.ScoreBatch(std::span<const std::string>(texts));
   ASSERT_EQ(batched.size(), texts.size());
@@ -233,23 +220,7 @@ TEST(BatchParityTest, DeepScoresAreBatchSizeInvariant) {
         static_cast<TaggingModel*>(lstm.get()),
         static_cast<TaggingModel*>(gru.get())}) {
     ASSERT_TRUE(model->Train(d).ok()) << model->name();
-    std::vector<double> reference;
-    {
-      ScopedDeepBatch env("1");  // per-example path (bit-identical seed)
-      reference = model->ScoreBatch(std::span<const std::string>(texts));
-    }
-    const char* caps[] = {"4", "32", nullptr};
-    for (const char* cap : caps) {
-      ScopedDeepBatch env(cap);
-      const auto scores =
-          model->ScoreBatch(std::span<const std::string>(texts));
-      ASSERT_EQ(scores.size(), reference.size());
-      for (size_t i = 0; i < scores.size(); ++i) {
-        EXPECT_NEAR(scores[i], reference[i], kBatchTolerance)
-            << model->name() << " cap=" << (cap ? cap : "unset")
-            << " text " << i;
-      }
-    }
+    ExpectSpanInvariant(*model, texts);
   }
 }
 
@@ -268,8 +239,7 @@ TEST(BatchParityTest, ScoreAllRoutesThroughBatchedPath) {
   const auto all = model.ScoreAll(texts);
   ASSERT_EQ(all.size(), texts.size());
   for (size_t i = 0; i < texts.size(); ++i) {
-    EXPECT_NEAR(all[i], model.Score(texts[i]), kBatchTolerance)
-        << "text " << i;
+    EXPECT_EQ(all[i], model.Score(texts[i])) << "text " << i;
   }
 }
 

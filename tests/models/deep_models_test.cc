@@ -132,12 +132,13 @@ TEST_F(MiniBertFixture, CloneIsolatesFineTuning) {
   }
 }
 
-TEST_F(MiniBertFixture, EmbedTextIsDeterministicAndSized) {
-  MiniBert model("BERT", *Backbone(), {});
-  const auto a = model.EmbedText("some words to embed");
-  const auto b = model.EmbedText("some words to embed");
-  ASSERT_EQ(a.size(), 16u);
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_FLOAT_EQ(a[i], b[i]);
+TEST_F(MiniBertFixture, FeaturizerEmbedIsDeterministicAndSized) {
+  const BertFeaturizer featurizer(Backbone());
+  const std::vector<std::string> texts(2, "some words to embed");
+  const auto embedded = featurizer.EmbedBatch(texts);
+  ASSERT_EQ(embedded.size(), 2u);
+  ASSERT_EQ(embedded[0].size(), 16u);
+  EXPECT_EQ(embedded[0], embedded[1]);
 }
 
 TEST_F(MiniBertFixture, MlmPretrainingReducesLoss) {

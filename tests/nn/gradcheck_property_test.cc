@@ -80,7 +80,7 @@ TEST_P(ComposedGradcheckTest, LstmFinalHiddenLoss) {
   const la::Matrix x = RandomMatrix(shape.seq, shape.dim, &rng);
   la::Matrix weights = RandomMatrix(1, shape.dim, &rng);
   CheckInputGradient(x, [&](const Variable& input) {
-    return SumToScalar(Mul(lstm.Forward(input), Variable(weights)));
+    return SumToScalar(Mul(lstm.ForwardBatch(input, 1), Variable(weights)));
   });
 }
 
@@ -93,7 +93,7 @@ TEST_P(ComposedGradcheckTest, ConvPoolSoftmaxLoss) {
   CheckInputGradient(
       x,
       [&](const Variable& input) {
-        Variable logits = head.Forward(conv.Forward(input));
+        Variable logits = head.Forward(conv.ForwardBatch(input, 1));
         return SoftmaxCrossEntropy(logits, {1});
       },
       /*tolerance=*/8e-2);  // ReLU/max kinks make probes noisier

@@ -25,7 +25,7 @@ TEST(ConvPoolTest, OutputIsSingleRow) {
   Rng rng(2);
   ConvPool conv(3, 8, 16, &rng);
   Variable x(la::Matrix(10, 8, 0.5f));
-  Variable y = conv.Forward(x);
+  Variable y = conv.ForwardBatch(x, 1);
   EXPECT_EQ(y.rows(), 1u);
   EXPECT_EQ(y.cols(), 16u);
 }
@@ -34,7 +34,7 @@ TEST(LstmTest, FinalHiddenShape) {
   Rng rng(3);
   Lstm lstm(8, 12, &rng);
   Variable x(la::Matrix(6, 8, 0.1f));
-  Variable h = lstm.Forward(x);
+  Variable h = lstm.ForwardBatch(x, 1);
   EXPECT_EQ(h.rows(), 1u);
   EXPECT_EQ(h.cols(), 12u);
   // Hidden state is bounded by tanh * sigmoid.
@@ -51,7 +51,7 @@ TEST(LstmTest, GradientsFlowToAllParameters) {
     xm.data()[i] = static_cast<float>(rng.UniformDouble(-1, 1));
   }
   Variable x(xm, true);
-  Variable h = lstm.Forward(x);
+  Variable h = lstm.ForwardBatch(x, 1);
   Backward(SumToScalar(h));
   std::vector<Variable> params;
   lstm.CollectParameters(&params);
@@ -70,7 +70,7 @@ TEST(GruTest, FinalHiddenShapeAndGradients) {
     xm.data()[i] = static_cast<float>(rng.UniformDouble(-1, 1));
   }
   Variable x(xm, true);
-  Variable h = gru.Forward(x);
+  Variable h = gru.ForwardBatch(x, 1);
   EXPECT_EQ(h.rows(), 1u);
   EXPECT_EQ(h.cols(), 10u);
   Backward(SumToScalar(h));
@@ -88,7 +88,7 @@ TEST(GruTest, HiddenStateIsBounded) {
   Rng rng(22);
   Gru gru(4, 8, &rng);
   la::Matrix xm(12, 4, 3.0f);  // large inputs
-  Variable h = gru.Forward(Variable(xm));
+  Variable h = gru.ForwardBatch(Variable(xm), 1);
   for (size_t c = 0; c < h.cols(); ++c) {
     EXPECT_LE(std::fabs(h.value()(0, c)), 1.0f);  // convex combo of tanh
   }

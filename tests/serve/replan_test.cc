@@ -3,8 +3,8 @@
 // proxy, the seeded drift-scenario generator (data/drift.h), detector
 // firing exactly at a scripted boundary, hysteresis suppressing
 // oscillating profiles, mid-stream hot-swaps that never split a batch,
-// and the whole loop bit-identical across 1/4/16 threads and under the
-// SEMTAG_QUANT / SEMTAG_DEEP_BATCH lanes.
+// and the whole loop bit-identical across 1/4/16 threads, under the
+// SEMTAG_QUANT lane, and at a batch cap that cuts each wave into batches.
 
 #include <algorithm>
 #include <chrono>
@@ -445,7 +445,7 @@ struct CollectedScores {
   }
 };
 
-constexpr int kWave = 32;          // records per wave == batch cap
+constexpr int kWave = 32;          // records per wave == default batch cap
 constexpr int kSegmentWaves = 4;   // waves per drift segment
 constexpr int kRunRecords = 2 * kSegmentWaves * kWave;
 
@@ -482,7 +482,7 @@ struct DriftRunResult {
 /// a time. Each wave seals exactly one epoch: the batcher may score a
 /// wave as several batches, but epochs seal by request count and the
 /// replanner only steps on a sealed epoch, so a swap lands between waves.
-DriftRunResult RunDriftLoop(int threads) {
+DriftRunResult RunDriftLoop(int threads, int batch_cap = kWave) {
   SetGlobalPoolThreads(threads);
   const std::vector<data::DriftRecord> stream =
       data::GenerateDriftStream(data::CleanToDirtyScenario(
@@ -523,7 +523,7 @@ DriftRunResult RunDriftLoop(int threads) {
   EXPECT_EQ(replanner.state().incumbent, "SVM+CNN");
 
   BatchingOptions batching;
-  batching.batch_cap = kWave;
+  batching.batch_cap = batch_cap;
   Batcher batcher(&registry, &stats, batching, &replanner);
   batcher.Start();
 
@@ -644,9 +644,10 @@ TEST(ReplanLoopTest, LoopIsThreadInvariantUnderQuantLane) {
 }
 
 TEST(ReplanLoopTest, LoopIsThreadInvariantUnderDeepBatchLane) {
-  ScopedEnv batch("SEMTAG_DEEP_BATCH", "8");
-  const DriftRunResult t1 = RunDriftLoop(1);
-  const DriftRunResult t4 = RunDriftLoop(4);
+  // A batch cap of 8 cuts every 32-record wave into several batches, so
+  // the cascade's deep tier sees smaller, differently composed batches.
+  const DriftRunResult t1 = RunDriftLoop(1, /*batch_cap=*/8);
+  const DriftRunResult t4 = RunDriftLoop(4, /*batch_cap=*/8);
   SetGlobalPoolThreads(0);
   ASSERT_EQ(t1.versions, t4.versions);
   EXPECT_EQ(t1.swaps, t4.swaps);
