@@ -78,7 +78,7 @@ CellResult RunCell(const data::DatasetSpec& spec, double budget_pts,
   auto [train, test] = dataset.Split(spec.train_fraction);
   train.set_name(spec.name);
 
-  core::CascadeOptions options = core::CascadeOptionsFromEnv();
+  core::CascadeOptions options = core::CascadeOptionsFromConfig();
   options.budget_pts = budget_pts;
   core::Cascade cascade(options);
   Status st = cascade.Train(train);

@@ -27,6 +27,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "config/runtime_config.h"
 #include "data/generator.h"
 #include "data/specs.h"
 #include "la/buffer_pool.h"
@@ -274,7 +275,7 @@ void RegisterQuantScoreAllBenches() {
       "Kernel_MiniBertScoreAll/fp32", [](benchmark::State& state) {
         SetGlobalPoolThreads(1);
         auto& f = ScoreAllFixture();
-        ::unsetenv("SEMTAG_QUANT");
+        const ScopedRuntimeOverride fp32({{"SEMTAG_QUANT", "0"}});
         for (auto _ : state) {
           benchmark::DoNotOptimize(f.model->ScoreAll(f.texts));
         }
@@ -285,11 +286,10 @@ void RegisterQuantScoreAllBenches() {
       "Kernel_MiniBertScoreAll/int8", [](benchmark::State& state) {
         SetGlobalPoolThreads(1);
         auto& f = ScoreAllFixture();
-        ::setenv("SEMTAG_QUANT", "1", /*overwrite=*/1);
+        const ScopedRuntimeOverride int8({{"SEMTAG_QUANT", "1"}});
         for (auto _ : state) {
           benchmark::DoNotOptimize(f.model->ScoreAll(f.texts));
         }
-        ::unsetenv("SEMTAG_QUANT");
         state.SetItemsProcessed(state.iterations() *
                                 static_cast<int64_t>(f.texts.size()));
       });

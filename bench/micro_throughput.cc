@@ -15,6 +15,7 @@
 #include "bench_util.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "config/runtime_config.h"
 #include "data/generator.h"
 #include "data/specs.h"
 #include "models/deep/mini_bert.h"
@@ -209,8 +210,12 @@ BENCHMARK(BM_MiniBertTrainStep);
 // epoch per deep family at the model's own batch size, and CNN inference
 // over the same texts handed to ScoreAll in spans of 1 (a serve batch cap
 // of 1) or 32, all on one pool thread so the span ratio isolates
-// minibatching from multithreading.
+// minibatching from multithreading. One epoch is a single noisy sample, so
+// every row repeats and the JSON records the mean, median and spread of the
+// repetitions; read the median.
 // ---------------------------------------------------------------------------
+
+constexpr int kDeepBatchRepetitions = 6;
 
 void BM_DeepBatchCnnEpoch(benchmark::State& state) {
   SetGlobalPoolThreads(1);
@@ -224,7 +229,10 @@ void BM_DeepBatchCnnEpoch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 256);
 }
-BENCHMARK(BM_DeepBatchCnnEpoch)->Iterations(1);
+BENCHMARK(BM_DeepBatchCnnEpoch)
+    ->Iterations(1)
+    ->Repetitions(kDeepBatchRepetitions)
+    ->ReportAggregatesOnly(true);
 
 void BM_DeepBatchLstmEpoch(benchmark::State& state) {
   SetGlobalPoolThreads(1);
@@ -238,7 +246,10 @@ void BM_DeepBatchLstmEpoch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 256);
 }
-BENCHMARK(BM_DeepBatchLstmEpoch)->Iterations(1);
+BENCHMARK(BM_DeepBatchLstmEpoch)
+    ->Iterations(1)
+    ->Repetitions(kDeepBatchRepetitions)
+    ->ReportAggregatesOnly(true);
 
 void BM_DeepBatchMiniBertFinetuneEpoch(benchmark::State& state) {
   SetGlobalPoolThreads(1);
@@ -261,11 +272,15 @@ void BM_DeepBatchMiniBertFinetuneEpoch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 256);
 }
-BENCHMARK(BM_DeepBatchMiniBertFinetuneEpoch)->Iterations(1);
+BENCHMARK(BM_DeepBatchMiniBertFinetuneEpoch)
+    ->Iterations(1)
+    ->Repetitions(kDeepBatchRepetitions)
+    ->ReportAggregatesOnly(true);
 
 /// Scores 512 texts with a small trained CNN, handing ScoreAll spans of
 /// state.range(0) texts — what a serve batcher capped at that size does.
-/// `quant` arms the int8 inference tier (SEMTAG_QUANT=1) after training.
+/// `quant` arms the int8 inference tier (SEMTAG_QUANT=1) after training;
+/// otherwise it scores in fp32 whatever the runtime config says.
 void ScoreCnnInSpans(benchmark::State& state, bool quant) {
   SetGlobalPoolThreads(1);
   const data::Dataset d = BenchDataset(512);
@@ -275,7 +290,7 @@ void ScoreCnnInSpans(benchmark::State& state, bool quant) {
   options.max_train_examples = 128;
   models::TextCnn model(options);
   SEMTAG_CHECK(model.Train(d).ok());
-  if (quant) ::setenv("SEMTAG_QUANT", "1", 1);
+  const ScopedRuntimeOverride tier({{"SEMTAG_QUANT", quant ? "1" : "0"}});
   const auto texts = d.Texts();
   const size_t span = static_cast<size_t>(state.range(0));
   std::vector<std::vector<std::string>> spans;
@@ -288,14 +303,14 @@ void ScoreCnnInSpans(benchmark::State& state, bool quant) {
       benchmark::DoNotOptimize(model.ScoreAll(chunk));
     }
   }
-  if (quant) ::unsetenv("SEMTAG_QUANT");
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(texts.size()));
 }
 
 void BM_DeepBatchScoreAll(benchmark::State& state) {
   ScoreCnnInSpans(state, /*quant=*/false);
 }
-BENCHMARK(BM_DeepBatchScoreAll)->Arg(1)->Arg(32)->Iterations(2);
+BENCHMARK(BM_DeepBatchScoreAll)->Arg(1)->Arg(32)->Iterations(2)
+    ->Repetitions(kDeepBatchRepetitions)->ReportAggregatesOnly(true);
 
 void BM_DeepBatchScoreAllQuant(benchmark::State& state) {
   // Same sweep through the int8 inference tier (SEMTAG_QUANT=1): the
@@ -303,7 +318,8 @@ void BM_DeepBatchScoreAllQuant(benchmark::State& state) {
   // adds on top of minibatching.
   ScoreCnnInSpans(state, /*quant=*/true);
 }
-BENCHMARK(BM_DeepBatchScoreAllQuant)->Arg(1)->Arg(32)->Iterations(2);
+BENCHMARK(BM_DeepBatchScoreAllQuant)->Arg(1)->Arg(32)->Iterations(2)
+    ->Repetitions(kDeepBatchRepetitions)->ReportAggregatesOnly(true);
 
 }  // namespace
 }  // namespace semtag

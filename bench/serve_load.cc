@@ -59,6 +59,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "common/timer.h"
+#include "config/runtime_config.h"
 #include "data/dataset.h"
 #include "data/drift.h"
 #include "data/specs.h"
@@ -123,9 +124,20 @@ struct Daemon {
   int out_fd = -1;  // daemon stdout (keep open; it logs the drain there)
 };
 
-/// fork+exec the daemon, parse "listening on port N" from its stdout.
+/// fork+exec the daemon with this process's environment plus `knobs`,
+/// parse "listening on port N" from its stdout.
 bool SpawnDaemon(const std::string& binary,
-                 const std::vector<std::string>& args, Daemon* out) {
+                 const std::vector<std::string>& args, Daemon* out,
+                 const KnobMap& knobs = {}) {
+  std::vector<std::string> env = ChildEnvironment(knobs);
+  std::vector<char*> argv, envp;
+  argv.push_back(const_cast<char*>(binary.c_str()));
+  for (const std::string& a : args) {
+    argv.push_back(const_cast<char*>(a.c_str()));
+  }
+  argv.push_back(nullptr);
+  for (std::string& e : env) envp.push_back(e.data());
+  envp.push_back(nullptr);
   int pipe_fds[2];
   if (::pipe(pipe_fds) != 0) return false;
   const pid_t pid = ::fork();
@@ -134,14 +146,8 @@ bool SpawnDaemon(const std::string& binary,
     (void)::close(pipe_fds[0]);
     (void)::dup2(pipe_fds[1], STDOUT_FILENO);
     (void)::close(pipe_fds[1]);
-    std::vector<char*> argv;
-    argv.push_back(const_cast<char*>(binary.c_str()));
-    for (const std::string& a : args) {
-      argv.push_back(const_cast<char*>(a.c_str()));
-    }
-    argv.push_back(nullptr);
-    ::execv(binary.c_str(), argv.data());
-    std::fprintf(stderr, "execv(%s) failed: %s\n", binary.c_str(),
+    ::execve(binary.c_str(), argv.data(), envp.data());
+    std::fprintf(stderr, "execve(%s) failed: %s\n", binary.c_str(),
                  std::strerror(errno));
     ::_exit(127);
   }
@@ -706,38 +712,27 @@ int DriftMain(const std::string& binary, const std::string& out) {
       "--seed",      "1",       "--model",     "CASCADE",
       "--cascade",   "SVM+CNN", "--budget",    "0.5",
       "--port",      "0",       "--batch-cap", "32",
-      "--queue-cap", "16384",
+      "--queue-cap", "16384",   "--replan",
   };
 
-  // One daemon for the whole scripted run, detector armed via env
-  // (inherited across fork/exec, cleared immediately after the spawn).
+  // One daemon for the whole scripted run, detector armed by --replan,
+  // its geometry set in the daemon's environment.
   // Geometry: kDriftEpoch-record epochs, 2-epoch window, dwell 2 — the
   // earliest possible firing is the SECOND dirty epoch, so the first
   // dirty epoch is a safe pre-swap measurement window. Dirtiness
   // thresholds measured on this corpus (clean epochs ~0.42 against the
   // SUGG@2000 training reference, drifted window saturates at 1.0).
   Daemon daemon;
-  {
-    const std::string epoch = StrFormat("%d", kDriftEpoch);
-    ::setenv("SEMTAG_REPLAN", "1", 1);
-    ::setenv("SEMTAG_REPLAN_EPOCH", epoch.c_str(), 1);
-    ::setenv("SEMTAG_REPLAN_WINDOW", "2", 1);
-    ::setenv("SEMTAG_REPLAN_HYSTERESIS", "2,0.25", 1);
-    ::setenv("SEMTAG_REPLAN_DIRTY", "0.65,0.15", 1);
-    ::setenv("SEMTAG_REPLAN_PROFILE", "4750000,0.3", 1);
-    ::setenv("SEMTAG_REPLAN_PAIR", "SVM+CNN", 1);
-    ::setenv("SEMTAG_REPLAN_BUDGET", "0.5", 1);
-    ::setenv("SEMTAG_REPLAN_DIR", "/tmp", 1);
-    const bool spawned = SpawnDaemon(binary, base_args, &daemon);
-    for (const char* name :
-         {"SEMTAG_REPLAN", "SEMTAG_REPLAN_EPOCH", "SEMTAG_REPLAN_WINDOW",
-          "SEMTAG_REPLAN_HYSTERESIS", "SEMTAG_REPLAN_DIRTY",
-          "SEMTAG_REPLAN_PROFILE", "SEMTAG_REPLAN_PAIR",
-          "SEMTAG_REPLAN_BUDGET", "SEMTAG_REPLAN_DIR"}) {
-      ::unsetenv(name);
-    }
-    if (!spawned) return 1;
-  }
+  const KnobMap geometry = {
+      {"SEMTAG_REPLAN_EPOCH", StrFormat("%d", kDriftEpoch)},
+      {"SEMTAG_REPLAN_WINDOW", "2"},
+      {"SEMTAG_REPLAN_HYSTERESIS", "2,0.25"},
+      {"SEMTAG_REPLAN_DIRTY", "0.65,0.15"},
+      {"SEMTAG_REPLAN_PROFILE", "4750000,0.3"},
+      {"SEMTAG_REPLAN_PAIR", "SVM+CNN"},
+      {"SEMTAG_REPLAN_DIR", "/tmp"},
+  };
+  if (!SpawnDaemon(binary, base_args, &daemon, geometry)) return 1;
 
   // Clean phase: two full epochs of in-distribution traffic. The detector
   // must hold the incumbent through both.

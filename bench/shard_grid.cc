@@ -32,6 +32,7 @@
 #include "common/file_io.h"
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "config/runtime_config.h"
 #include "core/experiment.h"
 #include "core/shard.h"
 #include "data/specs.h"
@@ -109,7 +110,9 @@ int Main(int argc, char** argv) {
       (std::filesystem::temp_directory_path() / "semtag_shard_bench")
           .string();
   std::filesystem::remove_all(tmp);
-  setenv("SEMTAG_CACHE_DIR", (tmp + "/cache").c_str(), 1);
+  // Forked workers share this process's config, so the override reaches
+  // them without touching the environment.
+  const ScopedRuntimeOverride cache_dir({{"SEMTAG_CACHE_DIR", tmp + "/cache"}});
   const auto cells = BenchGrid(cells_n);
   const int host_cores = bench::HostCores();
 

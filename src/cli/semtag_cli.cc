@@ -240,7 +240,7 @@ int Predict(const std::map<std::string, std::string>& flags) {
 
 /// Trains the confidence-gated cascade on 80% of the CSV and reports the
 /// calibrated threshold, the escalation rate, and held-out F1 against
-/// always-deep. Flags override $SEMTAG_CASCADE / $SEMTAG_CASCADE_BUDGET.
+/// always-deep. Flags override SEMTAG_CASCADE / SEMTAG_CASCADE_BUDGET.
 int CascadeCmd(const std::map<std::string, std::string>& flags) {
   auto dataset = LoadData(flags);
   if (!dataset.ok()) {
@@ -248,7 +248,7 @@ int CascadeCmd(const std::map<std::string, std::string>& flags) {
     return 1;
   }
   core::EnsureCascadeRegistered();
-  core::CascadeOptions options = core::CascadeOptionsFromEnv();
+  core::CascadeOptions options = core::CascadeOptionsFromConfig();
   if (const auto it = flags.find("budget"); it != flags.end()) {
     double pts = 0.0;
     if (!ParseDouble(it->second, &pts) || pts < 0.0 || pts > 100.0) {
@@ -258,30 +258,11 @@ int CascadeCmd(const std::map<std::string, std::string>& flags) {
     options.budget_pts = pts;
   }
   if (const auto it = flags.find("pair"); it != flags.end()) {
-    if (it->second == "simple") {
-      options.force_simple_only = true;
-      options.auto_pair = false;
-    } else {
-      const size_t plus = it->second.rfind('+');
-      const auto simple = plus == std::string::npos
-                              ? Status::InvalidArgument("no '+'")
-                              : models::ModelKindFromName(
-                                    it->second.substr(0, plus));
-      const auto deep = plus == std::string::npos
-                            ? Status::InvalidArgument("no '+'")
-                            : models::ModelKindFromName(
-                                  it->second.substr(plus + 1));
-      if (!simple.ok() || !deep.ok() || !models::IsDeep(*deep) ||
-          models::IsDeep(*simple)) {
-        std::fprintf(stderr,
-                     "--pair must be <simple>+<deep> (e.g. SVM+BERT) or "
-                     "simple\n");
-        return 2;
-      }
-      options.simple = *simple;
-      options.deep = *deep;
-      options.auto_pair = false;
-      options.allow_simple_only = false;
+    if (!core::ApplyCascadePolicy(it->second, &options).ok()) {
+      std::fprintf(stderr,
+                   "--pair must be <simple>+<deep> (e.g. SVM+BERT) or "
+                   "simple\n");
+      return 2;
     }
   }
 

@@ -8,13 +8,12 @@
 // Trains (or loads) the initial model, binds the epoll front end, and
 // serves the length-prefixed protocol (src/serve/protocol.h) until
 // SIGTERM/SIGINT, which triggers a graceful drain: queued requests are
-// scored and every pending response is written before exit. Runtime
-// knobs: SEMTAG_SERVE_BATCH_CAP, SEMTAG_SERVE_QUEUE_CAP (or the flag twins
-// below); the model tier composes with SEMTAG_QUANT.
-// Unrecognised flags are logged and ignored.
-// Hot-swap: write a sealed spec (kSwap op or WriteModelSpecFile) and send
-// its path with opcode 0x04 — scoring continues on the old model until the
-// replacement is trained, then a pointer flip swaps it in.
+// scored and every pending response is written before exit. The model tier
+// composes with SEMTAG_QUANT. Unrecognised flags are logged and ignored.
+// Hot-swap: write a sealed spec (WriteModelSpecFile) into the replan spec
+// dir ($SEMTAG_REPLAN_DIR, default .) and send its name with opcode 0x04 —
+// scoring continues on the old model until the replacement is trained,
+// then a pointer flip swaps it in.
 
 #include <chrono>
 #include <cstdio>
@@ -50,12 +49,12 @@ int Usage() {
       "serving:\n"
       "  --host H           bind address (default 127.0.0.1)\n"
       "  --port N           bind port (default 0 = ephemeral, printed)\n"
-      "  --batch-cap N      $SEMTAG_SERVE_BATCH_CAP (default 32)\n"
-      "  --queue-cap N      $SEMTAG_SERVE_QUEUE_CAP (default 1024)\n"
+      "  --batch-cap N      max requests per batch (default 32)\n"
+      "  --queue-cap N      admission-control queue bound (default 1024)\n"
       "  --max-conns N      connection limit (default 1024)\n"
-      "  --replan           enable online re-planning ($SEMTAG_REPLAN;\n"
-      "                     tune with SEMTAG_REPLAN_EPOCH/WINDOW/\n"
-      "                     HYSTERESIS/DIRTY/PROFILE/PAIR/BUDGET/DIR)\n"
+      "  --replan           enable online re-planning (tune with\n"
+      "                     SEMTAG_REPLAN_EPOCH/WINDOW/HYSTERESIS/DIRTY/\n"
+      "                     PROFILE/PAIR; specs go to SEMTAG_REPLAN_DIR)\n"
       "  --metrics[=path]   arm the obs registry / export snapshot\n"
       "  --trace[=path]     arm tracing / export spans\n");
   return 2;
@@ -162,7 +161,6 @@ int Main(int argc, char** argv) {
 
   // ---- server ----
   serve::ServerOptions options;
-  options.batching = serve::BatchingOptionsFromEnv();
   if (const auto it = flags.find("host"); it != flags.end()) {
     options.host = it->second;
   }
@@ -178,14 +176,15 @@ int Main(int argc, char** argv) {
   // ---- online re-planning ----
   // Base options inherit the initial model's provenance (dataset, record
   // override, seed, budget), so every re-planned spec retrains from the
-  // same corpus the daemon started on; SEMTAG_REPLAN_* env then overrides.
+  // same corpus the daemon started on; the runtime config adds the
+  // SEMTAG_REPLAN_* geometry, pair hint and spec dir.
   serve::ReplanOptions replan_base;
   replan_base.dataset = spec.dataset;
   replan_base.records = spec.records;
   replan_base.cascade.seed = spec.seed;
   replan_base.cascade.budget_pts = spec.budget_pts;
-  options.replan = serve::ReplanOptionsFromEnv(replan_base);
-  if (flags.count("replan") > 0) options.replan.enabled = true;
+  options.replan = serve::ReplanOptionsFromConfig(replan_base);
+  options.replan.enabled = flags.count("replan") > 0;
   if (options.replan.enabled && spec.dataset.empty()) {
     SEMTAG_LOG(kWarning,
                "replan disabled: the initial model was loaded from a file "

@@ -38,9 +38,9 @@ int Usage() {
       "  --models M1,M2     model names (default: the 5 representative)\n"
       "  --seed N           base seed for every cell (default 0)\n"
       "coordinator flags:\n"
-      "  --workers N        worker processes ($SEMTAG_SHARD_WORKERS, 4)\n"
-      "  --lease-ms N       lease duration ($SEMTAG_LEASE_MS, 2000)\n"
-      "  --retries N        extra leases per cell ($SEMTAG_CELL_RETRIES, 3)\n"
+      "  --workers N        worker processes (default 4)\n"
+      "  --lease-ms N       lease duration (default 2000)\n"
+      "  --retries N        extra leases per cell (default 3)\n"
       "  --journal DIR      claim journal dir (default: cache dir /shard)\n"
       "  --report FILE      write the canonical merged report CSV here\n"
       "  --resume           keep completed cells from an existing journal\n"

@@ -1,8 +1,6 @@
 #include "common/cancellation.h"
 
-#include <cstdlib>
-
-#include "common/string_util.h"
+#include "config/runtime_config.h"
 
 namespace semtag {
 
@@ -47,16 +45,8 @@ Status CancellationToken::status() const {
   return Status::OK();
 }
 
-int64_t CellDeadlineMs() {
-  const char* env = std::getenv("SEMTAG_CELL_DEADLINE_MS");
-  if (env == nullptr || *env == '\0') return 0;
-  int64_t ms = 0;
-  if (!ParseInt64(env, &ms) || ms < 0) return 0;
-  return ms;
-}
-
 CancellationToken MakeCellToken() {
-  return CancellationToken::WithDeadline(CellDeadlineMs());
+  return CancellationToken::WithDeadline(GetRuntimeConfig().cell_deadline_ms);
 }
 
 }  // namespace semtag

@@ -53,12 +53,8 @@ class CancellationToken {
   std::shared_ptr<State> state_;
 };
 
-/// Per-grid-cell wall-clock budget from $SEMTAG_CELL_DEADLINE_MS
-/// (0/unset/unparsable = unlimited). Read on every call so tests can flip
-/// it mid-process.
-int64_t CellDeadlineMs();
-
-/// Token for one grid cell: WithDeadline(CellDeadlineMs()).
+/// Token for one grid cell: a deadline of the runtime config's
+/// SEMTAG_CELL_DEADLINE_MS (0 = unlimited).
 CancellationToken MakeCellToken();
 
 }  // namespace semtag

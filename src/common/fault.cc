@@ -9,6 +9,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "config/runtime_config.h"
 #include "obs/metrics.h"
 
 #ifdef __unix__
@@ -30,13 +31,7 @@ struct Registry {
   std::mutex mu;
   std::vector<ArmedFault> faults;
   int trigger_counts[kNumFaultPoints] = {};
-  bool env_loaded = false;
 };
-
-Registry& GetRegistry() {
-  static Registry& r = *new Registry();
-  return r;
-}
 
 /// True while any fault is armed; lets unarmed probes skip the mutex.
 std::atomic<bool> g_armed{false};
@@ -54,11 +49,8 @@ Result<FaultPoint> PointFromName(std::string_view name) {
   return Status::InvalidArgument("unknown fault point: " + std::string(name));
 }
 
-void LoadEnvLocked(Registry* r) {
-  r->env_loaded = true;
-  const char* env = std::getenv("SEMTAG_FAULT");
-  if (env == nullptr || *env == '\0') return;
-  for (const auto& entry : Split(env, ';')) {
+void LoadConfig(Registry* r) {
+  for (const auto& entry : Split(GetRuntimeConfig().fault, ';')) {
     if (StripAsciiWhitespace(entry).empty()) continue;
     auto parsed = ParseFaultSpec(entry);
     if (!parsed.ok()) {
@@ -69,6 +61,16 @@ void LoadEnvLocked(Registry* r) {
     r->faults.push_back({std::move(parsed).ValueOrDie(), 0, 0});
   }
   g_armed.store(!r->faults.empty(), std::memory_order_release);
+}
+
+/// Created on first use, armed from the runtime config's SEMTAG_FAULT.
+Registry& GetRegistry() {
+  static Registry& r = *[] {
+    auto* created = new Registry();
+    LoadConfig(created);
+    return created;
+  }();
+  return r;
 }
 
 }  // namespace
@@ -146,7 +148,6 @@ Status SetFaultsFromSpec(std::string_view spec) {
   r.faults.clear();
   for (auto& s : parsed) r.faults.push_back({std::move(s), 0, 0});
   for (int& c : r.trigger_counts) c = 0;
-  r.env_loaded = true;
   g_armed.store(!r.faults.empty(), std::memory_order_release);
   return Status::OK();
 }
@@ -155,7 +156,6 @@ void InjectFault(const FaultSpec& spec) {
   Registry& r = GetRegistry();
   std::lock_guard<std::mutex> lock(r.mu);
   r.faults.push_back({spec, 0, 0});
-  r.env_loaded = true;
   g_armed.store(true, std::memory_order_release);
 }
 
@@ -164,29 +164,16 @@ void ClearFaults() {
   std::lock_guard<std::mutex> lock(r.mu);
   r.faults.clear();
   for (int& c : r.trigger_counts) c = 0;
-  r.env_loaded = true;
   g_armed.store(false, std::memory_order_release);
-}
-
-Status ReloadFaultsFromEnv() {
-  const char* env = std::getenv("SEMTAG_FAULT");
-  return SetFaultsFromSpec(env == nullptr ? "" : env);
 }
 
 bool FaultInjected(FaultPoint point, std::string_view context) {
   Registry& r = GetRegistry();
-  if (!g_armed.load(std::memory_order_acquire)) {
-    // Fast path; still honor a SEMTAG_FAULT set before the first probe.
-    std::lock_guard<std::mutex> lock(r.mu);
-    if (r.env_loaded) return false;
-    LoadEnvLocked(&r);
-    if (r.faults.empty()) return false;
-  }
+  if (!g_armed.load(std::memory_order_acquire)) return false;
   int stall_ms = -1;
   bool triggered = false;
   {
     std::lock_guard<std::mutex> lock(r.mu);
-    if (!r.env_loaded) LoadEnvLocked(&r);
     for (auto& armed : r.faults) {
       const FaultSpec& s = armed.spec;
       if (s.point != point) continue;

@@ -67,9 +67,6 @@ void InjectFault(const FaultSpec& spec);
 /// Disarms every fault and resets trigger counters.
 void ClearFaults();
 
-/// Re-reads $SEMTAG_FAULT (tests change the env mid-process).
-Status ReloadFaultsFromEnv();
-
 /// Probes a fault point. Returns true when an armed spec matching `context`
 /// decides to trigger; kStall additionally sleeps its `ms` before
 /// returning. The registry initializes itself from $SEMTAG_FAULT on the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 
@@ -11,6 +10,7 @@
 #endif
 
 #include "common/logging.h"
+#include "config/runtime_config.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -147,11 +147,7 @@ void AtForkChild() {
 }  // namespace
 
 int DefaultThreadCount() {
-  if (const char* env = std::getenv("SEMTAG_NUM_THREADS"); env != nullptr) {
-    const int n = std::atoi(env);
-    if (n >= 1) return std::min(n, 256);
-    SEMTAG_LOG(kWarning, "ignoring invalid SEMTAG_NUM_THREADS=%s", env);
-  }
+  if (const int n = GetRuntimeConfig().num_threads; n > 0) return n;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

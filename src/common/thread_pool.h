@@ -69,8 +69,9 @@ class ThreadPool {
 /// workers. All library-internal parallelism (ParallelFor) uses this pool.
 ThreadPool& GlobalPool();
 
-/// Worker count the global pool is created with: $SEMTAG_NUM_THREADS if
-/// set (clamped to [1, 256]), else std::thread::hardware_concurrency().
+/// Worker count the global pool is created with: SEMTAG_NUM_THREADS of the
+/// runtime config if set (clamped to [1, 256]), else
+/// std::thread::hardware_concurrency().
 int DefaultThreadCount();
 
 /// Replaces the global pool with one of `threads` workers. Benches and

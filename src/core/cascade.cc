@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <numeric>
 
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "common/timer.h"
+#include "config/runtime_config.h"
 #include "data/specs.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -22,66 +22,61 @@ namespace {
 /// the deep one, the deep tier buys nothing measurable.
 double BudgetAsF1(double budget_pts) { return budget_pts / 100.0; }
 
-std::unique_ptr<models::TaggingModel> CreateCascadeFromEnv(
+std::unique_ptr<models::TaggingModel> CreateCascadeFromConfig(
     models::ModelKind kind, uint64_t seed) {
   SEMTAG_CHECK(kind == models::ModelKind::kCascade);
-  return std::make_unique<Cascade>(CascadeOptionsFromEnv(seed));
+  return std::make_unique<Cascade>(CascadeOptionsFromConfig(seed));
 }
 
 }  // namespace
 
 bool EnsureCascadeRegistered() {
-  models::SetMetaModelFactory(&CreateCascadeFromEnv);
+  models::SetMetaModelFactory(&CreateCascadeFromConfig);
   return true;
 }
 
-CascadeOptions CascadeOptionsFromEnv(uint64_t seed) {
+Status ParseCascadePair(const std::string& text, models::ModelKind* simple,
+                        models::ModelKind* deep) {
+  const size_t plus = text.rfind('+');
+  if (plus == std::string::npos || plus == 0 || plus + 1 == text.size()) {
+    return Status::InvalidArgument("not a <simple>+<deep> pair: " + text);
+  }
+  const auto front = models::ModelKindFromName(text.substr(0, plus));
+  if (!front.ok()) return front.status();
+  const auto back = models::ModelKindFromName(text.substr(plus + 1));
+  if (!back.ok()) return back.status();
+  if (models::IsDeep(*front) || *front == models::ModelKind::kCascade ||
+      !models::IsDeep(*back)) {
+    return Status::InvalidArgument("not a <simple>+<deep> pair: " + text);
+  }
+  *simple = *front;
+  *deep = *back;
+  return Status::OK();
+}
+
+Status ApplyCascadePolicy(const std::string& text, CascadeOptions* options) {
+  if (text.empty() || text == "auto") return Status::OK();
+  if (text == "simple") {
+    options->force_simple_only = true;
+    options->auto_pair = false;
+    return Status::OK();
+  }
+  const Status st = ParseCascadePair(text, &options->simple, &options->deep);
+  if (!st.ok()) return st;
+  options->auto_pair = false;
+  options->allow_simple_only = false;  // the user asked for this pair
+  return Status::OK();
+}
+
+CascadeOptions CascadeOptionsFromConfig(uint64_t seed) {
+  const RuntimeConfig& config = GetRuntimeConfig();
   CascadeOptions options;
   options.seed = seed;
-  if (const char* env = std::getenv("SEMTAG_CASCADE");
-      env != nullptr && *env != '\0' && std::string_view(env) != "auto") {
-    const std::string value = env;
-    if (value == "simple") {
-      options.force_simple_only = true;
-      options.auto_pair = false;
-    } else if (const size_t plus = value.rfind('+');
-               plus != std::string::npos) {
-      // "<simple>+<deep>", split at the LAST '+' so embedding-hybrid names
-      // ("SVM+eb") stay intact on the left.
-      const auto simple =
-          models::ModelKindFromName(value.substr(0, plus));
-      const auto deep = models::ModelKindFromName(value.substr(plus + 1));
-      if (simple.ok() && deep.ok() && models::IsDeep(*deep) &&
-          !models::IsDeep(*simple) &&
-          *simple != models::ModelKind::kCascade) {
-        options.simple = *simple;
-        options.deep = *deep;
-        options.auto_pair = false;
-        options.allow_simple_only = false;  // the user asked for this pair
-      } else {
-        SEMTAG_LOG(kWarning,
-                   "SEMTAG_CASCADE='%s' is not a <simple>+<deep> pair; "
-                   "using the auto policy",
-                   env);
-      }
-    } else {
-      SEMTAG_LOG(kWarning,
-                 "SEMTAG_CASCADE='%s' not understood (want auto, simple, "
-                 "or <simple>+<deep>); using the auto policy",
-                 env);
-    }
-  }
-  if (const char* env = std::getenv("SEMTAG_CASCADE_BUDGET");
-      env != nullptr && *env != '\0') {
-    double pts = 0.0;
-    if (ParseDouble(env, &pts) && pts >= 0.0 && pts <= 100.0) {
-      options.budget_pts = pts;
-    } else {
-      SEMTAG_LOG(kWarning,
-                 "SEMTAG_CASCADE_BUDGET='%s' is not an F1-point value in "
-                 "[0, 100]; keeping %.2f",
-                 env, options.budget_pts);
-    }
+  options.budget_pts = config.cascade_budget;
+  if (const Status st = ApplyCascadePolicy(config.cascade, &options);
+      !st.ok()) {
+    SEMTAG_LOG(kWarning, "SEMTAG_CASCADE='%s': %s; using the auto policy",
+               config.cascade.c_str(), st.ToString().c_str());
   }
   return options;
 }

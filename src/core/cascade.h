@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "core/advisor.h"
 #include "core/characteristics.h"
 #include "models/factory.h"
@@ -38,13 +39,24 @@ struct CascadeOptions {
   uint64_t seed = 0;
 };
 
-/// CascadeOptions with $SEMTAG_CASCADE / $SEMTAG_CASCADE_BUDGET applied:
-///   SEMTAG_CASCADE=auto            policy-driven pair (default)
-///   SEMTAG_CASCADE=simple          force simple-only (deep never trained)
-///   SEMTAG_CASCADE=<S>+<D>         pin the pair, e.g. "NB+BERT", "LR+CNN"
-///   SEMTAG_CASCADE_BUDGET=<pts>    accuracy budget in F1 points (0.5)
-/// Unparseable values warn and fall back to the defaults.
-CascadeOptions CascadeOptionsFromEnv(uint64_t seed = 0);
+/// The one parser of a "<simple>+<deep>" pair, behind SEMTAG_CASCADE,
+/// SEMTAG_REPLAN_PAIR and the spec-file `cascade` field. Splits at the
+/// last '+', so hybrid names such as "LR+eb" stay whole on the left, and
+/// requires a simple front end and a deep escalation tier. Writes the
+/// outputs only on success.
+Status ParseCascadePair(const std::string& text, models::ModelKind* simple,
+                        models::ModelKind* deep);
+
+/// Applies a pair policy to `options`: "" or "auto" leaves the pair to the
+/// planner, "simple" forces the front end alone (deep never trained), and
+/// a pair pins both tiers and never degenerates to simple-only. On error
+/// `options` is unchanged.
+Status ApplyCascadePolicy(const std::string& text, CascadeOptions* options);
+
+/// CascadeOptions from the runtime config's SEMTAG_CASCADE policy and
+/// SEMTAG_CASCADE_BUDGET. A pair naming unknown models warns and falls
+/// back to the auto policy.
+CascadeOptions CascadeOptionsFromConfig(uint64_t seed = 0);
 
 /// What the policy decided for one dataset: the pair to use, and whether
 /// the deep tier is needed at all on this heat-map cell.

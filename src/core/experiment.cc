@@ -239,7 +239,7 @@ std::string ExperimentCacheKey(const data::DatasetSpec& spec,
     // A cascade cell's result depends on the cascade configuration, not
     // just the dataset: fold it in so SEMTAG_CASCADE/SEMTAG_CASCADE_BUDGET
     // changes miss the cache instead of replaying stale cells.
-    const CascadeOptions opt = CascadeOptionsFromEnv(seed);
+    const CascadeOptions opt = CascadeOptionsFromConfig(seed);
     h = FnvMix(h, static_cast<uint64_t>(opt.simple));
     h = FnvMix(h, static_cast<uint64_t>(opt.deep));
     h = FnvMix(h, HashDouble(opt.budget_pts));

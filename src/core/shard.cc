@@ -25,6 +25,7 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "config/runtime_config.h"
 #include "la/kernels.h"
 #include "la/quant.h"
 #include "models/deep/bert_cache.h"
@@ -34,17 +35,6 @@
 namespace semtag::core {
 
 namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  int64_t v = 0;
-  if (!ParseInt64(env, &v) || v < 0) {
-    SEMTAG_LOG(kWarning, "ignoring invalid %s=%s", name, env);
-    return fallback;
-  }
-  return static_cast<int>(v);
-}
 
 /// Wall-clock ms since the unix epoch: lease deadlines must be comparable
 /// across processes, so steady_clock (per-process epoch) cannot be used.
@@ -490,23 +480,26 @@ bool MarkDone(const std::vector<GridCell>& cells, const ShardOptions& opts,
 
 #ifdef __unix__
 /// fork+exec (or fork-only) of one worker; returns the child pid, -1 on
-/// failure.
+/// failure. An exec'd worker starts from `env` (ShardConfig's
+/// WorkerEnvironment); a forked one shares the coordinator's config.
 pid_t SpawnWorker(const std::vector<GridCell>& cells,
-                  const ShardOptions& opts, int worker_id) {
+                  const ShardOptions& opts, int worker_id,
+                  std::vector<std::string> env) {
+  std::vector<std::string> args = opts.worker_argv;
+  args.push_back("--worker-id");
+  args.push_back(std::to_string(worker_id));
+  std::vector<char*> argv, envp;
+  for (auto& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  for (auto& e : env) envp.push_back(e.data());
+  envp.push_back(nullptr);
   const pid_t pid = fork();
   if (pid < 0) return -1;
   if (pid != 0) return pid;
   // --- child ---
   if (!opts.worker_argv.empty()) {
-    std::vector<std::string> args = opts.worker_argv;
-    args.push_back("--worker-id");
-    args.push_back(std::to_string(worker_id));
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 1);
-    for (auto& a : args) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
-    SEMTAG_LOG(kError, "execv %s failed", argv[0]);
+    ::execve(argv[0], argv.data(), envp.data());
+    SEMTAG_LOG(kError, "execve %s failed", argv[0]);
     _exit(127);
   }
   // Fork-only mode: the child inherited the parent's metric shards and
@@ -529,15 +522,8 @@ ShardConfig ShardConfig::Current(uint64_t seed) {
   config.num_threads = DefaultThreadCount();
   config.simd = la::SimdLevelName(la::ActiveSimdLevel());
   config.quant = la::QuantInferenceEnabled() ? 1 : 0;
-  if (const char* env = std::getenv("SEMTAG_CASCADE");
-      env != nullptr && *env != '\0') {
-    config.cascade = env;
-  }
-  if (const char* env = std::getenv("SEMTAG_CASCADE_BUDGET");
-      env != nullptr && *env != '\0') {
-    double pts = 0.0;
-    if (ParseDouble(env, &pts)) config.cascade_budget = pts;
-  }
+  config.cascade = GetRuntimeConfig().cascade;
+  config.cascade_budget = GetRuntimeConfig().cascade_budget;
   config.seed = seed;
   return config;
 }
@@ -589,24 +575,26 @@ bool ShardConfig::Parse(const std::string& text, ShardConfig* out) {
   return true;
 }
 
-void ShardConfig::ApplyToEnv() const {
-#ifdef __unix__
-  setenv("SEMTAG_NUM_THREADS", std::to_string(num_threads).c_str(), 1);
-  setenv("SEMTAG_SIMD", simd.c_str(), 1);
-  setenv("SEMTAG_QUANT", quant != 0 ? "1" : "0", 1);
-  setenv("SEMTAG_CASCADE", cascade.c_str(), 1);
-  setenv("SEMTAG_CASCADE_BUDGET", StrFormat("%.17g", cascade_budget).c_str(),
-         1);
-#endif
+std::vector<std::string> ShardConfig::WorkerEnvironment() const {
+  RuntimeConfig pinned = GetRuntimeConfig();
+  pinned.num_threads = num_threads;
+  pinned.simd = simd;
+  pinned.quant = quant != 0;
+  pinned.cascade = cascade;
+  pinned.cascade_budget = cascade_budget;
+  KnobMap knobs;
+  for (const char* name : {"SEMTAG_NUM_THREADS", "SEMTAG_SIMD", "SEMTAG_QUANT",
+                           "SEMTAG_CASCADE", "SEMTAG_CASCADE_BUDGET"}) {
+    knobs[name] = RenderKnob(pinned, name);
+  }
+  return ChildEnvironment(knobs);
 }
 
 ShardOptions ShardOptions::Resolved() const {
   ShardOptions opts = *this;
-  if (opts.num_workers <= 0) opts.num_workers = EnvInt("SEMTAG_SHARD_WORKERS", 4);
-  if (opts.num_workers <= 0) opts.num_workers = 1;
-  if (opts.lease_ms <= 0) opts.lease_ms = EnvInt("SEMTAG_LEASE_MS", 2000);
+  if (opts.num_workers <= 0) opts.num_workers = 4;
   if (opts.lease_ms <= 0) opts.lease_ms = 2000;
-  if (opts.cell_retries < 0) opts.cell_retries = EnvInt("SEMTAG_CELL_RETRIES", 3);
+  if (opts.cell_retries < 0) opts.cell_retries = 3;
   if (opts.max_respawns < 0) {
     opts.max_respawns = opts.num_workers * (opts.cell_retries + 1);
   }
@@ -727,11 +715,14 @@ ShardReport RunShardedGrid(const std::vector<GridCell>& cells,
 #else
   const ShardOptions opts = options.Resolved();
   WallTimer wall;
-  // Pin the coordinator's resolved execution config for every worker —
-  // fork and exec children inherit the environment, so all workers resolve
-  // identical threading/SIMD/batching/quant knobs and the same base seed.
+  // Pin the coordinator's resolved execution config for every worker:
+  // forked workers share its config snapshot, and exec'd ones start from
+  // an environment rendered from it, so all resolve identical
+  // threading/SIMD/quant/cascade knobs and the same base seed.
   const ShardConfig config = ShardConfig::Current(opts.seed);
-  config.ApplyToEnv();
+  const std::vector<std::string> worker_env =
+      opts.worker_argv.empty() ? std::vector<std::string>()
+                               : config.WorkerEnvironment();
 
   std::error_code ec;
   std::filesystem::create_directories(opts.journal_dir, ec);
@@ -787,7 +778,7 @@ ShardReport RunShardedGrid(const std::vector<GridCell>& cells,
   int respawns_left = opts.max_respawns;
   const auto spawn = [&](bool respawn) {
     const int id = next_worker_id++;
-    const pid_t pid = SpawnWorker(cells, opts, id);
+    const pid_t pid = SpawnWorker(cells, opts, id, worker_env);
     if (pid < 0) {
       SEMTAG_LOG(kError, "cannot fork worker %d", id);
       return false;

@@ -24,9 +24,9 @@ namespace semtag::core {
 
 /// Determinism stamp of one grid-running process. The merged grid is only
 /// bit-identical to a sequential RunAll when every worker resolved the same
-/// execution knobs; the coordinator pins its own resolved config into the
-/// environment before spawning and rejects any worker report whose stamp
-/// differs, loudly, instead of silently merging mixed-config results.
+/// execution knobs; the coordinator hands its own resolved config to every
+/// worker it spawns and rejects any worker report whose stamp differs,
+/// loudly, instead of silently merging mixed-config results.
 struct ShardConfig {
   int num_threads = 0;   // resolved SEMTAG_NUM_THREADS
   std::string simd;      // dispatched kernel tier (SEMTAG_SIMD)
@@ -48,19 +48,19 @@ struct ShardConfig {
   /// before the deep-batch knob was deleted carry a deep_batch=N field,
   /// which is accepted and ignored.
   static bool Parse(const std::string& text, ShardConfig* out);
-  /// Pins this config into the environment (SEMTAG_NUM_THREADS, _SIMD,
-  /// _QUANT, _CASCADE, _CASCADE_BUDGET) so spawned workers resolve
-  /// identical values.
-  void ApplyToEnv() const;
+  /// The environment an exec'd worker starts from: this process's, with
+  /// SEMTAG_NUM_THREADS, _SIMD, _QUANT, _CASCADE and _CASCADE_BUDGET
+  /// rendered from this config, so the worker resolves identical values.
+  std::vector<std::string> WorkerEnvironment() const;
 
   bool operator==(const ShardConfig&) const = default;
 };
 
 struct ShardOptions {
-  int num_workers = 0;      // <=0: $SEMTAG_SHARD_WORKERS, default 4
-  int lease_ms = 0;         // <=0: $SEMTAG_LEASE_MS, default 2000
-  int cell_retries = -1;    // <0: $SEMTAG_CELL_RETRIES, default 3. A cell
-                            // may be leased at most 1 + cell_retries times.
+  int num_workers = 0;      // <=0: 4
+  int lease_ms = 0;         // <=0: 2000
+  int cell_retries = -1;    // <0: 3. A cell may be leased at most
+                            // 1 + cell_retries times.
   int max_respawns = -1;    // <0: num_workers * (cell_retries + 1)
   uint64_t seed = 0;        // base seed for every cell
   std::string journal_dir;  // empty: CacheDir() + "/shard"
@@ -72,7 +72,7 @@ struct ShardOptions {
   /// in-process tests use.
   std::vector<std::string> worker_argv;
 
-  /// Copy with env-var defaults applied to every unset field.
+  /// Copy with the defaults applied to every unset field.
   ShardOptions Resolved() const;
 };
 

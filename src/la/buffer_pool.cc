@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <mutex>
 #include <new>
 #include <vector>
@@ -45,16 +44,10 @@ struct Global {
   std::atomic<uint64_t> system_frees{0};
   std::atomic<uint64_t> pool_hits{0};
   std::atomic<uint64_t> releases{0};
-  bool disabled = false;  // SEMTAG_BUFFER_POOL=0
 };
 
 Global& GlobalTier() {
-  static Global* g = [] {
-    auto* created = new Global();
-    const char* env = std::getenv("SEMTAG_BUFFER_POOL");
-    created->disabled = env != nullptr && env[0] == '0' && env[1] == '\0';
-    return created;
-  }();
+  static Global* g = new Global();
   return *g;
 }
 
@@ -92,7 +85,6 @@ void CollectBufferPoolMetrics() {
   obs::GetGauge("buffer_pool/system_frees")
       .Set(static_cast<double>(s.system_frees));
   obs::GetGauge("buffer_pool/releases").Set(static_cast<double>(s.releases));
-  obs::GetGauge("buffer_pool/enabled").Set(BufferPool::Enabled() ? 1.0 : 0.0);
 }
 
 [[maybe_unused]] const bool g_buffer_pool_collector =
@@ -108,10 +100,6 @@ size_t BufferPool::BucketFloats(size_t n) {
 float* BufferPool::Acquire(size_t n) {
   if (n == 0) return nullptr;
   Global& g = GlobalTier();
-  if (g.disabled) {
-    g.system_allocs.fetch_add(1, std::memory_order_relaxed);
-    return SystemAlloc(BucketFloats(n));
-  }
   const int b = BucketIndex(n);
   ThreadCache& tc = LocalCache();
   if (tc.depth[b] > 0) {
@@ -136,11 +124,6 @@ void BufferPool::Release(float* p, size_t n) {
   if (p == nullptr) return;
   Global& g = GlobalTier();
   g.releases.fetch_add(1, std::memory_order_relaxed);
-  if (g.disabled) {
-    SystemFree(p);
-    g.system_frees.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
   const int b = BucketIndex(n);
   ThreadCache& tc = LocalCache();
   if (tc.depth[b] < kThreadCacheDepth) {
@@ -183,8 +166,6 @@ int32_t* BufferPool::AcquireI32(size_t n) {
 void BufferPool::ReleaseI32(int32_t* p, size_t n) {
   Release(reinterpret_cast<float*>(p), FloatsForBytes(n * sizeof(int32_t)));
 }
-
-bool BufferPool::Enabled() { return !GlobalTier().disabled; }
 
 BufferPool::Stats BufferPool::GetStats() {
   Global& g = GlobalTier();

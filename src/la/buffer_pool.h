@@ -26,8 +26,6 @@ namespace semtag::la {
 ///  - The pool itself is a leaky process-wide singleton; cached buffers
 ///    stay reachable until `Clear()` or process exit. Thread-local caches
 ///    flush to the global free list at thread exit.
-///  - `SEMTAG_BUFFER_POOL=0` disables recycling (every Acquire hits the
-///    system allocator) for allocation debugging.
 class BufferPool {
  public:
   struct Stats {
@@ -67,9 +65,6 @@ class BufferPool {
 
   /// Size class (in floats) a request of `n` floats is served from.
   static size_t BucketFloats(size_t n);
-
-  /// False when recycling is disabled via `SEMTAG_BUFFER_POOL=0`.
-  static bool Enabled();
 };
 
 }  // namespace semtag::la

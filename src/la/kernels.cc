@@ -1,9 +1,7 @@
 #include "la/kernels.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "common/logging.h"
+#include "config/runtime_config.h"
 #include "la/kernels_internal.h"
 #include "la/quant.h"
 #include "obs/metrics.h"
@@ -25,23 +23,6 @@ bool Avx2Runnable() {
 #endif
 }
 
-/// Parses SEMTAG_SIMD. Returns true and sets *out when the variable is set
-/// to a recognized name; unknown values warn and are ignored.
-bool ParseSimdEnv(SimdLevel* out) {
-  const char* env = std::getenv("SEMTAG_SIMD");
-  if (env == nullptr || env[0] == '\0') return false;
-  if (std::strcmp(env, "scalar") == 0) {
-    *out = SimdLevel::kScalar;
-    return true;
-  }
-  if (std::strcmp(env, "avx2") == 0) {
-    *out = SimdLevel::kAvx2;
-    return true;
-  }
-  SEMTAG_LOG(kWarning, "SEMTAG_SIMD=%s not recognized (want avx2|scalar); using auto-detect", env);
-  return false;
-}
-
 SimdLevel ClampToAvailable(SimdLevel want) {
   if (SimdLevelAvailable(want)) return want;
   SEMTAG_LOG(kWarning, "SIMD level %s unavailable on this build/CPU; falling back to scalar",
@@ -50,8 +31,9 @@ SimdLevel ClampToAvailable(SimdLevel want) {
 }
 
 SimdLevel SelectLevel() {
-  SimdLevel want;
-  if (ParseSimdEnv(&want)) return ClampToAvailable(want);
+  const std::string& simd = GetRuntimeConfig().simd;
+  if (simd == "scalar") return SimdLevel::kScalar;
+  if (simd == "avx2") return ClampToAvailable(SimdLevel::kAvx2);
   return BestSupportedSimdLevel();
 }
 

@@ -1,13 +1,13 @@
 #include "la/quant.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "config/runtime_config.h"
 #include "la/buffer_pool.h"
 #include "la/kernels.h"
 #include "obs/metrics.h"
@@ -97,10 +97,7 @@ void QuantRows(const int8_t* xq, const float* x_scales, size_t k,
 
 }  // namespace
 
-bool QuantInferenceEnabled() {
-  const char* env = std::getenv("SEMTAG_QUANT");
-  return env != nullptr && env[0] == '1' && env[1] == '\0';
-}
+bool QuantInferenceEnabled() { return GetRuntimeConfig().quant; }
 
 QuantizedMatrix::QuantizedMatrix(QuantizedMatrix&& other) noexcept
     : rows_(other.rows_), cols_(other.cols_), data_(other.data_),

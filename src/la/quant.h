@@ -19,10 +19,10 @@ namespace semtag::la {
 /// under SEMTAG_SIMD=scalar|avx2 — only SEMTAG_QUANT=0 vs =1 changes
 /// numerics.
 
-/// True when $SEMTAG_QUANT=1: frozen models route inference GEMMs through
-/// the int8 kernels. Re-read from the environment on every call so parity
-/// tests can toggle it in-process; the getenv is nowhere near a
-/// per-element hot path.
+/// True when SEMTAG_QUANT=1 in the runtime config: frozen models route
+/// inference GEMMs through the int8 kernels. Reads the current config
+/// snapshot (one atomic load), so a ScopedRuntimeOverride toggles it
+/// in-process without retraining.
 bool QuantInferenceEnabled();
 
 /// Activation fused into the dequantize pass of a quantized GEMM.

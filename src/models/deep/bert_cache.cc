@@ -1,6 +1,5 @@
 #include "models/deep/bert_cache.h"
 
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <mutex>
@@ -8,6 +7,7 @@
 #include "common/file_io.h"
 #include "common/logging.h"
 #include "common/timer.h"
+#include "config/runtime_config.h"
 #include "data/generator.h"
 #include "data/specs.h"
 #include "nn/serialize.h"
@@ -82,15 +82,7 @@ const char* BertVariantName(BertVariant variant) {
 }
 
 std::string CacheDir() {
-  const char* env = std::getenv("SEMTAG_CACHE_DIR");
-  std::string dir;
-  if (env != nullptr) {
-    dir = env;
-  } else if (const char* home = std::getenv("HOME"); home != nullptr) {
-    dir = std::string(home) + "/.cache/semtag";
-  } else {
-    dir = "semtag_cache";
-  }
+  const std::string& dir = GetRuntimeConfig().cache_dir;
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {

@@ -16,8 +16,8 @@ enum class BertVariant { kBert, kAlbert, kRoberta };
 const char* BertVariantName(BertVariant variant);
 
 /// Directory used to persist pretrained checkpoints and experiment results
-/// across processes (each bench binary is a separate process). Resolved
-/// from $SEMTAG_CACHE_DIR, else $HOME/.cache/semtag, else
+/// across processes (each bench binary is a separate process). The runtime
+/// config's SEMTAG_CACHE_DIR, else $HOME/.cache/semtag, else
 /// "./semtag_cache"; created on first use.
 std::string CacheDir();
 

@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include "config/runtime_config.h"
 #include "obs/trace.h"
 
 #include <algorithm>
@@ -97,15 +98,15 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
-/// Process-start initialization: arm the registry from the environment and
+/// Process-start initialization: arm the registry from the runtime config and
 /// register the exit flush. Runs before main via a namespace-scope
 /// initializer; until it runs, both layers are off (atomics default to
 /// false), which is the documented default.
 struct EnvInit {
   EnvInit() {
-    if (const char* env = std::getenv("SEMTAG_METRICS");
-        env != nullptr && env[0] != '\0') {
-      SetMetricsExportPath(env);
+    if (const std::string& path = GetRuntimeConfig().metrics_path;
+        !path.empty()) {
+      SetMetricsExportPath(path);
       SetMetricsEnabled(true);
     }
     std::atexit(+[] {

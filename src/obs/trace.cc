@@ -10,6 +10,7 @@
 #include <mutex>
 #include <vector>
 
+#include "config/runtime_config.h"
 #include "obs/metrics.h"
 
 namespace semtag::obs {
@@ -26,7 +27,7 @@ int64_t NowNs() {
       .count();
 }
 
-/// One completed span. 120 bytes; the default ring of 8192 records costs
+/// One completed span. 120 bytes; a ring of kRingCapacity records costs
 /// ~1 MB per tracing thread.
 struct SpanRecord {
   int64_t begin_ns = 0;
@@ -37,21 +38,12 @@ struct SpanRecord {
   char tag[TraceSpan::kTagChars];
 };
 
-size_t RingCapacity() {
-  static const size_t cap = [] {
-    if (const char* env = std::getenv("SEMTAG_TRACE_RING");
-        env != nullptr && env[0] != '\0') {
-      const long n = std::atol(env);
-      if (n >= 64 && n <= (1 << 20)) return static_cast<size_t>(n);
-    }
-    return static_cast<size_t>(8192);
-  }();
-  return cap;
-}
+/// Spans kept per thread; the oldest are dropped first.
+constexpr size_t kRingCapacity = 8192;
 
 struct ThreadBuffer {
   explicit ThreadBuffer(int tid_in) : tid(tid_in) {
-    ring.resize(RingCapacity());
+    ring.resize(kRingCapacity);
   }
   std::mutex mu;
   const int tid;
@@ -110,9 +102,9 @@ std::map<std::string, std::string>& TraceMetadataSlot() {
 
 struct TraceEnvInit {
   TraceEnvInit() {
-    if (const char* env = std::getenv("SEMTAG_TRACE");
-        env != nullptr && env[0] != '\0') {
-      SetTraceExportPath(env);
+    if (const std::string& path = GetRuntimeConfig().trace_path;
+        !path.empty()) {
+      SetTraceExportPath(path);
       SetTraceEnabled(true);
     }
     std::atexit(+[] {

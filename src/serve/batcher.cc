@@ -1,46 +1,21 @@
 #include "serve/batcher.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
-#include "common/logging.h"
-#include "common/string_util.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/replanner.h"
 
 namespace semtag::serve {
-namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  int64_t v = 0;
-  if (!ParseInt64(env, &v)) {
-    SEMTAG_LOG(kWarning, "%s: not an integer: %s (using %d)", name, env,
-               fallback);
-    return fallback;
-  }
-  return static_cast<int>(v);
-}
-
-}  // namespace
 
 BatchingOptions BatchingOptions::Resolved() const {
   BatchingOptions r = *this;
   r.batch_cap = std::max(r.batch_cap, 1);
   r.queue_cap = std::max(r.queue_cap, 1);
   return r;
-}
-
-BatchingOptions BatchingOptionsFromEnv() {
-  BatchingOptions options;
-  options.batch_cap = EnvInt("SEMTAG_SERVE_BATCH_CAP", options.batch_cap);
-  options.queue_cap = EnvInt("SEMTAG_SERVE_QUEUE_CAP", options.queue_cap);
-  return options.Resolved();
 }
 
 Batcher::Batcher(const ModelRegistry* registry, TrafficStats* stats,

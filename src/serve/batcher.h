@@ -17,19 +17,15 @@ namespace semtag::serve {
 
 class Replanner;
 
-/// Knobs of the dynamic-batching scheduler, each with an env twin:
-///   SEMTAG_SERVE_BATCH_CAP    max requests per batch          (32)
-///   SEMTAG_SERVE_QUEUE_CAP    admission-control queue bound   (1024)
+/// Knobs of the dynamic-batching scheduler (semtag_serve --batch-cap,
+/// --queue-cap).
 struct BatchingOptions {
-  int batch_cap = 32;
-  int queue_cap = 1024;
+  int batch_cap = 32;   // max requests per batch
+  int queue_cap = 1024; // admission-control queue bound
 
   /// This instance with invalid fields clamped to sane minimums.
   BatchingOptions Resolved() const;
 };
-
-/// BatchingOptions with the SEMTAG_SERVE_* env overrides applied.
-BatchingOptions BatchingOptionsFromEnv();
 
 /// Completion of one scored request. `score` is the model's raw Score()
 /// value (bit-identical to offline ScoreAll over the same batch),

@@ -21,34 +21,6 @@ namespace {
 
 constexpr const char kSpecMagic[] = "semtag-model-spec-v1";
 
-/// Parses "S+D" / "auto" / "simple" into CascadeOptions (mirrors
-/// SEMTAG_CASCADE semantics; the spec file pins the pair explicitly so a
-/// swap is reproducible whatever the daemon's environment).
-Status ApplyCascadeField(const std::string& field, double budget_pts,
-                         uint64_t seed, core::CascadeOptions* options) {
-  *options = core::CascadeOptions{};
-  options->budget_pts = budget_pts;
-  options->seed = seed;
-  if (field.empty() || field == "auto") return Status::OK();
-  if (field == "simple") {
-    options->force_simple_only = true;
-    return Status::OK();
-  }
-  const size_t plus = field.rfind('+');
-  if (plus == std::string::npos || plus == 0 || plus + 1 == field.size()) {
-    return Status::InvalidArgument("bad cascade pair: " + field);
-  }
-  auto simple = models::ModelKindFromName(field.substr(0, plus));
-  auto deep = models::ModelKindFromName(field.substr(plus + 1));
-  if (!simple.ok()) return simple.status();
-  if (!deep.ok()) return deep.status();
-  options->simple = simple.ValueOrDie();
-  options->deep = deep.ValueOrDie();
-  options->auto_pair = false;
-  options->allow_simple_only = false;
-  return Status::OK();
-}
-
 }  // namespace
 
 Status WriteModelSpecFile(const std::string& path, const ModelSpec& spec) {
@@ -185,9 +157,12 @@ Result<std::unique_ptr<models::TaggingModel>> BuildModelFromSpec(
 
   std::unique_ptr<models::TaggingModel> model;
   if (spec.model == "CASCADE") {
+    // The spec pins the pair explicitly, so a swap is reproducible whatever
+    // the daemon's runtime config.
     core::CascadeOptions options;
-    const Status st =
-        ApplyCascadeField(spec.cascade, spec.budget_pts, spec.seed, &options);
+    options.budget_pts = spec.budget_pts;
+    options.seed = spec.seed;
+    const Status st = core::ApplyCascadePolicy(spec.cascade, &options);
     if (!st.ok()) return st;
     model = std::make_unique<core::Cascade>(options);
   } else {

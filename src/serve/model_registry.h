@@ -66,7 +66,8 @@ Result<std::unique_ptr<models::TaggingModel>> BuildModelFromSpec(
 /// clean under the repo's TSan lane.)
 ///
 /// Hot-swap protocol (DESIGN.md "Serving architecture"):
-///  1. the operator writes a CRC-sealed spec file (atomic rename);
+///  1. the operator writes a CRC-sealed spec file (atomic rename) into the
+///     replan spec dir;
 ///  2. a kSwap request names the file; the registry re-reads and verifies
 ///     it (corrupt -> quarantine, old model keeps serving);
 ///  3. the replacement trains/loads off the event loop;

@@ -1,39 +1,18 @@
 #include "serve/replanner.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "config/runtime_config.h"
 #include "core/advisor.h"
 #include "core/characteristics.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace semtag::serve {
-namespace {
-
-/// Parses "a,b" into up to two doubles; missing/unparseable parts keep the
-/// defaults already in *a / *b. Returns false only when nothing parsed.
-bool ParsePair(const std::string& value, double* a, double* b) {
-  const std::vector<std::string> parts = Split(value, ',');
-  if (parts.empty()) return false;
-  bool any = false;
-  double v = 0.0;
-  if (!parts[0].empty() && ParseDouble(parts[0], &v)) {
-    *a = v;
-    any = true;
-  }
-  if (parts.size() > 1 && !parts[1].empty() && ParseDouble(parts[1], &v)) {
-    *b = v;
-    any = true;
-  }
-  return any;
-}
-
-}  // namespace
 
 ReplanOptions ReplanOptions::Resolved() const {
   ReplanOptions resolved = *this;
@@ -51,102 +30,27 @@ ReplanOptions ReplanOptions::Resolved() const {
   return resolved;
 }
 
-ReplanOptions ReplanOptionsFromEnv(ReplanOptions base) {
+ReplanOptions ReplanOptionsFromConfig(ReplanOptions base) {
+  const RuntimeConfig& config = GetRuntimeConfig();
   ReplanOptions options = base;
-  const auto env_str = [](const char* name) -> const char* {
-    const char* v = std::getenv(name);
-    return v != nullptr && *v != '\0' ? v : nullptr;
-  };
-  if (const char* v = env_str("SEMTAG_REPLAN")) {
-    options.enabled = std::string_view(v) != "0";
-  }
-  if (const char* v = env_str("SEMTAG_REPLAN_EPOCH")) {
-    int64_t n = 0;
-    if (ParseInt64(v, &n) && n >= 0) {
-      options.epoch_records = static_cast<int>(n);
-    } else {
-      SEMTAG_LOG(kWarning, "SEMTAG_REPLAN_EPOCH='%s' not a count; keeping %d",
-                 v, options.epoch_records);
-    }
-  }
-  if (const char* v = env_str("SEMTAG_REPLAN_WINDOW")) {
-    int64_t n = 0;
-    if (ParseInt64(v, &n) && n > 0) {
-      options.epoch_window = static_cast<int>(n);
-    } else {
-      SEMTAG_LOG(kWarning,
-                 "SEMTAG_REPLAN_WINDOW='%s' not a count; keeping %d", v,
-                 options.epoch_window);
-    }
-  }
-  if (const char* v = env_str("SEMTAG_REPLAN_HYSTERESIS")) {
-    double dwell = options.dwell_epochs, margin = options.margin_pts;
-    if (ParsePair(v, &dwell, &margin)) {
-      options.dwell_epochs = static_cast<int>(dwell);
-      options.margin_pts = margin;
-    } else {
-      SEMTAG_LOG(kWarning,
-                 "SEMTAG_REPLAN_HYSTERESIS='%s' not 'dwell,margin_pts'; "
-                 "keeping %d,%.2f",
-                 v, options.dwell_epochs, options.margin_pts);
-    }
-  }
-  if (const char* v = env_str("SEMTAG_REPLAN_DIRTY")) {
-    if (!ParsePair(v, &options.dirty_threshold, &options.dirty_band)) {
-      SEMTAG_LOG(kWarning,
-                 "SEMTAG_REPLAN_DIRTY='%s' not 'threshold,band'; keeping "
-                 "%.2f,%.2f",
-                 v, options.dirty_threshold, options.dirty_band);
-    }
-  }
-  if (const char* v = env_str("SEMTAG_REPLAN_PROFILE")) {
-    double records = static_cast<double>(options.profile_records);
-    double ratio = options.profile_ratio;
-    if (ParsePair(v, &records, &ratio)) {
-      options.profile_records = static_cast<int64_t>(records);
-      options.profile_ratio = ratio;
-    } else {
-      SEMTAG_LOG(kWarning,
-                 "SEMTAG_REPLAN_PROFILE='%s' not 'records,ratio'; keeping "
-                 "live profile",
-                 v);
-    }
-  }
-  if (const char* v = env_str("SEMTAG_REPLAN_PAIR")) {
+  options.epoch_records = config.replan_epoch;
+  options.epoch_window = config.replan_window;
+  options.dwell_epochs = config.replan_dwell;
+  options.margin_pts = config.replan_margin_pts;
+  options.dirty_threshold = config.replan_dirty_threshold;
+  options.dirty_band = config.replan_dirty_band;
+  options.profile_records = config.replan_profile_records;
+  options.profile_ratio = config.replan_profile_ratio;
+  options.spec_dir = config.replan_dir;
+  if (!config.replan_pair.empty()) {
     // The pair hint pins which families the planner may deploy; auto_pair
     // stays on so the clean/dirty front-end flip still applies.
-    const std::string value = v;
-    const size_t plus = value.rfind('+');
-    bool applied = false;
-    if (plus != std::string::npos && plus > 0 && plus + 1 < value.size()) {
-      const auto simple = models::ModelKindFromName(value.substr(0, plus));
-      const auto deep = models::ModelKindFromName(value.substr(plus + 1));
-      if (simple.ok() && deep.ok()) {
-        options.cascade.simple = *simple;
-        options.cascade.deep = *deep;
-        applied = true;
-      }
+    const Status st = core::ParseCascadePair(
+        config.replan_pair, &options.cascade.simple, &options.cascade.deep);
+    if (!st.ok()) {
+      SEMTAG_LOG(kWarning, "SEMTAG_REPLAN_PAIR='%s': %s; keeping the defaults",
+                 config.replan_pair.c_str(), st.ToString().c_str());
     }
-    if (!applied) {
-      SEMTAG_LOG(kWarning,
-                 "SEMTAG_REPLAN_PAIR='%s' is not <simple>+<deep>; keeping "
-                 "the defaults",
-                 v);
-    }
-  }
-  if (const char* v = env_str("SEMTAG_REPLAN_BUDGET")) {
-    double pts = 0.0;
-    if (ParseDouble(v, &pts) && pts >= 0.0 && pts <= 100.0) {
-      options.cascade.budget_pts = pts;
-    } else {
-      SEMTAG_LOG(kWarning,
-                 "SEMTAG_REPLAN_BUDGET='%s' not an F1-point value; keeping "
-                 "%.2f",
-                 v, options.cascade.budget_pts);
-    }
-  }
-  if (const char* v = env_str("SEMTAG_REPLAN_DIR")) {
-    options.spec_dir = v;
   }
   return options;
 }

@@ -13,16 +13,15 @@
 
 namespace semtag::serve {
 
-/// Knobs of the online re-planning loop, each with an env twin
-/// (ReplanOptionsFromEnv):
-///   SEMTAG_REPLAN             enable (any value but "" / "0")
+/// Knobs of the online re-planning loop. `enabled` is semtag_serve
+/// --replan and the budget its --budget; the geometry has runtime-config
+/// knobs (ReplanOptionsFromConfig), with these defaults:
 ///   SEMTAG_REPLAN_EPOCH       requests per logical epoch          (256)
 ///   SEMTAG_REPLAN_WINDOW      sealed epochs aggregated            (8)
 ///   SEMTAG_REPLAN_HYSTERESIS  "dwell,margin_pts"                  (3,0.25)
 ///   SEMTAG_REPLAN_DIRTY       "threshold,band" on dirtiness       (0.25,0.10)
 ///   SEMTAG_REPLAN_PROFILE     "records,ratio" pins (0 = live)     (0,0)
 ///   SEMTAG_REPLAN_PAIR        cascade pair hint, e.g. "SVM+CNN"
-///   SEMTAG_REPLAN_BUDGET      calibration budget in F1 points     (0.5)
 ///   SEMTAG_REPLAN_DIR         directory for emitted spec files    (".")
 struct ReplanOptions {
   bool enabled = false;
@@ -75,9 +74,10 @@ struct ReplanOptions {
   ReplanOptions Resolved() const;
 };
 
-/// `base` with the SEMTAG_REPLAN_* env overrides applied (unparseable
-/// values warn and keep the base).
-ReplanOptions ReplanOptionsFromEnv(ReplanOptions base = {});
+/// `base` with the runtime config's SEMTAG_REPLAN_* geometry, pair hint
+/// and spec dir applied. A pair naming unknown models warns and keeps the
+/// base pair.
+ReplanOptions ReplanOptionsFromConfig(ReplanOptions base = {});
 
 /// Observable state of the loop (kStats "replan" object, tests).
 struct ReplanState {

@@ -373,7 +373,22 @@ bool Server::HandleFrame(Connection* conn, uint8_t opcode,
       SendNow(conn, StatusCode::kOk, StatsJson());
       return true;
     case Opcode::kSwap: {
-      const std::string path = payload;
+      // Only a bare spec name, resolved inside the replan spec dir: a
+      // failed load quarantines the file it read, so a path here would let
+      // one frame rename any file the daemon can write.
+      const std::string name = payload;
+      if (name.empty() || name == "." || name == ".." ||
+          name.find_first_of(std::string("/\0", 2)) != std::string::npos) {
+        {
+          std::lock_guard<std::mutex> lock(counters_mu_);
+          ++counters_.swaps_failed;
+        }
+        SendNow(conn, StatusCode::kError,
+                "kSwap takes a spec name inside the replan spec dir: " +
+                    name);
+        return true;
+      }
+      const std::string path = options_.replan.Resolved().spec_dir + "/" + name;
       const uint64_t conn_id = conn->id;
       // Model building takes seconds; do it off the loop so scoring
       // continues against the old model until the pointer flip.

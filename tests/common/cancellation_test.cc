@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
 namespace semtag {
@@ -63,21 +62,6 @@ TEST(CancellationTokenTest, ExplicitCancelWinsOverDeadlineCode) {
   token.Cancel();
   EXPECT_TRUE(token.cancelled());
   EXPECT_EQ(token.status().code(), StatusCode::kCancelled);
-}
-
-TEST(CellDeadlineTest, ReadsEnvOnEveryCall) {
-  unsetenv("SEMTAG_CELL_DEADLINE_MS");
-  EXPECT_EQ(CellDeadlineMs(), 0);
-  EXPECT_FALSE(MakeCellToken().valid());
-
-  setenv("SEMTAG_CELL_DEADLINE_MS", "25000", 1);
-  EXPECT_EQ(CellDeadlineMs(), 25000);
-  EXPECT_TRUE(MakeCellToken().valid());
-
-  setenv("SEMTAG_CELL_DEADLINE_MS", "not-a-number", 1);
-  EXPECT_EQ(CellDeadlineMs(), 0);
-
-  unsetenv("SEMTAG_CELL_DEADLINE_MS");
 }
 
 }  // namespace

@@ -1,5 +1,3 @@
-#include <cstdlib>
-
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
@@ -10,10 +8,7 @@ namespace {
 
 class FaultTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    unsetenv("SEMTAG_FAULT");
-    ClearFaults();
-  }
+  void TearDown() override { ClearFaults(); }
 };
 
 TEST_F(FaultTest, UnarmedProbeNeverTriggers) {
@@ -98,15 +93,6 @@ TEST_F(FaultTest, StallSleepsForMs) {
   WallTimer timer;
   EXPECT_TRUE(FaultInjected(FaultPoint::kStall, "cell"));
   EXPECT_GE(timer.ElapsedSeconds(), 0.045);
-}
-
-TEST_F(FaultTest, ReloadFaultsFromEnv) {
-  setenv("SEMTAG_FAULT", "read_corrupt:match=ckpt", 1);
-  ASSERT_TRUE(ReloadFaultsFromEnv().ok());
-  EXPECT_TRUE(FaultInjected(FaultPoint::kReadCorrupt, "my_ckpt.bin"));
-  unsetenv("SEMTAG_FAULT");
-  ASSERT_TRUE(ReloadFaultsFromEnv().ok());
-  EXPECT_FALSE(FaultInjected(FaultPoint::kReadCorrupt, "my_ckpt.bin"));
 }
 
 TEST_F(FaultTest, ClearFaultsResetsCounters) {

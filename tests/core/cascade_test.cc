@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <span>
 #include <string>
@@ -16,6 +15,7 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "config/runtime_config.h"
 #include "core/cascade.h"
 #include "core/experiment.h"
 #include "core/shard.h"
@@ -25,33 +25,6 @@
 
 namespace semtag::core {
 namespace {
-
-/// Restores (or clears) one environment variable on scope exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, /*overwrite=*/1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), /*overwrite=*/1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 // ---------------------------------------------------------------------------
 // CalibrateCascadeThreshold
@@ -180,7 +153,7 @@ TEST(CascadeCalibrationTest, BudgetSemantics) {
 }
 
 // ---------------------------------------------------------------------------
-// PlanCascade / CascadeOptionsFromEnv
+// PlanCascade / CascadeOptionsFromConfig
 // ---------------------------------------------------------------------------
 
 std::vector<HeatMapRow> TwoCellReference() {
@@ -243,22 +216,22 @@ TEST(CascadePlanTest, AllowSimpleOnlyFalseKeepsThePair) {
 }
 
 TEST(CascadeOptionsTest, EnvParsesPairsAtTheLastPlus) {
-  ScopedEnv cascade("SEMTAG_CASCADE", "NB+BERT");
-  const CascadeOptions options = CascadeOptionsFromEnv();
+  const ScopedRuntimeOverride cascade({{"SEMTAG_CASCADE", "NB+BERT"}});
+  const CascadeOptions options = CascadeOptionsFromConfig();
   EXPECT_EQ(options.simple, models::ModelKind::kNaiveBayes);
   EXPECT_EQ(options.deep, models::ModelKind::kBert);
   EXPECT_FALSE(options.auto_pair);
   EXPECT_FALSE(options.allow_simple_only);
   // Embedding-hybrid names contain '+': the split must use the LAST one.
-  ScopedEnv hybrid("SEMTAG_CASCADE", "LR+eb+CNN");
-  const CascadeOptions hybrid_options = CascadeOptionsFromEnv();
+  const ScopedRuntimeOverride hybrid({{"SEMTAG_CASCADE", "LR+eb+CNN"}});
+  const CascadeOptions hybrid_options = CascadeOptionsFromConfig();
   EXPECT_EQ(hybrid_options.simple, models::ModelKind::kLrEmbedding);
   EXPECT_EQ(hybrid_options.deep, models::ModelKind::kCnn);
 }
 
 TEST(CascadeOptionsTest, EnvSimpleForcesSimpleOnly) {
-  ScopedEnv cascade("SEMTAG_CASCADE", "simple");
-  const CascadeOptions options = CascadeOptionsFromEnv();
+  const ScopedRuntimeOverride cascade({{"SEMTAG_CASCADE", "simple"}});
+  const CascadeOptions options = CascadeOptionsFromConfig();
   EXPECT_TRUE(options.force_simple_only);
 }
 
@@ -266,8 +239,8 @@ TEST(CascadeOptionsTest, InvalidEnvFallsBackToAutoPolicy) {
   for (const char* bad : {"BERT+SVM",  // deep in front
                           "SVM+LR",    // no deep tier
                           "bogus", "SVM+", "+BERT"}) {
-    ScopedEnv cascade("SEMTAG_CASCADE", bad);
-    const CascadeOptions options = CascadeOptionsFromEnv();
+    const ScopedRuntimeOverride cascade({{"SEMTAG_CASCADE", bad}});
+    const CascadeOptions options = CascadeOptionsFromConfig();
     EXPECT_TRUE(options.auto_pair) << bad;
     EXPECT_FALSE(options.force_simple_only) << bad;
   }
@@ -275,12 +248,12 @@ TEST(CascadeOptionsTest, InvalidEnvFallsBackToAutoPolicy) {
 
 TEST(CascadeOptionsTest, BudgetEnvParsesAndValidates) {
   {
-    ScopedEnv budget("SEMTAG_CASCADE_BUDGET", "1.25");
-    EXPECT_DOUBLE_EQ(CascadeOptionsFromEnv().budget_pts, 1.25);
+    const ScopedRuntimeOverride budget({{"SEMTAG_CASCADE_BUDGET", "1.25"}});
+    EXPECT_DOUBLE_EQ(CascadeOptionsFromConfig().budget_pts, 1.25);
   }
   for (const char* bad : {"-1", "abc", "101"}) {
-    ScopedEnv budget("SEMTAG_CASCADE_BUDGET", bad);
-    EXPECT_DOUBLE_EQ(CascadeOptionsFromEnv().budget_pts, 0.5) << bad;
+    const ScopedRuntimeOverride budget({{"SEMTAG_CASCADE_BUDGET", bad}});
+    EXPECT_DOUBLE_EQ(CascadeOptionsFromConfig().budget_pts, 0.5) << bad;
   }
 }
 
@@ -466,7 +439,7 @@ TEST_F(CascadeDeterminismTest, ThreadInvarianceHoldsInBothQuantLanes) {
   // compared to each other — within each lane, thread-count invariance
   // and path agreement must hold bit-for-bit.
   for (const char* lane : {"0", "1"}) {
-    ScopedEnv env("SEMTAG_QUANT", lane);
+    const ScopedRuntimeOverride env({{"SEMTAG_QUANT", lane}});
     const Fingerprint t1 = Run(1);
     const Fingerprint t4 = Run(4);
     EXPECT_EQ(t1, t4) << "quant lane " << lane;
@@ -506,7 +479,7 @@ TEST(CascadeIntegrationTest, CacheKeyFoldsCascadeConfig) {
   const std::string base =
       ExperimentCacheKey(spec, models::ModelKind::kCascade, 0);
   {
-    ScopedEnv budget("SEMTAG_CASCADE_BUDGET", "2.0");
+    const ScopedRuntimeOverride budget({{"SEMTAG_CASCADE_BUDGET", "2.0"}});
     EXPECT_NE(ExperimentCacheKey(spec, models::ModelKind::kCascade, 0),
               base);
     // Non-cascade keys ignore the cascade knobs.
@@ -514,7 +487,7 @@ TEST(CascadeIntegrationTest, CacheKeyFoldsCascadeConfig) {
               ExperimentCacheKey(spec, models::ModelKind::kSvm, 0));
   }
   {
-    ScopedEnv pair("SEMTAG_CASCADE", "NB+CNN");
+    const ScopedRuntimeOverride pair({{"SEMTAG_CASCADE", "NB+CNN"}});
     EXPECT_NE(ExperimentCacheKey(spec, models::ModelKind::kCascade, 0),
               base);
   }
@@ -522,8 +495,8 @@ TEST(CascadeIntegrationTest, CacheKeyFoldsCascadeConfig) {
 }
 
 TEST(CascadeIntegrationTest, ShardStampPinsCascadeKnobs) {
-  ScopedEnv cascade("SEMTAG_CASCADE", "SVM+CNN");
-  ScopedEnv budget("SEMTAG_CASCADE_BUDGET", "0.75");
+  const ScopedRuntimeOverride cascade({{"SEMTAG_CASCADE", "SVM+CNN"}});
+  const ScopedRuntimeOverride budget({{"SEMTAG_CASCADE_BUDGET", "0.75"}});
   const ShardConfig config = ShardConfig::Current(3);
   EXPECT_EQ(config.cascade, "SVM+CNN");
   EXPECT_DOUBLE_EQ(config.cascade_budget, 0.75);

@@ -1,10 +1,11 @@
 #include <unistd.h>
-#include <cstdlib>
 #include <filesystem>
+#include <optional>
 
 #include <gtest/gtest.h>
 
 #include "common/string_util.h"
+#include "config/runtime_config.h"
 #include "core/experiment.h"
 #include "data/generator.h"
 #include "models/deep/bert_cache.h"
@@ -38,13 +39,14 @@ class ExperimentTest : public ::testing::Test {
                             static_cast<int>(getpid())))
                      .string();
     std::filesystem::remove_all(cache_dir_);
-    setenv("SEMTAG_CACHE_DIR", cache_dir_.c_str(), 1);
+    cache_override_.emplace(KnobMap{{"SEMTAG_CACHE_DIR", cache_dir_}});
   }
   void TearDown() override {
-    unsetenv("SEMTAG_CACHE_DIR");
+    cache_override_.reset();
     std::filesystem::remove_all(cache_dir_);
   }
   std::string cache_dir_;
+  std::optional<ScopedRuntimeOverride> cache_override_;
 };
 
 TEST_F(ExperimentTest, TrainAndEvaluateFillsAllMetrics) {

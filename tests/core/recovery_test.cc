@@ -4,8 +4,8 @@
 // machinery) in a private SEMTAG_CACHE_DIR.
 
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
+#include <optional>
 
 #ifdef __unix__
 #include <sys/wait.h>
@@ -18,6 +18,7 @@
 #include "common/fault.h"
 #include "common/file_io.h"
 #include "common/string_util.h"
+#include "config/runtime_config.h"
 #include "core/experiment.h"
 #include "data/specs.h"
 
@@ -37,16 +38,21 @@ class RecoveryTest : public ::testing::Test {
                             static_cast<int>(getpid())))
                      .string();
     std::filesystem::remove_all(cache_dir_);
-    setenv("SEMTAG_CACHE_DIR", cache_dir_.c_str(), 1);
+    UseCacheDir(cache_dir_);
     ClearFaults();
   }
   void TearDown() override {
     ClearFaults();
-    unsetenv("SEMTAG_CACHE_DIR");
-    unsetenv("SEMTAG_CELL_DEADLINE_MS");
+    cache_override_.reset();
     std::filesystem::remove_all(cache_dir_);
   }
+  /// Points the runtime config's cache dir at `dir` until the next call.
+  void UseCacheDir(const std::string& dir) {
+    cache_override_.reset();
+    cache_override_.emplace(KnobMap{{"SEMTAG_CACHE_DIR", dir}});
+  }
   std::string cache_dir_;
+  std::optional<ScopedRuntimeOverride> cache_override_;
 };
 
 /// Tiny HETER-derived specs (a few hundred records) so whole sweeps fit in
@@ -100,7 +106,8 @@ TEST_F(RecoveryTest, ExhaustedRetriesFailTheCellNotTheSweep) {
 }
 
 TEST_F(RecoveryTest, StalledCellHitsDeadlineAndSweepContinues) {
-  setenv("SEMTAG_CELL_DEADLINE_MS", "100", 1);
+  std::optional<ScopedRuntimeOverride> deadline;
+  deadline.emplace(KnobMap{{"SEMTAG_CELL_DEADLINE_MS", "100"}});
   ASSERT_TRUE(SetFaultsFromSpec("stall:match=TINY0:ms=400").ok());
   const auto specs = TinySpecs(2);
   ExperimentRunner runner(true);
@@ -112,7 +119,7 @@ TEST_F(RecoveryTest, StalledCellHitsDeadlineAndSweepContinues) {
   // Timed-out cells stay uncached: with the stall gone and no deadline,
   // the rerun recomputes TINY0 and serves TINY1 from cache.
   ClearFaults();
-  unsetenv("SEMTAG_CELL_DEADLINE_MS");
+  deadline.reset();
   ExperimentRunner second(true);
   const RunReport rerun = second.RunMany(specs, models::ModelKind::kLr);
   EXPECT_EQ(rerun.ok, 1);
@@ -189,7 +196,7 @@ TEST_F(RecoveryTest, KilledSweepResumesBitIdentical) {
   // Reference: an uninterrupted sweep in its own cache dir.
   const std::string ref_dir = cache_dir_ + "_ref";
   std::filesystem::remove_all(ref_dir);
-  setenv("SEMTAG_CACHE_DIR", ref_dir.c_str(), 1);
+  UseCacheDir(ref_dir);
   {
     ExperimentRunner runner(true);
     const RunReport report = runner.RunMany(specs, models::ModelKind::kLr);
@@ -197,7 +204,7 @@ TEST_F(RecoveryTest, KilledSweepResumesBitIdentical) {
   }
   // Interrupted: a child process completes two cells, then dies without
   // any shutdown path — every completed cell must already be durable.
-  setenv("SEMTAG_CACHE_DIR", cache_dir_.c_str(), 1);
+  UseCacheDir(cache_dir_);
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
@@ -221,7 +228,7 @@ TEST_F(RecoveryTest, KilledSweepResumesBitIdentical) {
   // Bit-identity: replay both sweeps fully from their caches (so both
   // sides went through the same %.17g round trip) and compare every metric.
   ExperimentRunner replay_interrupted(true);
-  setenv("SEMTAG_CACHE_DIR", ref_dir.c_str(), 1);
+  UseCacheDir(ref_dir);
   ExperimentRunner replay_ref(true);
   for (const auto& spec : specs) {
     const ExperimentResult a =

@@ -5,10 +5,10 @@
 // pattern: the merged report is bit-identical to a single-process sweep and
 // no cell is lost or double-counted.
 
-#include <cstdlib>
 #include <unistd.h>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +17,7 @@
 
 #include "common/fault.h"
 #include "common/string_util.h"
+#include "config/runtime_config.h"
 #include "core/experiment.h"
 #include "core/shard.h"
 #include "data/specs.h"
@@ -42,14 +43,14 @@ class ShardTest : public ::testing::Test {
                .string();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
-    setenv("SEMTAG_CACHE_DIR", (dir_ + "/cache").c_str(), 1);
+    cache_dir_.emplace(KnobMap{{"SEMTAG_CACHE_DIR", dir_ + "/cache"}});
     obs::SetMetricsEnabled(false);
     ClearFaults();
   }
   void TearDown() override {
     ClearFaults();
     obs::SetMetricsEnabled(false);
-    unsetenv("SEMTAG_CACHE_DIR");
+    cache_dir_.reset();
     std::filesystem::remove_all(dir_);
   }
 
@@ -65,6 +66,7 @@ class ShardTest : public ::testing::Test {
   }
 
   std::string dir_;
+  std::optional<ScopedRuntimeOverride> cache_dir_;
 };
 
 /// Tiny HETER-derived specs with distinct names and generator seeds.

@@ -28,7 +28,6 @@ TEST(BufferPoolTest, BucketFloatsRoundsUpToPowerOfTwo) {
 }
 
 TEST(BufferPoolTest, AcquireReleaseReusesBuffer) {
-  if (!BufferPool::Enabled()) GTEST_SKIP() << "pool disabled via env";
   float* p = BufferPool::Acquire(100);
   ASSERT_NE(p, nullptr);
   // 32-byte alignment supports aligned AVX2 loads and cacheline-friendly
@@ -42,7 +41,6 @@ TEST(BufferPoolTest, AcquireReleaseReusesBuffer) {
 }
 
 TEST(BufferPoolTest, StatsCountPoolHits) {
-  if (!BufferPool::Enabled()) GTEST_SKIP() << "pool disabled via env";
   // Warm one buffer so the next acquire of the same bucket is a hit.
   float* warm = BufferPool::Acquire(4000);
   BufferPool::Release(warm, 4000);
@@ -55,7 +53,6 @@ TEST(BufferPoolTest, StatsCountPoolHits) {
 }
 
 TEST(BufferPoolTest, CrossThreadReleaseIsSafe) {
-  if (!BufferPool::Enabled()) GTEST_SKIP() << "pool disabled via env";
   float* p = BufferPool::Acquire(256);
   p[0] = 1.0f;
   std::thread t([p] { BufferPool::Release(p, 256); });
@@ -72,8 +69,6 @@ TEST(BufferPoolTest, CrossThreadReleaseIsSafe) {
 // every Matrix payload (activations, gradients, autograd intermediates)
 // is served from the pool.
 TEST(BufferPoolTest, SteadyStateTrainingStepMakesNoSystemAllocs) {
-  if (!BufferPool::Enabled()) GTEST_SKIP() << "pool disabled via env";
-
   const size_t batch = 8, in_dim = 64, hidden = 128, classes = 4;
   nn::Variable w1(Matrix(in_dim, hidden, 0.1f), /*requires_grad=*/true);
   nn::Variable b1(Matrix(1, hidden, 0.0f), /*requires_grad=*/true);

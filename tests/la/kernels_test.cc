@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "config/runtime_config.h"
 #include "gtest/gtest.h"
 #include "la/sparse.h"
 
@@ -613,8 +614,7 @@ TEST(KernelsDispatchTest, ActiveTableMatchesActiveLevel) {
   EXPECT_EQ(Kernels().level, ActiveSimdLevel());
   // Without SEMTAG_SIMD the dispatcher must pick the best supported level;
   // with it, never something above best-supported.
-  const char* env = std::getenv("SEMTAG_SIMD");
-  if (env == nullptr || env[0] == '\0') {
+  if (GetRuntimeConfig().simd.empty()) {
     EXPECT_EQ(ActiveSimdLevel(), BestSupportedSimdLevel());
   } else {
     EXPECT_LE(static_cast<int>(ActiveSimdLevel()),

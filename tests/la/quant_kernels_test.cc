@@ -14,7 +14,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -136,17 +135,6 @@ TEST(QuantizedMatrixTest, DequantGatherRowsReconstructs) {
   }
 }
 
-TEST(QuantEnvTest, QuantInferenceEnabledReReadsEnv) {
-  unsetenv("SEMTAG_QUANT");
-  EXPECT_FALSE(QuantInferenceEnabled());
-  setenv("SEMTAG_QUANT", "1", 1);
-  EXPECT_TRUE(QuantInferenceEnabled());
-  setenv("SEMTAG_QUANT", "0", 1);
-  EXPECT_FALSE(QuantInferenceEnabled());
-  setenv("SEMTAG_QUANT", "yes", 1);
-  EXPECT_FALSE(QuantInferenceEnabled());  // exact "1" only
-  unsetenv("SEMTAG_QUANT");
-}
 
 // ---------------------------------------------------------------------------
 // 2. Int8 GEMM vs fp32 reference, analytic error bound.

@@ -9,7 +9,6 @@
 //    path without retraining.
 
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <span>
 #include <string>
@@ -17,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "config/runtime_config.h"
 #include "data/generator.h"
 #include "data/specs.h"
 #include "models/deep/mini_bert.h"
@@ -31,33 +31,6 @@ namespace {
 constexpr double kScoreTolerance = 0.12;
 /// Accuracy budget on downstream F1 (0.2 points on the 0-100 scale).
 constexpr double kF1Budget = 0.002;
-
-/// Restores (or clears) SEMTAG_QUANT when leaving a scope so tests cannot
-/// leak the quant tier into the rest of the suite.
-class ScopedQuant {
- public:
-  explicit ScopedQuant(const char* value) {
-    const char* old = std::getenv("SEMTAG_QUANT");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv("SEMTAG_QUANT", value, /*overwrite=*/1);
-    } else {
-      ::unsetenv("SEMTAG_QUANT");
-    }
-  }
-  ~ScopedQuant() {
-    if (had_old_) {
-      ::setenv("SEMTAG_QUANT", old_.c_str(), /*overwrite=*/1);
-    } else {
-      ::unsetenv("SEMTAG_QUANT");
-    }
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
 
 data::Dataset QuantDataset(int n, uint64_t seed = 177) {
   data::GeneratorConfig config;
@@ -104,15 +77,15 @@ void ExpectQuantParity(const TaggingModel& model,
                        const std::vector<int32_t>& labels) {
   std::vector<double> fp32, off, quant;
   {
-    ScopedQuant env(nullptr);
+    const ScopedRuntimeOverride tier({{"SEMTAG_QUANT", ""}});
     fp32 = model.ScoreAll(texts);
   }
   {
-    ScopedQuant env("0");
+    const ScopedRuntimeOverride tier({{"SEMTAG_QUANT", "0"}});
     off = model.ScoreAll(texts);
   }
   {
-    ScopedQuant env("1");
+    const ScopedRuntimeOverride tier({{"SEMTAG_QUANT", "1"}});
     quant = model.ScoreAll(texts);
   }
   ASSERT_EQ(fp32.size(), texts.size());
@@ -151,7 +124,8 @@ TEST(QuantParityTest, TextCnnQuantScoresTrackFp32) {
   data::Dataset d = QuantDataset(2500);
   auto [train, test] = d.Split(0.12);
   {
-    ScopedQuant env(nullptr);  // train in fp32 regardless of ambient env
+    // Train in fp32 whatever the ambient config says.
+    const ScopedRuntimeOverride tier({{"SEMTAG_QUANT", "0"}});
     ASSERT_TRUE(model.Train(train).ok());
   }
   ExpectQuantParity(model, test.Texts(), test.Labels());
@@ -176,7 +150,7 @@ TEST(QuantParityTest, TextLstmAndGruQuantScoresTrackFp32) {
   for (TaggingModel* model :
        {static_cast<TaggingModel*>(&lstm), static_cast<TaggingModel*>(&gru)}) {
     {
-      ScopedQuant env(nullptr);
+      const ScopedRuntimeOverride tier({{"SEMTAG_QUANT", "0"}});
       ASSERT_TRUE(model->Train(train).ok()) << model->name();
     }
     ExpectQuantParity(*model, test.Texts(), test.Labels());
@@ -199,7 +173,7 @@ TEST(QuantParityTest, MiniBertQuantScoresTrackFp32) {
   PretrainOptions pretrain;
   pretrain.epochs = 1;
   {
-    ScopedQuant env(nullptr);
+    const ScopedRuntimeOverride tier({{"SEMTAG_QUANT", "0"}});
     backbone.Pretrain(corpus, pretrain);
   }
 
@@ -210,7 +184,7 @@ TEST(QuantParityTest, MiniBertQuantScoresTrackFp32) {
   data::Dataset d = QuantDataset(450, 179);
   auto [train, test] = d.Split(0.4);
   {
-    ScopedQuant env(nullptr);
+    const ScopedRuntimeOverride tier({{"SEMTAG_QUANT", "0"}});
     ASSERT_TRUE(model.Train(train).ok());
   }
   ExpectQuantParity(model, test.Texts(), test.Labels());
@@ -227,21 +201,21 @@ TEST(QuantParityTest, ToggleIsPerCallWithoutRetraining) {
   TextCnn model(options);
   data::Dataset d = QuantDataset(120, 180);
   {
-    ScopedQuant env(nullptr);
+    const ScopedRuntimeOverride tier({{"SEMTAG_QUANT", "0"}});
     ASSERT_TRUE(model.Train(d).ok());
   }
   const std::string text = d.Texts().front();
   double fp32_score, quant_score, fp32_again;
   {
-    ScopedQuant env(nullptr);
+    const ScopedRuntimeOverride tier({{"SEMTAG_QUANT", "0"}});
     fp32_score = model.Score(text);
   }
   {
-    ScopedQuant env("1");
+    const ScopedRuntimeOverride tier({{"SEMTAG_QUANT", "1"}});
     quant_score = model.Score(text);
   }
   {
-    ScopedQuant env(nullptr);
+    const ScopedRuntimeOverride tier({{"SEMTAG_QUANT", "0"}});
     fp32_again = model.Score(text);
   }
   EXPECT_EQ(fp32_score, fp32_again);

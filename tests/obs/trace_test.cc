@@ -180,8 +180,8 @@ TEST_F(TraceTest, LongNamesAndTagsAreTruncatedNotCorrupted) {
 }
 
 TEST_F(TraceTest, RingOverflowDropsOldestButStaysBalanced) {
-  // The ring capacity is latched from $SEMTAG_TRACE_RING on first use
-  // (64 .. 1<<20, default 8192); spin until wrap-around is observed.
+  // The ring holds 8192 spans per thread; spin until wrap-around is
+  // observed.
   TraceStats stats;
   for (int i = 0; i < (1 << 20) + 256 && stats.dropped == 0; ++i) {
     TraceSpan span("overflow");

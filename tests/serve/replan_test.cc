@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -23,6 +22,7 @@
 #include <unistd.h>
 
 #include "common/thread_pool.h"
+#include "config/runtime_config.h"
 #include "core/cascade.h"
 #include "data/dataset.h"
 #include "data/drift.h"
@@ -36,33 +36,6 @@
 
 namespace semtag::serve {
 namespace {
-
-/// Restores (or clears) one environment variable on scope exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, /*overwrite=*/1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), /*overwrite=*/1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 // ---------------------------------------------------------------------------
 // TrafficStats logical epochs + cleanliness proxy
@@ -630,7 +603,7 @@ TEST(ReplanLoopTest, LoopIsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ReplanLoopTest, LoopIsThreadInvariantUnderQuantLane) {
-  ScopedEnv quant("SEMTAG_QUANT", "1");
+  const ScopedRuntimeOverride quant({{"SEMTAG_QUANT", "1"}});
   const DriftRunResult t1 = RunDriftLoop(1);
   const DriftRunResult t4 = RunDriftLoop(4);
   SetGlobalPoolThreads(0);
@@ -659,22 +632,43 @@ TEST(ReplanLoopTest, LoopIsThreadInvariantUnderDeepBatchLane) {
 }
 
 // ---------------------------------------------------------------------------
-// Env parsing + kStats over the wire
+// Runtime config + kStats over the wire
 // ---------------------------------------------------------------------------
 
 TEST(ReplanOptionsTest, EnvOverridesParse) {
-  ScopedEnv enable("SEMTAG_REPLAN", "1");
-  ScopedEnv epoch("SEMTAG_REPLAN_EPOCH", "64");
-  ScopedEnv window("SEMTAG_REPLAN_WINDOW", "4");
-  ScopedEnv hysteresis("SEMTAG_REPLAN_HYSTERESIS", "5,1.5");
-  ScopedEnv dirty("SEMTAG_REPLAN_DIRTY", "0.3,0.05");
-  ScopedEnv profile("SEMTAG_REPLAN_PROFILE", "4750000,0.3");
-  ScopedEnv pair("SEMTAG_REPLAN_PAIR", "LR+CNN");
-  ScopedEnv budget("SEMTAG_REPLAN_BUDGET", "2.0");
-  ScopedEnv dir("SEMTAG_REPLAN_DIR", "/tmp/replan");
-
-  const ReplanOptions options = ReplanOptionsFromEnv();
-  EXPECT_TRUE(options.enabled);
+  {
+    // The knobs' defaults are ReplanOptions' own.
+    const ScopedRuntimeOverride defaults(
+        {{"SEMTAG_REPLAN_EPOCH", ""}, {"SEMTAG_REPLAN_WINDOW", ""},
+         {"SEMTAG_REPLAN_HYSTERESIS", ""}, {"SEMTAG_REPLAN_DIRTY", ""},
+         {"SEMTAG_REPLAN_PROFILE", ""}, {"SEMTAG_REPLAN_PAIR", ""},
+         {"SEMTAG_REPLAN_DIR", ""}});
+    const ReplanOptions options = ReplanOptionsFromConfig();
+    const ReplanOptions base;
+    EXPECT_EQ(options.epoch_records, base.epoch_records);
+    EXPECT_EQ(options.epoch_window, base.epoch_window);
+    EXPECT_EQ(options.dwell_epochs, base.dwell_epochs);
+    EXPECT_EQ(options.margin_pts, base.margin_pts);
+    EXPECT_EQ(options.dirty_threshold, base.dirty_threshold);
+    EXPECT_EQ(options.dirty_band, base.dirty_band);
+    EXPECT_EQ(options.profile_records, base.profile_records);
+    EXPECT_EQ(options.profile_ratio, base.profile_ratio);
+    EXPECT_EQ(options.cascade.simple, base.cascade.simple);
+    EXPECT_EQ(options.cascade.deep, base.cascade.deep);
+    EXPECT_EQ(options.spec_dir, base.spec_dir);
+  }
+  const ScopedRuntimeOverride knobs(
+      {{"SEMTAG_REPLAN_EPOCH", "64"},
+       {"SEMTAG_REPLAN_WINDOW", "4"},
+       {"SEMTAG_REPLAN_HYSTERESIS", "5,1.5"},
+       {"SEMTAG_REPLAN_DIRTY", "0.3,0.05"},
+       {"SEMTAG_REPLAN_PROFILE", "4750000,0.3"},
+       {"SEMTAG_REPLAN_PAIR", "LR+CNN"},
+       {"SEMTAG_REPLAN_DIR", "/tmp/replan"}});
+  ReplanOptions base;
+  base.cascade.budget_pts = 2.0;  // semtag_serve --budget
+  const ReplanOptions options = ReplanOptionsFromConfig(base);
+  EXPECT_FALSE(options.enabled);
   EXPECT_EQ(options.epoch_records, 64);
   EXPECT_EQ(options.epoch_window, 4);
   EXPECT_EQ(options.dwell_epochs, 5);
@@ -685,18 +679,13 @@ TEST(ReplanOptionsTest, EnvOverridesParse) {
   EXPECT_DOUBLE_EQ(options.profile_ratio, 0.3);
   EXPECT_EQ(options.cascade.simple, models::ModelKind::kLr);
   EXPECT_EQ(options.cascade.deep, models::ModelKind::kCnn);
+  EXPECT_TRUE(options.cascade.auto_pair);
   EXPECT_DOUBLE_EQ(options.cascade.budget_pts, 2.0);
   EXPECT_EQ(options.spec_dir, "/tmp/replan");
-}
-
-TEST(ReplanOptionsTest, BadValuesKeepDefaultsAndZeroDisables) {
-  ScopedEnv enable("SEMTAG_REPLAN", "0");
-  ScopedEnv hysteresis("SEMTAG_REPLAN_HYSTERESIS", "nonsense");
-  ScopedEnv pair("SEMTAG_REPLAN_PAIR", "not-a-pair");
-  const ReplanOptions options = ReplanOptionsFromEnv();
-  EXPECT_FALSE(options.enabled);
-  EXPECT_EQ(options.dwell_epochs, ReplanOptions{}.dwell_epochs);
-  EXPECT_EQ(options.cascade.simple, models::ModelKind::kSvm);
+  // A pair that parses as a pair but names no models keeps the base pair.
+  const ScopedRuntimeOverride unknown({{"SEMTAG_REPLAN_PAIR", "FOO+BAR"}});
+  EXPECT_EQ(ReplanOptionsFromConfig().cascade.simple,
+            models::ModelKind::kSvm);
 }
 
 #ifdef __linux__

@@ -11,6 +11,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -697,15 +698,17 @@ TEST(ServerTest, HotSwapOverTheWire) {
   ModelSpec spec;
   spec.model = "SVM";
   spec.file = checkpoint;
-  const std::string spec_path = TempPath("e2e_swap.spec");
-  ASSERT_TRUE(WriteModelSpecFile(spec_path, spec).ok());
+  ASSERT_TRUE(WriteModelSpecFile(TempPath("e2e_swap.spec"), spec).ok());
 
-  Server server(&registry, ServerOptions{});
+  ServerOptions options;
+  options.replan.spec_dir = testing::TempDir();
+  Server server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   TestClient client;
   ASSERT_TRUE(client.Connect(server.port()));
 
-  ASSERT_TRUE(client.Send(static_cast<uint8_t>(Opcode::kSwap), spec_path));
+  ASSERT_TRUE(
+      client.Send(static_cast<uint8_t>(Opcode::kSwap), "e2e_swap.spec"));
   uint8_t tag = 0;
   std::string payload;
   ASSERT_TRUE(client.ReadFrame(&tag, &payload));
@@ -723,9 +726,9 @@ TEST(ServerTest, HotSwapOverTheWire) {
   ASSERT_TRUE(ParseScoreResponse(payload, &ticket, &version, &score));
   EXPECT_EQ(version, 2u);
 
-  // A bad path reports kError (and never kills the daemon).
+  // A missing spec reports kError (and never kills the daemon).
   ASSERT_TRUE(client.Send(static_cast<uint8_t>(Opcode::kSwap),
-                          TempPath("does_not_exist.spec")));
+                          "does_not_exist.spec"));
   ASSERT_TRUE(client.ReadFrame(&tag, &payload));
   EXPECT_EQ(tag, static_cast<uint8_t>(StatusCode::kError));
 
@@ -754,6 +757,7 @@ TEST(ServerTest, SwapUnderReadCorruptFaultKeepsServingOldModel) {
 
   ServerOptions options;
   options.batching.batch_cap = 1;
+  options.replan.spec_dir = testing::TempDir();
   Server server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   TestClient client;
@@ -765,8 +769,8 @@ TEST(ServerTest, SwapUnderReadCorruptFaultKeepsServingOldModel) {
     // The daemon reads a bit-flipped spec: kSwap must answer kError, not
     // crash, and scoring must continue on the old model/version.
     ScopedFaults faults("read_corrupt:match=e2e_fault_swap.spec");
-    ASSERT_TRUE(
-        client.Send(static_cast<uint8_t>(Opcode::kSwap), spec_path));
+    ASSERT_TRUE(client.Send(static_cast<uint8_t>(Opcode::kSwap),
+                            "e2e_fault_swap.spec"));
     ASSERT_TRUE(client.ReadFrame(&tag, &payload));
     EXPECT_EQ(tag, static_cast<uint8_t>(StatusCode::kError));
   }
@@ -789,6 +793,41 @@ TEST(ServerTest, SwapUnderReadCorruptFaultKeepsServingOldModel) {
   // The poisoned spec was quarantined by the failed swap.
   EXPECT_FALSE(ReadFileToString(spec_path).ok());
   EXPECT_TRUE(ReadFileToString(spec_path + ".corrupt").ok());
+}
+
+TEST(ServerTest, SwapRefusesPathsOutsideTheSpecDir) {
+  // A failed load quarantines (renames) the file it read, so a kSwap that
+  // could name any path could rename any file the daemon can write.
+  const data::Dataset dataset = TinyDataset();
+  ModelRegistry registry;
+  registry.Install(TrainedSvm(dataset), "svm");
+  const std::string spec_dir = TempPath("swap_spec_dir");
+  std::filesystem::create_directories(spec_dir);
+  const std::string victim = TempPath("swap_victim.txt");
+  ASSERT_TRUE(WriteFileAtomic(victim, "not a spec\n").ok());
+
+  ServerOptions options;
+  options.replan.spec_dir = spec_dir;
+  Server server(&registry, options);
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  for (const std::string& name :
+       {std::string("../swap_victim.txt"), victim, std::string("."),
+        std::string(".."), std::string()}) {
+    ASSERT_TRUE(client.Send(static_cast<uint8_t>(Opcode::kSwap), name));
+    uint8_t tag = 0;
+    std::string payload;
+    ASSERT_TRUE(client.ReadFrame(&tag, &payload));
+    EXPECT_EQ(tag, static_cast<uint8_t>(StatusCode::kError)) << name;
+  }
+  server.Stop();
+  EXPECT_EQ(server.counters().swaps_failed, 5u);
+  EXPECT_EQ(registry.version(), 1u);
+  const auto content = ReadFileToString(victim);
+  ASSERT_TRUE(content.ok());
+  EXPECT_EQ(*content, "not a spec\n");
+  EXPECT_FALSE(std::filesystem::exists(victim + ".corrupt"));
 }
 
 TEST(ServerTest, ShedResponseWhenQueueFull) {
