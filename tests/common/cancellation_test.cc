@@ -5,6 +5,8 @@
 #include <chrono>
 #include <thread>
 
+#include "config/runtime_config.h"
+
 namespace semtag {
 namespace {
 
@@ -62,6 +64,23 @@ TEST(CancellationTokenTest, ExplicitCancelWinsOverDeadlineCode) {
   token.Cancel();
   EXPECT_TRUE(token.cancelled());
   EXPECT_EQ(token.status().code(), StatusCode::kCancelled);
+}
+
+// MakeCellToken reads SEMTAG_CELL_DEADLINE_MS from the current config on
+// every call, so an override takes effect on the next cell.
+TEST(CellDeadlineTest, ReadsEnvOnEveryCall) {
+  {
+    const ScopedRuntimeOverride unset({{"SEMTAG_CELL_DEADLINE_MS", ""}});
+    EXPECT_FALSE(MakeCellToken().valid());
+  }
+  {
+    const ScopedRuntimeOverride set({{"SEMTAG_CELL_DEADLINE_MS", "25000"}});
+    EXPECT_TRUE(MakeCellToken().valid());
+    EXPECT_FALSE(MakeCellToken().cancelled());
+  }
+  const ScopedRuntimeOverride bad(
+      {{"SEMTAG_CELL_DEADLINE_MS", "not-a-number"}});
+  EXPECT_FALSE(MakeCellToken().valid());
 }
 
 }  // namespace

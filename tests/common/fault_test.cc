@@ -2,6 +2,7 @@
 
 #include "common/fault.h"
 #include "common/timer.h"
+#include "config/runtime_config.h"
 
 namespace semtag {
 namespace {
@@ -93,6 +94,20 @@ TEST_F(FaultTest, StallSleepsForMs) {
   WallTimer timer;
   EXPECT_TRUE(FaultInjected(FaultPoint::kStall, "cell"));
   EXPECT_GE(timer.ElapsedSeconds(), 0.045);
+}
+
+// The registry arms itself from the config's SEMTAG_FAULT text; arming
+// from that text again follows the knob, and an empty knob disarms.
+TEST_F(FaultTest, ReloadFaultsFromEnv) {
+  {
+    const ScopedRuntimeOverride armed(
+        {{"SEMTAG_FAULT", "read_corrupt:match=ckpt"}});
+    ASSERT_TRUE(SetFaultsFromSpec(GetRuntimeConfig().fault).ok());
+    EXPECT_TRUE(FaultInjected(FaultPoint::kReadCorrupt, "my_ckpt.bin"));
+  }
+  const ScopedRuntimeOverride unset({{"SEMTAG_FAULT", ""}});
+  ASSERT_TRUE(SetFaultsFromSpec(GetRuntimeConfig().fault).ok());
+  EXPECT_FALSE(FaultInjected(FaultPoint::kReadCorrupt, "my_ckpt.bin"));
 }
 
 TEST_F(FaultTest, ClearFaultsResetsCounters) {

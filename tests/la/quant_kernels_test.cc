@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "config/runtime_config.h"
 #include "gtest/gtest.h"
 #include "la/buffer_pool.h"
 #include "la/kernels.h"
@@ -135,6 +136,23 @@ TEST(QuantizedMatrixTest, DequantGatherRowsReconstructs) {
   }
 }
 
+
+// QuantInferenceEnabled reads the current config on every call, so an
+// override toggles the tier without retraining.
+TEST(QuantEnvTest, QuantInferenceEnabledReReadsEnv) {
+  {
+    const ScopedRuntimeOverride unset({{"SEMTAG_QUANT", ""}});
+    EXPECT_FALSE(QuantInferenceEnabled());
+  }
+  {
+    const ScopedRuntimeOverride on({{"SEMTAG_QUANT", "1"}});
+    EXPECT_TRUE(QuantInferenceEnabled());
+    const ScopedRuntimeOverride off({{"SEMTAG_QUANT", "0"}});
+    EXPECT_FALSE(QuantInferenceEnabled());
+  }
+  const ScopedRuntimeOverride yes({{"SEMTAG_QUANT", "yes"}});
+  EXPECT_FALSE(QuantInferenceEnabled());  // exact "1" only
+}
 
 // ---------------------------------------------------------------------------
 // 2. Int8 GEMM vs fp32 reference, analytic error bound.

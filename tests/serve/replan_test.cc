@@ -688,6 +688,20 @@ TEST(ReplanOptionsTest, EnvOverridesParse) {
             models::ModelKind::kSvm);
 }
 
+// Invalid knob values keep ReplanOptions' defaults, and no knob turns the
+// loop on: it runs only when the caller's options (--replan) enable it.
+TEST(ReplanOptionsTest, BadValuesKeepDefaultsAndZeroDisables) {
+  const ScopedRuntimeOverride bad({{"SEMTAG_REPLAN_HYSTERESIS", "nonsense"},
+                                   {"SEMTAG_REPLAN_PAIR", "not-a-pair"}});
+  const ReplanOptions options = ReplanOptionsFromConfig();
+  EXPECT_FALSE(options.enabled);
+  EXPECT_EQ(options.dwell_epochs, ReplanOptions{}.dwell_epochs);
+  EXPECT_EQ(options.cascade.simple, models::ModelKind::kSvm);
+  ReplanOptions enabled;
+  enabled.enabled = true;
+  EXPECT_TRUE(ReplanOptionsFromConfig(enabled).enabled);
+}
+
 #ifdef __linux__
 
 TEST(ReplanServerTest, KStatsExposesCascadePairThresholdAndReplanState) {
