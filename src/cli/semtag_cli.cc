@@ -5,23 +5,31 @@
 //   semtag train    --data reviews.csv --model SVM --out tagger.model
 //   semtag evaluate --saved tagger.model --data heldout.csv
 //   semtag predict  --saved tagger.model --data new.csv [--explain]
+//   semtag grid     --models LR,SVM --report grid.csv
 //
 // CSVs need a header with `text` and (except predict) `label` columns.
 // Persistence covers the simple models (LR, SVM) — exactly the models the
 // study recommends for production-scale retraining loops.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <string>
+#include <vector>
 
+#include "common/file_io.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
+#include "common/timer.h"
 #include "core/advisor.h"
 #include "core/cascade.h"
 #include "core/characteristics.h"
+#include "core/experiment.h"
 #include "data/io.h"
+#include "data/specs.h"
 #include "eval/calibration.h"
 #include "eval/metrics.h"
 #include "models/simple/linear_svm.h"
@@ -41,7 +49,9 @@ int Usage() {
       "  semtag evaluate --saved <file> --data <csv>\n"
       "  semtag predict  --saved <file> --data <csv> [--explain]\n"
       "  semtag cascade  --data <csv> [--budget <F1 pts>] "
-      "[--pair <S>+<D>|simple]\n");
+      "[--pair <S>+<D>|simple]\n"
+      "  semtag grid     [--datasets A,B] [--models M1,M2] [--report <csv>] "
+      "[--no-cache]\n");
   return 2;
 }
 
@@ -309,6 +319,66 @@ int CascadeCmd(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+/// Runs the study's dataset x model grid in this process (default: all 21
+/// specs x the 5 representative models) and optionally writes the
+/// canonical report CSV. Completed cells land in the result cache as they
+/// finish, so rerunning after a crash recomputes only the missing cells.
+/// Exits 1 if any cell failed or timed out.
+int GridCmd(const std::map<std::string, std::string>& flags) {
+  std::vector<data::DatasetSpec> specs;
+  if (const auto it = flags.find("datasets"); it != flags.end()) {
+    for (const auto& name : Split(it->second, ',')) {
+      auto spec = data::FindSpec(name);
+      if (!spec.ok()) {
+        std::fprintf(stderr, "unknown dataset %s\n", name.c_str());
+        return 2;
+      }
+      specs.push_back(std::move(spec).ValueOrDie());
+    }
+  } else {
+    specs = data::AllDatasetSpecs();
+  }
+  std::vector<models::ModelKind> kinds;
+  if (const auto it = flags.find("models"); it != flags.end()) {
+    for (const auto& name : Split(it->second, ',')) {
+      auto kind = models::ModelKindFromName(name);
+      if (!kind.ok()) {
+        std::fprintf(stderr, "unknown model %s\n", name.c_str());
+        return 2;
+      }
+      kinds.push_back(kind.ValueOrDie());
+    }
+  } else {
+    kinds = models::RepresentativeModels();
+  }
+  if (specs.empty() || kinds.empty()) {
+    std::fprintf(stderr, "empty grid\n");
+    return 2;
+  }
+
+  const auto cells = core::EnumerateGrid(specs, kinds);
+  core::ExperimentRunner runner(/*use_cache=*/flags.count("no-cache") == 0);
+  WallTimer timer;
+  const core::RunReport report = runner.RunMany(cells);
+  std::printf("grid: %zu cells in %.2fs on %d threads\n", cells.size(),
+              timer.ElapsedSeconds(), std::max(GlobalPool().threads(), 1));
+  std::printf("outcomes: ok=%d cached=%d retried=%d timed_out=%d "
+              "failed=%d\n",
+              report.ok, report.cached, report.retried, report.timed_out,
+              report.failed);
+  if (const auto it = flags.find("report"); it != flags.end()) {
+    const Status st = WriteFileAtomic(
+        it->second, core::CanonicalReportCsv(cells, report));
+    if (!st.ok()) {
+      std::fprintf(stderr, "cannot write %s: %s\n", it->second.c_str(),
+                   st.ToString().c_str());
+      return 1;
+    }
+    std::printf("canonical report -> %s\n", it->second.c_str());
+  }
+  return report.all_ok() ? 0 : 1;
+}
+
 int Main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
   if (argc < 2) return Usage();
@@ -323,6 +393,7 @@ int Main(int argc, char** argv) {
   if (command == "evaluate") return Evaluate(flags);
   if (command == "predict") return Predict(flags);
   if (command == "cascade" || command == "--cascade") return CascadeCmd(flags);
+  if (command == "grid") return GridCmd(flags);
   return Usage();
 }
 

@@ -13,7 +13,6 @@
 #include "obs/metrics.h"
 
 #ifdef __unix__
-#include <csignal>
 #include <unistd.h>
 #endif
 
@@ -43,9 +42,6 @@ Result<FaultPoint> PointFromName(std::string_view name) {
   if (name == "nan_grad") return FaultPoint::kNonFiniteGrad;
   if (name == "stall") return FaultPoint::kStall;
   if (name == "crash") return FaultPoint::kCrash;
-  if (name == "kill_self") return FaultPoint::kKillSelf;
-  if (name == "lease_stall") return FaultPoint::kLeaseStall;
-  if (name == "claim_race") return FaultPoint::kClaimRace;
   return Status::InvalidArgument("unknown fault point: " + std::string(name));
 }
 
@@ -89,12 +85,6 @@ const char* FaultPointName(FaultPoint point) {
       return "stall";
     case FaultPoint::kCrash:
       return "crash";
-    case FaultPoint::kKillSelf:
-      return "kill_self";
-    case FaultPoint::kLeaseStall:
-      return "lease_stall";
-    case FaultPoint::kClaimRace:
-      return "claim_race";
   }
   return "?";
 }
@@ -188,9 +178,7 @@ bool FaultInjected(FaultPoint point, std::string_view context) {
       ++armed.triggered;
       ++r.trigger_counts[static_cast<int>(point)];
       triggered = true;
-      if (point == FaultPoint::kStall || point == FaultPoint::kLeaseStall) {
-        stall_ms = s.ms;
-      }
+      if (point == FaultPoint::kStall) stall_ms = s.ms;
       break;
     }
   }
@@ -204,15 +192,6 @@ bool FaultInjected(FaultPoint point, std::string_view context) {
   if (point == FaultPoint::kCrash) {
 #ifdef __unix__
     _exit(137);
-#else
-    std::abort();
-#endif
-  }
-  if (point == FaultPoint::kKillSelf) {
-    // A real SIGKILL, not _exit: the coordinator's waitpid must observe
-    // WIFSIGNALED exactly as it would for an OOM kill or operator kill -9.
-#ifdef __unix__
-    ::raise(SIGKILL);
 #else
     std::abort();
 #endif

@@ -20,18 +20,12 @@ enum class FaultPoint {
   kNonFiniteGrad,   // poison gradients with NaN before the optimizer step
   kStall,           // sleep `ms` at a grid cell / training step
   kCrash,           // _exit(137) immediately (simulates kill -9)
-  // Worker-targeted faults of the sharded grid executor (core/shard.h).
-  // Probe contexts are "w<id>@<phase>@<cell>" so specs can target one
-  // worker (match=w0@), one phase (match=@pre@), or one cell.
-  kKillSelf,        // raise(SIGKILL): worker death the coordinator must see
-  kLeaseStall,      // freeze a lease heartbeat for `ms` (lease expires)
-  kClaimRace,       // claim an already-leased cell (double-claim race)
 };
 
-inline constexpr int kNumFaultPoints = 9;
+inline constexpr int kNumFaultPoints = 6;
 
 /// Name used in SEMTAG_FAULT specs: write_fail, read_corrupt, nan_loss,
-/// nan_grad, stall, crash, kill_self, lease_stall, claim_race.
+/// nan_grad, stall, crash.
 const char* FaultPointName(FaultPoint point);
 
 /// One armed fault. Parsed from a spec entry of the form

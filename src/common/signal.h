@@ -3,22 +3,21 @@
 
 namespace semtag {
 
-/// Process-wide self-pipe shutdown signal (the coordinator drain pattern
-/// shared by `semtag_shard` and the `semtag_serve` daemon).
+/// Process-wide self-pipe shutdown signal (the `semtag_serve` daemon's
+/// drain trigger).
 ///
 /// Install() arms SIGINT + SIGTERM with an async-signal-safe handler that
 /// records the signal number and writes one byte to a non-blocking
 /// self-pipe. Two consumption styles:
-///  - polling loops (the shard coordinator) probe requested() — a single
-///    relaxed atomic load — between iterations;
+///  - polling loops probe requested() — a single relaxed atomic load —
+///    between iterations;
 ///  - event loops (the serve daemon) register fd() with epoll/poll and
 ///    wake the instant the signal lands, with no polling latency.
 ///
 /// The helper is a process singleton: handlers are installed once
 /// (idempotent, thread-safe) and stay installed for the process lifetime.
 /// fork+exec children start from default handlers again (exec resets
-/// them), so shard workers keep dying promptly on the coordinator's
-/// SIGTERM. A second signal after the first is recorded too (signal()
+/// them). A second signal after the first is recorded too (signal()
 /// reports the latest), letting daemons escalate "drain" to "abort now".
 class ShutdownSignal {
  public:

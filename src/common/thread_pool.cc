@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <utility>
@@ -21,6 +22,19 @@ namespace {
 /// Set for the duration of WorkerLoop so InPool() can answer without
 /// touching the pool's mutex.
 thread_local const ThreadPool* t_worker_pool = nullptr;
+
+/// Set while the calling thread runs ParallelFor chunks: a nested
+/// ParallelFor then runs inline. Pool workers are covered by InPool(); this
+/// covers the caller, whose nested tasks would otherwise queue behind
+/// workers that keep claiming outer chunks.
+thread_local bool t_in_chunk = false;
+
+/// Chunks per thread of one ParallelFor call. More chunks than threads let
+/// a thread that drew cheap indices go back for more instead of idling
+/// while one expensive chunk finishes. At 16, the 105-cell paper grid on 4
+/// threads ends in single-cell chunks, which a cursor hands out as well as
+/// one claim per cell would.
+constexpr size_t kChunksPerThread = 16;
 
 }  // namespace
 
@@ -172,11 +186,10 @@ void ParallelFor(size_t begin, size_t end, size_t grain,
   const size_t range = end - begin;
   if (grain == 0) grain = 1;
   ThreadPool& pool = GlobalPool();
-  const size_t max_by_grain = (range + grain - 1) / grain;
+  const size_t threads = static_cast<size_t>(pool.threads());
   const size_t chunks =
-      std::min<size_t>(static_cast<size_t>(std::max(pool.threads(), 1)),
-                       max_by_grain);
-  if (chunks <= 1 || pool.InPool()) {
+      std::min(threads * kChunksPerThread, (range + grain - 1) / grain);
+  if (chunks <= 1 || pool.InPool() || t_in_chunk) {
     fn(begin, end);
     return;
   }
@@ -184,53 +197,54 @@ void ParallelFor(size_t begin, size_t end, size_t grain,
   // chunk c covers [begin + c*base + min(c, extra), +base (+1 if c<extra)).
   const size_t base = range / chunks;
   const size_t extra = range % chunks;
-  auto chunk_bounds = [&](size_t c) {
-    const size_t lo = begin + c * base + std::min(c, extra);
-    const size_t hi = lo + base + (c < extra ? 1 : 0);
-    return std::pair<size_t, size_t>(lo, hi);
-  };
 
-  // Per-call completion state, so concurrent ParallelFor calls (and
-  // unrelated Submit/Wait users) never observe each other's errors.
+  // Per-call state, so concurrent ParallelFor calls (and unrelated
+  // Submit/Wait users) never observe each other's chunks or errors.
   struct State {
+    std::atomic<size_t> next{0};
     std::mutex mu;
     std::condition_variable cv;
-    size_t remaining;
+    size_t helpers = 0;  // submitted helpers that have not returned
     std::exception_ptr error;
   };
   auto state = std::make_shared<State>();
-  state->remaining = chunks - 1;
 
-  for (size_t c = 1; c < chunks; ++c) {
-    const auto [lo, hi] = chunk_bounds(c);
-    pool.Submit([state, lo, hi, &fn] {
+  // Claims chunks until the cursor runs past the last one. Whoever is
+  // free takes the next chunk, so one slow chunk delays only itself. The
+  // first exception is kept; later chunks still run, as every index must
+  // be visited exactly once before ParallelFor returns.
+  const auto drain = [state, chunks, base, extra, begin, &fn] {
+    t_in_chunk = true;
+    for (size_t c; (c = state->next.fetch_add(1)) < chunks;) {
+      const size_t lo = begin + c * base + std::min(c, extra);
+      const size_t hi = lo + base + (c < extra ? 1 : 0);
       try {
         fn(lo, hi);
       } catch (...) {
         std::lock_guard<std::mutex> lock(state->mu);
         if (!state->error) state->error = std::current_exception();
       }
+    }
+    t_in_chunk = false;
+  };
+
+  // One helper per other thread; the caller is the last. A helper that
+  // starts after the cursor is spent returns at once.
+  const size_t helpers = std::min(threads, chunks) - 1;
+  state->helpers = helpers;
+  for (size_t h = 0; h < helpers; ++h) {
+    pool.Submit([state, &drain] {
+      drain();
       std::lock_guard<std::mutex> lock(state->mu);
-      if (--state->remaining == 0) state->cv.notify_all();
+      if (--state->helpers == 0) state->cv.notify_all();
     });
   }
-
-  // The caller works on chunk 0 instead of idling; its exception is held
-  // until the submitted chunks finish (they reference `fn` and `state` on
-  // this stack frame, so we must not unwind past them).
-  std::exception_ptr inline_error;
-  try {
-    const auto [lo, hi] = chunk_bounds(0);
-    fn(lo, hi);
-  } catch (...) {
-    inline_error = std::current_exception();
-  }
+  drain();
+  // Helpers reference `fn` and `drain` on this stack frame, so wait for
+  // every one of them before returning or rethrowing.
   std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&] { return state->remaining == 0; });
-  std::exception_ptr worker_error = state->error;
-  lock.unlock();
-  if (inline_error) std::rethrow_exception(inline_error);
-  if (worker_error) std::rethrow_exception(worker_error);
+  state->cv.wait(lock, [&] { return state->helpers == 0; });
+  if (state->error) std::rethrow_exception(state->error);
 }
 
 }  // namespace semtag

@@ -79,17 +79,21 @@ int DefaultThreadCount();
 /// ParallelFor/Submit on the old pool (callers quiesce first).
 void SetGlobalPoolThreads(int threads);
 
-/// Runs fn(lo, hi) over a static partition of [begin, end) on the global
-/// pool. The partition is deterministic: at most pool-thread-count chunks,
-/// each at least `grain` indices, split as evenly as possible. Because
-/// every index is processed by exactly one call and callers only write
-/// index-owned outputs, results are bit-identical for any thread count.
+/// Runs fn(lo, hi) over a partition of [begin, end) on the global pool.
+/// The range is cut into up to 16 chunks per pool thread, each at least
+/// `grain` indices, split as evenly as possible; the caller and up to
+/// threads-1 workers claim chunks from one atomic cursor until none is
+/// left, so a thread that finishes early takes more work instead of idling
+/// behind a slow chunk. Every index is processed by exactly one call and
+/// callers only write index-owned outputs, so results are bit-identical
+/// for any thread count and any claim order.
 ///
 /// Runs entirely inline (one fn(begin, end) call) when the range fits in
-/// one grain, the pool has no workers, or the caller is itself a pool
-/// worker (nested parallelism degrades to sequential instead of
-/// deadlocking). Exceptions from any chunk are rethrown on the caller
-/// after all chunks finish.
+/// one grain, the pool has no workers, or the calling thread is a pool
+/// worker or is already running a ParallelFor chunk (nested parallelism
+/// degrades to sequential instead of deadlocking or queueing behind outer
+/// chunks). Exceptions from any chunk are rethrown on the caller after all
+/// chunks finish.
 void ParallelFor(size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t, size_t)>& fn);
 

@@ -9,15 +9,23 @@
 namespace semtag::core {
 
 std::vector<HeatMapRow> BuildHeatMap(ExperimentRunner* runner) {
+  const auto specs = data::AllDatasetSpecs();
+  const auto cells = EnumerateGrid(
+      specs, {models::ModelKind::kSvm, models::ModelKind::kBert});
+  const RunReport report = runner->RunMany(cells);
+  // EnumerateGrid lists the simple family first: cells [0, n) are SVM,
+  // [n, 2n) BERT, both in spec order.
+  const size_t n = specs.size();
   std::vector<HeatMapRow> rows;
-  for (const auto& spec : data::AllDatasetSpecs()) {
+  for (size_t i = 0; i < n; ++i) {
+    const auto& spec = specs[i];
     HeatMapRow row;
     row.dataset = spec.name;
     row.paper_records = spec.paper_records;
     row.ratio = spec.paper_positive;
     row.clean = !spec.dirty;
-    row.bert_f1 = runner->Run(spec, models::ModelKind::kBert).f1;
-    row.svm_f1 = runner->Run(spec, models::ModelKind::kSvm).f1;
+    row.svm_f1 = report.results[i].f1;
+    row.bert_f1 = report.results[n + i].f1;
     rows.push_back(std::move(row));
   }
   return rows;

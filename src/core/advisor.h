@@ -21,7 +21,7 @@ struct HeatMapRow {
 };
 
 /// Builds the heat map by running (or loading from cache) BERT and SVM on
-/// all 21 datasets.
+/// all 21 datasets, as one RunMany grid on the global pool.
 std::vector<HeatMapRow> BuildHeatMap(ExperimentRunner* runner);
 
 /// The paper's reference heat map (Figure 11's published numbers), usable

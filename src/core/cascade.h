@@ -147,8 +147,8 @@ CascadeCalibration CalibrateCascadeThreshold(
 /// Determinism: escalation membership depends only on the simple model's
 /// scores and the calibrated threshold, and both tiers score
 /// deterministically, so the escalated set and the final scores are
-/// bit-identical across thread counts and shard workers at a fixed
-/// environment (the shard determinism stamp pins the cascade knobs too).
+/// bit-identical across thread counts at a fixed environment (the result
+/// cache key folds in the cascade knobs too).
 class Cascade : public models::TaggingModel {
  public:
   explicit Cascade(CascadeOptions options = {});

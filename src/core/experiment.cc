@@ -140,19 +140,18 @@ ParsedCache ParseCacheContent(const std::string& content) {
   return parsed;
 }
 
+/// %.17g round-trips every double exactly, so a cache replay is
+/// bit-identical to the run that produced it: a resumed grid's report
+/// matches an uninterrupted one.
+std::string G17(double v) { return StrFormat("%.17g", v); }
+
 std::string SerializeCache(
     const std::map<std::string, ExperimentResult>& entries) {
   CsvWriter writer;
   for (const auto& [k, r] : entries) {
-    // %.17g round-trips every double exactly, so a cache replay is
-    // bit-identical to the run that produced it — the property the sharded
-    // merge (core/shard.cc) relies on when it falls back to cached cells.
-    writer.AddRow({k, r.dataset, r.model, StrFormat("%.17g", r.f1),
-                   StrFormat("%.17g", r.precision),
-                   StrFormat("%.17g", r.recall),
-                   StrFormat("%.17g", r.accuracy),
-                   StrFormat("%.17g", r.auc),
-                   StrFormat("%.17g", r.calibrated_f1),
+    writer.AddRow({k, r.dataset, r.model, G17(r.f1), G17(r.precision),
+                   G17(r.recall), G17(r.accuracy), G17(r.auc),
+                   G17(r.calibrated_f1),
                    StrFormat("%.4f", r.train_seconds),
                    std::to_string(r.train_size),
                    std::to_string(r.test_size),
@@ -162,11 +161,8 @@ std::string SerializeCache(
   return payload + StrFormat("%s%08x\n", kCrcFooterPrefix, Crc32(payload));
 }
 
-}  // namespace
-
+/// Recomputes the outcome counts of `report` from its `results`.
 void TallyOutcomes(RunReport* report) {
-  report->ok = report->cached = report->retried = 0;
-  report->timed_out = report->failed = 0;
   for (const auto& r : report->results) {
     switch (r.outcome) {
       case CellOutcome::kOk: ++report->ok; break;
@@ -178,10 +174,12 @@ void TallyOutcomes(RunReport* report) {
   }
 }
 
+}  // namespace
+
 std::vector<GridCell> EnumerateGrid(
     const std::vector<data::DatasetSpec>& specs,
     const std::vector<models::ModelKind>& kinds) {
-  // Claim-priority rank of a model family: simple counting/linear models
+  // Run-order rank of a model family: simple counting/linear models
   // are orders of magnitude cheaper per cell than fine-tuned transformers,
   // so they go first.
   const auto rank = [](models::ModelKind kind) {
@@ -459,35 +457,49 @@ ExperimentResult ExperimentRunner::RunOn(const std::string& cache_key,
   return result;
 }
 
-RunReport ExperimentRunner::RunMany(
-    const std::vector<data::DatasetSpec>& specs, models::ModelKind kind) {
-  obs::TraceSpan sweep_span("runner/RunMany", models::ModelKindName(kind));
+RunReport ExperimentRunner::RunMany(const std::vector<GridCell>& cells) {
+  obs::TraceSpan sweep_span("runner/RunMany");
   RunReport report;
-  report.results.resize(specs.size());
-  // Each cell is fully self-contained (dataset generation, split,
-  // seeded model), so cells parallelise across the pool; results land at
-  // their spec's index and the returned order matches the sequential path
+  report.results.resize(cells.size());
+  // Each cell is fully self-contained (dataset generation, split, seeded
+  // model), so cells parallelise across the pool; results land at their
+  // cell's index and the returned order matches the sequential path
   // exactly. A cell that fails or times out is recorded and the sweep
   // continues.
-  ParallelFor(0, specs.size(), 1, [&](size_t lo, size_t hi) {
+  ParallelFor(0, cells.size(), 1, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
-      report.results[i] = Run(specs[i], kind);
+      report.results[i] = Run(cells[i].spec, cells[i].kind);
     }
   });
   TallyOutcomes(&report);
   if (!report.all_ok()) {
     SEMTAG_LOG(kWarning,
-               "%s sweep: %d ok, %d cached, %d retried, %d timed out, "
+               "grid sweep: %d ok, %d cached, %d retried, %d timed out, "
                "%d failed (failed/timed-out cells stay uncached and will "
                "retry on the next run)",
-               models::ModelKindName(kind), report.ok, report.cached,
-               report.retried, report.timed_out, report.failed);
+               report.ok, report.cached, report.retried, report.timed_out,
+               report.failed);
   }
   return report;
 }
 
 RunReport ExperimentRunner::RunAll(models::ModelKind kind) {
-  return RunMany(data::AllDatasetSpecs(), kind);
+  return RunMany(EnumerateGrid(data::AllDatasetSpecs(), {kind}));
+}
+
+std::string CanonicalReportCsv(const std::vector<GridCell>& cells,
+                               const RunReport& report) {
+  SEMTAG_CHECK(cells.size() == report.results.size());
+  CsvWriter writer;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const ExperimentResult& r = report.results[i];
+    writer.AddRow({cells[i].id, r.dataset, r.model, G17(r.f1),
+                   G17(r.precision), G17(r.recall), G17(r.accuracy),
+                   G17(r.auc), G17(r.calibrated_f1),
+                   std::to_string(r.train_size),
+                   std::to_string(r.test_size)});
+  }
+  return writer.ToString();
 }
 
 }  // namespace semtag::core

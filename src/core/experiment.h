@@ -56,30 +56,31 @@ struct RunReport {
   bool all_ok() const { return timed_out == 0 && failed == 0; }
 };
 
-/// Recomputes the outcome counts of `report` from its `results`. Shared by
-/// RunMany and the sharded coordinator's cross-worker report merge, so both
-/// tally identically.
-void TallyOutcomes(RunReport* report);
-
-/// One claimable unit of a sharded sweep: a (dataset, model) cell plus its
-/// stable id ("<dataset>/<model>"), the currency of the shard lease
-/// journal (core/shard.h).
+/// One (dataset, model) cell of the study grid plus its stable id
+/// ("<dataset>/<model>").
 struct GridCell {
   data::DatasetSpec spec;
   models::ModelKind kind;
   std::string id;
 };
 
-/// Enumerates the full specs x models grid in claim order: cheap model
+/// Enumerates the full specs x models grid in run order: cheap model
 /// families first (NB/LR/SVM/XGB, then embedding hybrids, then deep), specs
-/// in the given order within a family. Scheduling simple-model cells first
-/// makes early failures cheap to retry and frees deep cells to the tail
-/// where reclaim cost dominates ("Small Language Models are Good Too",
-/// PAPERS.md). Cell ids are unique; duplicate (spec, model) pairs are
-/// rejected with an abort since the lease journal keys on the id.
+/// in the given order within a family. Simple-model cells finish (and
+/// reach the result cache) early, and the expensive deep cells come last,
+/// where the pool's cursor spreads them over whichever threads are free
+/// ("Small Language Models are Good Too", PAPERS.md). Cell ids are unique;
+/// a duplicate (spec, model) pair aborts.
 std::vector<GridCell> EnumerateGrid(
     const std::vector<data::DatasetSpec>& specs,
     const std::vector<models::ModelKind>& kinds);
+
+/// Canonical CSV of a report's deterministic columns (cell id + metrics +
+/// sizes; no outcome, no timings), in grid order at full double precision.
+/// Two runs of the same grid (any thread count, fresh, resumed or served
+/// from the cache) must produce byte-identical canonical CSVs.
+std::string CanonicalReportCsv(const std::vector<GridCell>& cells,
+                               const RunReport& report);
 
 /// Trains `kind` on `train`, evaluates on `test`, and fills every metric.
 /// `cancel` (optional) is polled cooperatively inside the training loop;
@@ -120,14 +121,15 @@ class ExperimentRunner {
                          const data::Dataset& test, models::ModelKind kind,
                          uint64_t seed = 0);
 
-  /// Run() over an explicit list of specs for one model. Cells run in
-  /// parallel on the global pool (each cell is independent: its own
-  /// generated dataset, split, and seeded model); a failed or timed-out
-  /// cell is recorded in the report and the rest of the grid completes.
-  RunReport RunMany(const std::vector<data::DatasetSpec>& specs,
-                    models::ModelKind kind);
+  /// Run() over a list of grid cells, any mix of specs and models. Cells
+  /// run in parallel on the global pool, each claimed by whichever thread
+  /// is free (each cell is independent: its own generated dataset, split,
+  /// and seeded model). results[i] is cells[i]'s result, so the report
+  /// matches the sequential order exactly; a failed or timed-out cell is
+  /// recorded and the rest of the grid completes.
+  RunReport RunMany(const std::vector<GridCell>& cells);
 
-  /// Convenience: RunMany() over all 21 specs.
+  /// Convenience: RunMany() of one model over all 21 specs.
   RunReport RunAll(models::ModelKind kind);
 
  private:

@@ -14,6 +14,40 @@
 
 namespace semtag::serve {
 
+namespace {
+
+/// Copies the SEMTAG_REPLAN_* geometry, pins, pair hint and spec dir of
+/// `config` into `options`. A pair naming unknown models warns and keeps
+/// the options' pair.
+void ApplyReplanKnobs(const RuntimeConfig& config, ReplanOptions* options) {
+  options->epoch_records = config.replan_epoch;
+  options->epoch_window = config.replan_window;
+  options->dwell_epochs = config.replan_dwell;
+  options->margin_pts = config.replan_margin_pts;
+  options->dirty_threshold = config.replan_dirty_threshold;
+  options->dirty_band = config.replan_dirty_band;
+  options->profile_records = config.replan_profile_records;
+  options->profile_ratio = config.replan_profile_ratio;
+  options->spec_dir = config.replan_dir;
+  if (!config.replan_pair.empty()) {
+    // The pair hint pins which families the planner may deploy; auto_pair
+    // stays on so the clean/dirty front-end flip still applies.
+    const Status st = core::ParseCascadePair(
+        config.replan_pair, &options->cascade.simple, &options->cascade.deep);
+    if (!st.ok()) {
+      SEMTAG_LOG(kWarning, "SEMTAG_REPLAN_PAIR='%s': %s; keeping the defaults",
+                 config.replan_pair.c_str(), st.ToString().c_str());
+    }
+  }
+}
+
+}  // namespace
+
+ReplanOptions::ReplanOptions() {
+  static const RuntimeConfig defaults = ParseRuntimeConfig({});
+  ApplyReplanKnobs(defaults, this);
+}
+
 ReplanOptions ReplanOptions::Resolved() const {
   ReplanOptions resolved = *this;
   resolved.epoch_records = std::max(resolved.epoch_records, 0);
@@ -31,28 +65,8 @@ ReplanOptions ReplanOptions::Resolved() const {
 }
 
 ReplanOptions ReplanOptionsFromConfig(ReplanOptions base) {
-  const RuntimeConfig& config = GetRuntimeConfig();
-  ReplanOptions options = base;
-  options.epoch_records = config.replan_epoch;
-  options.epoch_window = config.replan_window;
-  options.dwell_epochs = config.replan_dwell;
-  options.margin_pts = config.replan_margin_pts;
-  options.dirty_threshold = config.replan_dirty_threshold;
-  options.dirty_band = config.replan_dirty_band;
-  options.profile_records = config.replan_profile_records;
-  options.profile_ratio = config.replan_profile_ratio;
-  options.spec_dir = config.replan_dir;
-  if (!config.replan_pair.empty()) {
-    // The pair hint pins which families the planner may deploy; auto_pair
-    // stays on so the clean/dirty front-end flip still applies.
-    const Status st = core::ParseCascadePair(
-        config.replan_pair, &options.cascade.simple, &options.cascade.deep);
-    if (!st.ok()) {
-      SEMTAG_LOG(kWarning, "SEMTAG_REPLAN_PAIR='%s': %s; keeping the defaults",
-                 config.replan_pair.c_str(), st.ToString().c_str());
-    }
-  }
-  return options;
+  ApplyReplanKnobs(GetRuntimeConfig(), &base);
+  return base;
 }
 
 Replanner::Replanner(ModelRegistry* registry, TrafficStats* stats,

@@ -14,36 +14,34 @@
 namespace semtag::serve {
 
 /// Knobs of the online re-planning loop. `enabled` is semtag_serve
-/// --replan and the budget its --budget; the geometry has runtime-config
-/// knobs (ReplanOptionsFromConfig), with these defaults:
-///   SEMTAG_REPLAN_EPOCH       requests per logical epoch          (256)
-///   SEMTAG_REPLAN_WINDOW      sealed epochs aggregated            (8)
-///   SEMTAG_REPLAN_HYSTERESIS  "dwell,margin_pts"                  (3,0.25)
-///   SEMTAG_REPLAN_DIRTY       "threshold,band" on dirtiness       (0.25,0.10)
-///   SEMTAG_REPLAN_PROFILE     "records,ratio" pins (0 = live)     (0,0)
-///   SEMTAG_REPLAN_PAIR        cascade pair hint, e.g. "SVM+CNN"
-///   SEMTAG_REPLAN_DIR         directory for emitted spec files    (".")
+/// --replan and the budget its --budget; the geometry, hysteresis,
+/// detector, profile pins and spec dir are the SEMTAG_REPLAN_* knobs of
+/// the runtime config (ReplanOptionsFromConfig). A default-constructed
+/// ReplanOptions holds those knobs' defaults, taken from the config table
+/// (config/runtime_config.cc), which is their one source.
 struct ReplanOptions {
+  ReplanOptions();
+
   bool enabled = false;
 
   /// Logical-epoch geometry: how many requests seal one epoch (0 = only
   /// explicit TrafficStats::AdvanceEpoch calls) and how many sealed
   /// epochs the profile window aggregates.
-  int epoch_records = 256;
-  int epoch_window = 8;
+  int epoch_records;
+  int epoch_window;
 
   /// Hysteresis. The candidate pair must stay the winner for
   /// `dwell_epochs` consecutive epochs before a swap fires, and
   /// `margin_pts` (F1 points) biases the plan toward the incumbent at
   /// the heat-map cell edge (PlanCascadeBiased).
-  int dwell_epochs = 3;
-  double margin_pts = 0.25;
+  int dwell_epochs;
+  double margin_pts;
 
   /// Cleanliness detector: the profile flips dirty when the TrafficStats
   /// dirtiness score exceeds threshold+band and clean again only below
   /// threshold-band — the band half of the hysteresis.
-  double dirty_threshold = 0.25;
-  double dirty_band = 0.10;
+  double dirty_threshold;
+  double dirty_band;
 
   /// Planner configuration (pair hints, budget) used for every
   /// re-planning decision; `cascade.seed` also seeds retrained models.
@@ -54,8 +52,8 @@ struct ReplanOptions {
   /// positive ratio is the served model's own prediction — operators pin
   /// these two axes to the deployment's known scale (0 = use the live
   /// value anyway).
-  int64_t profile_records = 0;
-  double profile_ratio = 0.0;
+  int64_t profile_records;
+  double profile_ratio;
 
   /// Retraining source: the dataset spec (+ record override) the daemon
   /// was started from. Emitted verbatim into replan spec files so the
@@ -64,7 +62,7 @@ struct ReplanOptions {
   int records = 0;
 
   /// Where replan_<n>.spec files are written.
-  std::string spec_dir = ".";
+  std::string spec_dir;
 
   /// Train and swap on the calling thread instead of the worker (tests:
   /// deterministic interleaving with the batcher's wave schedule).

@@ -10,9 +10,8 @@ namespace semtag::text {
 void BowVectorizer::Fit(const std::vector<std::string>& texts) {
   VocabularyBuilder builder;
   for (const auto& t : texts) {
-    builder.AddDocument(ExtractNgrams(Tokenize(t, options_.tokenizer),
-                                      options_.min_ngram,
-                                      options_.max_ngram));
+    builder.AddDocument(
+        ExtractNgrams(Tokenize(t), options_.min_ngram, options_.max_ngram));
   }
   vocab_ = builder.Build(options_.min_doc_freq, options_.max_features);
   idf_.assign(static_cast<size_t>(vocab_.size()), 1.0f);
@@ -37,8 +36,8 @@ BowVectorizer BowVectorizer::FromState(BowOptions options, Vocabulary vocab,
 
 la::SparseVector BowVectorizer::Transform(std::string_view text) const {
   la::SparseVector vec;
-  const auto grams = ExtractNgrams(Tokenize(text, options_.tokenizer),
-                                   options_.min_ngram, options_.max_ngram);
+  const auto grams =
+      ExtractNgrams(Tokenize(text), options_.min_ngram, options_.max_ngram);
   vec.reserve(grams.size());
   for (const auto& g : grams) {
     const int32_t id = vocab_.Lookup(g);

@@ -25,7 +25,6 @@ struct BowOptions {
   bool use_idf = true;
   /// L2-normalize each document vector (stabilizes SGD training).
   bool l2_normalize = true;
-  TokenizerOptions tokenizer;
 };
 
 /// Bag-of-words + TF-IDF featurizer: the input representation of the simple

@@ -31,7 +31,6 @@ struct SequenceEncoderOptions {
   size_t max_words = 20000;
   /// Prepend [CLS] (on for transformer models, off for CNN/LSTM).
   bool add_cls = false;
-  TokenizerOptions tokenizer;
 };
 
 /// Converts raw text to fixed-length id sequences: the input representation

@@ -8,24 +8,9 @@ namespace {
 
 bool IsWordChar(unsigned char c) { return std::isalnum(c); }
 
-bool IsPunct(unsigned char c) {
-  switch (c) {
-    case '!':
-    case '?':
-    case '.':
-    case ',':
-    case ';':
-    case ':':
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
-std::vector<std::string> Tokenize(std::string_view textv,
-                                  const TokenizerOptions& options) {
+std::vector<std::string> Tokenize(std::string_view textv) {
   std::vector<std::string> tokens;
   std::string current;
   auto flush = [&]() {
@@ -37,17 +22,12 @@ std::vector<std::string> Tokenize(std::string_view textv,
   for (size_t i = 0; i < textv.size(); ++i) {
     const unsigned char c = static_cast<unsigned char>(textv[i]);
     if (IsWordChar(c)) {
-      current.push_back(options.lowercase
-                            ? static_cast<char>(std::tolower(c))
-                            : static_cast<char>(c));
+      current.push_back(static_cast<char>(std::tolower(c)));
     } else if (c == '\'' && !current.empty() && i + 1 < textv.size() &&
                IsWordChar(static_cast<unsigned char>(textv[i + 1]))) {
       current.push_back('\'');
     } else {
       flush();
-      if (options.keep_punctuation && IsPunct(c)) {
-        tokens.emplace_back(1, static_cast<char>(c));
-      }
     }
   }
   flush();

@@ -7,20 +7,10 @@
 
 namespace semtag::text {
 
-/// Options for Tokenize.
-struct TokenizerOptions {
-  /// Lowercase ASCII letters before emitting tokens.
-  bool lowercase = true;
-  /// Emit punctuation marks ('!', '?', ...) as single-character tokens;
-  /// useful for humor/suggestion detection where "!!!!" carries signal.
-  bool keep_punctuation = false;
-};
-
-/// Splits text into word tokens. A token is a maximal run of alphanumeric
-/// characters (plus apostrophes inside words, so "don't" stays one token);
-/// everything else is a separator.
-std::vector<std::string> Tokenize(std::string_view text,
-                                  const TokenizerOptions& options = {});
+/// Splits text into lowercase word tokens. A token is a maximal run of
+/// alphanumeric characters (plus apostrophes inside words, so "don't"
+/// stays one token); everything else is a separator.
+std::vector<std::string> Tokenize(std::string_view text);
 
 }  // namespace semtag::text
 

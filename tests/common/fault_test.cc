@@ -118,33 +118,5 @@ TEST_F(FaultTest, ClearFaultsResetsCounters) {
   EXPECT_EQ(FaultTriggerCount(FaultPoint::kWriteFail), 0);
 }
 
-TEST_F(FaultTest, ParsesWorkerTargetedPoints) {
-  // The sharded-execution points (fired at "w<id>@<phase>@<cell>"
-  // contexts) parse like any other, including '@' in match values.
-  auto kill = ParseFaultSpec("kill_self:match=w0@pre@:count=1");
-  ASSERT_TRUE(kill.ok());
-  EXPECT_EQ(kill->point, FaultPoint::kKillSelf);
-  EXPECT_EQ(kill->match, "w0@pre@");
-  auto stall = ParseFaultSpec("lease_stall:match=w2@hb@:ms=1500");
-  ASSERT_TRUE(stall.ok());
-  EXPECT_EQ(stall->point, FaultPoint::kLeaseStall);
-  EXPECT_EQ(stall->ms, 1500);
-  auto race = ParseFaultSpec("claim_race:match=w1@");
-  ASSERT_TRUE(race.ok());
-  EXPECT_EQ(race->point, FaultPoint::kClaimRace);
-  EXPECT_STREQ(FaultPointName(FaultPoint::kKillSelf), "kill_self");
-  EXPECT_STREQ(FaultPointName(FaultPoint::kLeaseStall), "lease_stall");
-  EXPECT_STREQ(FaultPointName(FaultPoint::kClaimRace), "claim_race");
-}
-
-TEST_F(FaultTest, LeaseStallSleepsLikeStall) {
-  ASSERT_TRUE(SetFaultsFromSpec("lease_stall:match=w0@hb@:ms=60").ok());
-  WallTimer timer;
-  EXPECT_TRUE(FaultInjected(FaultPoint::kLeaseStall, "w0@hb@TINY0/LR"));
-  EXPECT_GE(timer.ElapsedSeconds(), 0.05);
-  // Other workers' heartbeats are unaffected.
-  EXPECT_FALSE(FaultInjected(FaultPoint::kLeaseStall, "w1@hb@TINY0/LR"));
-}
-
 }  // namespace
 }  // namespace semtag

@@ -1,6 +1,9 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -61,6 +64,35 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
   EXPECT_EQ(count.load(), 50);
 }
 
+TEST(ThreadPoolTest, ParallelForHandsWorkPastABlockedChunk) {
+  // Index 0 blocks until every other index has been processed. With work
+  // handed out from a cursor the other threads claim all remaining chunks,
+  // so the latch opens; a static split would leave the indices that share
+  // index 0's pre-assigned chunk waiting behind it, and the wait times out.
+  SetGlobalPoolThreads(4);
+  constexpr size_t kIndices = 16;
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t others_done = 0;
+  bool latch_opened = false;
+  ParallelFor(0, kIndices, 1, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      std::unique_lock<std::mutex> lock(mu);
+      if (i == 0) {
+        latch_opened = cv.wait_for(lock, std::chrono::seconds(10), [&] {
+          return others_done == kIndices - 1;
+        });
+      } else {
+        ++others_done;
+        cv.notify_all();
+      }
+    }
+  });
+  SetGlobalPoolThreads(DefaultThreadCount());
+  EXPECT_TRUE(latch_opened);
+  EXPECT_EQ(others_done, kIndices - 1);
+}
+
 class ParallelForTest : public ::testing::Test {
  protected:
   void SetUp() override { SetGlobalPoolThreads(4); }
@@ -98,8 +130,9 @@ TEST_F(ParallelForTest, EmptyRangeDoesNothing) {
 }
 
 TEST_F(ParallelForTest, NestedCallsRunInlineOnWorkers) {
-  // An inner ParallelFor issued from a pool worker must not deadlock; it
-  // degrades to one inline call covering the whole inner range.
+  // An inner ParallelFor issued from inside a chunk, on a pool worker or
+  // on the caller, must not deadlock; it degrades to one inline call
+  // covering the whole inner range.
   std::atomic<int> inner_total{0};
   std::atomic<int> inner_calls{0};
   ParallelFor(0, 8, 1, [&](size_t lo, size_t hi) {
@@ -111,10 +144,7 @@ TEST_F(ParallelForTest, NestedCallsRunInlineOnWorkers) {
     }
   });
   EXPECT_EQ(inner_total.load(), 8 * 16);
-  // Chunk 0 of the outer loop runs on the caller (not a pool worker), so
-  // its inner loops may fan out; all other outer indices run on workers
-  // and must produce exactly one inline inner call each.
-  EXPECT_GE(inner_calls.load(), 8);
+  EXPECT_EQ(inner_calls.load(), 8);
 }
 
 TEST_F(ParallelForTest, PropagatesExceptionFromWorkerChunk) {

@@ -18,7 +18,6 @@
 #include "config/runtime_config.h"
 #include "core/cascade.h"
 #include "core/experiment.h"
-#include "core/shard.h"
 #include "data/generator.h"
 #include "data/specs.h"
 #include "models/factory.h"
@@ -106,7 +105,7 @@ TEST(CascadeCalibrationTest, FrontierIsMonotoneWithExactEndpoints) {
 
 TEST(CascadeCalibrationTest, ThresholdInvariantToInputPermutation) {
   // Tied margins flip as a group, so reordering the holdout must not move
-  // the threshold (the property the sharded runs rely on).
+  // the threshold (the property thread-count invariance relies on).
   std::vector<int> labels = {1, 0, 1, 1, 0, 0, 1, 0, 1, 0};
   std::vector<double> simple = {0.6, 0.4, 0.6, 0.55, 0.45,
                                 0.4, 0.9, 0.1, 0.52, 0.48};
@@ -447,7 +446,7 @@ TEST_F(CascadeDeterminismTest, ThreadInvarianceHoldsInBothQuantLanes) {
 }
 
 // ---------------------------------------------------------------------------
-// Runner / shard integration
+// Runner integration
 // ---------------------------------------------------------------------------
 
 TEST(CascadeIntegrationTest, TrainAndEvaluateRunsCascadeCells) {
@@ -492,24 +491,6 @@ TEST(CascadeIntegrationTest, CacheKeyFoldsCascadeConfig) {
               base);
   }
   EXPECT_EQ(ExperimentCacheKey(spec, models::ModelKind::kCascade, 0), base);
-}
-
-TEST(CascadeIntegrationTest, ShardStampPinsCascadeKnobs) {
-  const ScopedRuntimeOverride cascade({{"SEMTAG_CASCADE", "SVM+CNN"}});
-  const ScopedRuntimeOverride budget({{"SEMTAG_CASCADE_BUDGET", "0.75"}});
-  const ShardConfig config = ShardConfig::Current(3);
-  EXPECT_EQ(config.cascade, "SVM+CNN");
-  EXPECT_DOUBLE_EQ(config.cascade_budget, 0.75);
-  // Describe/Parse round-trips exactly.
-  ShardConfig parsed;
-  ASSERT_TRUE(ShardConfig::Parse(config.Describe(), &parsed));
-  EXPECT_EQ(parsed, config);
-  // Pre-cascade stamps (no cascade fields) still parse, with defaults.
-  ShardConfig legacy;
-  ASSERT_TRUE(ShardConfig::Parse(
-      "threads=8;simd=avx2;deep_batch=0;quant=0;seed=0", &legacy));
-  EXPECT_EQ(legacy.cascade, "auto");
-  EXPECT_DOUBLE_EQ(legacy.cascade_budget, 0.5);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "config/runtime_config.h"
 #include "core/experiment.h"
 #include "data/generator.h"
+#include "data/specs.h"
 #include "models/deep/bert_cache.h"
 
 namespace semtag::core {
@@ -48,6 +49,26 @@ class ExperimentTest : public ::testing::Test {
   std::string cache_dir_;
   std::optional<ScopedRuntimeOverride> cache_override_;
 };
+
+TEST_F(ExperimentTest, EnumerateGridRunsSimpleModelsFirst) {
+  std::vector<data::DatasetSpec> specs;
+  for (const char* name : {"TINY0", "TINY1"}) {
+    data::DatasetSpec spec = data::FindSpec("HETER").ValueOrDie();
+    spec.name = name;
+    specs.push_back(std::move(spec));
+  }
+  const auto cells = EnumerateGrid(
+      specs, {models::ModelKind::kBert, models::ModelKind::kLr,
+              models::ModelKind::kSvm});
+  ASSERT_EQ(cells.size(), 6u);
+  // Cheap linear cells lead the run order; the transformer cells trail.
+  EXPECT_EQ(cells[0].id, "TINY0/LR");
+  EXPECT_EQ(cells[1].id, "TINY1/LR");
+  EXPECT_EQ(cells[2].id, "TINY0/SVM");
+  EXPECT_EQ(cells[3].id, "TINY1/SVM");
+  EXPECT_EQ(cells[4].id, "TINY0/BERT");
+  EXPECT_EQ(cells[5].id, "TINY1/BERT");
+}
 
 TEST_F(ExperimentTest, TrainAndEvaluateFillsAllMetrics) {
   data::Dataset d = EasyDataset(600, 5);

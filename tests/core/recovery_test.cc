@@ -77,7 +77,8 @@ TEST_F(RecoveryTest, DivergenceRecoveryRetriesAndSucceeds) {
   ASSERT_TRUE(SetFaultsFromSpec("nan_grad:match=CNN:count=2").ok());
   ExperimentRunner runner(true);
   const ExperimentResult r =
-      runner.RunMany(TinySpecs(1), models::ModelKind::kCnn).results[0];
+      runner.RunMany(EnumerateGrid(TinySpecs(1), {models::ModelKind::kCnn}))
+          .results[0];
   EXPECT_EQ(r.outcome, CellOutcome::kRetried);
   EXPECT_EQ(r.retries, 2);
   EXPECT_EQ(FaultTriggerCount(FaultPoint::kNonFiniteGrad), 2);
@@ -93,7 +94,7 @@ TEST_F(RecoveryTest, ExhaustedRetriesFailTheCellNotTheSweep) {
   ASSERT_TRUE(SetFaultsFromSpec("nan_loss:match=CNN").ok());
   ExperimentRunner runner(true);
   const RunReport report =
-      runner.RunMany(TinySpecs(1), models::ModelKind::kCnn);
+      runner.RunMany(EnumerateGrid(TinySpecs(1), {models::ModelKind::kCnn}));
   ASSERT_EQ(report.results.size(), 1u);
   EXPECT_EQ(report.failed, 1);
   EXPECT_FALSE(report.all_ok());
@@ -111,7 +112,8 @@ TEST_F(RecoveryTest, StalledCellHitsDeadlineAndSweepContinues) {
   ASSERT_TRUE(SetFaultsFromSpec("stall:match=TINY0:ms=400").ok());
   const auto specs = TinySpecs(2);
   ExperimentRunner runner(true);
-  const RunReport report = runner.RunMany(specs, models::ModelKind::kLr);
+  const auto cells = EnumerateGrid(specs, {models::ModelKind::kLr});
+  const RunReport report = runner.RunMany(cells);
   EXPECT_EQ(report.timed_out, 1);
   EXPECT_EQ(report.ok, 1);
   EXPECT_EQ(report.results[0].outcome, CellOutcome::kTimedOut);
@@ -121,7 +123,7 @@ TEST_F(RecoveryTest, StalledCellHitsDeadlineAndSweepContinues) {
   ClearFaults();
   deadline.reset();
   ExperimentRunner second(true);
-  const RunReport rerun = second.RunMany(specs, models::ModelKind::kLr);
+  const RunReport rerun = second.RunMany(cells);
   EXPECT_EQ(rerun.ok, 1);
   EXPECT_EQ(rerun.cached, 1);
   EXPECT_EQ(rerun.results[0].outcome, CellOutcome::kOk);
@@ -193,13 +195,14 @@ TEST_F(RecoveryTest, LegacyFooterlessRowsLoadAndMalformedRowsAreSkipped) {
 #ifdef __unix__
 TEST_F(RecoveryTest, KilledSweepResumesBitIdentical) {
   const auto specs = TinySpecs(4);
+  const auto cells = EnumerateGrid(specs, {models::ModelKind::kLr});
   // Reference: an uninterrupted sweep in its own cache dir.
   const std::string ref_dir = cache_dir_ + "_ref";
   std::filesystem::remove_all(ref_dir);
   UseCacheDir(ref_dir);
   {
     ExperimentRunner runner(true);
-    const RunReport report = runner.RunMany(specs, models::ModelKind::kLr);
+    const RunReport report = runner.RunMany(cells);
     ASSERT_EQ(report.ok, 4);
   }
   // Interrupted: a child process completes two cells, then dies without
@@ -221,7 +224,7 @@ TEST_F(RecoveryTest, KilledSweepResumesBitIdentical) {
   // recompute, and the sweep finishes.
   {
     ExperimentRunner resumed(true);
-    const RunReport report = resumed.RunMany(specs, models::ModelKind::kLr);
+    const RunReport report = resumed.RunMany(cells);
     EXPECT_EQ(report.cached, 2);
     EXPECT_EQ(report.ok, 2);
   }

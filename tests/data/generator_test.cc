@@ -191,13 +191,20 @@ TEST(GenerateDatasetTest, EntityPoolSizeControlsNameRecurrence) {
     c.entity_pool_size = pool;
     const Dataset d =
         GenerateDataset(SharedLanguage(), c, "names", 400, 0.5);
+    // Names are the capitalised alphanumeric runs (Tokenize lowercases,
+    // so scan the raw text).
     std::unordered_set<std::string> names;
     for (const auto& e : d.examples()) {
-      for (const auto& tok :
-           text::Tokenize(e.text, {.lowercase = false})) {
-        if (isupper(static_cast<unsigned char>(tok[0]))) {
-          names.insert(tok);
+      std::string word;
+      for (const char ch : e.text + " ") {
+        if (isalnum(static_cast<unsigned char>(ch))) {
+          word.push_back(ch);
+          continue;
         }
+        if (!word.empty() && isupper(static_cast<unsigned char>(word[0]))) {
+          names.insert(word);
+        }
+        word.clear();
       }
     }
     return names.size();

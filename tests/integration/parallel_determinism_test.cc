@@ -6,6 +6,8 @@
 // multi-thread run of every parallel path.
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -131,6 +133,37 @@ TEST_F(ParallelDeterminismTest, ExperimentMetricsBitIdenticalToSequential) {
   EXPECT_EQ(seq.accuracy, par.accuracy);
   EXPECT_EQ(seq.auc, par.auc);
   EXPECT_EQ(seq.calibrated_f1, par.calibrated_f1);
+}
+
+TEST_F(ParallelDeterminismTest, GridReportBitIdenticalAcrossThreadCounts) {
+  // A mixed-model grid through RunMany: cells are claimed by whichever
+  // thread is free, so claim order and chunk boundaries differ with the
+  // thread count, and the canonical report must not.
+  std::vector<data::DatasetSpec> specs;
+  data::DatasetSpec base = data::FindSpec("HETER").ValueOrDie();
+  base.scaled_records = 220;
+  for (int i = 0; i < 2; ++i) {
+    data::DatasetSpec spec = base;
+    spec.name = "PARDET" + std::to_string(i);
+    spec.generator.seed = base.generator.seed + 3000 + i;
+    specs.push_back(std::move(spec));
+  }
+  const auto cells = core::EnumerateGrid(
+      specs, {models::ModelKind::kLr, models::ModelKind::kSvm,
+              models::ModelKind::kCnn});
+  std::string reference;
+  for (int threads : {1, 4, 16}) {
+    SetGlobalPoolThreads(threads);
+    core::ExperimentRunner runner(/*use_cache=*/false);
+    const core::RunReport report = runner.RunMany(cells);
+    EXPECT_EQ(report.ok + report.retried, 6) << threads << " threads";
+    const std::string csv = core::CanonicalReportCsv(cells, report);
+    if (reference.empty()) {
+      reference = csv;
+    } else {
+      EXPECT_EQ(csv, reference) << threads << " threads";
+    }
+  }
 }
 
 TEST_F(ParallelDeterminismTest, DeepTrainingBitIdenticalAcrossThreadCounts) {

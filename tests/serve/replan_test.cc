@@ -636,27 +636,6 @@ TEST(ReplanLoopTest, LoopIsThreadInvariantUnderDeepBatchLane) {
 // ---------------------------------------------------------------------------
 
 TEST(ReplanOptionsTest, EnvOverridesParse) {
-  {
-    // The knobs' defaults are ReplanOptions' own.
-    const ScopedRuntimeOverride defaults(
-        {{"SEMTAG_REPLAN_EPOCH", ""}, {"SEMTAG_REPLAN_WINDOW", ""},
-         {"SEMTAG_REPLAN_HYSTERESIS", ""}, {"SEMTAG_REPLAN_DIRTY", ""},
-         {"SEMTAG_REPLAN_PROFILE", ""}, {"SEMTAG_REPLAN_PAIR", ""},
-         {"SEMTAG_REPLAN_DIR", ""}});
-    const ReplanOptions options = ReplanOptionsFromConfig();
-    const ReplanOptions base;
-    EXPECT_EQ(options.epoch_records, base.epoch_records);
-    EXPECT_EQ(options.epoch_window, base.epoch_window);
-    EXPECT_EQ(options.dwell_epochs, base.dwell_epochs);
-    EXPECT_EQ(options.margin_pts, base.margin_pts);
-    EXPECT_EQ(options.dirty_threshold, base.dirty_threshold);
-    EXPECT_EQ(options.dirty_band, base.dirty_band);
-    EXPECT_EQ(options.profile_records, base.profile_records);
-    EXPECT_EQ(options.profile_ratio, base.profile_ratio);
-    EXPECT_EQ(options.cascade.simple, base.cascade.simple);
-    EXPECT_EQ(options.cascade.deep, base.cascade.deep);
-    EXPECT_EQ(options.spec_dir, base.spec_dir);
-  }
   const ScopedRuntimeOverride knobs(
       {{"SEMTAG_REPLAN_EPOCH", "64"},
        {"SEMTAG_REPLAN_WINDOW", "4"},

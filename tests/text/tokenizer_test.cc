@@ -15,13 +15,6 @@ TEST(TokenizerTest, LowercasesByDefault) {
             (std::vector<std::string>{"hello", "world"}));
 }
 
-TEST(TokenizerTest, CanPreserveCase) {
-  TokenizerOptions opts;
-  opts.lowercase = false;
-  EXPECT_EQ(Tokenize("Hello World", opts),
-            (std::vector<std::string>{"Hello", "World"}));
-}
-
 TEST(TokenizerTest, KeepsApostropheInsideWords) {
   EXPECT_EQ(Tokenize("don't stop"),
             (std::vector<std::string>{"don't", "stop"}));
@@ -33,13 +26,6 @@ TEST(TokenizerTest, KeepsApostropheInsideWords) {
 TEST(TokenizerTest, NumbersAreTokens) {
   EXPECT_EQ(Tokenize("20% tip is customary"),
             (std::vector<std::string>{"20", "tip", "is", "customary"}));
-}
-
-TEST(TokenizerTest, PunctuationModeEmitsMarks) {
-  TokenizerOptions opts;
-  opts.keep_punctuation = true;
-  EXPECT_EQ(Tokenize("so clean!!", opts),
-            (std::vector<std::string>{"so", "clean", "!", "!"}));
 }
 
 TEST(TokenizerTest, EmptyAndWhitespaceOnly) {

@@ -6,8 +6,6 @@
 //   report_grid                      # F1 grid from the result cache
 //   report_grid --metrics <file>     # summarize a semtag-metrics-v1
 //                                    #   snapshot (SEMTAG_METRICS output)
-//   report_grid --shard <file>       # per-worker breakdown of a sharded
-//                                    #   sweep's merged.metrics.json
 //   report_grid --cascade <file>     # cost/accuracy frontier tables from
 //                                    #   a BENCH_cascade.json
 
@@ -70,92 +68,6 @@ int SummarizeMetrics(const char* path) {
   print_section("counters");
   print_section("gauges");
   print_section("histograms");
-  return 0;
-}
-
-/// Renders the merged multi-worker metrics snapshot a sharded sweep leaves
-/// behind (<journal>/merged.metrics.json): per-worker cell counts and
-/// reclaims, sweep-level retry/reclaim totals, and the wall-clock speedup
-/// versus one worker (total busy time / wall time).
-int SummarizeShard(const char* path) {
-  const obs::ValidationResult check = obs::ValidateMetricsFile(path);
-  if (!check.ok) {
-    std::fprintf(stderr, "%s: %s\n", path, check.error.c_str());
-    return 1;
-  }
-  auto content = ReadFileToString(path);
-  if (!content.ok()) {
-    std::fprintf(stderr, "cannot read %s\n", path);
-    return 1;
-  }
-  obs::JsonValue root;
-  std::string err;
-  if (!obs::ParseJson(*content, &root, &err)) {
-    std::fprintf(stderr, "%s: %s\n", path, err.c_str());
-    return 1;
-  }
-  const auto number = [&root](const char* section,
-                              const std::string& name) -> double {
-    const obs::JsonValue* obj = root.Find(section);
-    if (obj == nullptr) return 0.0;
-    for (const auto& [n, v] : obj->object) {
-      if (n == name && v.is_number()) return v.number;
-    }
-    return 0.0;
-  };
-  // Per-worker rows live under shard/worker/<id>/{cells,reclaims,busy_ms}.
-  std::map<int64_t, std::map<std::string, double>> workers;
-  if (const obs::JsonValue* counters = root.Find("counters")) {
-    for (const auto& [name, v] : counters->object) {
-      const auto parts = Split(name, '/');
-      int64_t id = 0;
-      if (parts.size() == 4 && parts[0] == "shard" &&
-          parts[1] == "worker" && ParseInt64(parts[2], &id)) {
-        workers[id][parts[3]] = v.number;
-      }
-    }
-  }
-  if (const obs::JsonValue* gauges = root.Find("gauges")) {
-    for (const auto& [name, v] : gauges->object) {
-      const auto parts = Split(name, '/');
-      int64_t id = 0;
-      if (parts.size() == 4 && parts[0] == "shard" &&
-          parts[1] == "worker" && ParseInt64(parts[2], &id)) {
-        workers[id][parts[3]] = v.number;
-      }
-    }
-  }
-  std::printf("sharded sweep (%s)\n", path);
-  std::printf("%-8s %8s %9s %9s\n", "worker", "cells", "reclaims",
-              "busy_s");
-  double cells_total = 0, busy_ms_total = 0;
-  for (const auto& [id, fields] : workers) {
-    const auto field = [&fields](const char* k) {
-      const auto it = fields.find(k);
-      return it == fields.end() ? 0.0 : it->second;
-    };
-    cells_total += field("cells");
-    busy_ms_total += field("busy_ms");
-    std::printf("w%-7lld %8.0f %9.0f %9.2f\n", static_cast<long long>(id),
-                field("cells"), field("reclaims"),
-                field("busy_ms") / 1e3);
-  }
-  std::printf("\ncells executed:    %.0f\n", cells_total);
-  std::printf("cells lost (races): %.0f\n",
-              number("counters", "shard/cells_lost"));
-  std::printf("leases renewed:    %.0f\n",
-              number("counters", "shard/lease_renewals"));
-  std::printf("leases reclaimed:  %.0f\n",
-              number("counters", "shard/leases_reclaimed"));
-  std::printf("workers spawned:   %.0f (died: %.0f)\n",
-              number("counters", "shard/workers_spawned"),
-              number("counters", "shard/workers_died"));
-  const double wall_ms = number("gauges", "shard/wall_ms");
-  if (wall_ms > 0) {
-    std::printf("wall: %.2fs   busy: %.2fs   speedup vs 1 worker: %.2fx\n",
-                wall_ms / 1e3, busy_ms_total / 1e3,
-                busy_ms_total / wall_ms);
-  }
   return 0;
 }
 
@@ -237,9 +149,6 @@ int Main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
   if (argc >= 3 && std::strcmp(argv[1], "--metrics") == 0) {
     return SummarizeMetrics(argv[2]);
-  }
-  if (argc >= 3 && std::strcmp(argv[1], "--shard") == 0) {
-    return SummarizeShard(argv[2]);
   }
   if (argc >= 3 && std::strcmp(argv[1], "--cascade") == 0) {
     return SummarizeCascade(argv[2]);
