@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -323,14 +324,20 @@ int CascadeCmd(const std::map<std::string, std::string>& flags) {
 /// specs x the 5 representative models) and optionally writes the
 /// canonical report CSV. Completed cells land in the result cache as they
 /// finish, so rerunning after a crash recomputes only the missing cells.
-/// Exits 1 if any cell failed or timed out.
+/// Exits 1 if any cell failed or timed out, 2 on an unknown or repeated
+/// dataset or model name.
 int GridCmd(const std::map<std::string, std::string>& flags) {
+  std::set<std::string> seen;  // names given so far, e.g. "model LR"
   std::vector<data::DatasetSpec> specs;
   if (const auto it = flags.find("datasets"); it != flags.end()) {
     for (const auto& name : Split(it->second, ',')) {
       auto spec = data::FindSpec(name);
       if (!spec.ok()) {
         std::fprintf(stderr, "unknown dataset %s\n", name.c_str());
+        return 2;
+      }
+      if (!seen.insert("dataset " + name).second) {
+        std::fprintf(stderr, "dataset %s given twice\n", name.c_str());
         return 2;
       }
       specs.push_back(std::move(spec).ValueOrDie());
@@ -344,6 +351,10 @@ int GridCmd(const std::map<std::string, std::string>& flags) {
       auto kind = models::ModelKindFromName(name);
       if (!kind.ok()) {
         std::fprintf(stderr, "unknown model %s\n", name.c_str());
+        return 2;
+      }
+      if (!seen.insert("model " + name).second) {
+        std::fprintf(stderr, "model %s given twice\n", name.c_str());
         return 2;
       }
       kinds.push_back(kind.ValueOrDie());

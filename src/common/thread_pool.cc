@@ -29,13 +29,6 @@ thread_local const ThreadPool* t_worker_pool = nullptr;
 /// workers that keep claiming outer chunks.
 thread_local bool t_in_chunk = false;
 
-/// Chunks per thread of one ParallelFor call. More chunks than threads let
-/// a thread that drew cheap indices go back for more instead of idling
-/// while one expensive chunk finishes. At 16, the 105-cell paper grid on 4
-/// threads ends in single-cell chunks, which a cursor hands out as well as
-/// one claim per cell would.
-constexpr size_t kChunksPerThread = 16;
-
 }  // namespace
 
 ThreadPool::ThreadPool(int threads) {
@@ -180,23 +173,24 @@ void SetGlobalPoolThreads(int threads) {
   slot = std::make_unique<ThreadPool>(threads);
 }
 
+size_t PerThreadGrain(size_t range, size_t align) {
+  const size_t threads =
+      static_cast<size_t>(std::max(GlobalPool().threads(), 1));
+  const size_t share = (range + threads - 1) / threads;
+  return std::max((share + align - 1) / align * align, align);
+}
+
 void ParallelFor(size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t, size_t)>& fn) {
   if (end <= begin) return;
-  const size_t range = end - begin;
   if (grain == 0) grain = 1;
   ThreadPool& pool = GlobalPool();
   const size_t threads = static_cast<size_t>(pool.threads());
-  const size_t chunks =
-      std::min(threads * kChunksPerThread, (range + grain - 1) / grain);
-  if (chunks <= 1 || pool.InPool() || t_in_chunk) {
+  const size_t chunks = (end - begin + grain - 1) / grain;
+  if (chunks <= 1 || threads == 0 || pool.InPool() || t_in_chunk) {
     fn(begin, end);
     return;
   }
-
-  // chunk c covers [begin + c*base + min(c, extra), +base (+1 if c<extra)).
-  const size_t base = range / chunks;
-  const size_t extra = range % chunks;
 
   // Per-call state, so concurrent ParallelFor calls (and unrelated
   // Submit/Wait users) never observe each other's chunks or errors.
@@ -213,11 +207,11 @@ void ParallelFor(size_t begin, size_t end, size_t grain,
   // free takes the next chunk, so one slow chunk delays only itself. The
   // first exception is kept; later chunks still run, as every index must
   // be visited exactly once before ParallelFor returns.
-  const auto drain = [state, chunks, base, extra, begin, &fn] {
+  const auto drain = [state, chunks, grain, begin, end, &fn] {
     t_in_chunk = true;
     for (size_t c; (c = state->next.fetch_add(1)) < chunks;) {
-      const size_t lo = begin + c * base + std::min(c, extra);
-      const size_t hi = lo + base + (c < extra ? 1 : 0);
+      const size_t lo = begin + c * grain;
+      const size_t hi = std::min(lo + grain, end);
       try {
         fn(lo, hi);
       } catch (...) {

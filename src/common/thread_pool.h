@@ -79,12 +79,12 @@ int DefaultThreadCount();
 /// ParallelFor/Submit on the old pool (callers quiesce first).
 void SetGlobalPoolThreads(int threads);
 
-/// Runs fn(lo, hi) over a partition of [begin, end) on the global pool.
-/// The range is cut into up to 16 chunks per pool thread, each at least
-/// `grain` indices, split as evenly as possible; the caller and up to
-/// threads-1 workers claim chunks from one atomic cursor until none is
-/// left, so a thread that finishes early takes more work instead of idling
-/// behind a slow chunk. Every index is processed by exactly one call and
+/// Runs fn(lo, hi) over [begin, end) cut into consecutive chunks of
+/// `grain` indices (the last may be shorter) on the global pool. The
+/// caller and up to threads-1 workers claim chunks from one atomic cursor
+/// until none is left, so a thread that finishes early takes the next
+/// chunk instead of idling behind a slow one: the grain is the unit of
+/// load balancing. Every index is processed by exactly one call and
 /// callers only write index-owned outputs, so results are bit-identical
 /// for any thread count and any claim order.
 ///
@@ -96,6 +96,14 @@ void SetGlobalPoolThreads(int threads);
 /// chunks finish.
 void ParallelFor(size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t, size_t)>& fn);
+
+/// The grain that gives each global-pool thread one contiguous block of a
+/// `range`-index ParallelFor, rounded up to a multiple of `align` (>= 1). For
+/// callers whose indices cost the same and that reuse data across
+/// neighbouring indices (the GEMM row sweeps keep a B panel hot across
+/// their rows, two rows at a time), which smaller chunks would only
+/// fragment.
+size_t PerThreadGrain(size_t range, size_t align);
 
 }  // namespace semtag
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "common/string_util.h"
 #include "core/taxonomy.h"
@@ -10,23 +12,27 @@ namespace semtag::core {
 
 std::vector<HeatMapRow> BuildHeatMap(ExperimentRunner* runner) {
   const auto specs = data::AllDatasetSpecs();
-  const auto cells = EnumerateGrid(
-      specs, {models::ModelKind::kSvm, models::ModelKind::kBert});
-  const RunReport report = runner->RunMany(cells);
-  // EnumerateGrid lists the simple family first: cells [0, n) are SVM,
-  // [n, 2n) BERT, both in spec order.
-  const size_t n = specs.size();
   std::vector<HeatMapRow> rows;
-  for (size_t i = 0; i < n; ++i) {
-    const auto& spec = specs[i];
+  std::map<std::string, size_t> row_of;  // spec name -> index in rows
+  for (const auto& spec : specs) {
+    row_of[spec.name] = rows.size();
     HeatMapRow row;
     row.dataset = spec.name;
     row.paper_records = spec.paper_records;
     row.ratio = spec.paper_positive;
     row.clean = !spec.dirty;
-    row.svm_f1 = report.results[i].f1;
-    row.bert_f1 = report.results[n + i].f1;
     rows.push_back(std::move(row));
+  }
+  // All 42 cells share one RunMany so the pool's threads spread them; each
+  // result goes to its cell's row and model column, whatever order
+  // EnumerateGrid runs them in.
+  const auto cells = EnumerateGrid(
+      specs, {models::ModelKind::kSvm, models::ModelKind::kBert});
+  const RunReport report = runner->RunMany(cells);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    HeatMapRow& row = rows[row_of.at(cells[i].spec.name)];
+    (cells[i].kind == models::ModelKind::kSvm ? row.svm_f1 : row.bert_f1) =
+        report.results[i].f1;
   }
   return rows;
 }

@@ -464,8 +464,9 @@ RunReport ExperimentRunner::RunMany(const std::vector<GridCell>& cells) {
   // Each cell is fully self-contained (dataset generation, split, seeded
   // model), so cells parallelise across the pool; results land at their
   // cell's index and the returned order matches the sequential path
-  // exactly. A cell that fails or times out is recorded and the sweep
-  // continues.
+  // exactly. Grain 1: a thread claims one cell at a time, so the long
+  // deep cells spread over whichever threads are free. A cell that fails
+  // or times out is recorded and the sweep continues.
   ParallelFor(0, cells.size(), 1, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
       report.results[i] = Run(cells[i].spec, cells[i].kind);
@@ -481,10 +482,6 @@ RunReport ExperimentRunner::RunMany(const std::vector<GridCell>& cells) {
                report.failed);
   }
   return report;
-}
-
-RunReport ExperimentRunner::RunAll(models::ModelKind kind) {
-  return RunMany(EnumerateGrid(data::AllDatasetSpecs(), {kind}));
 }
 
 std::string CanonicalReportCsv(const std::vector<GridCell>& cells,

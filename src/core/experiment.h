@@ -129,9 +129,6 @@ class ExperimentRunner {
   /// recorded and the rest of the grid completes.
   RunReport RunMany(const std::vector<GridCell>& cells);
 
-  /// Convenience: RunMany() of one model over all 21 specs.
-  RunReport RunAll(models::ModelKind kind);
-
  private:
   bool Lookup(const std::string& key, ExperimentResult* result) const;
   void Store(const std::string& key, const ExperimentResult& result);

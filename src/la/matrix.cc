@@ -210,9 +210,11 @@ namespace {
 // All three GEMM kernels compute output rows [i0, i1) and the parallel
 // split is always by output row, so each element is produced by exactly
 // one fn call with a thread-count-independent operation order — parallel
-// results are bit-identical to sequential ones. The inner loops are the
-// dispatched SIMD kernels (la/kernels.h); with SEMTAG_SIMD=scalar they are
-// the seed loops verbatim.
+// results are bit-identical to sequential ones. Each pool thread gets one
+// block of rows (PerThreadGrain), even-sized where the two-row
+// micro-kernel runs, so every row pair shares its B-panel loads. The
+// inner loops are the dispatched SIMD kernels (la/kernels.h); with
+// SEMTAG_SIMD=scalar they are the seed loops verbatim.
 
 /// Core of MatMul: out rows [i0, i1) of a[m,k] * b[k,n]. Blocked over
 /// (j, k) so the B panel is reused across the whole row range, with the
@@ -344,7 +346,7 @@ void MatMul(const Matrix& a, const Matrix& b, Matrix* out) {
   NoteGemm(m, n, k);
   *out = Matrix(m, n);
   if (WorthParallel(m, n, k)) {
-    ParallelFor(0, m, 1, [&](size_t lo, size_t hi) {
+    ParallelFor(0, m, PerThreadGrain(m, 2), [&](size_t lo, size_t hi) {
       MatMulRows(a, b, out, lo, hi);
     });
   } else {
@@ -358,7 +360,7 @@ void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* out) {
   NoteGemm(m, n, k);
   *out = Matrix(m, n);
   if (WorthParallel(m, n, k)) {
-    ParallelFor(0, m, 1, [&](size_t lo, size_t hi) {
+    ParallelFor(0, m, PerThreadGrain(m, 2), [&](size_t lo, size_t hi) {
       MatMulTransARows(a, b, out, lo, hi);
     });
   } else {
@@ -374,7 +376,7 @@ void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* out) {
   // output skips the zero fill — one full write pass saved.
   *out = Matrix::Uninitialized(m, n);
   if (WorthParallel(m, n, k)) {
-    ParallelFor(0, m, 1, [&](size_t lo, size_t hi) {
+    ParallelFor(0, m, PerThreadGrain(m, 1), [&](size_t lo, size_t hi) {
       MatMulTransBRows(a, b, out, lo, hi);
     });
   } else {

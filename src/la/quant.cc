@@ -201,7 +201,7 @@ void QuantMatMulPre(const QuantizedActivations& xq, const QuantizedMatrix& wq,
   *out = Matrix::Uninitialized(m, n);
   const float* brow = bias != nullptr ? bias->Row(0) : nullptr;
   if (m * n * k >= kParallelMinWork) {
-    ParallelFor(0, m, 1, [&](size_t lo, size_t hi) {
+    ParallelFor(0, m, PerThreadGrain(m, 1), [&](size_t lo, size_t hi) {
       QuantRows(xq.data, xq.scales.data(), k, wq, brow, act, out, lo, hi);
     });
   } else {

@@ -1,11 +1,13 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -110,17 +112,29 @@ TEST_F(ParallelForTest, CoversRangeExactlyOnce) {
 }
 
 TEST_F(ParallelForTest, RespectsGrain) {
-  // 10 indices at grain 8 -> at most 2 chunks, both >= 2 indices.
+  // The grain is the chunk size: 10 indices at grain 4 -> [0,4), [4,8)
+  // and the short [8,10).
   std::vector<std::pair<size_t, size_t>> chunks;
   std::mutex mu;
-  ParallelFor(0, 10, 8, [&](size_t lo, size_t hi) {
+  ParallelFor(0, 10, 4, [&](size_t lo, size_t hi) {
     std::lock_guard<std::mutex> lock(mu);
     chunks.emplace_back(lo, hi);
   });
-  ASSERT_LE(chunks.size(), 2u);
-  size_t total = 0;
-  for (const auto& [lo, hi] : chunks) total += hi - lo;
-  EXPECT_EQ(total, 10u);
+  std::sort(chunks.begin(), chunks.end());
+  const std::vector<std::pair<size_t, size_t>> want = {{0, 4}, {4, 8},
+                                                       {8, 10}};
+  EXPECT_EQ(chunks, want);
+}
+
+TEST_F(ParallelForTest, PerThreadGrainGivesEachThreadOneBlock) {
+  // 4 pool threads: one block per thread, rounded up to the alignment.
+  EXPECT_EQ(PerThreadGrain(256, 2), 64u);
+  EXPECT_EQ(PerThreadGrain(100, 1), 25u);
+  EXPECT_EQ(PerThreadGrain(100, 2), 26u);  // 26+26+26+22, every block even
+  EXPECT_EQ(PerThreadGrain(3, 2), 2u);
+  EXPECT_EQ(PerThreadGrain(0, 2), 2u);
+  SetGlobalPoolThreads(1);  // no workers: the whole range is one block
+  EXPECT_EQ(PerThreadGrain(100, 1), 100u);
 }
 
 TEST_F(ParallelForTest, EmptyRangeDoesNothing) {
