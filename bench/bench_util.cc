@@ -1,6 +1,9 @@
 #include "bench_util.h"
 
+#include <benchmark/benchmark.h>
+
 #include <cstdio>
+#include <string_view>
 #include <thread>
 
 #include "common/logging.h"
@@ -8,7 +11,27 @@
 #include "obs/metrics.h"
 
 namespace semtag::bench {
+namespace {
 
+/// Parses argv[0, argc) with `flags` (a fresh set named after the binary
+/// when null) plus the obs export flags, then arms what they name.
+void ParseWithObsFlags(int argc, const char* const* argv, Flags* flags) {
+  const std::string_view program = argv[0];
+  Flags own(std::string(program.substr(program.rfind('/') + 1)));
+  if (flags == nullptr) flags = &own;
+  std::string metrics, trace;
+  flags->String("metrics", &metrics,
+                "arm the metrics registry; export its snapshot to this file");
+  flags->String("trace", &trace, "arm tracing; export spans to this file");
+  flags->ParseOrExit(argc, argv);
+  obs::ArmExports(metrics, trace);
+}
+
+/// Build type of this binary: "release" when compiled with NDEBUG, "debug"
+/// otherwise. Distinct from google-benchmark's own library_build_type
+/// context field, which describes only the benchmark library. Every
+/// BENCH_*.json carries it, and the host's hardware thread count, so its
+/// numbers are interpretable relative to the build and machine.
 const char* LibraryBuildType() {
 #ifdef NDEBUG
   return "release";
@@ -22,35 +45,76 @@ int HostCores() {
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
+/// Refuses to let debug numbers land silently: timings of a debug build
+/// mean nothing.
+void WarnIfDebugBuild() {
+#ifndef NDEBUG
+  std::printf("*** WARNING: this is a DEBUG build — timings below are not\n"
+              "*** meaningful and must not be recorded in BENCH_*.json.\n"
+              "*** Reconfigure with -DCMAKE_BUILD_TYPE=Release first.\n\n");
+  SEMTAG_LOG(kWarning, "bench running in a debug build; do not record "
+                       "timings");
+#endif
+}
+
+}  // namespace
+
 std::string JsonContextFields() {
   return StrFormat("  \"build\": \"%s\",\n  \"host_cores\": %d,",
                    LibraryBuildType(), HostCores());
 }
 
-void BenchSetup(const std::string& title, const std::string& paper_ref) {
+void BenchSetup(const std::string& title, const std::string& paper_ref,
+                int argc, char** argv, Flags* flags) {
+  ParseWithObsFlags(argc, argv, flags);
   SetLogLevel(LogLevel::kWarning);
   std::printf("== %s ==\n", title.c_str());
   std::printf("Reproduces: %s\n", paper_ref.c_str());
   std::printf("(synthetic stand-in datasets, scaled per DESIGN.md; compare "
               "shapes, not absolute values)\n");
   std::printf("build: %s\n\n", LibraryBuildType());
-#ifndef NDEBUG
-  std::printf("*** WARNING: this is a DEBUG build — timings below are not\n"
-              "*** meaningful and must not be recorded in BENCH_*.json.\n"
-              "*** Reconfigure with -DCMAKE_BUILD_TYPE=Release first.\n\n");
-  SEMTAG_LOG(kWarning,
-             "bench '%s' running in a debug build; do not record timings",
-             title.c_str());
-#endif
+  WarnIfDebugBuild();
   std::fflush(stdout);
 }
 
-void BenchSetup(const std::string& title, const std::string& paper_ref,
-                int argc, char** argv) {
+std::vector<char*> ParseBenchmarkArgs(int argc, char** argv, Flags* flags) {
+  std::vector<char*> benchmark_args = {argv[0]};
+  std::vector<const char*> own = {argv[0]};
   for (int i = 1; i < argc; ++i) {
-    (void)obs::HandleObsFlag(argv[i]);
+    if (StartsWith(argv[i], "--benchmark_")) {
+      benchmark_args.push_back(argv[i]);
+    } else {
+      own.push_back(argv[i]);
+    }
   }
-  BenchSetup(title, paper_ref);
+  ParseWithObsFlags(static_cast<int>(own.size()), own.data(), flags);
+  return benchmark_args;
+}
+
+int RunBenchmarks(std::vector<char*> args, const std::string& suite,
+                  const std::string& tracked_json) {
+  bool filtered = false, redirected = false;
+  for (const char* arg : args) {
+    filtered = filtered || StartsWith(arg, "--benchmark_filter");
+    redirected = redirected || StartsWith(arg, "--benchmark_out");
+  }
+  std::string filter = "--benchmark_filter=" + suite;
+  std::string out = "--benchmark_out=" + tracked_json;
+  std::string format = "--benchmark_out_format=json";
+  if (!filtered && !suite.empty()) args.push_back(filter.data());
+  if (!filtered && !redirected && !tracked_json.empty()) {
+    args.push_back(out.data());
+    args.push_back(format.data());
+  }
+  benchmark::AddCustomContext("semtag_build_type", LibraryBuildType());
+  benchmark::AddCustomContext("host_cores", std::to_string(HostCores()));
+  WarnIfDebugBuild();
+  int argc = static_cast<int>(args.size());
+  benchmark::Initialize(&argc, args.data());
+  if (benchmark::ReportUnrecognizedArguments(argc, args.data())) return 2;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
 }
 
 Table::Table(std::vector<std::string> header) {

@@ -4,39 +4,42 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "core/experiment.h"
 #include "core/taxonomy.h"
 
 namespace semtag::bench {
 
-/// Build type of this binary: "release" when compiled with NDEBUG, "debug"
-/// otherwise. Distinct from google-benchmark's own library_build_type
-/// context field, which describes only the benchmark library. Benchmark
-/// mains record it via benchmark::AddCustomContext so every BENCH_*.json
-/// carries the build type of the numbers it holds.
-const char* LibraryBuildType();
-
-/// Hardware threads on this host. Every emitted BENCH_*.json stamps it
-/// (benchmark mains via AddCustomContext, hand-rolled emitters via
-/// JsonContextFields) so recorded numbers are interpretable relative to
-/// the machine that produced them.
-int HostCores();
-
-/// The standard context fields every hand-rolled BENCH_*.json carries:
+/// The standard context fields every hand-rolled BENCH_*.json carries
+/// (RunBenchmarks stamps the same two into google-benchmark's context):
 ///   "build": "<release|debug>",\n  "host_cores": <n>,
 /// (two indented lines, trailing comma, no surrounding braces).
 std::string JsonContextFields();
 
-/// Standard bench preamble: quiets INFO logging (keeps tables clean),
+/// Standard bench preamble. Parses the command line: the bench's own
+/// `flags` (none when null) together with --metrics PATH / --trace PATH,
+/// which arm the observability layer like SEMTAG_METRICS / SEMTAG_TRACE
+/// (artifacts flush at exit); --help prints the flags and exits 0, a bad
+/// command line exits 2. Then quiets INFO logging (keeps tables clean),
 /// prints the header naming the experiment being reproduced, and warns
 /// loudly when the binary is a debug build (timings meaningless).
-void BenchSetup(const std::string& title, const std::string& paper_ref);
-
-/// Preamble plus flag handling: consumes --metrics[=path] / --trace[=path]
-/// (arming the observability layer exactly like SEMTAG_METRICS /
-/// SEMTAG_TRACE; artifacts flush at exit). Unknown flags are ignored.
 void BenchSetup(const std::string& title, const std::string& paper_ref,
-                int argc, char** argv);
+                int argc, char** argv, Flags* flags = nullptr);
+
+/// The command line of a google-benchmark binary: returns argv[0] and the
+/// `--benchmark_*` arguments, for RunBenchmarks; every other argument is
+/// parsed by the binary's own `flags` plus --metrics / --trace, as in
+/// BenchSetup.
+std::vector<char*> ParseBenchmarkArgs(int argc, char** argv, Flags* flags);
+
+/// Runs the registered google-benchmarks with `args` and returns main's
+/// exit code: 2 when google-benchmark leaves an argument unrecognised.
+/// Without a --benchmark_filter in `args`, `suite` is the filter ("" runs
+/// every benchmark) and the results go to the tracked `tracked_json`
+/// ("" for none) unless a --benchmark_out redirects them; a filtered run
+/// never overwrites the tracked file.
+int RunBenchmarks(std::vector<char*> args, const std::string& suite,
+                  const std::string& tracked_json);
 
 /// Fixed-width table printer. Add a header row then data rows; Print emits
 /// an aligned plain-text table to stdout.

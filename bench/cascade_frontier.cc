@@ -5,7 +5,7 @@
 // cost/accuracy frontier swept during calibration.
 //
 //   cascade_frontier [--smoke] [--out <path>] [--budget <F1 pts>]
-//                    [--metrics[=path]] [--trace[=path]]
+//                    [--metrics <path>] [--trace <path>]
 //
 // --smoke runs the single large-clean cell (AMAZON) with a 2x speedup gate
 // (the CI configuration); the full run covers three cells and gates on the
@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -176,21 +175,16 @@ int Main(int argc, char** argv) {
   bool smoke = false;
   std::string out = "BENCH_cascade.json";
   double budget_pts = 0.5;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[i + 1];
-    }
-    if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
-      double pts = 0.0;
-      if (ParseDouble(argv[i + 1], &pts)) budget_pts = pts;
-    }
-  }
+  Flags flags("cascade_frontier");
+  flags.Bool("smoke", &smoke, "CI gate: >= 2x on the large-clean cell only");
+  flags.String("out", &out, "where to write the frontier JSON");
+  flags.Number("budget", &budget_pts, 0.0, 100.0,
+               "cascade accuracy budget in F1 points");
   bench::BenchSetup(
       "Cascade inference frontier",
       "DESIGN.md 'Cascade inference' (Section 6.3 decision procedure "
       "turned into a serving-path optimisation)",
-      argc, argv);
+      argc, argv, &flags);
   // The per-tier latency attribution needs the histograms recording even
   // without an explicit --metrics flag.
   obs::SetMetricsEnabled(true);

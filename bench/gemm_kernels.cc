@@ -9,7 +9,8 @@
 //   ./build/bench/gemm_kernels --smoke     # run every dispatched kernel
 //                                          #   once per tier and exit (CI)
 //
-// (override the output with the usual --benchmark_out=...). Thread counts
+// (override the output with the usual --benchmark_out=...; a run narrowed
+// by --benchmark_filter writes no file unless given one). Thread counts
 // sweep 1/2/4/8 regardless of the host's core count — oversubscribed
 // points are reported as-is, they tell you what threading costs when the
 // hardware can't back it.
@@ -37,7 +38,6 @@
 #include "la/quant.h"
 #include "la/sparse.h"
 #include "models/deep/mini_bert.h"
-#include "obs/metrics.h"
 #include "nn/layers.h"
 #include "nn/ops.h"
 #include "nn/optimizer.h"
@@ -660,61 +660,19 @@ int RunSmoke() {
 }  // namespace semtag::la
 
 int main(int argc, char** argv) {
-  // Mode flags (consumed here, not passed to google-benchmark):
-  //   --smoke    run every kernel once per tier, exit
-  //   --kernels  per-kernel suite -> BENCH_kernels.json
-  // A bare run keeps the BM_* GEMM suite -> BENCH_gemm.json, so the
-  // tracked file stays comparable across PRs. Any explicit
-  // --benchmark_out= / --benchmark_filter= wins over the defaults.
-  bool smoke = false, kernels = false, has_out = false, has_filter = false;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--kernels") == 0) {
-      kernels = true;
-      continue;
-    }
-    // --metrics[=path] / --trace[=path]: arm the observability layer
-    // (flushed at exit), consumed before google-benchmark sees argv.
-    if (i > 0 && semtag::obs::HandleObsFlag(argv[i])) continue;
-    if (std::strncmp(argv[i], "--benchmark_out", 15) == 0) has_out = true;
-    if (std::strncmp(argv[i], "--benchmark_filter", 18) == 0) {
-      has_filter = true;
-    }
-    args.push_back(argv[i]);
-  }
+  bool smoke = false, kernels = false;
+  semtag::Flags flags("gemm_kernels");
+  flags.Bool("smoke", &smoke, "run every kernel once per SIMD tier and exit");
+  flags.Bool("kernels", &kernels,
+             "run the per-kernel suite (BENCH_kernels.json) instead of the "
+             "GEMM suite (BENCH_gemm.json)");
+  std::vector<char*> args =
+      semtag::bench::ParseBenchmarkArgs(argc, argv, &flags);
   if (smoke) return semtag::la::RunSmoke();
   if (kernels) semtag::la::RegisterKernelBenches();
-
-  // Stamp the semtag build type into the JSON context (google-benchmark's
-  // own library_build_type field only describes the benchmark library) and
-  // refuse to let debug numbers land silently.
-  benchmark::AddCustomContext("semtag_build_type",
-                              semtag::bench::LibraryBuildType());
-  benchmark::AddCustomContext("host_cores",
-                              std::to_string(semtag::bench::HostCores()));
-#ifndef NDEBUG
-  std::printf("*** WARNING: DEBUG build — timings are not meaningful and\n"
-              "*** must not be recorded in BENCH_*.json. Reconfigure with\n"
-              "*** -DCMAKE_BUILD_TYPE=Release first.\n");
-#endif
-
-  char gemm_out[] = "--benchmark_out=BENCH_gemm.json";
-  char kernels_out[] = "--benchmark_out=BENCH_kernels.json";
-  char default_fmt[] = "--benchmark_out_format=json";
-  char gemm_filter[] = "--benchmark_filter=^BM_";
-  char kernels_filter[] = "--benchmark_filter=^Kernel_";
-  if (!has_out) {
-    args.push_back(kernels ? kernels_out : gemm_out);
-    args.push_back(default_fmt);
-  }
-  if (!has_filter) args.push_back(kernels ? kernels_filter : gemm_filter);
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  // The tracked files stay comparable across changes: each holds its
+  // whole suite.
+  return semtag::bench::RunBenchmarks(
+      std::move(args), kernels ? "^Kernel_" : "^BM_",
+      kernels ? "BENCH_kernels.json" : "BENCH_gemm.json");
 }

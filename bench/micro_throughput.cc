@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -28,7 +27,6 @@
 #include "nn/layers.h"
 #include "nn/ops.h"
 #include "nn/optimizer.h"
-#include "obs/metrics.h"
 #include "text/bow_vectorizer.h"
 #include "text/tokenizer.h"
 #include "text/vocabulary.h"
@@ -326,50 +324,14 @@ BENCHMARK(BM_DeepBatchScoreAllQuant)->Arg(1)->Arg(32)->Iterations(2)
 
 int main(int argc, char** argv) {
   semtag::SetLogLevel(semtag::LogLevel::kWarning);
-  // --deep-batch runs the BM_DeepBatch* suite -> BENCH_deep_batch.json
-  // (the tracked per-family epochs and span-1 vs span-32 inference). A bare run keeps the
-  // full suite with google-benchmark's default output. Explicit
-  // --benchmark_out= / --benchmark_filter= win over the defaults.
-  bool deep_batch = false, has_out = false, has_filter = false;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--deep-batch") == 0) {
-      deep_batch = true;
-      continue;
-    }
-    // --metrics[=path] / --trace[=path]: arm the observability layer
-    // (flushed at exit), consumed before google-benchmark sees argv.
-    if (i > 0 && semtag::obs::HandleObsFlag(argv[i])) continue;
-    if (std::strncmp(argv[i], "--benchmark_out", 15) == 0) has_out = true;
-    if (std::strncmp(argv[i], "--benchmark_filter", 18) == 0) {
-      has_filter = true;
-    }
-    args.push_back(argv[i]);
-  }
-  // Stamp the semtag build type into the JSON context and warn when these
-  // numbers come from a debug build (see bench_util.cc).
-  benchmark::AddCustomContext("semtag_build_type",
-                              semtag::bench::LibraryBuildType());
-  benchmark::AddCustomContext("host_cores",
-                              std::to_string(semtag::bench::HostCores()));
-#ifndef NDEBUG
-  std::printf("*** WARNING: DEBUG build — timings are not meaningful and\n"
-              "*** must not be recorded in BENCH_*.json. Reconfigure with\n"
-              "*** -DCMAKE_BUILD_TYPE=Release first.\n");
-#endif
-  char deep_out[] = "--benchmark_out=BENCH_deep_batch.json";
-  char deep_fmt[] = "--benchmark_out_format=json";
-  char deep_filter[] = "--benchmark_filter=^BM_DeepBatch";
-  if (deep_batch) {
-    if (!has_out) {
-      args.push_back(deep_out);
-      args.push_back(deep_fmt);
-    }
-    if (!has_filter) args.push_back(deep_filter);
-  }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  bool deep_batch = false;
+  semtag::Flags flags("micro_throughput");
+  flags.Bool("deep-batch", &deep_batch,
+             "run only the BM_DeepBatch* suite into BENCH_deep_batch.json "
+             "(per-family epochs, span-1 vs span-32 inference)");
+  std::vector<char*> args =
+      semtag::bench::ParseBenchmarkArgs(argc, argv, &flags);
+  return semtag::bench::RunBenchmarks(
+      std::move(args), deep_batch ? "^BM_DeepBatch" : "",
+      deep_batch ? "BENCH_deep_batch.json" : "");
 }

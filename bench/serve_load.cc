@@ -24,7 +24,7 @@
 //   serve_load --drift --daemon build/src/cli/semtag_serve
 //              [--out BENCH_replan.json]
 // drives a clean->dirty drift schedule (data/drift.h, SUGG base) at one
-// daemon with the online re-planner armed (SEMTAG_REPLAN_*). SUGG at 2000
+// daemon with the online re-planner armed (--replan-*). SUGG at 2000
 // records calibrates to a real escalation threshold (~8% of clean holdout
 // reaches the CNN), so drifted low-margin traffic genuinely pays the deep
 // tier until the re-planner swaps in the dirty cell's simple-only pair.
@@ -59,7 +59,6 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "common/timer.h"
-#include "config/runtime_config.h"
 #include "data/dataset.h"
 #include "data/drift.h"
 #include "data/specs.h"
@@ -124,20 +123,16 @@ struct Daemon {
   int out_fd = -1;  // daemon stdout (keep open; it logs the drain there)
 };
 
-/// fork+exec the daemon with this process's environment plus `knobs`,
-/// parse "listening on port N" from its stdout.
+/// fork+exec the daemon with this process's environment, parse
+/// "listening on port N" from its stdout.
 bool SpawnDaemon(const std::string& binary,
-                 const std::vector<std::string>& args, Daemon* out,
-                 const KnobMap& knobs = {}) {
-  std::vector<std::string> env = ChildEnvironment(knobs);
-  std::vector<char*> argv, envp;
+                 const std::vector<std::string>& args, Daemon* out) {
+  std::vector<char*> argv;
   argv.push_back(const_cast<char*>(binary.c_str()));
   for (const std::string& a : args) {
     argv.push_back(const_cast<char*>(a.c_str()));
   }
   argv.push_back(nullptr);
-  for (std::string& e : env) envp.push_back(e.data());
-  envp.push_back(nullptr);
   int pipe_fds[2];
   if (::pipe(pipe_fds) != 0) return false;
   const pid_t pid = ::fork();
@@ -146,8 +141,8 @@ bool SpawnDaemon(const std::string& binary,
     (void)::close(pipe_fds[0]);
     (void)::dup2(pipe_fds[1], STDOUT_FILENO);
     (void)::close(pipe_fds[1]);
-    ::execve(binary.c_str(), argv.data(), envp.data());
-    std::fprintf(stderr, "execve(%s) failed: %s\n", binary.c_str(),
+    ::execv(binary.c_str(), argv.data());
+    std::fprintf(stderr, "execv(%s) failed: %s\n", binary.c_str(),
                  std::strerror(errno));
     ::_exit(127);
   }
@@ -707,32 +702,27 @@ int DriftMain(const std::string& binary, const std::string& out) {
     (r.segment == 0 ? clean_pool : dirty_pool).push_back(r.text);
   }
 
-  const std::vector<std::string> base_args = {
-      "--dataset",   "SUGG",    "--records",   "2000",
-      "--seed",      "1",       "--model",     "CASCADE",
-      "--cascade",   "SVM+CNN", "--budget",    "0.5",
-      "--port",      "0",       "--batch-cap", "32",
-      "--queue-cap", "16384",   "--replan",
-  };
-
-  // One daemon for the whole scripted run, detector armed by --replan,
-  // its geometry set in the daemon's environment.
+  // One daemon for the whole scripted run, detector armed by --replan.
   // Geometry: kDriftEpoch-record epochs, 2-epoch window, dwell 2 — the
   // earliest possible firing is the SECOND dirty epoch, so the first
   // dirty epoch is a safe pre-swap measurement window. Dirtiness
   // thresholds measured on this corpus (clean epochs ~0.42 against the
   // SUGG@2000 training reference, drifted window saturates at 1.0).
-  Daemon daemon;
-  const KnobMap geometry = {
-      {"SEMTAG_REPLAN_EPOCH", StrFormat("%d", kDriftEpoch)},
-      {"SEMTAG_REPLAN_WINDOW", "2"},
-      {"SEMTAG_REPLAN_HYSTERESIS", "2,0.25"},
-      {"SEMTAG_REPLAN_DIRTY", "0.65,0.15"},
-      {"SEMTAG_REPLAN_PROFILE", "4750000,0.3"},
-      {"SEMTAG_REPLAN_PAIR", "SVM+CNN"},
-      {"SEMTAG_REPLAN_DIR", "/tmp"},
+  const std::vector<std::string> args = {
+      "--dataset",        "SUGG",    "--records",   "2000",
+      "--seed",           "1",       "--model",     "CASCADE",
+      "--cascade",        "SVM+CNN", "--budget",    "0.5",
+      "--port",           "0",       "--batch-cap", "32",
+      "--queue-cap",      "16384",   "--replan",
+      "--replan-epoch",   StrFormat("%d", kDriftEpoch),
+      "--replan-window",  "2",       "--replan-dwell", "2",
+      "--replan-dirty",   "0.65",    "--replan-dirty-band", "0.15",
+      "--replan-profile-records", "4750000",
+      "--replan-profile-ratio",   "0.3",
+      "--replan-pair",    "SVM+CNN", "--spec-dir",  "/tmp",
   };
-  if (!SpawnDaemon(binary, base_args, &daemon, geometry)) return 1;
+  Daemon daemon;
+  if (!SpawnDaemon(binary, args, &daemon)) return 1;
 
   // Clean phase: two full epochs of in-distribution traffic. The detector
   // must hold the incumbent through both.
@@ -875,9 +865,6 @@ int DriftMain(const std::string& binary, const std::string& out) {
 }
 
 int Main(int argc, char** argv) {
-  bench::BenchSetup("Online serving: dynamic batching + cascade tiers",
-                    "throughput/latency extension of Table 7 cost columns",
-                    argc, argv);
   bool smoke = false;
   bool drift = false;
   std::string binary;
@@ -885,29 +872,23 @@ int Main(int argc, char** argv) {
   double seconds = 2.0;
   int window = 64;
   int port = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
-    };
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--drift") {
-      drift = true;
-    } else if (arg == "--daemon") {
-      binary = next();
-    } else if (arg == "--out") {
-      out = next();
-    } else if (arg == "--seconds") {
-      (void)ParseDouble(next(), &seconds);
-    } else if (arg == "--window") {
-      int64_t v = 0;
-      if (ParseInt64(next(), &v) && v > 0) window = static_cast<int>(v);
-    } else if (arg == "--port") {
-      int64_t v = 0;
-      if (ParseInt64(next(), &v)) port = static_cast<int>(v);
-    }
-  }
+  Flags flags("serve_load");
+  flags.Bool("smoke", &smoke, "CI gate: a short closed loop, tiny cascade");
+  flags.Bool("drift", &drift,
+             "scripted clean->dirty drift at a re-planning daemon");
+  flags.String("daemon", &binary, "path to semtag_serve");
+  flags.String("out", &out,
+               "result JSON; default BENCH_serve.json, or BENCH_replan.json "
+               "with --drift");
+  flags.Number("seconds", &seconds, 0.0, 3600.0,
+               "length of each closed-loop run");
+  flags.Number("window", &window, 1, 1 << 20,
+               "requests in flight in the closed loop");
+  flags.Number("port", &port, 0, 65535,
+               "--smoke against this running daemon instead of spawning one");
+  bench::BenchSetup("Online serving: dynamic batching + cascade tiers",
+                    "throughput/latency extension of Table 7 cost columns",
+                    argc, argv, &flags);
   if (out.empty()) out = drift ? "BENCH_replan.json" : "BENCH_serve.json";
   if (smoke) return SmokeMain(binary, port);
   if (binary.empty()) {

@@ -58,8 +58,10 @@ int main() {
         eval::ComputeConfusion(incoming.Labels(), predictions);
     std::printf("%-13s  tips flagged %lld / %lld actual   precision %.2f  "
                 "recall %.2f  F1 %.2f   (trained in %s)\n",
-                candidate.label, confusion.tp + confusion.fp,
-                confusion.tp + confusion.fn, confusion.Precision(),
+                candidate.label,
+                static_cast<long long>(confusion.tp + confusion.fp),
+                static_cast<long long>(confusion.tp + confusion.fn),
+                confusion.Precision(),
                 confusion.Recall(), confusion.F1(),
                 semtag::HumanSeconds((*tagger)->validation().train_seconds)
                     .c_str());

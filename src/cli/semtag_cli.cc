@@ -13,13 +13,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <map>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/file_io.h"
+#include "common/flags.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -41,53 +41,24 @@
 namespace semtag {
 namespace {
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage:\n"
-      "  semtag profile  --data <csv>\n"
-      "  semtag train    --data <csv> --model LR|SVM --out <file>\n"
-      "  semtag evaluate --saved <file> --data <csv>\n"
-      "  semtag predict  --saved <file> --data <csv> [--explain]\n"
-      "  semtag cascade  --data <csv> [--budget <F1 pts>] "
-      "[--pair <S>+<D>|simple]\n"
-      "  semtag grid     [--datasets A,B] [--models M1,M2] [--report <csv>] "
-      "[--no-cache]\n");
-  return 2;
-}
-
-/// Parses --key value pairs and bare flags after the subcommand.
-std::map<std::string, std::string> ParseFlags(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 2; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--", 2) != 0) continue;
-    const std::string key = arg + 2;
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      flags[key] = argv[++i];
-    } else {
-      flags[key] = "true";
-    }
-  }
-  return flags;
-}
-
-Result<data::Dataset> LoadData(
-    const std::map<std::string, std::string>& flags) {
-  auto it = flags.find("data");
-  if (it == flags.end()) {
-    return Status::InvalidArgument("--data <csv> is required");
-  }
-  return data::LoadDatasetFromCsv(it->second);
-}
-
-int Profile(const std::map<std::string, std::string>& flags) {
-  auto dataset = LoadData(flags);
+/// The --data CSV. A missing flag exits 2, a file that does not load 1.
+data::Dataset LoadData(const Flags& flags, const std::string& path) {
+  if (path.empty()) flags.Fail("data", "a CSV file is required");
+  auto dataset = data::LoadDatasetFromCsv(path);
   if (!dataset.ok()) {
     std::fprintf(stderr, "%s\n", dataset.status().ToString().c_str());
-    return 1;
+    std::exit(1);
   }
-  const auto stats = dataset->ComputeStats();
+  return std::move(dataset).ValueOrDie();
+}
+
+int Profile(int argc, char** argv) {
+  std::string csv;
+  Flags flags("semtag profile");
+  flags.String("data", &csv, "CSV with text and label columns");
+  flags.ParseOrExit(argc, argv, 2);
+  const data::Dataset dataset = LoadData(flags, csv);
+  const auto stats = dataset.ComputeStats();
   std::printf("records:     %lld\n",
               static_cast<long long>(stats.num_records));
   std::printf("positive:    %.1f%%\n", 100 * stats.positive_ratio);
@@ -95,13 +66,13 @@ int Profile(const std::map<std::string, std::string>& flags) {
               static_cast<long long>(stats.vocab_size));
   std::printf("avg length:  %.1f tokens\n", stats.avg_tokens_per_record);
   core::AdviceRequest request;
-  request.profile = core::ProfileDataset(*dataset);
+  request.profile = core::ProfileDataset(dataset);
   const core::Advice advice = core::RecommendModel(request);
   std::printf("\nstudy recommendation: %s (expected F1 %.2f-%.2f)\n",
               models::ModelKindName(advice.recommended),
               advice.expected_f1_low, advice.expected_f1_high);
   std::printf("%s\n", advice.rationale.c_str());
-  const auto tokens = core::TopInformativeTokens(*dataset, 5);
+  const auto tokens = core::TopInformativeTokens(dataset, 5);
   if (!tokens.empty()) {
     std::printf("\ntop informative tokens (P-N):\n");
     for (const auto& t : tokens) {
@@ -111,54 +82,48 @@ int Profile(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int TrainCmd(const std::map<std::string, std::string>& flags) {
-  auto dataset = LoadData(flags);
-  if (!dataset.ok()) {
-    std::fprintf(stderr, "%s\n", dataset.status().ToString().c_str());
-    return 1;
+int TrainCmd(int argc, char** argv) {
+  std::string csv, out, model_name = "SVM";
+  Flags flags("semtag train");
+  flags.String("data", &csv, "CSV with text and label columns");
+  flags.String("model", &model_name, "LR or SVM");
+  flags.String("out", &out, "where to save the trained model");
+  flags.ParseOrExit(argc, argv, 2);
+  if (model_name != "LR" && model_name != "SVM") {
+    flags.Fail("model", "must be LR or SVM (the persistable models); train "
+                        "deep models through the library API");
   }
-  const auto out = flags.find("out");
-  if (out == flags.end()) {
-    std::fprintf(stderr, "--out <file> is required\n");
-    return 2;
-  }
-  const auto model_it = flags.find("model");
-  const std::string model_name =
-      model_it == flags.end() ? "SVM" : model_it->second;
+  if (out.empty()) flags.Fail("out", "a file to save the model in is required");
+  const data::Dataset dataset = LoadData(flags, csv);
 
   Status save = Status::OK();
   double train_seconds = 0.0;
   if (model_name == "LR") {
     models::LogisticRegression model;
-    const Status st = model.Train(*dataset);
+    const Status st = model.Train(dataset);
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
     train_seconds = model.train_seconds();
-    save = model.Save(out->second);
-  } else if (model_name == "SVM") {
-    models::LinearSvm model;
-    const Status st = model.Train(*dataset);
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
-    train_seconds = model.train_seconds();
-    save = model.Save(out->second);
+    save = model.Save(out);
   } else {
-    std::fprintf(stderr,
-                 "--model must be LR or SVM (persistable models); for deep "
-                 "models use the library API\n");
-    return 2;
+    models::LinearSvm model;
+    const Status st = model.Train(dataset);
+    if (!st.ok()) {
+      std::fprintf(stderr, "%s\n", st.ToString().c_str());
+      return 1;
+    }
+    train_seconds = model.train_seconds();
+    save = model.Save(out);
   }
   if (!save.ok()) {
     std::fprintf(stderr, "%s\n", save.ToString().c_str());
     return 1;
   }
   std::printf("trained %s on %zu records in %.2fs -> %s\n",
-              model_name.c_str(), dataset->size(), train_seconds,
-              out->second.c_str());
+              model_name.c_str(), dataset.size(), train_seconds,
+              out.c_str());
   return 0;
 }
 
@@ -176,28 +141,25 @@ Result<std::unique_ptr<models::TaggingModel>> LoadSaved(
   return Status::InvalidArgument("cannot load model from " + path);
 }
 
-int Evaluate(const std::map<std::string, std::string>& flags) {
-  const auto saved = flags.find("saved");
-  if (saved == flags.end()) {
-    std::fprintf(stderr, "--saved <file> is required\n");
-    return 2;
-  }
-  auto model = LoadSaved(saved->second);
+int Evaluate(int argc, char** argv) {
+  std::string saved, csv;
+  Flags flags("semtag evaluate");
+  flags.String("saved", &saved, "a model saved by semtag train");
+  flags.String("data", &csv, "CSV with text and label columns");
+  flags.ParseOrExit(argc, argv, 2);
+  if (saved.empty()) flags.Fail("saved", "a saved model file is required");
+  auto model = LoadSaved(saved);
   if (!model.ok()) {
     std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
     return 1;
   }
-  auto dataset = LoadData(flags);
-  if (!dataset.ok()) {
-    std::fprintf(stderr, "%s\n", dataset.status().ToString().c_str());
-    return 1;
-  }
-  const auto labels = dataset->Labels();
-  const auto scores = (*model)->ScoreAll(dataset->Texts());
+  const data::Dataset dataset = LoadData(flags, csv);
+  const auto labels = dataset.Labels();
+  const auto scores = (*model)->ScoreAll(dataset.Texts());
   const auto preds =
       eval::ThresholdScores(scores, (*model)->DecisionThreshold());
   const auto confusion = eval::ComputeConfusion(labels, preds);
-  std::printf("records    %zu\n", dataset->size());
+  std::printf("records    %zu\n", dataset.size());
   std::printf("precision  %.3f\n", confusion.Precision());
   std::printf("recall     %.3f\n", confusion.Recall());
   std::printf("F1         %.3f\n", confusion.F1());
@@ -208,30 +170,29 @@ int Evaluate(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int Predict(const std::map<std::string, std::string>& flags) {
-  const auto saved = flags.find("saved");
-  if (saved == flags.end()) {
-    std::fprintf(stderr, "--saved <file> is required\n");
-    return 2;
-  }
-  const bool explain = flags.count("explain") > 0;
-  auto dataset = LoadData(flags);
-  if (!dataset.ok()) {
-    std::fprintf(stderr, "%s\n", dataset.status().ToString().c_str());
-    return 1;
-  }
+int Predict(int argc, char** argv) {
+  std::string saved, csv;
+  bool explain = false;
+  Flags flags("semtag predict");
+  flags.String("saved", &saved, "a model saved by semtag train");
+  flags.String("data", &csv, "CSV with a text column");
+  flags.Bool("explain", &explain,
+             "print the three features that drive each score");
+  flags.ParseOrExit(argc, argv, 2);
+  if (saved.empty()) flags.Fail("saved", "a saved model file is required");
+  const data::Dataset dataset = LoadData(flags, csv);
   // Explain needs the concrete type; try LR then SVM.
-  auto lr = models::LogisticRegression::Load(saved->second);
+  auto lr = models::LogisticRegression::Load(saved);
   auto svm = lr.ok() ? Result<models::LinearSvm>(
                            Status::NotFound("unused"))
-                     : models::LinearSvm::Load(saved->second);
+                     : models::LinearSvm::Load(saved);
   if (!lr.ok() && !svm.ok()) {
     std::fprintf(stderr, "cannot load model: %s\n",
                  svm.status().ToString().c_str());
     return 1;
   }
   std::printf("prediction,score,text\n");
-  for (const auto& e : dataset->examples()) {
+  for (const auto& e : dataset.examples()) {
     const double score =
         lr.ok() ? lr->Score(e.text) : svm->Score(e.text);
     const double threshold = lr.ok() ? 0.5 : 0.0;
@@ -252,32 +213,20 @@ int Predict(const std::map<std::string, std::string>& flags) {
 /// Trains the confidence-gated cascade on 80% of the CSV and reports the
 /// calibrated threshold, the escalation rate, and held-out F1 against
 /// always-deep. Flags override SEMTAG_CASCADE / SEMTAG_CASCADE_BUDGET.
-int CascadeCmd(const std::map<std::string, std::string>& flags) {
-  auto dataset = LoadData(flags);
-  if (!dataset.ok()) {
-    std::fprintf(stderr, "%s\n", dataset.status().ToString().c_str());
-    return 1;
-  }
-  core::EnsureCascadeRegistered();
+int CascadeCmd(int argc, char** argv) {
+  std::string csv, pair;
   core::CascadeOptions options = core::CascadeOptionsFromConfig();
-  if (const auto it = flags.find("budget"); it != flags.end()) {
-    double pts = 0.0;
-    if (!ParseDouble(it->second, &pts) || pts < 0.0 || pts > 100.0) {
-      std::fprintf(stderr, "--budget must be an F1-point value in [0, 100]\n");
-      return 2;
-    }
-    options.budget_pts = pts;
+  Flags flags("semtag cascade");
+  flags.String("data", &csv, "CSV with text and label columns");
+  flags.Number("budget", &options.budget_pts, 0.0, 100.0,
+               "accuracy budget in F1 points");
+  flags.String("pair", &pair, "<simple>+<deep> (e.g. SVM+BERT) or simple");
+  flags.ParseOrExit(argc, argv, 2);
+  if (!pair.empty() && !core::ApplyCascadePolicy(pair, &options).ok()) {
+    flags.Fail("pair", "must be <simple>+<deep> (e.g. SVM+BERT) or simple");
   }
-  if (const auto it = flags.find("pair"); it != flags.end()) {
-    if (!core::ApplyCascadePolicy(it->second, &options).ok()) {
-      std::fprintf(stderr,
-                   "--pair must be <simple>+<deep> (e.g. SVM+BERT) or "
-                   "simple\n");
-      return 2;
-    }
-  }
-
-  data::Dataset data = std::move(dataset).ValueOrDie();
+  data::Dataset data = LoadData(flags, csv);
+  core::EnsureCascadeRegistered();
   Rng rng(13);
   data.Shuffle(&rng);
   auto [train, test] = data.Split(0.8);
@@ -326,49 +275,46 @@ int CascadeCmd(const std::map<std::string, std::string>& flags) {
 /// finish, so rerunning after a crash recomputes only the missing cells.
 /// Exits 1 if any cell failed or timed out, 2 on an unknown or repeated
 /// dataset or model name.
-int GridCmd(const std::map<std::string, std::string>& flags) {
+int GridCmd(int argc, char** argv) {
+  std::string datasets, model_names, report_path;
+  bool no_cache = false;
+  Flags flags("semtag grid");
+  flags.String("datasets", &datasets,
+               "comma-separated dataset specs; default all 21");
+  flags.String("models", &model_names,
+               "comma-separated models; default LR,SVM,CNN,LSTM,BERT");
+  flags.String("report", &report_path, "write the canonical report CSV here");
+  flags.Bool("no-cache", &no_cache,
+             "recompute every cell instead of replaying the result cache");
+  flags.ParseOrExit(argc, argv, 2);
   std::set<std::string> seen;  // names given so far, e.g. "model LR"
-  std::vector<data::DatasetSpec> specs;
-  if (const auto it = flags.find("datasets"); it != flags.end()) {
-    for (const auto& name : Split(it->second, ',')) {
+  std::vector<data::DatasetSpec> specs = data::AllDatasetSpecs();
+  if (!datasets.empty()) {
+    specs.clear();
+    for (const auto& name : Split(datasets, ',')) {
       auto spec = data::FindSpec(name);
-      if (!spec.ok()) {
-        std::fprintf(stderr, "unknown dataset %s\n", name.c_str());
-        return 2;
-      }
+      if (!spec.ok()) flags.Fail("datasets", "unknown dataset " + name);
       if (!seen.insert("dataset " + name).second) {
-        std::fprintf(stderr, "dataset %s given twice\n", name.c_str());
-        return 2;
+        flags.Fail("datasets", "dataset " + name + " given twice");
       }
       specs.push_back(std::move(spec).ValueOrDie());
     }
-  } else {
-    specs = data::AllDatasetSpecs();
   }
-  std::vector<models::ModelKind> kinds;
-  if (const auto it = flags.find("models"); it != flags.end()) {
-    for (const auto& name : Split(it->second, ',')) {
+  std::vector<models::ModelKind> kinds = models::RepresentativeModels();
+  if (!model_names.empty()) {
+    kinds.clear();
+    for (const auto& name : Split(model_names, ',')) {
       auto kind = models::ModelKindFromName(name);
-      if (!kind.ok()) {
-        std::fprintf(stderr, "unknown model %s\n", name.c_str());
-        return 2;
-      }
+      if (!kind.ok()) flags.Fail("models", "unknown model " + name);
       if (!seen.insert("model " + name).second) {
-        std::fprintf(stderr, "model %s given twice\n", name.c_str());
-        return 2;
+        flags.Fail("models", "model " + name + " given twice");
       }
       kinds.push_back(kind.ValueOrDie());
     }
-  } else {
-    kinds = models::RepresentativeModels();
-  }
-  if (specs.empty() || kinds.empty()) {
-    std::fprintf(stderr, "empty grid\n");
-    return 2;
   }
 
   const auto cells = core::EnumerateGrid(specs, kinds);
-  core::ExperimentRunner runner(/*use_cache=*/flags.count("no-cache") == 0);
+  core::ExperimentRunner runner(/*use_cache=*/!no_cache);
   WallTimer timer;
   const core::RunReport report = runner.RunMany(cells);
   std::printf("grid: %zu cells in %.2fs on %d threads\n", cells.size(),
@@ -377,35 +323,58 @@ int GridCmd(const std::map<std::string, std::string>& flags) {
               "failed=%d\n",
               report.ok, report.cached, report.retried, report.timed_out,
               report.failed);
-  if (const auto it = flags.find("report"); it != flags.end()) {
+  if (!report_path.empty()) {
     const Status st = WriteFileAtomic(
-        it->second, core::CanonicalReportCsv(cells, report));
+        report_path, core::CanonicalReportCsv(cells, report));
     if (!st.ok()) {
-      std::fprintf(stderr, "cannot write %s: %s\n", it->second.c_str(),
+      std::fprintf(stderr, "cannot write %s: %s\n", report_path.c_str(),
                    st.ToString().c_str());
       return 1;
     }
-    std::printf("canonical report -> %s\n", it->second.c_str());
+    std::printf("canonical report -> %s\n", report_path.c_str());
   }
   return report.all_ok() ? 0 : 1;
 }
 
+struct Command {
+  const char* name;
+  const char* summary;
+  int (*run)(int argc, char** argv);  // parses argv from index 2
+};
+
+constexpr Command kCommands[] = {
+    {"profile", "dataset statistics and the study's model recommendation",
+     Profile},
+    {"train", "train LR or SVM on a CSV and save it", TrainCmd},
+    {"evaluate", "score a saved model on a labelled CSV", Evaluate},
+    {"predict", "tag a CSV with a saved model", Predict},
+    {"cascade", "train and test the simple->deep cascade on a CSV",
+     CascadeCmd},
+    {"grid", "run the study's dataset x model grid", GridCmd},
+};
+
 int Main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
-  if (argc < 2) return Usage();
-  const std::string command = argv[1];
-  const auto flags = ParseFlags(argc, argv);
-  // One top-level span per invocation; with SEMTAG_TRACE/SEMTAG_METRICS
-  // set, a CLI run exports the same artifacts as the bench binaries.
-  obs::TraceSpan command_span("cli/command", command.c_str());
-  SEMTAG_OBS_COUNT(std::string("cli/commands/") + command, 1);
-  if (command == "profile") return Profile(flags);
-  if (command == "train") return TrainCmd(flags);
-  if (command == "evaluate") return Evaluate(flags);
-  if (command == "predict") return Predict(flags);
-  if (command == "cascade" || command == "--cascade") return CascadeCmd(flags);
-  if (command == "grid") return GridCmd(flags);
-  return Usage();
+  const std::string command = argc < 2 ? "" : argv[1];
+  for (const Command& c : kCommands) {
+    if (command != c.name) continue;
+    // One top-level span per invocation; with SEMTAG_TRACE/SEMTAG_METRICS
+    // set, a CLI run exports the same artifacts as the bench binaries.
+    obs::TraceSpan command_span("cli/command", c.name);
+    SEMTAG_OBS_COUNT(std::string("cli/commands/") + c.name, 1);
+    return c.run(argc, argv);
+  }
+  const bool help = command == "--help";
+  std::FILE* out = help ? stdout : stderr;
+  if (!help && !command.empty()) {
+    std::fprintf(out, "semtag: unknown command '%s'\n", command.c_str());
+  }
+  std::fprintf(out, "usage: semtag <command> [flags]\n");
+  for (const Command& c : kCommands) {
+    std::fprintf(out, "  %-9s %s\n", c.name, c.summary);
+  }
+  std::fprintf(out, "semtag <command> --help lists a command's flags.\n");
+  return help ? 0 : 2;
 }
 
 }  // namespace

@@ -9,22 +9,23 @@
 // serves the length-prefixed protocol (src/serve/protocol.h) until
 // SIGTERM/SIGINT, which triggers a graceful drain: queued requests are
 // scored and every pending response is written before exit. The model tier
-// composes with SEMTAG_QUANT. Unrecognised flags are logged and ignored.
+// composes with SEMTAG_QUANT. An unknown flag or a bad value exits 2
+// (`semtag_serve --help` lists the flags).
 // Hot-swap: write a sealed spec (WriteModelSpecFile) into the replan spec
-// dir ($SEMTAG_REPLAN_DIR, default .) and send its name with opcode 0x04 —
+// dir (--spec-dir, default .) and send its name with opcode 0x04 —
 // scoring continues on the old model until the replacement is trained,
 // then a pointer flip swaps it in.
 
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <string>
 #include <thread>
-#include <vector>
 
+#include "common/flags.h"
 #include "common/logging.h"
-#include "common/string_util.h"
+#include "core/cascade.h"
 #include "data/specs.h"
 #include "obs/metrics.h"
 #include "serve/model_registry.h"
@@ -34,120 +35,88 @@
 namespace semtag {
 namespace {
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: semtag_serve [flags]\n"
-      "model (exactly one of --dataset / --spec):\n"
-      "  --dataset NAME     train on this dataset spec (e.g. SUGG, HETER)\n"
-      "  --records N        override the dataset's scaled record count\n"
-      "  --model NAME       model family (default CASCADE)\n"
-      "  --cascade P        cascade pair 'S+D', 'auto', or 'simple'\n"
-      "  --budget PTS       cascade accuracy budget in points (default 0.5)\n"
-      "  --seed N           training seed (default 0)\n"
-      "  --spec FILE        load a CRC-sealed model spec file instead\n"
-      "serving:\n"
-      "  --host H           bind address (default 127.0.0.1)\n"
-      "  --port N           bind port (default 0 = ephemeral, printed)\n"
-      "  --batch-cap N      max requests per batch (default 32)\n"
-      "  --queue-cap N      admission-control queue bound (default 1024)\n"
-      "  --max-conns N      connection limit (default 1024)\n"
-      "  --replan           enable online re-planning (tune with\n"
-      "                     SEMTAG_REPLAN_EPOCH/WINDOW/HYSTERESIS/DIRTY/\n"
-      "                     PROFILE/PAIR; specs go to SEMTAG_REPLAN_DIR)\n"
-      "  --metrics[=path]   arm the obs registry / export snapshot\n"
-      "  --trace[=path]     arm tracing / export spans\n");
-  return 2;
-}
-
-/// The flags Usage() lists, less the obs pair HandleObsFlag consumes.
-bool IsKnownFlag(const std::string& key) {
-  for (const char* flag :
-       {"help", "dataset", "records", "model", "cascade", "budget", "seed",
-        "spec", "host", "port", "batch-cap", "queue-cap", "max-conns",
-        "replan"}) {
-    if (key == flag) return true;
-  }
-  return false;
-}
-
-std::map<std::string, std::string> ParseFlags(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (obs::HandleObsFlag(arg)) continue;
-    if (std::strncmp(arg, "--", 2) != 0) continue;
-    const std::string key = arg + 2;
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      flags[key] = argv[++i];
-    } else {
-      flags[key] = "true";
-    }
-    // Non-fatal, so old command lines keep working; a typo is visible.
-    if (!IsKnownFlag(key)) {
-      SEMTAG_LOG(kWarning, "ignoring unrecognised flag --%s", key.c_str());
-      flags.erase(key);
-    }
-  }
-  return flags;
-}
-
-bool FlagInt(const std::map<std::string, std::string>& flags,
-             const std::string& key, int* out) {
-  const auto it = flags.find(key);
-  if (it == flags.end()) return true;
-  int64_t v = 0;
-  if (!ParseInt64(it->second, &v)) {
-    std::fprintf(stderr, "--%s: not an integer: %s\n", key.c_str(),
-                 it->second.c_str());
-    return false;
-  }
-  *out = static_cast<int>(v);
-  return true;
-}
-
 int Main(int argc, char** argv) {
   SetLogLevel(LogLevel::kInfo);
-  const auto flags = ParseFlags(argc, argv);
-  if (flags.count("help") > 0) return Usage();
+  serve::ModelSpec spec;
+  std::string spec_file, metrics, trace, replan_pair;
+  int seed = 0, ignored_deadline_us = 0;
+  serve::ServerOptions options;
+  serve::ReplanOptions& replan = options.replan;
+  Flags flags("semtag_serve");
+  // Model: exactly one of --dataset / --spec.
+  flags.String("dataset", &spec.dataset,
+               "train on this dataset spec (e.g. SUGG, HETER)");
+  flags.Number("records", &spec.records, 0, serve::kMaxSpecRecords,
+               "override the dataset's scaled record count; 0 = keep it");
+  flags.String("model", &spec.model, "model family");
+  flags.String("cascade", &spec.cascade,
+               "cascade pair 'S+D', 'auto', or 'simple'");
+  flags.Number("budget", &spec.budget_pts, 0.0, 100.0,
+               "cascade accuracy budget in F1 points");
+  flags.Number("seed", &seed, 0, INT_MAX, "training seed");
+  flags.String("spec", &spec_file,
+               "load a CRC-sealed model spec file instead of --dataset");
+  // Serving.
+  flags.String("host", &options.host, "bind address");
+  flags.Number("port", &options.port, 0, 65535,
+               "bind port; 0 = ephemeral, printed");
+  flags.Number("batch-cap", &options.batching.batch_cap, 1, INT_MAX,
+               "max requests per batch");
+  flags.Number("queue-cap", &options.batching.queue_cap, 1, INT_MAX,
+               "admission-control queue bound");
+  flags.Number("max-conns", &options.max_connections, 1, INT_MAX,
+               "connection limit");
+  flags.Number("deadline-us", &ignored_deadline_us, 0, INT_MAX,
+               "ignored; perfbench's daemon command line is its last user");
+  // Online re-planning (DESIGN.md "Online re-planning").
+  flags.Bool("replan", &replan.enabled, "enable online re-planning");
+  flags.Number("replan-epoch", &replan.epoch_records, 0, INT_MAX,
+               "requests per sealed epoch; 0 = only explicit epoch advances");
+  flags.Number("replan-window", &replan.epoch_window, 1, INT_MAX,
+               "sealed epochs the profile window aggregates");
+  flags.Number("replan-dwell", &replan.dwell_epochs, 1, INT_MAX,
+               "consecutive epochs a new pair must win before the swap");
+  flags.Number("replan-dirty", &replan.dirty_threshold, 0.0, 1.0,
+               "dirtiness score at the clean/dirty boundary");
+  flags.Number("replan-dirty-band", &replan.dirty_band, 0.0, 1.0,
+               "dead band around --replan-dirty");
+  flags.Number("replan-profile-records", &replan.profile_records, 0,
+               INT64_MAX, "corpus size pinned for the heat map; 0 = live");
+  flags.Number("replan-profile-ratio", &replan.profile_ratio, 0.0, 1.0,
+               "positive ratio pinned for the heat map; 0 = live");
+  flags.String("replan-pair", &replan_pair,
+               "cascade pair hint 'S+D' for every re-planning decision");
+  flags.String("spec-dir", &replan.spec_dir,
+               "where replan specs are written and kSwap names are read");
+  flags.String("metrics", &metrics,
+               "arm the metrics registry; export its snapshot to this file");
+  flags.String("trace", &trace, "arm tracing; export spans to this file");
+  flags.ParseOrExit(argc, argv);
+  if (!replan_pair.empty()) {
+    // The pair hint pins which families the planner may deploy; auto_pair
+    // stays on so the clean/dirty front-end flip still applies.
+    const Status st = core::ParseCascadePair(
+        replan_pair, &replan.cascade.simple, &replan.cascade.deep);
+    if (!st.ok()) flags.Fail("replan-pair", st.message());
+  }
+  if (spec_file.empty() == spec.dataset.empty()) {
+    flags.Fail("dataset", "give exactly one of --dataset and --spec");
+  }
+  obs::ArmExports(metrics, trace);
 
   // ---- initial model ----
   serve::ModelRegistry registry;
-  serve::ModelSpec spec;
-  std::string source;
-  if (const auto it = flags.find("spec"); it != flags.end()) {
-    auto loaded = serve::LoadModelSpecFile(it->second);
+  std::string source = spec.model + " (" + spec.dataset + ")";
+  if (!spec_file.empty()) {
+    auto loaded = serve::LoadModelSpecFile(spec_file);
     if (!loaded.ok()) {
       std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
       return 1;
     }
     spec = std::move(loaded).ValueOrDie();
-    source = spec.model + " (spec " + it->second + ")";
-  } else if (const auto ds = flags.find("dataset"); ds != flags.end()) {
-    spec.dataset = ds->second;
-    if (const auto m = flags.find("model"); m != flags.end()) {
-      spec.model = m->second;
-    }
-    if (const auto c = flags.find("cascade"); c != flags.end()) {
-      spec.cascade = c->second;
-    }
-    if (const auto b = flags.find("budget"); b != flags.end()) {
-      if (!ParseDouble(b->second, &spec.budget_pts)) {
-        std::fprintf(stderr, "--budget: not a number: %s\n",
-                     b->second.c_str());
-        return 2;
-      }
-    }
-    int seed = 0;
-    if (!FlagInt(flags, "records", &spec.records) ||
-        !FlagInt(flags, "seed", &seed) || seed < 0) {
-      return 2;
-    }
-    spec.seed = static_cast<uint64_t>(seed);
-    source = spec.model + " (" + spec.dataset + ")";
+    source = spec.model + " (spec " + spec_file + ")";
   } else {
-    std::fprintf(stderr, "need --dataset or --spec\n");
-    return Usage();
+    spec.seed = static_cast<uint64_t>(seed);
   }
 
   SEMTAG_LOG(kInfo, "training initial model: %s", source.c_str());
@@ -160,40 +129,22 @@ int Main(int argc, char** argv) {
       registry.Install(std::move(model).ValueOrDie(), source);
 
   // ---- server ----
-  serve::ServerOptions options;
-  if (const auto it = flags.find("host"); it != flags.end()) {
-    options.host = it->second;
-  }
-  if (!FlagInt(flags, "port", &options.port) ||
-      !FlagInt(flags, "batch-cap", &options.batching.batch_cap) ||
-      !FlagInt(flags, "queue-cap", &options.batching.queue_cap) ||
-      !FlagInt(flags, "max-conns", &options.max_connections)) {
-    return 2;
-  }
-  options.batching = options.batching.Resolved();
   options.watch_signals = true;
-
-  // ---- online re-planning ----
-  // Base options inherit the initial model's provenance (dataset, record
-  // override, seed, budget), so every re-planned spec retrains from the
-  // same corpus the daemon started on; the runtime config adds the
-  // SEMTAG_REPLAN_* geometry, pair hint and spec dir.
-  serve::ReplanOptions replan_base;
-  replan_base.dataset = spec.dataset;
-  replan_base.records = spec.records;
-  replan_base.cascade.seed = spec.seed;
-  replan_base.cascade.budget_pts = spec.budget_pts;
-  options.replan = serve::ReplanOptionsFromConfig(replan_base);
-  options.replan.enabled = flags.count("replan") > 0;
-  if (options.replan.enabled && spec.dataset.empty()) {
+  // Re-planned specs retrain from the initial model's provenance (dataset,
+  // record override, seed, budget): the corpus the daemon started on.
+  replan.dataset = spec.dataset;
+  replan.records = spec.records;
+  replan.cascade.seed = spec.seed;
+  replan.cascade.budget_pts = spec.budget_pts;
+  if (replan.enabled && spec.dataset.empty()) {
     SEMTAG_LOG(kWarning,
                "replan disabled: the initial model was loaded from a file "
                "checkpoint, so there is no dataset spec to retrain from");
-    options.replan.enabled = false;
+    replan.enabled = false;
   }
 
   serve::Server server(&registry, options);
-  if (options.replan.enabled) {
+  if (replan.enabled) {
     // Seed the cleanliness proxy's reference vocabulary from the training
     // corpus, so OOV/churn measure drift away from what the served model
     // actually learned (not away from the first traffic epoch).

@@ -1,11 +1,8 @@
 #include "common/file_io.h"
 
 #include <array>
-#include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <thread>
 
 #include "common/fault.h"
 #include "common/logging.h"
@@ -127,60 +124,13 @@ FileLock::FileLock(const std::string& path) {
 #endif
 }
 
-FileLock FileLock::TryLock(const std::string& path, int timeout_ms) {
-  FileLock lock;
-#ifdef __unix__
-  const std::string lock_path = path + ".lock";
-  const int fd = ::open(lock_path.c_str(), O_WRONLY | O_CREAT, 0644);
-  if (fd < 0) {
-    SEMTAG_LOG(kWarning, "cannot open lock file %s", lock_path.c_str());
-    return lock;
-  }
-  // Bounded retry: poll LOCK_NB with a short sleep until the deadline. The
-  // granularity trades a few ms of claim latency for never blocking a
-  // worker behind a holder that stalled or died mid-rewrite.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    if (::flock(fd, LOCK_EX | LOCK_NB) == 0) {
-      lock.fd_ = fd;
-      return lock;
-    }
-    if (errno != EWOULDBLOCK && errno != EINTR) break;
-    if (std::chrono::steady_clock::now() >= deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ::close(fd);
-#else
-  (void)path;
-  (void)timeout_ms;
-#endif
-  return lock;
-}
-
-FileLock::FileLock(FileLock&& other) noexcept : fd_(other.fd_) {
-  other.fd_ = -1;
-}
-
-FileLock& FileLock::operator=(FileLock&& other) noexcept {
-  if (this != &other) {
-    Release();
-    fd_ = other.fd_;
-    other.fd_ = -1;
-  }
-  return *this;
-}
-
-void FileLock::Release() {
+FileLock::~FileLock() {
 #ifdef __unix__
   if (fd_ >= 0) {
     ::flock(fd_, LOCK_UN);
     ::close(fd_);
-    fd_ = -1;
   }
 #endif
 }
-
-FileLock::~FileLock() { Release(); }
 
 }  // namespace semtag

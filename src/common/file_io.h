@@ -37,21 +37,10 @@ class FileLock {
   ~FileLock();
   FileLock(const FileLock&) = delete;
   FileLock& operator=(const FileLock&) = delete;
-  FileLock(FileLock&& other) noexcept;
-  FileLock& operator=(FileLock&& other) noexcept;
-
-  /// Non-blocking variant: LOCK_EX|LOCK_NB with bounded retry/backoff for
-  /// up to `timeout_ms`. A worker claiming a contended lease journal backs
-  /// off (held() is false) instead of blocking forever behind a stalled
-  /// holder. timeout_ms == 0 tries exactly once.
-  static FileLock TryLock(const std::string& path, int timeout_ms);
 
   bool held() const { return fd_ >= 0; }
 
  private:
-  FileLock() = default;
-  void Release();
-
   int fd_ = -1;
 };
 

@@ -53,7 +53,7 @@ ShutdownSignal& ShutdownSignal::Install() {
     } else {
       SEMTAG_LOG(kWarning,
                  "ShutdownSignal: pipe() failed; fd() unavailable, "
-                 "requested() still works");
+                 "count() still works");
     }
     struct sigaction action;
     ::memset(&action, 0, sizeof(action));
@@ -65,10 +65,6 @@ ShutdownSignal& ShutdownSignal::Install() {
 #endif
   });
   return *instance;
-}
-
-bool ShutdownSignal::requested() const {
-  return g_signal_count.load(std::memory_order_relaxed) > 0;
 }
 
 int ShutdownSignal::signal() const {

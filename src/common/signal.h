@@ -9,7 +9,7 @@ namespace semtag {
 /// Install() arms SIGINT + SIGTERM with an async-signal-safe handler that
 /// records the signal number and writes one byte to a non-blocking
 /// self-pipe. Two consumption styles:
-///  - polling loops probe requested() — a single relaxed atomic load —
+///  - polling loops probe count() > 0 — a single relaxed atomic load —
 ///    between iterations;
 ///  - event loops (the serve daemon) register fd() with epoll/poll and
 ///    wake the instant the signal lands, with no polling latency.
@@ -29,9 +29,6 @@ class ShutdownSignal {
   /// a signal has fired. Register with epoll/poll; never close it.
   int fd() const { return read_fd_; }
 
-  /// True once any armed signal has been received.
-  bool requested() const;
-
   /// The most recent signal received, or 0 when none has fired.
   int signal() const;
 
@@ -40,7 +37,7 @@ class ShutdownSignal {
   int count() const;
 
   /// Consumes pending self-pipe bytes so edge-triggered pollers can
-  /// re-arm. requested() stays true.
+  /// re-arm. count() keeps its value.
   void Drain() const;
 
   /// Clears the fired state (not the handlers). Tests only — real

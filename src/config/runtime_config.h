@@ -5,16 +5,16 @@
 #include <initializer_list>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace semtag {
 
-/// Every SEMTAG_* knob, typed (DESIGN.md "Runtime configuration"). This
-/// module is the only reader of the environment; it depends only on the
-/// standard library, so obs can read it during static initialization.
-/// Each knob is one row of the table in runtime_config.cc (name, default
-/// as knob text, parser). An unset or empty knob takes its default; an
+/// Every SEMTAG_* knob, typed (DESIGN.md "Runtime configuration"): the
+/// process-wide settings. A setting of one binary is a flag of that binary
+/// (common/flags.h) instead. This module is the only reader of the
+/// environment; it depends only on the standard library, so obs can read
+/// it during static initialization. Each knob is one row of the table in
+/// runtime_config.cc (name, default as knob text, parser). An unset or empty knob takes its default; an
 /// invalid value warns and takes the default too. The fields hold no
 /// defaults: get a config from GetRuntimeConfig() or ParseRuntimeConfig().
 struct RuntimeConfig {
@@ -29,17 +29,6 @@ struct RuntimeConfig {
   std::string trace_path;        // SEMTAG_TRACE; "" = off
   std::string cascade;           // SEMTAG_CASCADE: auto|simple|<S>+<D>
   double cascade_budget = 0.0;   // SEMTAG_CASCADE_BUDGET, F1 pts [0, 100]
-  // SEMTAG_REPLAN_*: the re-planning loop (serve/replanner.h).
-  int replan_epoch = 0;                 // _EPOCH
-  int replan_window = 0;                // _WINDOW
-  int replan_dwell = 0;                 // _HYSTERESIS "dwell,margin_pts"
-  double replan_margin_pts = 0.0;
-  double replan_dirty_threshold = 0.0;  // _DIRTY "threshold,band"
-  double replan_dirty_band = 0.0;
-  int64_t replan_profile_records = 0;   // _PROFILE "records,ratio"
-  double replan_profile_ratio = 0.0;
-  std::string replan_pair;              // _PAIR "<simple>+<deep>" or ""
-  std::string replan_dir;               // _DIR: where replan specs live
 
   bool operator==(const RuntimeConfig&) const = default;
 };
@@ -61,14 +50,6 @@ RuntimeConfig ParseRuntimeConfig(const KnobMap& env,
 
 /// Every knob name, in table order.
 std::vector<std::string> RuntimeKnobNames();
-
-/// Knob `name` of `config` as text that parses back to the same value.
-std::string RenderKnob(const RuntimeConfig& config, std::string_view name);
-
-/// This process's environment as "NAME=value" entries with `knobs` set:
-/// the envp with which a parent hands its choice of config to an exec'd
-/// child.
-std::vector<std::string> ChildEnvironment(const KnobMap& knobs);
 
 /// Publishes the current config with `knobs` re-parsed (an empty value
 /// restores the default) until the end of the scope, then restores the

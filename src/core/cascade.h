@@ -40,10 +40,10 @@ struct CascadeOptions {
 };
 
 /// The one parser of a "<simple>+<deep>" pair, behind SEMTAG_CASCADE,
-/// SEMTAG_REPLAN_PAIR and the spec-file `cascade` field. Splits at the
-/// last '+', so hybrid names such as "LR+eb" stay whole on the left, and
-/// requires a simple front end and a deep escalation tier. Writes the
-/// outputs only on success.
+/// semtag_serve --replan-pair and the spec-file `cascade` field. Splits
+/// at the last '+', so hybrid names such as "LR+eb" stay whole on the
+/// left, and requires a simple front end and a deep escalation tier.
+/// Writes the outputs only on success.
 Status ParseCascadePair(const std::string& text, models::ModelKind* simple,
                         models::ModelKind* deep);
 

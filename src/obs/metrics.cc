@@ -466,35 +466,16 @@ void ResetMetricsForTest() {
   for (auto& [name, h] : reg.histograms) RegistryAccess::Reset(h);
 }
 
-bool HandleObsFlag(const char* arg) {
-  const auto match = [arg](const char* flag, size_t len, const char** value) {
-    if (std::strncmp(arg, flag, len) != 0) return false;
-    if (arg[len] == '\0') {
-      *value = nullptr;
-      return true;
-    }
-    if (arg[len] == '=') {
-      *value = arg + len + 1;
-      return true;
-    }
-    return false;
-  };
-  const char* value = nullptr;
-  if (match("--metrics", 9, &value)) {
-    SetMetricsExportPath(value != nullptr && value[0] != '\0'
-                             ? value
-                             : "semtag_metrics.json");
+void ArmExports(const std::string& metrics_path,
+                const std::string& trace_path) {
+  if (!metrics_path.empty()) {
+    SetMetricsExportPath(metrics_path);
     SetMetricsEnabled(true);
-    return true;
   }
-  if (match("--trace", 7, &value)) {
-    SetTraceExportPath(value != nullptr && value[0] != '\0'
-                           ? value
-                           : "semtag_trace.json");
+  if (!trace_path.empty()) {
+    SetTraceExportPath(trace_path);
     SetTraceEnabled(true);
-    return true;
   }
-  return false;
 }
 
 namespace internal {

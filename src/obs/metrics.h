@@ -198,11 +198,12 @@ bool WriteMetricsJson(const std::string& path);
 /// Zeroes every registered metric (handles stay valid). Tests only.
 void ResetMetricsForTest();
 
-/// Command-line twin of the env vars: consumes "--metrics[=path]" /
-/// "--trace[=path]" argv entries, arming the matching layer with the given
-/// (or a default "semtag_{metrics,trace}.json") export path. Returns true
-/// when the argument was one of the two flags, so callers can filter argv.
-bool HandleObsFlag(const char* arg);
+/// Command-line twin of SEMTAG_METRICS / SEMTAG_TRACE, for a binary's
+/// --metrics / --trace flags: a non-empty path arms that layer and sets
+/// the file it exports to at exit; an empty one leaves the layer as the
+/// environment set it.
+void ArmExports(const std::string& metrics_path,
+                const std::string& trace_path);
 
 }  // namespace semtag::obs
 

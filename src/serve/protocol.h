@@ -30,8 +30,8 @@ namespace semtag::serve {
 /// Other ops: kPing echoes "pong". kStats returns a one-line JSON snapshot
 /// (model version, traffic window, queue depth, shed count). kSwap's
 /// payload names a CRC-sealed model-spec file (model_registry.h) inside the
-/// replan spec dir (SEMTAG_REPLAN_DIR): a bare name, no '/', not "." or
-/// ".."; anything else answers kError. The response arrives when the new
+/// replan spec dir (semtag_serve --spec-dir): a bare name, no '/', not "."
+/// or ".."; anything else answers kError. The response arrives when the new
 /// model is built and flipped in.
 ///
 /// Load shedding is a first-class response: an admission-controlled

@@ -13,35 +13,30 @@
 
 namespace semtag::serve {
 
-/// Knobs of the online re-planning loop. `enabled` is semtag_serve
-/// --replan and the budget its --budget; the geometry, hysteresis,
-/// detector, profile pins and spec dir are the SEMTAG_REPLAN_* knobs of
-/// the runtime config (ReplanOptionsFromConfig). A default-constructed
-/// ReplanOptions holds those knobs' defaults, taken from the config table
-/// (config/runtime_config.cc), which is their one source.
+/// Settings of the online re-planning loop: semtag_serve's --replan and
+/// --replan-* flags, plus the --budget, dataset and seed the daemon
+/// trained from. The initializers are the defaults.
 struct ReplanOptions {
-  ReplanOptions();
-
   bool enabled = false;
 
   /// Logical-epoch geometry: how many requests seal one epoch (0 = only
   /// explicit TrafficStats::AdvanceEpoch calls) and how many sealed
   /// epochs the profile window aggregates.
-  int epoch_records;
-  int epoch_window;
+  int epoch_records = 256;
+  int epoch_window = 8;
 
   /// Hysteresis. The candidate pair must stay the winner for
   /// `dwell_epochs` consecutive epochs before a swap fires, and
   /// `margin_pts` (F1 points) biases the plan toward the incumbent at
   /// the heat-map cell edge (PlanCascadeBiased).
-  int dwell_epochs;
-  double margin_pts;
+  int dwell_epochs = 3;
+  double margin_pts = 0.25;
 
   /// Cleanliness detector: the profile flips dirty when the TrafficStats
   /// dirtiness score exceeds threshold+band and clean again only below
   /// threshold-band — the band half of the hysteresis.
-  double dirty_threshold;
-  double dirty_band;
+  double dirty_threshold = 0.25;
+  double dirty_band = 0.10;
 
   /// Planner configuration (pair hints, budget) used for every
   /// re-planning decision; `cascade.seed` also seeds retrained models.
@@ -52,8 +47,8 @@ struct ReplanOptions {
   /// positive ratio is the served model's own prediction — operators pin
   /// these two axes to the deployment's known scale (0 = use the live
   /// value anyway).
-  int64_t profile_records;
-  double profile_ratio;
+  int64_t profile_records = 0;
+  double profile_ratio = 0.0;
 
   /// Retraining source: the dataset spec (+ record override) the daemon
   /// was started from. Emitted verbatim into replan spec files so the
@@ -62,7 +57,7 @@ struct ReplanOptions {
   int records = 0;
 
   /// Where replan_<n>.spec files are written.
-  std::string spec_dir;
+  std::string spec_dir = ".";
 
   /// Train and swap on the calling thread instead of the worker (tests:
   /// deterministic interleaving with the batcher's wave schedule).
@@ -71,11 +66,6 @@ struct ReplanOptions {
   /// This instance with invalid fields clamped to sane minimums.
   ReplanOptions Resolved() const;
 };
-
-/// `base` with the runtime config's SEMTAG_REPLAN_* geometry, pair hint
-/// and spec dir applied. A pair naming unknown models warns and keeps the
-/// base pair.
-ReplanOptions ReplanOptionsFromConfig(ReplanOptions base = {});
 
 /// Observable state of the loop (kStats "replan" object, tests).
 struct ReplanState {

@@ -4,31 +4,23 @@
 # `semtag grid` rejects a bad selection with exit status 2 and a message
 # naming the problem, before any cell runs: an unknown dataset or model,
 # and a name given twice (which would otherwise enumerate duplicate cells).
+# Every subcommand parses its own flags as strictly: a misspelled flag, a
+# flag of another subcommand, a value given to a presence-only flag or one
+# out of range exits 2 naming the flag, before any data is read.
 semtag="$1"
-fail=0
-expect_rejected() {  # <stderr substring> <grid flags...>
-  want="$1"
-  shift
-  err=$("$semtag" grid "$@" 2>&1 >/dev/null)
-  rc=$?
-  case "$err" in
-    *"$want"*) matched=1 ;;
-    *) matched=0 ;;
-  esac
-  if [ "$rc" -ne 2 ] || [ "$matched" -ne 1 ]; then
-    echo "FAIL: semtag grid $* exited $rc with stderr '$err';" \
-         "want 2 and '$want'"
-    fail=1
-  else
-    echo "ok: semtag grid $* -> $err"
-  fi
-}
+. "$(dirname "$0")/expect_rejected.sh"
 expect_rejected "model LR given twice" \
-  --datasets HETER --models LR,LR --no-cache
+  "$semtag" grid --datasets HETER --models LR,LR --no-cache
 expect_rejected "dataset HETER given twice" \
-  --datasets HETER,HETER --models LR --no-cache
+  "$semtag" grid --datasets HETER,HETER --models LR --no-cache
 expect_rejected "unknown model NOPE" \
-  --datasets HETER --models NOPE --no-cache
+  "$semtag" grid --datasets HETER --models NOPE --no-cache
 expect_rejected "unknown dataset NOPE" \
-  --datasets NOPE --models LR --no-cache
+  "$semtag" grid --datasets NOPE --models LR --no-cache
+expect_rejected "--modle" "$semtag" train --data d.csv --modle LR --out m
+expect_rejected "--dataset" "$semtag" grid --dataset HETER
+expect_rejected "--explain" "$semtag" profile --data x --explain
+expect_rejected "--no-cache" "$semtag" grid --models LR --no-cache=yes
+expect_rejected "--budget" "$semtag" cascade --data x --budget 101
+expect_rejected "unknown command 'nope'" "$semtag" nope
 exit $fail

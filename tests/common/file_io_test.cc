@@ -1,17 +1,10 @@
 #include <filesystem>
-#include <utility>
-
-#ifdef __unix__
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
 
 #include <gtest/gtest.h>
 
 #include "common/csv.h"
 #include "common/fault.h"
 #include "common/file_io.h"
-#include "common/timer.h"
 
 namespace semtag {
 namespace {
@@ -110,65 +103,6 @@ TEST(FileLockTest, AcquiresAndReleases) {
   FileLock again(path);
   EXPECT_TRUE(again.held());
   std::filesystem::remove(path + ".lock");
-}
-
-TEST(FileLockTest, TryLockAcquiresWhenFree) {
-  const std::string path = TempPath("semtag_trylock_free");
-  FileLock lock = FileLock::TryLock(path, 0);
-  EXPECT_TRUE(lock.held());
-  std::filesystem::remove(path + ".lock");
-}
-
-TEST(FileLockTest, TryLockTimesOutWhenHeldByAnotherProcess) {
-#ifdef __unix__
-  // flock is per-open-file-description, so contention needs a second
-  // process: the child grabs the lock and sleeps past the parent timeout.
-  const std::string path = TempPath("semtag_trylock_contended");
-  int ready[2];
-  ASSERT_EQ(pipe(ready), 0);
-  const pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    FileLock held(path);
-    char ok = held.held() ? '1' : '0';
-    (void)!write(ready[1], &ok, 1);
-    usleep(400 * 1000);
-    _exit(0);
-  }
-  char ok = '0';
-  ASSERT_EQ(read(ready[0], &ok, 1), 1);
-  ASSERT_EQ(ok, '1');
-  WallTimer timer;
-  FileLock contended = FileLock::TryLock(path, 100);
-  EXPECT_FALSE(contended.held());
-  EXPECT_GE(timer.ElapsedSeconds(), 0.09);
-  EXPECT_LT(timer.ElapsedSeconds(), 2.0);
-  // Once the child exits (flock dies with its holder), the lock is free.
-  int wstatus = 0;
-  ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
-  FileLock after = FileLock::TryLock(path, 1000);
-  EXPECT_TRUE(after.held());
-  close(ready[0]);
-  close(ready[1]);
-  std::filesystem::remove(path + ".lock");
-#endif
-}
-
-TEST(FileLockTest, MoveTransfersOwnership) {
-  const std::string path = TempPath("semtag_trylock_move");
-  FileLock a = FileLock::TryLock(path, 0);
-  ASSERT_TRUE(a.held());
-  FileLock b = std::move(a);
-  EXPECT_TRUE(b.held());
-  EXPECT_FALSE(a.held());  // NOLINT(bugprone-use-after-move): post-move probe
-  FileLock c = FileLock::TryLock(path + "_other", 0);
-  ASSERT_TRUE(c.held());
-  c = std::move(b);  // releases _other, takes over path
-  EXPECT_TRUE(c.held());
-  FileLock other = FileLock::TryLock(path + "_other", 0);
-  EXPECT_TRUE(other.held());
-  std::filesystem::remove(path + ".lock");
-  std::filesystem::remove(path + "_other.lock");
 }
 
 }  // namespace

@@ -198,18 +198,6 @@ TEST_F(MetricsTest, ResetZeroesEverythingButKeepsHandles) {
   EXPECT_EQ(c.Value(), 2u);
 }
 
-TEST_F(MetricsTest, HandleObsFlagParsesBothFlags) {
-  const std::string saved_path = MetricsExportPath();
-  EXPECT_FALSE(HandleObsFlag("--unrelated"));
-  EXPECT_FALSE(HandleObsFlag("--metricsx"));
-  EXPECT_TRUE(HandleObsFlag("--metrics=/tmp/m.json"));
-  EXPECT_EQ(MetricsExportPath(), "/tmp/m.json");
-  EXPECT_TRUE(MetricsEnabled());
-  EXPECT_TRUE(HandleObsFlag("--metrics"));
-  EXPECT_EQ(MetricsExportPath(), "semtag_metrics.json");
-  SetMetricsExportPath(saved_path);
-}
-
 TEST(BucketPresetTest, ServeLatencyBucketsResolveSloPercentiles) {
   const std::vector<double>& buckets = ServeLatencyBucketsUs();
   ASSERT_GE(buckets.size(), 24u);

@@ -632,53 +632,27 @@ TEST(ReplanLoopTest, LoopIsThreadInvariantUnderDeepBatchLane) {
 }
 
 // ---------------------------------------------------------------------------
-// Runtime config + kStats over the wire
+// Option defaults + kStats over the wire
 // ---------------------------------------------------------------------------
 
-TEST(ReplanOptionsTest, EnvOverridesParse) {
-  const ScopedRuntimeOverride knobs(
-      {{"SEMTAG_REPLAN_EPOCH", "64"},
-       {"SEMTAG_REPLAN_WINDOW", "4"},
-       {"SEMTAG_REPLAN_HYSTERESIS", "5,1.5"},
-       {"SEMTAG_REPLAN_DIRTY", "0.3,0.05"},
-       {"SEMTAG_REPLAN_PROFILE", "4750000,0.3"},
-       {"SEMTAG_REPLAN_PAIR", "LR+CNN"},
-       {"SEMTAG_REPLAN_DIR", "/tmp/replan"}});
-  ReplanOptions base;
-  base.cascade.budget_pts = 2.0;  // semtag_serve --budget
-  const ReplanOptions options = ReplanOptionsFromConfig(base);
+// The defaults the SEMTAG_REPLAN_* knob table held before the settings
+// became semtag_serve flags; the loop runs only when --replan enables it.
+TEST(ReplanOptionsTest, DefaultsEqualTheOldKnobTable) {
+  const ReplanOptions options;
   EXPECT_FALSE(options.enabled);
-  EXPECT_EQ(options.epoch_records, 64);
-  EXPECT_EQ(options.epoch_window, 4);
-  EXPECT_EQ(options.dwell_epochs, 5);
-  EXPECT_DOUBLE_EQ(options.margin_pts, 1.5);
-  EXPECT_DOUBLE_EQ(options.dirty_threshold, 0.3);
-  EXPECT_DOUBLE_EQ(options.dirty_band, 0.05);
-  EXPECT_EQ(options.profile_records, 4750000);
-  EXPECT_DOUBLE_EQ(options.profile_ratio, 0.3);
-  EXPECT_EQ(options.cascade.simple, models::ModelKind::kLr);
-  EXPECT_EQ(options.cascade.deep, models::ModelKind::kCnn);
-  EXPECT_TRUE(options.cascade.auto_pair);
-  EXPECT_DOUBLE_EQ(options.cascade.budget_pts, 2.0);
-  EXPECT_EQ(options.spec_dir, "/tmp/replan");
-  // A pair that parses as a pair but names no models keeps the base pair.
-  const ScopedRuntimeOverride unknown({{"SEMTAG_REPLAN_PAIR", "FOO+BAR"}});
-  EXPECT_EQ(ReplanOptionsFromConfig().cascade.simple,
-            models::ModelKind::kSvm);
-}
-
-// Invalid knob values keep ReplanOptions' defaults, and no knob turns the
-// loop on: it runs only when the caller's options (--replan) enable it.
-TEST(ReplanOptionsTest, BadValuesKeepDefaultsAndZeroDisables) {
-  const ScopedRuntimeOverride bad({{"SEMTAG_REPLAN_HYSTERESIS", "nonsense"},
-                                   {"SEMTAG_REPLAN_PAIR", "not-a-pair"}});
-  const ReplanOptions options = ReplanOptionsFromConfig();
-  EXPECT_FALSE(options.enabled);
-  EXPECT_EQ(options.dwell_epochs, ReplanOptions{}.dwell_epochs);
-  EXPECT_EQ(options.cascade.simple, models::ModelKind::kSvm);
-  ReplanOptions enabled;
-  enabled.enabled = true;
-  EXPECT_TRUE(ReplanOptionsFromConfig(enabled).enabled);
+  EXPECT_EQ(options.epoch_records, 256);
+  EXPECT_EQ(options.epoch_window, 8);
+  EXPECT_EQ(options.dwell_epochs, 3);
+  EXPECT_EQ(options.margin_pts, 0.25);
+  EXPECT_EQ(options.dirty_threshold, 0.25);
+  EXPECT_EQ(options.dirty_band, 0.10);
+  EXPECT_EQ(options.profile_records, 0);
+  EXPECT_EQ(options.profile_ratio, 0.0);
+  EXPECT_EQ(options.dataset, "");
+  EXPECT_EQ(options.spec_dir, ".");
+  // No pair hint: the planner's own default pair.
+  EXPECT_EQ(options.cascade.simple, core::CascadeOptions{}.simple);
+  EXPECT_EQ(options.cascade.deep, core::CascadeOptions{}.deep);
 }
 
 #ifdef __linux__

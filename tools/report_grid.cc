@@ -10,11 +10,11 @@
 //                                    #   a BENCH_cascade.json
 
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <set>
 
 #include "common/csv.h"
+#include "common/flags.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "data/specs.h"
@@ -147,12 +147,18 @@ int SummarizeCascade(const char* path) {
 
 int Main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
-  if (argc >= 3 && std::strcmp(argv[1], "--metrics") == 0) {
-    return SummarizeMetrics(argv[2]);
+  std::string metrics, cascade;
+  Flags flags("report_grid");
+  flags.String("metrics", &metrics,
+               "summarize this semtag-metrics-v1 snapshot instead");
+  flags.String("cascade", &cascade,
+               "print the frontier tables of this BENCH_cascade.json instead");
+  flags.ParseOrExit(argc, argv);
+  if (!metrics.empty() && !cascade.empty()) {
+    flags.Fail("cascade", "give at most one of --metrics and --cascade");
   }
-  if (argc >= 3 && std::strcmp(argv[1], "--cascade") == 0) {
-    return SummarizeCascade(argv[2]);
-  }
+  if (!metrics.empty()) return SummarizeMetrics(metrics.c_str());
+  if (!cascade.empty()) return SummarizeCascade(cascade.c_str());
   const std::string path = models::CacheDir() + "/results.csv";
   auto content = ReadFileToString(path);
   if (!content.ok()) {
