@@ -69,25 +69,7 @@ int Main(int argc, char** argv) {
   flags.Number("deadline-us", &ignored_deadline_us, 0, INT_MAX,
                "ignored; perfbench's daemon command line is its last user");
   // Online re-planning (DESIGN.md "Online re-planning").
-  flags.Bool("replan", &replan.enabled, "enable online re-planning");
-  flags.Number("replan-epoch", &replan.epoch_records, 0, INT_MAX,
-               "requests per sealed epoch; 0 = only explicit epoch advances");
-  flags.Number("replan-window", &replan.epoch_window, 1, INT_MAX,
-               "sealed epochs the profile window aggregates");
-  flags.Number("replan-dwell", &replan.dwell_epochs, 1, INT_MAX,
-               "consecutive epochs a new pair must win before the swap");
-  flags.Number("replan-dirty", &replan.dirty_threshold, 0.0, 1.0,
-               "dirtiness score at the clean/dirty boundary");
-  flags.Number("replan-dirty-band", &replan.dirty_band, 0.0, 1.0,
-               "dead band around --replan-dirty");
-  flags.Number("replan-profile-records", &replan.profile_records, 0,
-               INT64_MAX, "corpus size pinned for the heat map; 0 = live");
-  flags.Number("replan-profile-ratio", &replan.profile_ratio, 0.0, 1.0,
-               "positive ratio pinned for the heat map; 0 = live");
-  flags.String("replan-pair", &replan_pair,
-               "cascade pair hint 'S+D' for every re-planning decision");
-  flags.String("spec-dir", &replan.spec_dir,
-               "where replan specs are written and kSwap names are read");
+  serve::AddReplanFlags(&flags, &replan, &replan_pair);
   flags.String("metrics", &metrics,
                "arm the metrics registry; export its snapshot to this file");
   flags.String("trace", &trace, "arm tracing; export spans to this file");

@@ -1,9 +1,12 @@
 #include "serve/replanner.h"
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "core/advisor.h"
@@ -27,6 +30,28 @@ ReplanOptions ReplanOptions::Resolved() const {
   resolved.profile_ratio = std::clamp(resolved.profile_ratio, 0.0, 1.0);
   if (resolved.spec_dir.empty()) resolved.spec_dir = ".";
   return resolved;
+}
+
+void AddReplanFlags(Flags* flags, ReplanOptions* options, std::string* pair) {
+  flags->Bool("replan", &options->enabled, "enable online re-planning");
+  flags->Number("replan-epoch", &options->epoch_records, 0, INT_MAX,
+                "requests per sealed epoch; 0 = only explicit epoch advances");
+  flags->Number("replan-window", &options->epoch_window, 1, INT_MAX,
+                "sealed epochs the profile window aggregates");
+  flags->Number("replan-dwell", &options->dwell_epochs, 1, INT_MAX,
+                "consecutive epochs a new pair must win before the swap");
+  flags->Number("replan-dirty", &options->dirty_threshold, 0.0, 1.0,
+                "dirtiness score at the clean/dirty boundary");
+  flags->Number("replan-dirty-band", &options->dirty_band, 0.0, 1.0,
+                "dead band around --replan-dirty");
+  flags->Number("replan-profile-records", &options->profile_records, 0,
+                INT64_MAX, "corpus size pinned for the heat map; 0 = live");
+  flags->Number("replan-profile-ratio", &options->profile_ratio, 0.0, 1.0,
+                "positive ratio pinned for the heat map; 0 = live");
+  flags->String("replan-pair", pair,
+                "cascade pair hint 'S+D' for every re-planning decision");
+  flags->String("spec-dir", &options->spec_dir,
+                "where replan specs are written and kSwap names are read");
 }
 
 Replanner::Replanner(ModelRegistry* registry, TrafficStats* stats,

@@ -11,6 +11,10 @@
 #include "serve/model_registry.h"
 #include "serve/traffic_stats.h"
 
+namespace semtag {
+class Flags;
+}
+
 namespace semtag::serve {
 
 /// Settings of the online re-planning loop: semtag_serve's --replan and
@@ -66,6 +70,12 @@ struct ReplanOptions {
   /// This instance with invalid fields clamped to sane minimums.
   ReplanOptions Resolved() const;
 };
+
+/// Declares semtag_serve's re-planning flags on `flags`: --replan and the
+/// --replan-* geometry, bound to `options`, and --spec-dir. The
+/// --replan-pair text lands in `pair`; the caller parses it
+/// (core::ParseCascadePair) into options->cascade after Flags::Parse.
+void AddReplanFlags(Flags* flags, ReplanOptions* options, std::string* pair);
 
 /// Observable state of the loop (kStats "replan" object, tests).
 struct ReplanState {

@@ -21,6 +21,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/flags.h"
 #include "common/thread_pool.h"
 #include "config/runtime_config.h"
 #include "core/cascade.h"
@@ -632,7 +633,7 @@ TEST(ReplanLoopTest, LoopIsThreadInvariantUnderDeepBatchLane) {
 }
 
 // ---------------------------------------------------------------------------
-// Option defaults + kStats over the wire
+// Option defaults and flags + kStats over the wire
 // ---------------------------------------------------------------------------
 
 // The defaults the SEMTAG_REPLAN_* knob table held before the settings
@@ -653,6 +654,86 @@ TEST(ReplanOptionsTest, DefaultsEqualTheOldKnobTable) {
   // No pair hint: the planner's own default pair.
   EXPECT_EQ(options.cascade.simple, core::CascadeOptions{}.simple);
   EXPECT_EQ(options.cascade.deep, core::CascadeOptions{}.deep);
+}
+
+/// Parses `args` as semtag_serve's re-planning flags into `options` and
+/// `pair`, as semtag_serve's main does.
+Status ParseReplanFlags(std::vector<const char*> args, ReplanOptions* options,
+                        std::string* pair) {
+  Flags flags("semtag_serve");
+  AddReplanFlags(&flags, options, pair);
+  args.insert(args.begin(), "semtag_serve");
+  return flags.Parse(static_cast<int>(args.size()), args.data());
+}
+
+// The overrides the SEMTAG_REPLAN_* environment knobs carried now parse
+// from semtag_serve's flags, in both value forms.
+TEST(ReplanOptionsTest, EnvOverridesParse) {
+  ReplanOptions options;
+  options.cascade.budget_pts = 2.0;  // semtag_serve --budget
+  std::string pair;
+  ASSERT_TRUE(ParseReplanFlags({"--replan-epoch", "64", "--replan-window=4",
+                                "--replan-dwell", "5", "--replan-dirty",
+                                "0.3", "--replan-dirty-band=0.05",
+                                "--replan-profile-records", "4750000",
+                                "--replan-profile-ratio", "0.3",
+                                "--replan-pair", "LR+CNN", "--spec-dir",
+                                "/var/replan"},
+                               &options, &pair)
+                  .ok());
+  ASSERT_TRUE(core::ParseCascadePair(pair, &options.cascade.simple,
+                                     &options.cascade.deep)
+                  .ok());
+  EXPECT_FALSE(options.enabled);
+  EXPECT_EQ(options.epoch_records, 64);
+  EXPECT_EQ(options.epoch_window, 4);
+  EXPECT_EQ(options.dwell_epochs, 5);
+  EXPECT_DOUBLE_EQ(options.margin_pts, ReplanOptions{}.margin_pts);
+  EXPECT_DOUBLE_EQ(options.dirty_threshold, 0.3);
+  EXPECT_DOUBLE_EQ(options.dirty_band, 0.05);
+  EXPECT_EQ(options.profile_records, 4750000);
+  EXPECT_DOUBLE_EQ(options.profile_ratio, 0.3);
+  EXPECT_EQ(options.cascade.simple, models::ModelKind::kLr);
+  EXPECT_EQ(options.cascade.deep, models::ModelKind::kCnn);
+  EXPECT_TRUE(options.cascade.auto_pair);
+  EXPECT_DOUBLE_EQ(options.cascade.budget_pts, 2.0);
+  EXPECT_EQ(options.spec_dir, "/var/replan");
+  // A pair that parses as a pair but names no models keeps the pair.
+  EXPECT_FALSE(core::ParseCascadePair("FOO+BAR", &options.cascade.simple,
+                                      &options.cascade.deep)
+                   .ok());
+  EXPECT_EQ(options.cascade.simple, models::ModelKind::kLr);
+  EXPECT_EQ(options.cascade.deep, models::ModelKind::kCnn);
+}
+
+// A bad value is an error that names its flag and leaves the default in
+// place; zero is a valid --replan-epoch (explicit epoch advances only);
+// only --replan turns the loop on.
+TEST(ReplanOptionsTest, BadValuesKeepDefaultsAndZeroDisables) {
+  ReplanOptions options;
+  std::string pair;
+  const Status bad =
+      ParseReplanFlags({"--replan-dwell", "nonsense"}, &options, &pair);
+  EXPECT_FALSE(bad.ok());
+  EXPECT_NE(bad.message().find("--replan-dwell"), std::string::npos)
+      << bad.message();
+  EXPECT_EQ(options.dwell_epochs, ReplanOptions{}.dwell_epochs);
+  EXPECT_FALSE(
+      ParseReplanFlags({"--replan-window", "0"}, &options, &pair).ok());
+  EXPECT_EQ(options.epoch_window, ReplanOptions{}.epoch_window);
+  EXPECT_FALSE(core::ParseCascadePair("not-a-pair", &options.cascade.simple,
+                                      &options.cascade.deep)
+                   .ok());
+  EXPECT_EQ(options.cascade.simple, core::CascadeOptions{}.simple);
+
+  ReplanOptions zero;
+  ASSERT_TRUE(ParseReplanFlags({"--replan-epoch", "0"}, &zero, &pair).ok());
+  EXPECT_EQ(zero.epoch_records, 0);
+  EXPECT_EQ(zero.Resolved().epoch_records, 0);
+  EXPECT_FALSE(zero.enabled);
+  ReplanOptions enabled;
+  ASSERT_TRUE(ParseReplanFlags({"--replan"}, &enabled, &pair).ok());
+  EXPECT_TRUE(enabled.enabled);
 }
 
 #ifdef __linux__
