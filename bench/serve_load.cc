@@ -10,8 +10,9 @@
 // closed-loop pipelined client (fixed in-flight window) plus one open-loop
 // run (fixed arrival rate) against the cascade. Gates, from ISSUE 9:
 //   - cap 32 sustains >= 2x the QPS of cap 1 at equal-or-better p99
-//     (batching amortizes per-request wakeups and the LSTM's batched
-//     ScoreAll is genuinely cheaper per text, even on one core);
+//     (batching amortizes each batch's registry snapshot, metrics and
+//     response write, and the LSTM's batched ScoreAll is genuinely
+//     cheaper per text, even on one core);
 //   - the cascade beats always-deep QPS at the pinned accuracy budget
 //     (most requests stop at the simple tier).
 // The committed BENCH_serve.json comes from a Release build run with
@@ -40,7 +41,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -664,7 +667,8 @@ std::string JsonString(const std::string& payload, const std::string& key) {
 // boundary.
 constexpr int kDriftEpoch = 8192;
 
-int DriftMain(const std::string& binary, const std::string& out) {
+int DriftRun(const std::string& binary, const std::string& out,
+             const std::string& spec_dir) {
   // Clean->dirty schedule over the SUGG generator: segment 0 re-draws the
   // training distribution, segment 1 is the drifted regime (open-vocab
   // entity soup + rotated topics + ratio shift). SUGG at 2000 records is
@@ -719,7 +723,7 @@ int DriftMain(const std::string& binary, const std::string& out) {
       "--replan-dirty",   "0.65",    "--replan-dirty-band", "0.15",
       "--replan-profile-records", "4750000",
       "--replan-profile-ratio",   "0.3",
-      "--replan-pair",    "SVM+CNN", "--spec-dir",  "/tmp",
+      "--replan-pair",    "SVM+CNN", "--spec-dir",  spec_dir,
   };
   Daemon daemon;
   if (!SpawnDaemon(binary, args, &daemon)) return 1;
@@ -862,6 +866,23 @@ int DriftMain(const std::string& binary, const std::string& out) {
   }
   std::printf("wrote %s\n", out.c_str());
   return pass ? 0 : 1;
+}
+
+// The daemon writes its replan_<n>.spec files into a directory of this
+// run's own, so concurrent runs never share one; it goes when the run ends.
+int DriftMain(const std::string& binary, const std::string& out) {
+  std::string spec_dir =
+      (std::filesystem::temp_directory_path() / "serve_load_drift_XXXXXX")
+          .string();
+  if (::mkdtemp(spec_dir.data()) == nullptr) {
+    std::fprintf(stderr, "mkdtemp(%s): %s\n", spec_dir.c_str(),
+                 std::strerror(errno));
+    return 1;
+  }
+  const int code = DriftRun(binary, out, spec_dir);
+  std::error_code ignored;
+  std::filesystem::remove_all(spec_dir, ignored);
+  return code;
 }
 
 int Main(int argc, char** argv) {

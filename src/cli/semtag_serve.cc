@@ -14,7 +14,8 @@
 // Hot-swap: write a sealed spec (WriteModelSpecFile) into the replan spec
 // dir (--spec-dir, default .) and send its name with opcode 0x04 —
 // scoring continues on the old model until the replacement is trained,
-// then a pointer flip swaps it in.
+// then a pointer flip swaps it in. One swap builds at a time; a kSwap sent
+// meanwhile is answered kShed "swap in flight".
 
 #include <chrono>
 #include <climits>

@@ -18,7 +18,7 @@ enum class FaultPoint {
   kReadCorrupt,     // flip a byte in freshly read file content
   kNonFiniteLoss,   // make a training step observe a NaN loss
   kNonFiniteGrad,   // poison gradients with NaN before the optimizer step
-  kStall,           // sleep `ms` at a grid cell / training step
+  kStall,           // sleep `ms` at a grid cell / training step / swap
   kCrash,           // _exit(137) immediately (simulates kill -9)
 };
 

@@ -195,6 +195,7 @@ uint64_t ModelRegistry::Install(std::unique_ptr<models::TaggingModel> model,
 }
 
 Result<uint64_t> ModelRegistry::SwapFromSpecFile(const std::string& path) {
+  FaultInjected(FaultPoint::kStall, path);  // holds a swap in flight (tests)
   auto spec = LoadModelSpecFile(path);
   if (!spec.ok()) return spec.status();
   auto model = BuildModelFromSpec(*spec);

@@ -82,7 +82,8 @@ class ModelRegistry {
                    std::string source);
 
   /// Loads + verifies the spec file, builds the model, and flips it in.
-  /// On any failure the current model keeps serving.
+  /// On any failure the current model keeps serving. A `stall` fault
+  /// matching `path` sleeps before the load.
   Result<uint64_t> SwapFromSpecFile(const std::string& path);
 
   /// The current model, or nullptr before the first Install. Holders keep

@@ -64,7 +64,8 @@ struct ReplanOptions {
   std::string spec_dir = ".";
 
   /// Train and swap on the calling thread instead of the worker (tests:
-  /// deterministic interleaving with the batcher's wave schedule).
+  /// deterministic interleaving with the batcher's wave schedule; in the
+  /// daemon that thread is the event loop, which would stall serving).
   bool synchronous = false;
 
   /// This instance with invalid fields clamped to sane minimums.
@@ -103,7 +104,8 @@ struct ReplanState {
 /// survives every swap, and the spec file on disk makes each decision
 /// reproducible offline.
 ///
-/// Driven by Batcher::Poll after each scored batch: one detector Step()
+/// Driven by Batcher::Flush, which calls Poll after each scored batch on
+/// the event loop thread: one detector Step()
 /// per newly sealed logical epoch, so the cadence is wall-clock-free and
 /// bit-identical across thread counts. A null registry runs the detector
 /// dry (unit tests): triggers commit the candidate immediately without
@@ -123,7 +125,7 @@ class Replanner {
   void AdoptIncumbentFromRegistry();
   void SetIncumbent(const core::CascadePlan& plan);
 
-  /// Cheap check from the batcher thread: runs one Step per newly sealed
+  /// Cheap check after each scored batch: runs one Step per newly sealed
   /// epoch since the last poll. No-op while disabled.
   void Poll();
 

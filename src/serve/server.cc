@@ -120,7 +120,7 @@ std::string Server::StatsJson() const {
       replanner_ != nullptr ? replanner_->StateJson() : "{\"enabled\": false}";
   return StrFormat(
       "{\"version\": %llu, \"requests\": %llu, \"shed\": %llu, "
-      "\"batches\": %llu, \"queue_depth\": %llu, "
+      "\"batches\": %llu, "
       "\"protocol_errors\": %llu, "
       "\"model\": {\"pair\": \"%s\", \"threshold\": %.17g}, "
       "\"traffic\": {\"total\": %llu, "
@@ -132,7 +132,6 @@ std::string Server::StatsJson() const {
       static_cast<unsigned long long>(counters.requests),
       static_cast<unsigned long long>(counters.shed),
       static_cast<unsigned long long>(batcher_.BatchCount()),
-      static_cast<unsigned long long>(batcher_.QueueDepth()),
       static_cast<unsigned long long>(counters.protocol_errors),
       pair.c_str(), threshold,
       static_cast<unsigned long long>(traffic.total),
@@ -206,7 +205,6 @@ Status Server::Start() {
     }
   }
 
-  batcher_.Start();
   running_.store(true);
   loop_thread_ = std::thread([this] { RunLoop(); });
   SEMTAG_LOG(kInfo, "serving on %s:%d (batch cap %d, queue cap %d)",
@@ -223,10 +221,7 @@ void Server::Stop() {
     (void)!::write(wake_fd_, &one, sizeof(one));
   }
   if (loop_thread_.joinable()) loop_thread_.join();
-  for (std::thread& t : swap_threads_) {
-    if (t.joinable()) t.join();
-  }
-  swap_threads_.clear();
+  if (swap_thread_.joinable()) swap_thread_.join();
   if (epoll_fd_ >= 0) {
     (void)::close(epoll_fd_);
     epoll_fd_ = -1;
@@ -256,18 +251,37 @@ void Server::DrainCompletions() {
     std::lock_guard<std::mutex> lock(completions_mu_);
     batch.swap(completions_);
   }
-  const double now_us = NowUs();
+  // Only the swap thread posts, and its reply is its last act: the slot
+  // is free again once that reply is here.
+  if (!batch.empty()) swap_in_flight_ = false;
   for (Completion& completion : batch) {
-    if (completion.request_start_us > 0) {
-      SEMTAG_OBS_OBSERVE("serve/request_latency_us",
-                         obs::ServeLatencyBucketsUs(),
-                         now_us - completion.request_start_us);
-    }
     const auto it = connections_.find(completion.conn_id);
     if (it == connections_.end()) continue;  // client went away
     Connection* conn = it->second.get();
     conn->outbuf += completion.frame;
     HandleWritable(conn);
+  }
+}
+
+void Server::WriteScored(const std::vector<ScoredRequest>& batch) {
+  using Us = std::chrono::duration<double, std::micro>;
+  const auto now = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const ScoredRequest& r = batch[i];
+    SEMTAG_OBS_OBSERVE("serve/request_latency_us",
+                       obs::ServeLatencyBucketsUs(),
+                       Us(now - r.enqueued).count());
+    const auto it = connections_.find(r.conn_id);
+    if (it == connections_.end()) continue;  // client went away
+    Connection* conn = it->second.get();
+    AppendFrame(static_cast<uint8_t>(StatusCode::kOk),
+                FormatScoreResponse(r.ticket, r.model_version, r.score),
+                &conn->outbuf);
+    // One write per run of a connection's responses: a round submits each
+    // connection's frames together, so its responses are adjacent.
+    if (i + 1 == batch.size() || batch[i + 1].conn_id != r.conn_id) {
+      HandleWritable(conn);
+    }
   }
 }
 
@@ -341,21 +355,7 @@ bool Server::HandleFrame(Connection* conn, uint8_t opcode,
         ++counters_.requests;
       }
       SEMTAG_OBS_COUNT("serve/requests", 1);
-      const uint64_t conn_id = conn->id;
-      const double start_us = NowUs();
-      const bool admitted = batcher_.Submit(
-          std::string(text),
-          [this, conn_id, ticket, start_us](const ScoredRequest& scored) {
-            Completion completion;
-            completion.conn_id = conn_id;
-            completion.request_start_us = start_us;
-            AppendFrame(static_cast<uint8_t>(StatusCode::kOk),
-                        FormatScoreResponse(ticket, scored.model_version,
-                                            scored.score),
-                        &completion.frame);
-            PostCompletion(std::move(completion));
-          });
-      if (!admitted) {
+      if (!batcher_.Submit(conn->id, ticket, std::string(text))) {
         {
           std::lock_guard<std::mutex> lock(counters_mu_);
           ++counters_.shed;
@@ -388,11 +388,18 @@ bool Server::HandleFrame(Connection* conn, uint8_t opcode,
                     name);
         return true;
       }
+      // One build at a time: each can take seconds and a model's memory.
+      if (swap_in_flight_) {
+        SendNow(conn, StatusCode::kShed, "swap in flight");
+        return true;
+      }
+      if (swap_thread_.joinable()) swap_thread_.join();  // replied: done
+      swap_in_flight_ = true;
       const std::string path = options_.replan.Resolved().spec_dir + "/" + name;
       const uint64_t conn_id = conn->id;
       // Model building takes seconds; do it off the loop so scoring
       // continues against the old model until the pointer flip.
-      swap_threads_.emplace_back([this, path, conn_id] {
+      swap_thread_ = std::thread([this, path, conn_id] {
         auto swapped = registry_->SwapFromSpecFile(path);
         Completion completion;
         completion.conn_id = conn_id;
@@ -526,6 +533,9 @@ void Server::FlushAndClose() {
 
 void Server::RunLoop() {
   struct epoll_event events[64];
+  const BatchSink write_scored = [this](const std::vector<ScoredRequest>& b) {
+    WriteScored(b);
+  };
   bool draining = false;
   while (!draining) {
     const int n = ::epoll_wait(epoll_fd_, events, 64, 500);
@@ -559,6 +569,8 @@ void Server::RunLoop() {
         if ((events[i].events & EPOLLIN) != 0) HandleReadable(conn);
       }
     }
+    // Score what this round read, to completion, on this thread.
+    batcher_.Flush(write_scored);
   }
 
   // ---- graceful drain ----
@@ -566,9 +578,9 @@ void Server::RunLoop() {
   (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
   (void)::close(listen_fd_);
   listen_fd_ = -1;
-  // Flush queued requests as final (partial) batches; every accepted
+  // Score pending requests as final (partial) batches; every accepted
   // request gets its response before the socket closes.
-  batcher_.Stop();
+  batcher_.Drain(write_scored);
   DrainCompletions();
   FlushAndClose();
   running_.store(false);
@@ -587,8 +599,8 @@ void Server::RunLoop() {
     }
   }
   SEMTAG_LOG(kInfo, "drained: %s", StatsJson().c_str());
-  // epoll_fd_/wake_fd_ stay open until Stop() joins the swap threads,
-  // which may still be posting completions through the eventfd.
+  // epoll_fd_/wake_fd_ stay open until Stop() joins the swap thread,
+  // which may still be posting its completion through the eventfd.
 }
 
 #endif  // __linux__

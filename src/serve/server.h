@@ -57,13 +57,16 @@ struct ServerCounters {
 /// feeding the dynamic batcher (serve/batcher.h) and serving scores from
 /// the hot-swappable registry (serve/model_registry.h).
 ///
-/// Threads: the event loop owns all connection state; the batcher thread
-/// scores and posts completions through a queue + eventfd wakeup; swap
-/// requests build their replacement model on short-lived worker threads.
-/// No connection state is ever touched off the loop thread.
+/// Threads: the event loop owns all connection state and scores run to
+/// completion on it. After each epoll round it flushes the batcher and
+/// writes every batch's responses as soon as that batch is scored. One
+/// kSwap at a time builds its replacement model on a short-lived worker
+/// thread and posts its reply through a queue + eventfd wakeup; a kSwap
+/// that arrives meanwhile is answered kShed "swap in flight". No
+/// connection state is ever touched off the loop thread.
 ///
 /// Graceful drain (SIGTERM via the ShutdownSignal fd, or Stop()): close
-/// the listen socket, stop reading, flush queued requests as final
+/// the listen socket, stop reading, score what is pending as final
 /// partial batches, write every pending response, then exit and publish a
 /// final metrics snapshot. A second signal aborts the flush wait.
 class Server {
@@ -73,7 +76,7 @@ class Server {
   Server(ModelRegistry* registry, ServerOptions options);
   ~Server();
 
-  /// Binds, listens, and starts the loop + batcher threads.
+  /// Binds, listens, and starts the loop thread.
   Status Start();
 
   /// Bound port (valid after Start; the ephemeral-port answer).
@@ -90,15 +93,12 @@ class Server {
   /// Null unless options.replan.enabled.
   Replanner* replanner() { return replanner_.get(); }
 
-  /// One-line JSON used by the kStats op and the drain log.
-  std::string StatsJson() const;
-
  private:
   struct Connection;
+  /// A swap thread's reply for `conn_id`, as pre-framed response bytes.
   struct Completion {
     uint64_t conn_id = 0;
-    std::string frame;               // pre-framed response bytes
-    double request_start_us = 0.0;   // 0 = not a score completion
+    std::string frame;
   };
 
   void RunLoop();
@@ -107,12 +107,15 @@ class Server {
   void HandleWritable(Connection* conn);
   bool HandleFrame(Connection* conn, uint8_t opcode,
                    const std::string& payload);
+  void WriteScored(const std::vector<ScoredRequest>& batch);
   void PostCompletion(Completion completion);
   void DrainCompletions();
   void FlushAndClose();
   void CloseConnection(uint64_t conn_id);
   void UpdateEpoll(Connection* conn);
   void SendNow(Connection* conn, StatusCode code, std::string_view payload);
+  /// One-line JSON used by the kStats op and the drain log.
+  std::string StatsJson() const;
 
   ModelRegistry* registry_;
   const ServerOptions options_;
@@ -122,14 +125,13 @@ class Server {
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;  // eventfd: completions + external Stop
+  int wake_fd_ = -1;  // eventfd: swap completions + external Stop
   int port_ = 0;
   uint64_t next_conn_id_ = 1;
   std::map<uint64_t, std::unique_ptr<Connection>> connections_;
 
   std::mutex completions_mu_;
   std::vector<Completion> completions_;
-  std::vector<std::thread> swap_threads_;
 
   mutable std::mutex counters_mu_;
   ServerCounters counters_;
@@ -137,6 +139,8 @@ class Server {
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> running_{false};
   bool started_ = false;
+  bool swap_in_flight_ = false;  // loop thread only; cleared by its reply
+  std::thread swap_thread_;      // the one kSwap build allowed at a time
   std::thread loop_thread_;
 };
 

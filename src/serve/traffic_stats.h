@@ -73,8 +73,9 @@ struct TrafficProfile {
 /// epoch. Hash sets are capped (kVocabCap) so memory stays bounded on
 /// open-vocabulary streams.
 ///
-/// Thread-safe (one mutex; callers are the batcher thread and the event
-/// loop's kStats handler, so contention is nil). All statistics are pure
+/// Thread-safe (one mutex; in the daemon every caller is on the event
+/// loop thread — the batcher's Flush, the replanner's Poll and the kStats
+/// handler — so contention is nil). All statistics are pure
 /// functions of the record sequence — bit-identical across thread counts.
 class TrafficStats {
  public:
@@ -96,8 +97,8 @@ class TrafficStats {
   void SeedReferenceFromTexts(const std::vector<std::string>& texts);
 
   /// Seals the current epoch into the window. Returns false (and seals
-  /// nothing) when the epoch is empty. Tests and the batcher-side
-  /// auto-rotation both funnel through here.
+  /// nothing) when the epoch is empty. Record seals on its own every
+  /// `epoch_records` requests; this is the explicit advance.
   bool AdvanceEpoch();
 
   TrafficSnapshot Snapshot() const;

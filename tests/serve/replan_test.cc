@@ -7,10 +7,9 @@
 // SEMTAG_QUANT lane, and at a batch cap that cuts each wave into batches.
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -400,25 +399,6 @@ TEST(ReplanDetectorTest, MarginBiasHoldsIncumbentAtTheCellEdge) {
 // Closed loop: drift stream -> batcher -> detector -> hot-swap
 // ---------------------------------------------------------------------------
 
-struct CollectedScores {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<ScoredRequest> results;
-
-  ScoreCallback Collector() {
-    return [this](const ScoredRequest& r) {
-      std::lock_guard<std::mutex> lock(mu);
-      results.push_back(r);
-      cv.notify_all();
-    };
-  }
-  bool WaitForCount(size_t n, int timeout_ms = 120000) {
-    std::unique_lock<std::mutex> lock(mu);
-    return cv.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                       [&] { return results.size() >= n; });
-  }
-};
-
 constexpr int kWave = 32;          // records per wave == default batch cap
 constexpr int kSegmentWaves = 4;   // waves per drift segment
 constexpr int kRunRecords = 2 * kSegmentWaves * kWave;
@@ -452,10 +432,12 @@ struct DriftRunResult {
 };
 
 /// Runs the canonical clean->dirty schedule through a real batcher +
-/// synchronous replanner at `threads` pool threads, one 32-record wave at
-/// a time. Each wave seals exactly one epoch: the batcher may score a
-/// wave as several batches, but epochs seal by request count and the
-/// replanner only steps on a sealed epoch, so a swap lands between waves.
+/// synchronous replanner at `threads` pool threads, one 32-record wave per
+/// flush, as one epoll round would submit it. Each wave seals exactly one
+/// epoch: the flush may score a wave as several batches, but epochs seal
+/// by request count and the replanner only steps on a sealed epoch, so a
+/// swap lands between waves. Replan specs go to a directory of this run's
+/// own, removed before it returns.
 DriftRunResult RunDriftLoop(int threads, int batch_cap = kWave) {
   SetGlobalPoolThreads(threads);
   const std::vector<data::DriftRecord> stream =
@@ -474,7 +456,7 @@ DriftRunResult RunDriftLoop(int threads, int batch_cap = kWave) {
 
   ReplanOptions options;
   options.enabled = true;
-  options.synchronous = true;  // swap inside the batcher's Poll
+  options.synchronous = true;  // swap inside Poll, between batches
   options.dwell_epochs = 2;
   options.margin_pts = 0.25;
   // Measured on this exact geometry (32-record epochs, window 2, the
@@ -491,7 +473,9 @@ DriftRunResult RunDriftLoop(int threads, int batch_cap = kWave) {
   options.cascade.seed = 1;
   options.dataset = "HETER";
   options.records = 140;
-  options.spec_dir = testing::TempDir();
+  std::string spec_dir = testing::TempDir() + "/replan_test_XXXXXX";
+  EXPECT_NE(::mkdtemp(spec_dir.data()), nullptr);
+  options.spec_dir = spec_dir;
   Replanner replanner(&registry, &stats, options);
   replanner.AdoptIncumbentFromRegistry();
   EXPECT_EQ(replanner.state().incumbent, "SVM+CNN");
@@ -499,30 +483,34 @@ DriftRunResult RunDriftLoop(int threads, int batch_cap = kWave) {
   BatchingOptions batching;
   batching.batch_cap = batch_cap;
   Batcher batcher(&registry, &stats, batching, &replanner);
-  batcher.Start();
 
   DriftRunResult result;
-  CollectedScores collected;
   for (int wave = 0; wave * kWave < kRunRecords; ++wave) {
     for (int i = 0; i < kWave; ++i) {
-      EXPECT_TRUE(batcher.Submit(stream[wave * kWave + i].text,
-                                 collected.Collector()));
+      EXPECT_TRUE(batcher.Submit(/*conn_id=*/1, wave * kWave + i,
+                                 stream[wave * kWave + i].text));
     }
-    EXPECT_TRUE(collected.WaitForCount((wave + 1) * kWave))
+    batcher.Flush([&result](const std::vector<ScoredRequest>& batch) {
+      for (const ScoredRequest& r : batch) {
+        result.versions.push_back(r.model_version);
+        result.scores.push_back(r.score);
+      }
+    });
+    EXPECT_EQ(result.scores.size(), static_cast<size_t>((wave + 1) * kWave))
         << "wave " << wave << " did not complete";
     for (int i = 0; i < kWave; ++i) result.wave_of.push_back(wave);
   }
-  batcher.Stop();
   replanner.WaitIdle();
 
-  for (const ScoredRequest& r : collected.results) {
-    result.versions.push_back(r.model_version);
-    result.scores.push_back(r.score);
-  }
   const ReplanState state = replanner.state();
   result.swaps = state.swaps;
   result.failures = state.failures;
   result.final_pair = state.incumbent;
+  // Every spec this run wrote is in its own directory, which goes with it.
+  EXPECT_EQ(std::filesystem::exists(spec_dir + "/replan_1.spec"),
+            result.swaps > 0);
+  std::filesystem::remove_all(spec_dir);
+  EXPECT_FALSE(std::filesystem::exists(spec_dir));
   return result;
 }
 

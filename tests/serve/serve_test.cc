@@ -1,21 +1,16 @@
 // Serving stack (src/serve/): wire protocol framing, the CRC-sealed model
-// registry with hot-swap, the dynamic-batching scheduler's edge cases
-// (an idle batcher scores nothing, cap=1 bit-identity, partial flush on
-// shutdown, admission rejection, swap-mid-stream consistency, one queue
-// delay per scored request),
-// traffic stats, and an end-to-end socket test pinning responses
-// bit-identical to offline Score().
+// registry with hot-swap, the dynamic batcher's edge cases (an idle
+// batcher scores nothing, cap=1 bit-identity, the drain's partial batch,
+// admission rejection, swap-between-rounds consistency, one queue delay
+// per scored request), traffic stats, and end-to-end socket tests pinning
+// responses bit-identical to offline Score(), one round's batch cuts, and
+// the one-swap-in-flight bound.
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -372,36 +367,31 @@ TEST(TrafficStatsTest, PartialWindowAverages) {
 // Batcher edge cases
 // ---------------------------------------------------------------------------
 
-struct CollectedScores {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<ScoredRequest> results;
+/// Flushes `batcher` once, collecting each batch the sink is handed.
+std::vector<std::vector<ScoredRequest>> FlushBatches(Batcher* batcher) {
+  std::vector<std::vector<ScoredRequest>> batches;
+  batcher->Flush([&batches](const std::vector<ScoredRequest>& batch) {
+    batches.push_back(batch);
+  });
+  return batches;
+}
 
-  ScoreCallback Collector() {
-    return [this](const ScoredRequest& r) {
-      std::lock_guard<std::mutex> lock(mu);
-      results.push_back(r);
-      cv.notify_all();
-    };
+std::vector<ScoredRequest> Concat(
+    const std::vector<std::vector<ScoredRequest>>& batches) {
+  std::vector<ScoredRequest> all;
+  for (const auto& batch : batches) {
+    all.insert(all.end(), batch.begin(), batch.end());
   }
-  bool WaitForCount(size_t n, int timeout_ms = 10000) {
-    std::unique_lock<std::mutex> lock(mu);
-    return cv.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                       [&] { return results.size() >= n; });
-  }
-};
+  return all;
+}
 
 TEST(BatcherTest, IdleBatcherScoresNothing) {
   const data::Dataset dataset = TinyDataset();
   ModelRegistry registry;
   registry.Install(TrainedSvm(dataset), "svm");
-  BatchingOptions options;
-  Batcher batcher(&registry, nullptr, options);
-  batcher.Start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Batcher batcher(&registry, nullptr, BatchingOptions{});
+  EXPECT_TRUE(FlushBatches(&batcher).empty()) << "an empty flush is a no-op";
   EXPECT_EQ(batcher.BatchCount(), 0u);
-  EXPECT_EQ(batcher.QueueDepth(), 0u);
-  batcher.Stop();
 }
 
 TEST(BatcherTest, CapOneIsBitIdenticalToScore) {
@@ -413,43 +403,53 @@ TEST(BatcherTest, CapOneIsBitIdenticalToScore) {
   BatchingOptions options;
   options.batch_cap = 1;
   Batcher batcher(&registry, nullptr, options);
-  batcher.Start();
-  CollectedScores collected;
   const int n = 16;
-  std::vector<std::string> texts;
-  for (int i = 0; i < n; ++i) texts.push_back(dataset[i].text);
-  for (const std::string& text : texts) {
-    ASSERT_TRUE(batcher.Submit(text, collected.Collector()));
-  }
-  ASSERT_TRUE(collected.WaitForCount(n));
-  batcher.Stop();
-
-  // cap=1 batches are singletons: each response must carry exactly
-  // Score(text) — the offline answer — bit for bit. Responses may complete
-  // in order here (single submitter), so index-match.
   for (int i = 0; i < n; ++i) {
-    const double offline = servable->model->Score(texts[i]);
-    EXPECT_EQ(collected.results[i].score, offline) << "text " << i;
+    ASSERT_TRUE(batcher.Submit(/*conn_id=*/9, /*ticket=*/100 + i,
+                               dataset[i].text));
+  }
+  const auto batches = FlushBatches(&batcher);
+  ASSERT_EQ(batches.size(), static_cast<size_t>(n));
+  EXPECT_EQ(batcher.BatchCount(), static_cast<uint64_t>(n));
+
+  // cap=1 batches are singletons handed back in submission order: each
+  // carries its conn id and ticket and exactly Score(text) — the offline
+  // answer — bit for bit.
+  for (int i = 0; i < n; ++i) {
+    ASSERT_EQ(batches[i].size(), 1u);
+    const ScoredRequest& r = batches[i][0];
+    EXPECT_EQ(r.conn_id, 9u);
+    EXPECT_EQ(r.ticket, static_cast<uint64_t>(100 + i));
+    EXPECT_EQ(r.model_version, 1u);
+    EXPECT_EQ(r.score, servable->model->Score(dataset[i].text))
+        << "text " << i;
   }
 }
 
-TEST(BatcherTest, StopFlushesPartialBatch) {
+TEST(BatcherTest, DrainAnswersPendingAndClosesAdmission) {
   const data::Dataset dataset = TinyDataset();
   ModelRegistry registry;
   registry.Install(TrainedSvm(dataset), "svm");
   BatchingOptions options;
   options.batch_cap = 32;
   Batcher batcher(&registry, nullptr, options);
-  batcher.Start();
-  CollectedScores collected;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(batcher.Submit(dataset[i].text, collected.Collector()));
+    ASSERT_TRUE(batcher.Submit(1, i, dataset[i].text));
   }
-  // Stop must answer the 3 requests, far short of the cap, before it
-  // returns: Stop() returning implies the callbacks ran.
-  batcher.Stop();
-  EXPECT_EQ(collected.results.size(), 3u);
-  EXPECT_GE(batcher.BatchCount(), 1u);
+  // The drain answers the 3 requests, far short of the cap, as one final
+  // partial batch; afterwards every request sheds.
+  std::vector<ScoredRequest> answered;
+  batcher.Drain([&answered](const std::vector<ScoredRequest>& batch) {
+    answered.insert(answered.end(), batch.begin(), batch.end());
+  });
+  ASSERT_EQ(answered.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(answered[i].ticket, static_cast<uint64_t>(i));
+  }
+  EXPECT_EQ(batcher.BatchCount(), 1u);
+  EXPECT_FALSE(batcher.Submit(1, 3, dataset[3].text));
+  EXPECT_EQ(batcher.ShedCount(), 1u);
+  EXPECT_TRUE(FlushBatches(&batcher).empty());
 }
 
 TEST(BatcherTest, QueueDelayObservedOncePerScoredRequest) {
@@ -463,33 +463,39 @@ TEST(BatcherTest, QueueDelayObservedOncePerScoredRequest) {
   BatchingOptions options;
   options.batch_cap = 4;
   Batcher batcher(&registry, nullptr, options);
-  // Queue the whole backlog before the scheduler starts, so it must cut
-  // it into batches of 4 + 4 + 2.
-  CollectedScores collected;
+  // One flush of a 10-deep queue must cut it into batches of 4 + 4 + 2.
   const int n = 10;
   for (int i = 0; i < n; ++i) {
-    ASSERT_TRUE(batcher.Submit(dataset[i].text, collected.Collector()));
+    ASSERT_TRUE(batcher.Submit(1, i, dataset[i].text));
   }
-  batcher.Start();
-  ASSERT_TRUE(collected.WaitForCount(n));
-  batcher.Stop();
+  const auto batches = FlushBatches(&batcher);
   const obs::MetricsSnapshot snap = obs::SnapshotMetrics();
   obs::ResetMetricsForTest();
   obs::SetMetricsEnabled(was_enabled);
 
+  ASSERT_EQ(batches.size(), 3u);
+  EXPECT_EQ(batches[0].size(), 4u);
+  EXPECT_EQ(batches[1].size(), 4u);
+  EXPECT_EQ(batches[2].size(), 2u);
   EXPECT_EQ(batcher.BatchCount(), 3u);
   const obs::HistogramSnapshot* delay = nullptr;
   const obs::HistogramSnapshot* wait = nullptr;
+  const obs::HistogramSnapshot* depth = nullptr;
   for (const auto& [name, hist] : snap.histograms) {
     if (name == "serve/queue_delay_us") delay = &hist;
     if (name == "serve/queue_wait_us") wait = &hist;
+    if (name == "serve/queue_depth_at_flush") depth = &hist;
   }
   ASSERT_NE(delay, nullptr);
   ASSERT_NE(wait, nullptr);
+  ASSERT_NE(depth, nullptr);
   EXPECT_EQ(delay->count, static_cast<uint64_t>(n));
   EXPECT_EQ(wait->count, static_cast<uint64_t>(n));
   // The wait runs on past the cut by each batch's ScoreAll.
   EXPECT_LE(delay->sum, wait->sum);
+  // One depth observation per flush: the whole queue when it started.
+  EXPECT_EQ(depth->count, 1u);
+  EXPECT_EQ(depth->sum, static_cast<double>(n));
 }
 
 TEST(BatcherTest, AdmissionControlShedsWhenFull) {
@@ -500,16 +506,18 @@ TEST(BatcherTest, AdmissionControlShedsWhenFull) {
   options.queue_cap = 2;
   options.batch_cap = 32;
   Batcher batcher(&registry, nullptr, options);
-  // Not started: nothing drains the queue, so the bound is exact.
-  CollectedScores collected;
-  EXPECT_TRUE(batcher.Submit(dataset[0].text, collected.Collector()));
-  EXPECT_TRUE(batcher.Submit(dataset[1].text, collected.Collector()));
-  EXPECT_FALSE(batcher.Submit(dataset[2].text, collected.Collector()));
+  // Nothing flushes between submits, so the bound is exact.
+  EXPECT_TRUE(batcher.Submit(1, 0, dataset[0].text));
+  EXPECT_TRUE(batcher.Submit(1, 1, dataset[1].text));
+  EXPECT_FALSE(batcher.Submit(1, 2, dataset[2].text));
   EXPECT_EQ(batcher.ShedCount(), 1u);
-  // Draining answers the two admitted requests (never the shed one).
-  batcher.Start();
-  batcher.Stop();
-  EXPECT_EQ(collected.results.size(), 2u);
+  // The flush answers the two admitted requests (never the shed one) and
+  // frees the queue for the next round.
+  const std::vector<ScoredRequest> answered = Concat(FlushBatches(&batcher));
+  ASSERT_EQ(answered.size(), 2u);
+  EXPECT_EQ(answered[0].ticket, 0u);
+  EXPECT_EQ(answered[1].ticket, 1u);
+  EXPECT_TRUE(batcher.Submit(1, 3, dataset[3].text));
 }
 
 TEST(BatcherTest, HotSwapMidStreamIsPerBatchConsistent) {
@@ -527,44 +535,53 @@ TEST(BatcherTest, HotSwapMidStreamIsPerBatchConsistent) {
   BatchingOptions options;
   options.batch_cap = 4;
   Batcher batcher(&registry, nullptr, options);
-  batcher.Start();
 
-  CollectedScores collected;
   std::vector<std::string> texts;
   const int n = 64;
   for (int i = 0; i < n; ++i) {
     texts.push_back(dataset[i % dataset.size()].text);
   }
-  for (int i = 0; i < n; ++i) {
-    ASSERT_TRUE(batcher.Submit(texts[i], collected.Collector()));
-    if (i == n / 2) {
+  // Two rounds of 32 with the swap installed between their flushes, as a
+  // swap thread's pointer flip lands between two epoll rounds.
+  std::vector<std::vector<ScoredRequest>> batches;
+  for (int round = 0; round < 2; ++round) {
+    if (round == 1) {
       auto replacement =
           models::CreateModelSeeded(models::ModelKind::kLr, 1);
       ASSERT_TRUE(replacement->Train(dataset).ok());
       registry.Install(std::move(replacement), "lr");
     }
-  }
-  ASSERT_TRUE(collected.WaitForCount(n));
-  batcher.Stop();
-
-  // Every response must be self-consistent: the score it carries is the
-  // one the model version it names produces. A batch split across the
-  // swap would break this.
-  int v1 = 0;
-  int v2 = 0;
-  for (int i = 0; i < n; ++i) {
-    const ScoredRequest& r = collected.results[i];
-    if (r.model_version == 1) {
-      EXPECT_EQ(r.score, model_v1->Score(texts[i])) << "request " << i;
-      ++v1;
-    } else {
-      ASSERT_EQ(r.model_version, 2u);
-      EXPECT_EQ(r.score, model_v2->Score(texts[i])) << "request " << i;
-      ++v2;
+    for (int i = round * n / 2; i < (round + 1) * n / 2; ++i) {
+      ASSERT_TRUE(batcher.Submit(1, i, texts[i]));
+    }
+    for (auto& batch : FlushBatches(&batcher)) {
+      batches.push_back(std::move(batch));
     }
   }
-  EXPECT_GT(v1, 0) << "swap landed before any v1 batch scored";
-  EXPECT_GT(v2, 0) << "swap never became visible";
+  ASSERT_EQ(batches.size(), static_cast<size_t>(n / 4));
+
+  // Every response must be self-consistent: the score it carries is the
+  // one the model version it names produces, and a batch names one
+  // version. A batch split across the swap would break this.
+  int v1 = 0;
+  int v2 = 0;
+  for (const auto& batch : batches) {
+    for (const ScoredRequest& r : batch) {
+      EXPECT_EQ(r.model_version, batch[0].model_version);
+      const int i = static_cast<int>(r.ticket);
+      if (r.model_version == 1) {
+        EXPECT_EQ(r.score, model_v1->Score(texts[i])) << "request " << i;
+        EXPECT_LT(i, n / 2) << "v1 scored after the swap";
+        ++v1;
+      } else {
+        ASSERT_EQ(r.model_version, 2u);
+        EXPECT_EQ(r.score, model_v2->Score(texts[i])) << "request " << i;
+        ++v2;
+      }
+    }
+  }
+  EXPECT_EQ(v1, n / 2);
+  EXPECT_EQ(v2, n / 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -591,10 +608,15 @@ class TestClient {
   bool Send(uint8_t tag, std::string_view payload) {
     std::string frame;
     AppendFrame(tag, payload, &frame);
+    return Write(frame);
+  }
+
+  /// Writes pre-framed bytes in one write(): frames sent together arrive
+  /// in one server read.
+  bool Write(std::string_view wire) {
     size_t off = 0;
-    while (off < frame.size()) {
-      const ssize_t n =
-          ::write(fd_, frame.data() + off, frame.size() - off);
+    while (off < wire.size()) {
+      const ssize_t n = ::write(fd_, wire.data() + off, wire.size() - off);
       if (n <= 0) return false;
       off += static_cast<size_t>(n);
     }
@@ -682,6 +704,111 @@ TEST(ServerTest, EndToEndScoresBitIdenticalToOffline) {
   EXPECT_EQ(counters.requests, static_cast<uint64_t>(n));
   EXPECT_EQ(counters.protocol_errors, 0u);
   EXPECT_EQ(counters.shed, 0u);
+}
+
+TEST(ServerTest, OneRoundIsScoredInBatches) {
+  const data::Dataset dataset = TinyDataset();
+  ModelRegistry registry;
+  registry.Install(TrainedSvm(dataset), "svm");
+  const auto servable = registry.Acquire();
+
+  ServerOptions options;
+  options.batching.batch_cap = 4;
+  Server server(&registry, options);
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+
+  // Ten score frames in one write reach the loop in one read, so one
+  // flush cuts them into batches of 4 + 4 + 2.
+  const int n = 10;
+  std::string wire;
+  for (int i = 0; i < n; ++i) {
+    AppendFrame(static_cast<uint8_t>(Opcode::kScore),
+                ScorePayload(i, dataset[i].text), &wire);
+  }
+  ASSERT_TRUE(client.Write(wire));
+  std::vector<bool> seen(n, false);
+  uint8_t tag = 0;
+  std::string payload;
+  for (int got = 0; got < n; ++got) {
+    ASSERT_TRUE(client.ReadFrame(&tag, &payload)) << "after " << got;
+    ASSERT_EQ(tag, static_cast<uint8_t>(StatusCode::kOk));
+    uint64_t ticket = 0;
+    uint64_t version = 0;
+    double score = 0.0;
+    ASSERT_TRUE(ParseScoreResponse(payload, &ticket, &version, &score));
+    ASSERT_LT(ticket, static_cast<uint64_t>(n));
+    EXPECT_FALSE(seen[ticket]) << "ticket " << ticket << " answered twice";
+    seen[ticket] = true;
+    EXPECT_EQ(score, servable->model->Score(dataset[ticket].text))
+        << "ticket " << ticket << " not bit-identical to offline";
+  }
+
+  ASSERT_TRUE(client.Send(static_cast<uint8_t>(Opcode::kStats), ""));
+  ASSERT_TRUE(client.ReadFrame(&tag, &payload));
+  EXPECT_EQ(tag, static_cast<uint8_t>(StatusCode::kOk));
+  EXPECT_NE(payload.find("\"batches\": 3,"), std::string::npos) << payload;
+  EXPECT_EQ(payload.find("queue_depth"), std::string::npos) << payload;
+  server.Stop();
+  EXPECT_EQ(server.counters().requests, static_cast<uint64_t>(n));
+}
+
+TEST(ServerTest, SecondSwapWhileOneBuildsIsShed) {
+  const data::Dataset dataset = TinyDataset();
+  ModelRegistry registry;
+  registry.Install(TrainedSvm(dataset), "svm");
+
+  auto replacement = TrainedSvm(dataset);
+  const std::string checkpoint = TempPath("e2e_busy_checkpoint.bin");
+  ASSERT_TRUE(static_cast<models::LinearSvm*>(replacement.get())
+                  ->Save(checkpoint)
+                  .ok());
+  ModelSpec spec;
+  spec.model = "SVM";
+  spec.file = checkpoint;
+  ASSERT_TRUE(WriteModelSpecFile(TempPath("e2e_busy_swap.spec"), spec).ok());
+
+  ServerOptions options;
+  options.replan.spec_dir = testing::TempDir();
+  Server server(&registry, options);
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+
+  uint8_t tag = 0;
+  std::string payload;
+  {
+    // The first swap stalls in SwapFromSpecFile; the second, in the same
+    // write, finds it in flight and gets the busy reply at once.
+    ScopedFaults faults("stall:match=e2e_busy_swap.spec:count=1:ms=300");
+    std::string wire;
+    AppendFrame(static_cast<uint8_t>(Opcode::kSwap), "e2e_busy_swap.spec",
+                &wire);
+    AppendFrame(static_cast<uint8_t>(Opcode::kSwap), "e2e_busy_swap.spec",
+                &wire);
+    ASSERT_TRUE(client.Write(wire));
+    ASSERT_TRUE(client.ReadFrame(&tag, &payload));
+    EXPECT_EQ(tag, static_cast<uint8_t>(StatusCode::kShed));
+    EXPECT_EQ(payload, "swap in flight");
+    ASSERT_TRUE(client.ReadFrame(&tag, &payload));
+    EXPECT_EQ(tag, static_cast<uint8_t>(StatusCode::kOk));
+    EXPECT_EQ(payload, "v2");
+    EXPECT_EQ(FaultTriggerCount(FaultPoint::kStall), 1);
+  }
+
+  // The first swap has replied, so the slot is free again.
+  ASSERT_TRUE(
+      client.Send(static_cast<uint8_t>(Opcode::kSwap), "e2e_busy_swap.spec"));
+  ASSERT_TRUE(client.ReadFrame(&tag, &payload));
+  EXPECT_EQ(tag, static_cast<uint8_t>(StatusCode::kOk));
+  EXPECT_EQ(payload, "v3");
+
+  server.Stop();
+  const ServerCounters counters = server.counters();
+  EXPECT_EQ(counters.swaps_ok, 2u);
+  EXPECT_EQ(counters.swaps_failed, 0u);
+  EXPECT_EQ(registry.version(), 3u);
 }
 
 TEST(ServerTest, HotSwapOverTheWire) {
