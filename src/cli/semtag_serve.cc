@@ -14,8 +14,12 @@
 // Hot-swap: write a sealed spec (WriteModelSpecFile) into the replan spec
 // dir (--spec-dir, default .) and send its name with opcode 0x04 —
 // scoring continues on the old model until the replacement is trained,
-// then a pointer flip swaps it in. One swap builds at a time; a kSwap sent
-// meanwhile is answered kShed "swap in flight".
+// then a pointer flip swaps it in. --replan arms the online re-planner,
+// which retrains the simple/deep pair the same way when traffic drifts.
+// Both share one swap slot, so one model builds at a time: a kSwap sent
+// during a build is answered kShed "swap in flight", and a re-plan
+// trigger during one is counted suppressed. After every successful swap
+// the re-planner credits the pair the daemon now serves.
 
 #include <chrono>
 #include <climits>

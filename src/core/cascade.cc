@@ -351,33 +351,6 @@ double Cascade::Score(std::string_view text) const {
   return deep_->Probability(text);
 }
 
-std::vector<double> Cascade::ScoreBatch(
-    std::span<const std::string> texts) const {
-  SEMTAG_CHECK(trained_);
-  std::vector<double> out(texts.size());
-  std::vector<size_t> escalated;
-  for (size_t i = 0; i < texts.size(); ++i) {
-    const double score = simple_->Score(texts[i]);
-    if (WouldEscalate(score)) {
-      escalated.push_back(i);
-    } else {
-      out[i] = simple_->ProbabilityFromScore(score);
-    }
-  }
-  if (!escalated.empty()) {
-    std::vector<std::string> gathered;
-    gathered.reserve(escalated.size());
-    for (size_t i : escalated) gathered.push_back(texts[i]);
-    const std::vector<double> deep_scores = deep_->ScoreBatch(gathered);
-    for (size_t k = 0; k < escalated.size(); ++k) {
-      out[escalated[k]] = deep_->ProbabilityFromScore(deep_scores[k]);
-    }
-  }
-  SEMTAG_OBS_COUNT("cascade/examples_total", texts.size());
-  SEMTAG_OBS_COUNT("cascade/examples_escalated", escalated.size());
-  return out;
-}
-
 std::vector<double> Cascade::ScoreAll(
     const std::vector<std::string>& texts) const {
   SEMTAG_CHECK(trained_);

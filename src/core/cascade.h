@@ -139,7 +139,7 @@ CascadeCalibration CalibrateCascadeThreshold(
 /// then calibrates the margin threshold on a holdout split. Scoring runs
 /// every example through the simple model (microseconds) and forwards
 /// only low-margin examples — gathered into dense batches — through the
-/// deep model's ScoreBatch path, composing with the $SEMTAG_QUANT int8
+/// deep model's batched ScoreAll, composing with the $SEMTAG_QUANT int8
 /// tier. Scores are on the unified probability
 /// scale (ProbabilityFromScore) whichever tier produced them, so the
 /// decision boundary is 0.5.
@@ -158,8 +158,6 @@ class Cascade : public models::TaggingModel {
   bool is_deep() const override { return false; }
   Status Train(const data::Dataset& train) override;
   double Score(std::string_view text) const override;
-  std::vector<double> ScoreBatch(
-      std::span<const std::string> texts) const override;
   std::vector<double> ScoreAll(
       const std::vector<std::string>& texts) const override;
 

@@ -105,8 +105,8 @@ void Batcher::ScoreBatch(size_t begin, size_t end,
   }
   if (stats_ != nullptr) stats_->PublishGauges();
   // Drive the re-planning loop from here: the detector only ever runs
-  // between batches, so a triggered synchronous swap can never split a
-  // batch across model versions.
+  // between batches, and each batch holds one registry snapshot, so a
+  // triggered swap can never split a batch across model versions.
   if (replanner_ != nullptr) replanner_->Poll();
 }
 

@@ -15,6 +15,7 @@
 #include "models/simple/linear_svm.h"
 #include "models/simple/logistic_regression.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace semtag::serve {
 namespace {
@@ -217,6 +218,34 @@ std::shared_ptr<const ServableModel> ModelRegistry::Acquire() const {
 uint64_t ModelRegistry::version() const {
   const auto current = Acquire();
   return current == nullptr ? 0 : current->version;
+}
+
+SwapSlot::SwapSlot(ModelRegistry* registry, std::function<void()> wake)
+    : registry_(registry), wake_(std::move(wake)) {}
+
+SwapSlot::~SwapSlot() {
+  if (worker_.joinable()) worker_.join();
+}
+
+bool SwapSlot::Start(const std::string& path, Done done) {
+  if (busy()) return false;
+  done_ = std::move(done);
+  worker_ = std::thread([this, path] {
+    obs::TraceSpan span("serve/swap");
+    result_ = registry_->SwapFromSpecFile(path);
+    if (wake_) wake_();
+  });
+  return true;
+}
+
+void SwapSlot::Finish() {
+  if (!busy()) return;
+  worker_.join();
+  const Result<uint64_t> result = std::move(*result_);
+  result_.reset();
+  const Done done = std::move(done_);
+  done_ = nullptr;
+  done(result);
 }
 
 }  // namespace semtag::serve

@@ -3,9 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <thread>
 
 #include "common/status.h"
 #include "models/model.h"
@@ -70,7 +73,8 @@ Result<std::unique_ptr<models::TaggingModel>> BuildModelFromSpec(
 ///     replan spec dir;
 ///  2. a kSwap request names the file; the registry re-reads and verifies
 ///     it (corrupt -> quarantine, old model keeps serving);
-///  3. the replacement trains/loads off the event loop;
+///  3. the replacement trains/loads off the event loop, on the SwapSlot's
+///     worker;
 ///  4. publication is a pointer flip under the mutex. Readers (batches)
 ///     that already hold the old shared_ptr finish on the old model; the
 ///     next batch sees the new one. No lock is ever held while scoring —
@@ -97,6 +101,45 @@ class ModelRegistry {
   mutable std::mutex mu_;
   std::shared_ptr<const ServableModel> current_;  // guarded by mu_
   std::atomic<uint64_t> next_version_{1};
+};
+
+/// The one off-loop model build a server runs at a time, shared by kSwap
+/// and the re-planner. Start() runs registry->SwapFromSpecFile on the
+/// slot's worker thread and calls `wake` there when the build ends; the
+/// owner then calls Finish(), which joins the worker and runs the build's
+/// `done` on the owner's thread. Start, Finish and busy belong to one
+/// thread (the server's event loop); the worker touches only the registry
+/// and the build's result, which Finish reads after the join.
+class SwapSlot {
+ public:
+  using Done = std::function<void(const Result<uint64_t>& version)>;
+
+  /// `registry` must outlive the slot. `wake` may be empty.
+  explicit SwapSlot(ModelRegistry* registry,
+                    std::function<void()> wake = nullptr);
+  /// Joins a build still in flight without running its `done`.
+  ~SwapSlot();
+  SwapSlot(const SwapSlot&) = delete;
+  SwapSlot& operator=(const SwapSlot&) = delete;
+
+  /// Starts building the spec at `path`; false while a build is in flight.
+  bool Start(const std::string& path, Done done);
+
+  /// Joins the build in flight, waiting for it to end, and runs its
+  /// `done`. No-op when the slot is idle.
+  void Finish();
+
+  /// True from a successful Start until the Finish that joins it.
+  bool busy() const { return worker_.joinable(); }
+
+  ModelRegistry* registry() const { return registry_; }
+
+ private:
+  ModelRegistry* registry_;
+  const std::function<void()> wake_;
+  Done done_;
+  std::optional<Result<uint64_t>> result_;  // the worker's, until Finish
+  std::thread worker_;  // last: it uses the members above
 };
 
 }  // namespace semtag::serve

@@ -27,12 +27,18 @@ namespace semtag::serve {
 /// an IEEE double exactly: the score a client parses is bit-identical to
 /// the one the model computed.
 ///
-/// Other ops: kPing echoes "pong". kStats returns a one-line JSON snapshot
-/// (model version, traffic window, queue depth, shed count). kSwap's
-/// payload names a CRC-sealed model-spec file (model_registry.h) inside the
-/// replan spec dir (semtag_serve --spec-dir): a bare name, no '/', not "."
-/// or ".."; anything else answers kError. The response arrives when the new
-/// model is built and flipped in.
+/// Other ops: kPing echoes "pong". kStats returns a one-line JSON object
+/// with the keys "version", "requests", "shed", "batches",
+/// "protocol_errors", "model" (the served "pair" and "threshold"),
+/// "traffic" (the TrafficStats epoch window: "total", "window",
+/// "positive_ratio", "mean_length", "epochs", "oov_rate", "vocab_churn",
+/// "dirtiness") and "replan" (Replanner::StateJson). kSwap's payload names
+/// a CRC-sealed model-spec file (model_registry.h) inside the replan spec
+/// dir (semtag_serve --spec-dir): a bare name, no '/', not "." or "..";
+/// anything else answers kError. The response arrives when the new model
+/// is built and flipped in; while another build (a kSwap or a re-plan
+/// retrain) holds the server's one swap slot, kSwap answers kShed
+/// "swap in flight".
 ///
 /// Load shedding is a first-class response: an admission-controlled
 /// request that cannot be queued gets StatusCode::kShed immediately, never

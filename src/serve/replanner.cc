@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <climits>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/flags.h"
@@ -54,21 +53,11 @@ void AddReplanFlags(Flags* flags, ReplanOptions* options, std::string* pair) {
                 "where replan specs are written and kSwap names are read");
 }
 
-Replanner::Replanner(ModelRegistry* registry, TrafficStats* stats,
+Replanner::Replanner(SwapSlot* slot, TrafficStats* stats,
                      ReplanOptions options)
-    : registry_(registry), stats_(stats), options_(options.Resolved()) {}
-
-Replanner::~Replanner() {
-  std::thread worker;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    worker.swap(worker_);
-  }
-  if (worker.joinable()) worker.join();
-}
+    : slot_(slot), stats_(stats), options_(options.Resolved()) {}
 
 void Replanner::SetIncumbent(const core::CascadePlan& plan) {
-  std::lock_guard<std::mutex> lock(mu_);
   incumbent_ = plan;
   incumbent_key_ = core::CascadePairName(plan);
   have_incumbent_ = true;
@@ -77,23 +66,26 @@ void Replanner::SetIncumbent(const core::CascadePlan& plan) {
 }
 
 void Replanner::AdoptIncumbentFromRegistry() {
-  if (registry_ == nullptr) return;
-  const auto servable = registry_->Acquire();
+  if (slot_ == nullptr) return;
+  const auto servable = slot_->registry()->Acquire();
   if (servable == nullptr || servable->model == nullptr) return;
   const auto* cascade =
       dynamic_cast<const core::Cascade*>(servable->model.get());
-  if (cascade == nullptr) return;
-  SetIncumbent(cascade->plan());
+  if (cascade != nullptr) {
+    SetIncumbent(cascade->plan());
+    return;
+  }
+  have_incumbent_ = false;
+  incumbent_key_.clear();
+  candidate_key_.clear();
+  dwell_ = 0;
 }
 
 void Replanner::Poll() {
   if (!options_.enabled || stats_ == nullptr) return;
   const TrafficProfile profile = stats_->Profile();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (profile.total_epochs <= epochs_polled_) return;
-    epochs_polled_ = profile.total_epochs;
-  }
+  if (profile.total_epochs <= epochs_polled_) return;
+  epochs_polled_ = profile.total_epochs;
   Step(profile);
 }
 
@@ -105,7 +97,6 @@ void Replanner::Step(const TrafficProfile& profile) {
     SEMTAG_OBS_OBSERVE("serve/replan/dirtiness", obs::UnitFractionBuckets(),
                        profile.dirtiness);
   }
-  std::unique_lock<std::mutex> lock(mu_);
   ++steps_;
   last_dirtiness_ = profile.dirtiness;
   // Cleanliness detector with a dead band: flip dirty only above
@@ -141,13 +132,13 @@ void Replanner::Step(const TrafficProfile& profile) {
     incumbent_ = candidate;
     incumbent_key_ = key;
     have_incumbent_ = true;
-    PublishGaugesLocked();
+    PublishGauges();
     return;
   }
   if (key == incumbent_key_) {
     dwell_ = 0;
     candidate_key_.clear();
-    PublishGaugesLocked();
+    PublishGauges();
     return;
   }
   if (key != candidate_key_) {
@@ -156,25 +147,23 @@ void Replanner::Step(const TrafficProfile& profile) {
   } else {
     ++dwell_;
   }
-  PublishGaugesLocked();
-  if (dwell_ >= options_.dwell_epochs) {
-    TriggerLocked(key, candidate, lock);
-  }
+  PublishGauges();
+  if (dwell_ >= options_.dwell_epochs) Trigger(key, candidate);
 }
 
-void Replanner::TriggerLocked(const std::string& key,
-                              const core::CascadePlan& candidate,
-                              std::unique_lock<std::mutex>& lock) {
-  if (swap_in_flight_) {
-    // A retrain is already running; keep dwelling — if the profile still
-    // wants this pair once the swap lands, the next epochs re-trigger.
+void Replanner::Trigger(const std::string& key,
+                        const core::CascadePlan& candidate) {
+  if (slot_ != nullptr && slot_->busy()) {
+    // A build is already running (a retrain or a kSwap); keep dwelling —
+    // if the profile still wants this pair once it lands, the next epochs
+    // re-trigger.
     ++suppressed_;
     SEMTAG_OBS_COUNT("serve/replan/suppressed", 1);
     return;
   }
   dwell_ = 0;
   candidate_key_.clear();
-  if (registry_ == nullptr) {
+  if (slot_ == nullptr) {
     // Dry-run detector (unit tests): commit the decision without training.
     incumbent_ = candidate;
     incumbent_key_ = key;
@@ -203,63 +192,35 @@ void Replanner::TriggerLocked(const std::string& key,
   SEMTAG_LOG(kInfo, "replan: %s -> %s (dirty=%d, spec %s)",
              incumbent_key_.c_str(), key.c_str(), dirty_ ? 1 : 0,
              path.c_str());
-  swap_in_flight_ = true;
-  if (options_.synchronous) {
-    // Train on the calling thread. The registry serves the old model the
-    // whole time; only the pointer flip inside SwapFromSpecFile is
-    // synchronized, so dropping our lock here is safe.
-    lock.unlock();
-    const auto version = [&] {
-      obs::TraceSpan swap_span("serve/replan/swap");
-      return registry_->SwapFromSpecFile(path);
-    }();
-    lock.lock();
-    CommitSwapLocked(key, candidate, version.ok());
-    return;
-  }
-  if (worker_.joinable()) worker_.join();  // previous swap fully committed
-  worker_ = std::thread([this, path, key, candidate] {
-    obs::TraceSpan swap_span("serve/replan/swap");
-    const auto version = registry_->SwapFromSpecFile(path);
-    std::lock_guard<std::mutex> worker_lock(mu_);
-    CommitSwapLocked(key, candidate, version.ok());
+  slot_->Start(path, [this, key](const Result<uint64_t>& version) {
+    FinishSwap(key, version.ok());
   });
+  PublishGauges();
 }
 
-void Replanner::CommitSwapLocked(const std::string& key,
-                                 const core::CascadePlan& candidate,
-                                 bool ok) {
-  swap_in_flight_ = false;
+void Replanner::FinishSwap(const std::string& key, bool ok) {
   if (ok) {
-    incumbent_ = candidate;
-    incumbent_key_ = key;
     ++swaps_;
     SEMTAG_OBS_COUNT("serve/replan/swaps", 1);
+    AdoptIncumbentFromRegistry();
   } else {
     ++failures_;
     SEMTAG_OBS_COUNT("serve/replan/failures", 1);
     SEMTAG_LOG(kWarning, "replan swap to %s failed; keeping %s", key.c_str(),
                incumbent_key_.c_str());
   }
-  PublishGaugesLocked();
-  idle_cv_.notify_all();
+  PublishGauges();
 }
 
-void Replanner::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return !swap_in_flight_; });
-}
-
-void Replanner::PublishGaugesLocked() const {
+void Replanner::PublishGauges() const {
   if (!obs::MetricsEnabled()) return;
   SEMTAG_OBS_GAUGE_SET("serve/replan/dwell", static_cast<double>(dwell_));
   SEMTAG_OBS_GAUGE_SET("serve/replan/dirty", dirty_ ? 1.0 : 0.0);
   SEMTAG_OBS_GAUGE_SET("serve/replan/in_flight",
-                       swap_in_flight_ ? 1.0 : 0.0);
+                       slot_ != nullptr && slot_->busy() ? 1.0 : 0.0);
 }
 
 ReplanState Replanner::state() const {
-  std::lock_guard<std::mutex> lock(mu_);
   ReplanState state;
   state.enabled = options_.enabled;
   state.epochs = steps_;
@@ -271,7 +232,7 @@ ReplanState Replanner::state() const {
   state.swaps = swaps_;
   state.suppressed = suppressed_;
   state.failures = failures_;
-  state.swap_in_flight = swap_in_flight_;
+  state.swap_in_flight = slot_ != nullptr && slot_->busy();
   return state;
 }
 

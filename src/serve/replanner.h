@@ -1,11 +1,8 @@
 #ifndef SEMTAG_SERVE_REPLANNER_H_
 #define SEMTAG_SERVE_REPLANNER_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "core/cascade.h"
 #include "serve/model_registry.h"
@@ -63,11 +60,6 @@ struct ReplanOptions {
   /// Where replan_<n>.spec files are written.
   std::string spec_dir = ".";
 
-  /// Train and swap on the calling thread instead of the worker (tests:
-  /// deterministic interleaving with the batcher's wave schedule; in the
-  /// daemon that thread is the event loop, which would stall serving).
-  bool synchronous = false;
-
   /// This instance with invalid fields clamped to sane minimums.
   ReplanOptions Resolved() const;
 };
@@ -90,38 +82,45 @@ struct ReplanState {
   uint64_t swaps = 0;       // successful re-plan swaps
   uint64_t suppressed = 0;  // triggers skipped because a swap was in flight
   uint64_t failures = 0;    // spec-write or swap failures (old model kept)
-  bool swap_in_flight = false;
+  bool swap_in_flight = false;  // the swap slot is building (either source)
 };
 
 /// Closes the paper's loop online (DESIGN.md "Online re-planning"): maps
 /// the live TrafficStats profile — size, positive ratio, and the
 /// streaming cleanliness proxy — onto the reproduced heat map through
-/// the PR-8 planner, and when the profile crosses a cell boundary and
+/// the cascade planner, and when the profile crosses a cell boundary and
 /// STAYS there (dwell-count + margin hysteresis, so the pair never
-/// flaps) retrains the newly-planned cascade off-loop and hot-swaps it
-/// through ModelRegistry::SwapFromSpecFile. The swap path reuses the
-/// PR-8 calibrator via BuildModelFromSpec, so the pinned accuracy budget
-/// survives every swap, and the spec file on disk makes each decision
-/// reproducible offline.
+/// flaps) writes a replan spec and hands it to the server's SwapSlot,
+/// which retrains off-loop through ModelRegistry::SwapFromSpecFile. The
+/// swap path reuses the calibrator via BuildModelFromSpec, so the pinned
+/// accuracy budget survives every swap, and the spec file on disk makes
+/// each decision reproducible offline. A trigger that finds the slot
+/// busy (a kSwap or an earlier retrain building) is counted suppressed.
 ///
 /// Driven by Batcher::Flush, which calls Poll after each scored batch on
-/// the event loop thread: one detector Step()
-/// per newly sealed logical epoch, so the cadence is wall-clock-free and
-/// bit-identical across thread counts. A null registry runs the detector
-/// dry (unit tests): triggers commit the candidate immediately without
-/// training anything.
+/// the event loop thread: one detector Step() per newly sealed logical
+/// epoch, so the cadence is wall-clock-free and bit-identical across
+/// thread counts. A null slot runs the detector dry (unit tests):
+/// triggers commit the candidate immediately without training anything.
+///
+/// Not thread-safe: every call comes from one thread. In the daemon that
+/// is the event loop (Poll from the batcher, StateJson from kStats, the
+/// slot's `done` from Finish); Server::Start adopts the incumbent before
+/// the loop starts.
 class Replanner {
  public:
-  /// `registry` may be null (dry-run detector). `stats` must outlive the
+  /// `slot` may be null (dry-run detector). `stats` must outlive the
   /// replanner; it is only read (Profile), never advanced — the batcher
   /// owns epoch rotation.
-  Replanner(ModelRegistry* registry, TrafficStats* stats,
-            ReplanOptions options);
-  ~Replanner();
+  Replanner(SwapSlot* slot, TrafficStats* stats, ReplanOptions options);
+  // The slot's `done` for a retrain holds this replanner's address.
+  Replanner(const Replanner&) = delete;
+  Replanner& operator=(const Replanner&) = delete;
 
-  /// Adopts the currently-registered model's cascade plan as the
-  /// incumbent (no-op for non-cascade models: the first Step adopts its
-  /// own plan instead). Call after the initial Install.
+  /// Adopts the served model's cascade plan as the incumbent. A
+  /// non-cascade model leaves no incumbent: the next Step adopts its own
+  /// plan instead. Called before serving and after every successful swap,
+  /// whichever source built it.
   void AdoptIncumbentFromRegistry();
   void SetIncumbent(const core::CascadePlan& plan);
 
@@ -130,11 +129,8 @@ class Replanner {
   void Poll();
 
   /// One detector step against an explicit profile (the unit-test entry;
-  /// Poll feeds it the live one). Thread-safe.
+  /// Poll feeds it the live one).
   void Step(const TrafficProfile& profile);
-
-  /// Blocks until no swap is in flight (tests / drain).
-  void WaitIdle();
 
   ReplanState state() const;
 
@@ -144,19 +140,14 @@ class Replanner {
   const ReplanOptions& options() const { return options_; }
 
  private:
-  void TriggerLocked(const std::string& key,
-                     const core::CascadePlan& candidate,
-                     std::unique_lock<std::mutex>& lock);
-  void CommitSwapLocked(const std::string& key,
-                        const core::CascadePlan& candidate, bool ok);
-  void PublishGaugesLocked() const;
+  void Trigger(const std::string& key, const core::CascadePlan& candidate);
+  void FinishSwap(const std::string& key, bool ok);
+  void PublishGauges() const;
 
-  ModelRegistry* registry_;
+  SwapSlot* slot_;
   TrafficStats* stats_;
   const ReplanOptions options_;
 
-  mutable std::mutex mu_;
-  mutable std::condition_variable idle_cv_;
   uint64_t epochs_polled_ = 0;  // TrafficStats.total_epochs already seen
   uint64_t steps_ = 0;
   bool dirty_ = false;
@@ -169,8 +160,6 @@ class Replanner {
   uint64_t swaps_ = 0;
   uint64_t suppressed_ = 0;
   uint64_t failures_ = 0;
-  bool swap_in_flight_ = false;
-  std::thread worker_;
 };
 
 }  // namespace semtag::serve

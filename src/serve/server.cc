@@ -81,11 +81,11 @@ struct Server::Connection {
 Server::Server(ModelRegistry* registry, ServerOptions options)
     : registry_(registry),
       options_(options),
-      stats_(static_cast<size_t>(std::max(options.traffic_window, 1)),
-             options.replan.Resolved().epoch_records,
+      stats_(options.replan.Resolved().epoch_records,
              static_cast<size_t>(options.replan.Resolved().epoch_window)),
+      slot_(registry, [this] { Wake(); }),
       replanner_(options.replan.enabled
-                     ? std::make_unique<Replanner>(registry, &stats_,
+                     ? std::make_unique<Replanner>(&slot_, &stats_,
                                                    options.replan)
                      : nullptr),
       batcher_(registry, &stats_, options.batching, replanner_.get()) {}
@@ -98,8 +98,7 @@ ServerCounters Server::counters() const {
 }
 
 std::string Server::StatsJson() const {
-  const TrafficSnapshot traffic = stats_.Snapshot();
-  const TrafficProfile profile = stats_.Profile();
+  const TrafficProfile traffic = stats_.Profile();
   const ServerCounters counters = this->counters();
   // The served pair + threshold, so operators (and the replan tests) can
   // watch the loop over the wire without guessing from the version number.
@@ -135,10 +134,10 @@ std::string Server::StatsJson() const {
       static_cast<unsigned long long>(counters.protocol_errors),
       pair.c_str(), threshold,
       static_cast<unsigned long long>(traffic.total),
-      static_cast<unsigned long long>(traffic.window),
+      static_cast<unsigned long long>(traffic.count),
       traffic.positive_ratio, traffic.mean_length,
-      static_cast<unsigned long long>(profile.total_epochs),
-      profile.oov_rate, profile.vocab_churn, profile.dirtiness,
+      static_cast<unsigned long long>(traffic.total_epochs),
+      traffic.oov_rate, traffic.vocab_churn, traffic.dirtiness,
       replan.c_str());
 }
 
@@ -148,6 +147,7 @@ Status Server::Start() {
   return Status::Internal("semtag_serve requires a Linux host (epoll)");
 }
 void Server::Stop() {}
+void Server::Wake() {}
 void Server::RunLoop() {}
 
 #else
@@ -213,15 +213,17 @@ Status Server::Start() {
   return Status::OK();
 }
 
+void Server::Wake() {
+  const uint64_t one = 1;
+  (void)!::write(wake_fd_, &one, sizeof(one));
+}
+
 void Server::Stop() {
   if (!started_) return;
   stop_requested_.store(true);
-  if (wake_fd_ >= 0) {
-    const uint64_t one = 1;
-    (void)!::write(wake_fd_, &one, sizeof(one));
-  }
+  if (wake_fd_ >= 0) Wake();
+  // The loop's drain finishes any swap build, so no worker outlives it.
   if (loop_thread_.joinable()) loop_thread_.join();
-  if (swap_thread_.joinable()) swap_thread_.join();
   if (epoll_fd_ >= 0) {
     (void)::close(epoll_fd_);
     epoll_fd_ = -1;
@@ -233,33 +235,6 @@ void Server::Stop() {
   if (listen_fd_ >= 0) {
     (void)::close(listen_fd_);
     listen_fd_ = -1;
-  }
-}
-
-void Server::PostCompletion(Completion completion) {
-  {
-    std::lock_guard<std::mutex> lock(completions_mu_);
-    completions_.push_back(std::move(completion));
-  }
-  const uint64_t one = 1;
-  (void)!::write(wake_fd_, &one, sizeof(one));
-}
-
-void Server::DrainCompletions() {
-  std::vector<Completion> batch;
-  {
-    std::lock_guard<std::mutex> lock(completions_mu_);
-    batch.swap(completions_);
-  }
-  // Only the swap thread posts, and its reply is its last act: the slot
-  // is free again once that reply is here.
-  if (!batch.empty()) swap_in_flight_ = false;
-  for (Completion& completion : batch) {
-    const auto it = connections_.find(completion.conn_id);
-    if (it == connections_.end()) continue;  // client went away
-    Connection* conn = it->second.get();
-    conn->outbuf += completion.frame;
-    HandleWritable(conn);
   }
 }
 
@@ -388,41 +363,30 @@ bool Server::HandleFrame(Connection* conn, uint8_t opcode,
                     name);
         return true;
       }
-      // One build at a time: each can take seconds and a model's memory.
-      if (swap_in_flight_) {
-        SendNow(conn, StatusCode::kShed, "swap in flight");
-        return true;
-      }
-      if (swap_thread_.joinable()) swap_thread_.join();  // replied: done
-      swap_in_flight_ = true;
-      const std::string path = options_.replan.Resolved().spec_dir + "/" + name;
+      // One build at a time, whichever source asks: each can take seconds
+      // and a model's memory. Scoring continues against the old model
+      // until the pointer flip.
       const uint64_t conn_id = conn->id;
-      // Model building takes seconds; do it off the loop so scoring
-      // continues against the old model until the pointer flip.
-      swap_thread_ = std::thread([this, path, conn_id] {
-        auto swapped = registry_->SwapFromSpecFile(path);
-        Completion completion;
-        completion.conn_id = conn_id;
-        if (swapped.ok()) {
-          {
-            std::lock_guard<std::mutex> lock(counters_mu_);
-            ++counters_.swaps_ok;
-          }
-          AppendFrame(
-              static_cast<uint8_t>(StatusCode::kOk),
-              StrFormat("v%llu",
-                        static_cast<unsigned long long>(*swapped)),
-              &completion.frame);
-        } else {
-          {
-            std::lock_guard<std::mutex> lock(counters_mu_);
-            ++counters_.swaps_failed;
-          }
-          AppendFrame(static_cast<uint8_t>(StatusCode::kError),
-                      swapped.status().ToString(), &completion.frame);
-        }
-        PostCompletion(std::move(completion));
-      });
+      const bool started = slot_.Start(
+          options_.replan.Resolved().spec_dir + "/" + name,
+          [this, conn_id](const Result<uint64_t>& swapped) {
+            {
+              std::lock_guard<std::mutex> lock(counters_mu_);
+              ++(swapped.ok() ? counters_.swaps_ok : counters_.swaps_failed);
+            }
+            if (swapped.ok() && replanner_ != nullptr) {
+              replanner_->AdoptIncumbentFromRegistry();
+            }
+            const auto it = connections_.find(conn_id);
+            if (it == connections_.end()) return;  // client went away
+            SendNow(it->second.get(),
+                    swapped.ok() ? StatusCode::kOk : StatusCode::kError,
+                    swapped.ok()
+                        ? StrFormat("v%llu", static_cast<unsigned long long>(
+                                                 *swapped))
+                        : swapped.status().ToString());
+          });
+      if (!started) SendNow(conn, StatusCode::kShed, "swap in flight");
       return true;
     }
   }
@@ -548,8 +512,13 @@ void Server::RunLoop() {
         uint64_t drainv = 0;
         while (::read(wake_fd_, &drainv, sizeof(drainv)) > 0) {
         }
-        DrainCompletions();
-        if (stop_requested_.load()) draining = true;
+        // Only Stop() and a finished build write the eventfd, so unless
+        // this is Stop() the build is over and Finish() does not block.
+        if (stop_requested_.load()) {
+          draining = true;
+        } else {
+          slot_.Finish();
+        }
       } else if (id == kSignalId) {
         ShutdownSignal::Install().Drain();
         SEMTAG_LOG(kInfo, "signal %d: draining",
@@ -581,7 +550,8 @@ void Server::RunLoop() {
   // Score pending requests as final (partial) batches; every accepted
   // request gets its response before the socket closes.
   batcher_.Drain(write_scored);
-  DrainCompletions();
+  // Waits out a build in flight so its kSwap reply is written too.
+  slot_.Finish();
   FlushAndClose();
   running_.store(false);
 
@@ -599,8 +569,6 @@ void Server::RunLoop() {
     }
   }
   SEMTAG_LOG(kInfo, "drained: %s", StatsJson().c_str());
-  // epoll_fd_/wake_fd_ stay open until Stop() joins the swap thread,
-  // which may still be posting its completion through the eventfd.
 }
 
 #endif  // __linux__

@@ -27,8 +27,6 @@ struct ServerOptions {
   BatchingOptions batching;
   /// Accepted connections beyond this are closed immediately.
   int max_connections = 1024;
-  /// TrafficStats sliding-window size.
-  int traffic_window = 1024;
   /// Online re-planning loop (serve/replanner.h). Its epoch geometry
   /// (epoch_records/epoch_window) always shapes TrafficStats, so the
   /// profile gauges work even with the loop disabled.
@@ -59,11 +57,13 @@ struct ServerCounters {
 ///
 /// Threads: the event loop owns all connection state and scores run to
 /// completion on it. After each epoll round it flushes the batcher and
-/// writes every batch's responses as soon as that batch is scored. One
-/// kSwap at a time builds its replacement model on a short-lived worker
-/// thread and posts its reply through a queue + eventfd wakeup; a kSwap
-/// that arrives meanwhile is answered kShed "swap in flight". No
-/// connection state is ever touched off the loop thread.
+/// writes every batch's responses as soon as that batch is scored. Model
+/// builds run on the one SwapSlot, shared by kSwap and the re-planner:
+/// its worker wakes the loop through the eventfd, and the loop finishes
+/// the build (the kSwap reply, the re-planner's bookkeeping) itself. A
+/// kSwap that finds the slot busy is answered kShed "swap in flight"; a
+/// replan trigger that does is counted suppressed. No connection state is
+/// ever touched off the loop thread.
 ///
 /// Graceful drain (SIGTERM via the ShutdownSignal fd, or Stop()): close
 /// the listen socket, stop reading, score what is pending as final
@@ -90,16 +90,12 @@ class Server {
 
   ServerCounters counters() const;
   TrafficStats& traffic_stats() { return stats_; }
-  /// Null unless options.replan.enabled.
+  /// Null unless options.replan.enabled. Loop-thread state: read it
+  /// after Stop().
   Replanner* replanner() { return replanner_.get(); }
 
  private:
   struct Connection;
-  /// A swap thread's reply for `conn_id`, as pre-framed response bytes.
-  struct Completion {
-    uint64_t conn_id = 0;
-    std::string frame;
-  };
 
   void RunLoop();
   void HandleAccept();
@@ -108,8 +104,8 @@ class Server {
   bool HandleFrame(Connection* conn, uint8_t opcode,
                    const std::string& payload);
   void WriteScored(const std::vector<ScoredRequest>& batch);
-  void PostCompletion(Completion completion);
-  void DrainCompletions();
+  /// Wakes the loop (eventfd): swap slot builds and Stop().
+  void Wake();
   void FlushAndClose();
   void CloseConnection(uint64_t conn_id);
   void UpdateEpoll(Connection* conn);
@@ -120,18 +116,16 @@ class Server {
   ModelRegistry* registry_;
   const ServerOptions options_;
   TrafficStats stats_;
+  SwapSlot slot_;
   std::unique_ptr<Replanner> replanner_;  // before batcher_: polled by it
   Batcher batcher_;
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;  // eventfd: swap completions + external Stop
+  int wake_fd_ = -1;  // eventfd: swap slot builds + external Stop
   int port_ = 0;
   uint64_t next_conn_id_ = 1;
   std::map<uint64_t, std::unique_ptr<Connection>> connections_;
-
-  std::mutex completions_mu_;
-  std::vector<Completion> completions_;
 
   mutable std::mutex counters_mu_;
   ServerCounters counters_;
@@ -139,8 +133,6 @@ class Server {
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> running_{false};
   bool started_ = false;
-  bool swap_in_flight_ = false;  // loop thread only; cleared by its reply
-  std::thread swap_thread_;      // the one kSwap build allowed at a time
   std::thread loop_thread_;
 };
 

@@ -34,44 +34,17 @@ constexpr size_t kVocabCap = 1 << 16;
 
 }  // namespace
 
-TrafficStats::TrafficStats(size_t window, int epoch_records,
-                           size_t epoch_window)
-    : ring_(std::max<size_t>(window, 1)),
-      epoch_records_(epoch_records),
+TrafficStats::TrafficStats(int epoch_records, size_t epoch_window)
+    : epoch_records_(epoch_records),
       epoch_window_(std::max<size_t>(epoch_window, 1)),
       bucket_counts_(kEntropyBuckets, 0) {}
-
-void TrafficStats::RecordLocked(size_t text_bytes, double probability) {
-  const uint32_t bytes =
-      static_cast<uint32_t>(std::min<size_t>(text_bytes, UINT32_MAX));
-  const uint8_t positive = probability >= 0.5 ? 1 : 0;
-  Slot& slot = ring_[next_];
-  if (window_count_ == ring_.size()) {
-    // Window full: the slot we are about to overwrite leaves the window.
-    window_bytes_ -= slot.bytes;
-    window_positives_ -= slot.positive;
-  } else {
-    ++window_count_;
-  }
-  slot.bytes = bytes;
-  slot.positive = positive;
-  next_ = (next_ + 1) % ring_.size();
-  ++total_;
-  window_bytes_ += bytes;
-  window_positives_ += positive;
-}
-
-void TrafficStats::Record(size_t text_bytes, double probability) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RecordLocked(text_bytes, probability);
-}
 
 void TrafficStats::Record(std::string_view text, double probability) {
   // Tokenize outside the lock; hashing is cheap but the tokenizer
   // allocates.
   const std::vector<std::string> tokens = text::Tokenize(text);
   std::lock_guard<std::mutex> lock(mu_);
-  RecordLocked(text.size(), probability);
+  ++total_;
   current_.count += 1;
   current_.positives += probability >= 0.5 ? 1 : 0;
   current_.bytes += text.size();
@@ -141,20 +114,6 @@ bool TrafficStats::AdvanceEpoch() {
   return SealEpochLocked();
 }
 
-TrafficSnapshot TrafficStats::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  TrafficSnapshot snapshot;
-  snapshot.total = total_;
-  snapshot.window = window_count_;
-  if (window_count_ > 0) {
-    snapshot.positive_ratio =
-        static_cast<double>(window_positives_) / window_count_;
-    snapshot.mean_length =
-        static_cast<double>(window_bytes_) / window_count_;
-  }
-  return snapshot;
-}
-
 TrafficProfile TrafficStats::Profile() const {
   std::lock_guard<std::mutex> lock(mu_);
   TrafficProfile profile;
@@ -195,13 +154,12 @@ TrafficProfile TrafficStats::Profile() const {
 
 void TrafficStats::PublishGauges() const {
   if (!obs::MetricsEnabled()) return;
-  const TrafficSnapshot snapshot = Snapshot();
-  SEMTAG_OBS_GAUGE_SET("serve/traffic/window_count",
-                       static_cast<double>(snapshot.window));
-  SEMTAG_OBS_GAUGE_SET("serve/traffic/positive_ratio",
-                       snapshot.positive_ratio);
-  SEMTAG_OBS_GAUGE_SET("serve/traffic/mean_length", snapshot.mean_length);
   const TrafficProfile profile = Profile();
+  SEMTAG_OBS_GAUGE_SET("serve/traffic/window_count",
+                       static_cast<double>(profile.count));
+  SEMTAG_OBS_GAUGE_SET("serve/traffic/positive_ratio",
+                       profile.positive_ratio);
+  SEMTAG_OBS_GAUGE_SET("serve/traffic/mean_length", profile.mean_length);
   SEMTAG_OBS_GAUGE_SET("serve/traffic/epochs",
                        static_cast<double>(profile.total_epochs));
   SEMTAG_OBS_GAUGE_SET("serve/traffic/oov_rate", profile.oov_rate);

@@ -11,14 +11,6 @@
 
 namespace semtag::serve {
 
-/// Point-in-time view of the traffic window.
-struct TrafficSnapshot {
-  uint64_t total = 0;        // requests observed since construction
-  uint64_t window = 0;       // requests currently in the sliding window
-  double positive_ratio = 0.0;  // fraction with P(y=1) >= 0.5 (window)
-  double mean_length = 0.0;     // mean text bytes (window)
-};
-
 /// Aggregate of the sealed logical epochs currently in the epoch window:
 /// the live counterpart of core::DatasetProfile, consumed by the online
 /// re-planner (serve/replanner.h).
@@ -46,25 +38,21 @@ struct TrafficProfile {
   double dirtiness = 0.0;
 };
 
-/// Streaming dataset profiler over the live request stream: the first
-/// slice of the ROADMAP's "online dataset profiler" follow-up to PR 8.
-///
-/// Keeps O(1)-update sliding-window estimators of exactly the dataset
+/// Streaming dataset profiler over the live request stream: the dataset
 /// characteristics the cascade planner keys on — arrival count, positive
 /// ratio (on the unified probability scale, so it is comparable across
-/// model families), and mean text length (the generator's length knob) —
-/// so a later PR can re-plan the simple/deep pair as traffic shifts away
-/// from the distribution the cascade was calibrated on. Exported as obs
-/// gauges (serve/traffic/*) by PublishGauges() after every scored batch.
+/// model families), mean text length — plus a cleanliness proxy, so the
+/// re-planner (serve/replanner.h) can re-plan the simple/deep pair as
+/// traffic drifts away from the distribution the cascade was calibrated
+/// on. Exported as obs gauges (serve/traffic/*) by PublishGauges() after
+/// every scored batch.
 ///
-/// Two windows coexist:
-///  - the legacy per-request ring (`window` slots) behind Snapshot();
-///  - wall-clock-free LOGICAL EPOCHS: Record(text, p) accumulates token
-///    statistics into the current epoch, which seals every
-///    `epoch_records` requests (0 = only on explicit AdvanceEpoch()).
-///    Profile() aggregates the last `epoch_window` sealed epochs. Tests
-///    advance the window deterministically without sleeping, and the
-///    re-planner counts hysteresis dwell in epochs, not seconds.
+/// The window is made of wall-clock-free LOGICAL EPOCHS: Record(text, p)
+/// accumulates into the current epoch, which seals every `epoch_records`
+/// requests (0 = only on explicit AdvanceEpoch()). Profile() aggregates
+/// the last `epoch_window` sealed epochs. Tests advance the window
+/// deterministically without sleeping, and the re-planner counts
+/// hysteresis dwell in epochs, not seconds.
 ///
 /// The cleanliness proxy hashes tokens (FNV-1a 64) against a reference
 /// vocabulary — seeded from the training corpus via
@@ -79,16 +67,10 @@ struct TrafficProfile {
 /// functions of the record sequence — bit-identical across thread counts.
 class TrafficStats {
  public:
-  explicit TrafficStats(size_t window = 1024, int epoch_records = 0,
-                        size_t epoch_window = 8);
+  explicit TrafficStats(int epoch_records = 0, size_t epoch_window = 8);
 
-  /// Records one completed request: its text length in bytes and its
-  /// unified-scale probability. Feeds only the legacy ring (no token
-  /// statistics — the caller has no text to offer).
-  void Record(size_t text_bytes, double probability);
-
-  /// Records one completed request with its text: the legacy ring plus
-  /// the current epoch's token statistics (OOV / churn / entropy).
+  /// Records one completed request, its text and its unified-scale
+  /// probability, into the current epoch.
   void Record(std::string_view text, double probability);
 
   /// Hashes every token of `texts` into the reference vocabulary and the
@@ -101,19 +83,13 @@ class TrafficStats {
   /// `epoch_records` requests; this is the explicit advance.
   bool AdvanceEpoch();
 
-  TrafficSnapshot Snapshot() const;
   TrafficProfile Profile() const;
 
-  /// Sets the serve/traffic/* gauges — the legacy window triple plus the
-  /// epoch-window cleanliness proxy (no-op while metrics are disabled).
+  /// Sets the serve/traffic/* gauges from Profile() (no-op while metrics
+  /// are disabled).
   void PublishGauges() const;
 
  private:
-  struct Slot {
-    uint32_t bytes = 0;
-    uint8_t positive = 0;
-  };
-
   /// One sealed logical epoch.
   struct Epoch {
     uint64_t count = 0;
@@ -127,16 +103,10 @@ class TrafficStats {
     double entropy = 0.0;     // hash-bucket Shannon entropy, bits
   };
 
-  void RecordLocked(size_t text_bytes, double probability);
   bool SealEpochLocked();
 
   mutable std::mutex mu_;
-  std::vector<Slot> ring_;
-  size_t next_ = 0;
   uint64_t total_ = 0;
-  uint64_t window_count_ = 0;
-  uint64_t window_bytes_ = 0;
-  uint64_t window_positives_ = 0;
 
   // Logical-epoch state (all guarded by mu_).
   const int epoch_records_;

@@ -3,8 +3,9 @@
 // proxy, the seeded drift-scenario generator (data/drift.h), detector
 // firing exactly at a scripted boundary, hysteresis suppressing
 // oscillating profiles, mid-stream hot-swaps that never split a batch,
-// and the whole loop bit-identical across 1/4/16 threads, under the
-// SEMTAG_QUANT lane, and at a batch cap that cuts each wave into batches.
+// the whole loop bit-identical across 1/4/16 threads, under the
+// SEMTAG_QUANT lane, and at a batch cap that cuts each wave into batches,
+// and the one swap slot that kSwap and the re-planner share.
 
 #include <algorithm>
 #include <cstdlib>
@@ -15,11 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
+#include "common/fault.h"
 #include "common/flags.h"
 #include "common/thread_pool.h"
 #include "config/runtime_config.h"
@@ -33,6 +30,7 @@
 #include "serve/replanner.h"
 #include "serve/server.h"
 #include "serve/traffic_stats.h"
+#include "test_client.h"
 
 namespace semtag::serve {
 namespace {
@@ -42,7 +40,7 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(TrafficEpochTest, ExplicitRotationIsWallClockFree) {
-  TrafficStats stats(/*window=*/64, /*epoch_records=*/0, /*epoch_window=*/4);
+  TrafficStats stats(/*epoch_records=*/0, /*epoch_window=*/4);
   EXPECT_FALSE(stats.AdvanceEpoch()) << "empty epoch must not seal";
 
   stats.Record(std::string_view("alpha beta gamma"), 0.9);
@@ -59,7 +57,7 @@ TEST(TrafficEpochTest, ExplicitRotationIsWallClockFree) {
 }
 
 TEST(TrafficEpochTest, CountBasedAutoSealRotatesWindow) {
-  TrafficStats stats(/*window=*/64, /*epoch_records=*/2, /*epoch_window=*/2);
+  TrafficStats stats(/*epoch_records=*/2, /*epoch_window=*/2);
   for (int i = 0; i < 10; ++i) {
     stats.Record(std::string_view("one two three"), 0.5);
   }
@@ -67,8 +65,7 @@ TEST(TrafficEpochTest, CountBasedAutoSealRotatesWindow) {
   EXPECT_EQ(profile.total_epochs, 5u);
   EXPECT_EQ(profile.epochs, 2u) << "window keeps only the last 2 epochs";
   EXPECT_EQ(profile.count, 4u);
-  // Legacy snapshot is untouched by epoch rotation.
-  EXPECT_EQ(stats.Snapshot().total, 10u);
+  EXPECT_EQ(profile.total, 10u) << "the total counts every record";
 }
 
 TEST(TrafficEpochTest, CleanlinessProxySeparatesCleanFromDriftedTraffic) {
@@ -83,7 +80,7 @@ TEST(TrafficEpochTest, CleanlinessProxySeparatesCleanFromDriftedTraffic) {
   std::vector<std::string> reference;
   for (int i = 0; i < 160; ++i) reference.push_back(stream[i].text);
 
-  TrafficStats stats(/*window=*/64, /*epoch_records=*/0, /*epoch_window=*/1);
+  TrafficStats stats(/*epoch_records=*/0, /*epoch_window=*/1);
   stats.SeedReferenceFromTexts(reference);
 
   for (int i = 0; i < 160; ++i) {
@@ -112,8 +109,7 @@ TEST(TrafficEpochTest, ProfileIsBitIdenticalForTheSameRecordSequence) {
   const std::vector<data::DriftRecord> stream =
       data::GenerateDriftStream(data::CleanToDirtyScenario(64, 3));
   const auto run = [&stream] {
-    TrafficStats stats(/*window=*/32, /*epoch_records=*/16,
-                       /*epoch_window=*/4);
+    TrafficStats stats(/*epoch_records=*/16, /*epoch_window=*/4);
     for (const auto& record : stream) {
       stats.Record(std::string_view(record.text),
                    record.label == 1 ? 0.9 : 0.1);
@@ -431,13 +427,16 @@ struct DriftRunResult {
   std::string final_pair;
 };
 
-/// Runs the canonical clean->dirty schedule through a real batcher +
-/// synchronous replanner at `threads` pool threads, one 32-record wave per
-/// flush, as one epoll round would submit it. Each wave seals exactly one
-/// epoch: the flush may score a wave as several batches, but epochs seal
-/// by request count and the replanner only steps on a sealed epoch, so a
-/// swap lands between waves. Replan specs go to a directory of this run's
-/// own, removed before it returns.
+/// Runs the canonical clean->dirty schedule through a real batcher,
+/// replanner and swap slot at `threads` pool threads, one 32-record wave
+/// per flush, as one epoll round would submit it. Each wave seals exactly
+/// one epoch: the flush may score a wave as several batches, but epochs
+/// seal by request count and the replanner only steps on a sealed epoch,
+/// after the wave's last batch. A triggered retrain builds on the slot's
+/// worker; the Finish() after each wave stands in for the daemon's
+/// eventfd wakeup and waits for it, so the swap lands between waves.
+/// Replan specs go to a directory of this run's own, removed before it
+/// returns.
 DriftRunResult RunDriftLoop(int threads, int batch_cap = kWave) {
   SetGlobalPoolThreads(threads);
   const std::vector<data::DriftRecord> stream =
@@ -450,13 +449,11 @@ DriftRunResult RunDriftLoop(int threads, int batch_cap = kWave) {
   EXPECT_TRUE(model.ok()) << model.status().ToString();
   registry.Install(std::move(model).ValueOrDie(), "initial");
 
-  TrafficStats stats(/*window=*/256, /*epoch_records=*/kWave,
-                     /*epoch_window=*/2);
+  TrafficStats stats(/*epoch_records=*/kWave, /*epoch_window=*/2);
   stats.SeedReferenceFromTexts(TrainingTexts());
 
   ReplanOptions options;
   options.enabled = true;
-  options.synchronous = true;  // swap inside Poll, between batches
   options.dwell_epochs = 2;
   options.margin_pts = 0.25;
   // Measured on this exact geometry (32-record epochs, window 2, the
@@ -476,7 +473,8 @@ DriftRunResult RunDriftLoop(int threads, int batch_cap = kWave) {
   std::string spec_dir = testing::TempDir() + "/replan_test_XXXXXX";
   EXPECT_NE(::mkdtemp(spec_dir.data()), nullptr);
   options.spec_dir = spec_dir;
-  Replanner replanner(&registry, &stats, options);
+  SwapSlot slot(&registry);
+  Replanner replanner(&slot, &stats, options);
   replanner.AdoptIncumbentFromRegistry();
   EXPECT_EQ(replanner.state().incumbent, "SVM+CNN");
 
@@ -496,11 +494,11 @@ DriftRunResult RunDriftLoop(int threads, int batch_cap = kWave) {
         result.scores.push_back(r.score);
       }
     });
+    slot.Finish();
     EXPECT_EQ(result.scores.size(), static_cast<size_t>((wave + 1) * kWave))
         << "wave " << wave << " did not complete";
     for (int i = 0; i < kWave; ++i) result.wave_of.push_back(wave);
   }
-  replanner.WaitIdle();
 
   const ReplanState state = replanner.state();
   result.swaps = state.swaps;
@@ -737,39 +735,12 @@ TEST(ReplanServerTest, KStatsExposesCascadePairThresholdAndReplanState) {
   options.replan.epoch_records = 0;  // no auto-seal: state stays static
   options.replan.dataset = "HETER";
   options.replan.records = 140;
-  options.replan.synchronous = true;
   Server server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
-
-  // Speak the wire protocol directly (kStats = 0x03).
-  struct Client {
-    int fd = -1;
-    ~Client() {
-      if (fd >= 0) ::close(fd);
-    }
-  } client;
-  client.fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(client.fd, 0);
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(server.port()));
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(client.fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
-  std::string frame;
-  AppendFrame(static_cast<uint8_t>(Opcode::kStats), "", &frame);
-  ASSERT_EQ(::write(client.fd, frame.data(), frame.size()),
-            static_cast<ssize_t>(frame.size()));
-  FrameReader reader;
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
   uint8_t tag = 0;
-  std::string payload;
-  for (int spin = 0; spin < 1000 && !reader.Next(&tag, &payload); ++spin) {
-    char buf[4096];
-    const ssize_t n = ::read(client.fd, buf, sizeof(buf));
-    ASSERT_GT(n, 0);
-    ASSERT_TRUE(reader.Feed(buf, static_cast<size_t>(n)));
-  }
+  const std::string payload = client.Call(Opcode::kStats, "", &tag);
   EXPECT_EQ(tag, static_cast<uint8_t>(StatusCode::kOk));
   // The serving pair, its threshold (simple-only => -1, never escalate),
   // and the replan state are all visible over the wire.
@@ -782,6 +753,180 @@ TEST(ReplanServerTest, KStatsExposesCascadePairThresholdAndReplanState) {
   EXPECT_NE(payload.find("\"incumbent\": \"simple\""), std::string::npos)
       << payload;
   EXPECT_NE(payload.find("\"dirtiness\""), std::string::npos) << payload;
+  server.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// One swap slot shared by kSwap and the re-planner
+// ---------------------------------------------------------------------------
+
+/// A replan spec directory of the test's own, removed with it.
+struct SpecDir {
+  SpecDir() : path(testing::TempDir() + "/replan_slot_XXXXXX") {
+    EXPECT_NE(::mkdtemp(path.data()), nullptr);
+  }
+  ~SpecDir() { std::filesystem::remove_all(path); }
+  std::string path;
+};
+
+/// A registry serving `spec`'s model as v1.
+void InstallInitial(ModelRegistry* registry, const ModelSpec& spec) {
+  auto model = BuildModelFromSpec(spec);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  registry->Install(std::move(model).ValueOrDie(), "initial");
+}
+
+/// Re-planning that wants SVM+CNN at every sealed epoch, whatever the
+/// traffic: the FUNNY-cell pins with the dirty threshold out of reach and
+/// no margin, four-request epochs and a dwell of one. A daemon serving
+/// the "simple" pair retrains on its first four requests.
+ServerOptions EagerReplanOptions(const std::string& spec_dir) {
+  ServerOptions options;
+  options.replan = DetectorOptions();
+  options.replan.epoch_records = 4;
+  options.replan.epoch_window = 1;
+  options.replan.dwell_epochs = 1;
+  options.replan.margin_pts = 0.0;
+  options.replan.dirty_threshold = 1.0;
+  options.replan.dirty_band = 0.0;
+  options.replan.cascade.seed = 1;
+  options.replan.dataset = "HETER";
+  options.replan.records = 140;
+  options.replan.spec_dir = spec_dir;
+  return options;
+}
+
+/// Four score frames, one epoch under EagerReplanOptions.
+std::string FourScores() {
+  const std::vector<std::string> texts = TrainingTexts();
+  std::string wire;
+  for (int i = 0; i < 4; ++i) {
+    AppendFrame(static_cast<uint8_t>(Opcode::kScore), ScorePayload(i, texts[i]),
+                &wire);
+  }
+  return wire;
+}
+
+TEST(SwapSlotTest, KSwapWhileAReplanBuildIsHeldIsShed) {
+  const SpecDir dir;
+  ASSERT_TRUE(
+      WriteModelSpecFile(dir.path + "/operator.spec", RunSpec("simple")).ok());
+  ModelRegistry registry;
+  InstallInitial(&registry, RunSpec("simple"));
+  Server server(&registry, EagerReplanOptions(dir.path));
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  {
+    const ScopedFaults faults("stall:match=replan_1.spec:count=1:ms=500");
+    // The epoch these four requests seal triggers the retrain before
+    // their responses are written, so the slot is busy once they are read.
+    ASSERT_TRUE(client.Write(FourScores()));
+    for (int i = 0; i < 4; ++i) {
+      uint8_t tag = 0;
+      std::string payload;
+      ASSERT_TRUE(client.ReadFrame(&tag, &payload)) << "after " << i;
+      EXPECT_EQ(tag, static_cast<uint8_t>(StatusCode::kOk));
+    }
+    uint8_t tag = 0;
+    EXPECT_EQ(client.Call(Opcode::kSwap, "operator.spec", &tag),
+              "swap in flight");
+    EXPECT_EQ(tag, static_cast<uint8_t>(StatusCode::kShed));
+    server.Stop();  // the drain waits out the held retrain
+    EXPECT_EQ(FaultTriggerCount(FaultPoint::kStall), 1);
+  }
+  EXPECT_EQ(registry.version(), 2u) << "only the retrain may swap";
+  const ReplanState state = server.replanner()->state();
+  EXPECT_EQ(state.swaps, 1u);
+  EXPECT_EQ(state.failures, 0u);
+  EXPECT_EQ(state.incumbent, "SVM+CNN");
+  EXPECT_FALSE(state.swap_in_flight);
+  EXPECT_EQ(server.counters().swaps_ok, 0u);
+  EXPECT_EQ(server.counters().swaps_failed, 0u);
+}
+
+TEST(SwapSlotTest, ReplanTriggerWhileAKSwapBuildIsHeldIsSuppressed) {
+  const SpecDir dir;
+  ASSERT_TRUE(
+      WriteModelSpecFile(dir.path + "/operator.spec", RunSpec("simple")).ok());
+  ModelRegistry registry;
+  InstallInitial(&registry, RunSpec("simple"));
+  Server server(&registry, EagerReplanOptions(dir.path));
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  {
+    const ScopedFaults faults("stall:match=operator.spec:count=1:ms=500");
+    // One read: the kSwap takes the slot, then the four scores seal the
+    // epoch whose trigger finds it busy.
+    std::string wire;
+    AppendFrame(static_cast<uint8_t>(Opcode::kSwap), "operator.spec", &wire);
+    ASSERT_TRUE(client.Write(wire + FourScores()));
+    int scores = 0;
+    std::string swap_reply;
+    for (int i = 0; i < 5; ++i) {
+      uint8_t tag = 0;
+      std::string payload;
+      ASSERT_TRUE(client.ReadFrame(&tag, &payload)) << "after " << i;
+      ASSERT_EQ(tag, static_cast<uint8_t>(StatusCode::kOk)) << payload;
+      if (payload.front() == 'v') {
+        swap_reply = payload;
+      } else {
+        ++scores;
+      }
+    }
+    EXPECT_EQ(scores, 4);
+    EXPECT_EQ(swap_reply, "v2");
+  }
+  server.Stop();
+  EXPECT_EQ(registry.version(), 2u) << "one build: the kSwap's";
+  const ReplanState state = server.replanner()->state();
+  EXPECT_EQ(state.suppressed, 1u);
+  EXPECT_EQ(state.swaps, 0u);
+  EXPECT_EQ(state.failures, 0u);
+  EXPECT_EQ(state.incumbent, "simple");
+  EXPECT_FALSE(std::filesystem::exists(dir.path + "/replan_1.spec"));
+  EXPECT_EQ(server.counters().swaps_ok, 1u);
+}
+
+TEST(SwapSlotTest, KStatsIncumbentFollowsAKSwap) {
+  const SpecDir dir;
+  ModelSpec svm;
+  svm.model = "SVM";
+  svm.dataset = "HETER";
+  svm.records = 140;
+  svm.seed = 1;
+  ASSERT_TRUE(WriteModelSpecFile(dir.path + "/svm.spec", svm).ok());
+  ASSERT_TRUE(
+      WriteModelSpecFile(dir.path + "/simple.spec", RunSpec("simple")).ok());
+  ModelRegistry registry;
+  InstallInitial(&registry, svm);
+  ServerOptions options;
+  options.replan.enabled = true;
+  options.replan.epoch_records = 0;  // no epochs: only swaps move the state
+  options.replan.spec_dir = dir.path;
+  Server server(&registry, options);
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+
+  uint8_t tag = 0;
+  std::string stats = client.Call(Opcode::kStats, "", &tag);
+  EXPECT_NE(stats.find("\"pair\": \"SVM\""), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"incumbent\": \"\""), std::string::npos) << stats;
+
+  // A cascade swapped in by hand becomes the pair the re-planner credits.
+  EXPECT_EQ(client.Call(Opcode::kSwap, "simple.spec", &tag), "v2");
+  stats = client.Call(Opcode::kStats, "", &tag);
+  EXPECT_NE(stats.find("\"pair\": \"simple\""), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"incumbent\": \"simple\""), std::string::npos)
+      << stats;
+
+  // A non-cascade model leaves no pair to credit.
+  EXPECT_EQ(client.Call(Opcode::kSwap, "svm.spec", &tag), "v3");
+  stats = client.Call(Opcode::kStats, "", &tag);
+  EXPECT_NE(stats.find("\"pair\": \"SVM\""), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"incumbent\": \"\""), std::string::npos) << stats;
   server.Stop();
 }
 

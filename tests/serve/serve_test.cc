@@ -15,12 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include "common/csv.h"
 #include "common/fault.h"
 #include "common/file_io.h"
@@ -35,6 +29,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/traffic_stats.h"
+#include "test_client.h"
 
 namespace semtag::serve {
 namespace {
@@ -261,14 +256,6 @@ TEST(ModelRegistryTest, SwapFromCheckpointSpecFile) {
 // Swap failure paths under fault injection (common/fault.h)
 // ---------------------------------------------------------------------------
 
-/// Clears armed faults on scope exit, whatever the test asserted.
-struct ScopedFaults {
-  explicit ScopedFaults(const std::string& spec) {
-    EXPECT_TRUE(SetFaultsFromSpec(spec).ok());
-  }
-  ~ScopedFaults() { ClearFaults(); }
-};
-
 TEST(SwapFaultTest, WriteFailSurfacesIoErrorAndLeavesNoSpecBehind) {
   ModelSpec spec;
   spec.model = "SVM";
@@ -339,28 +326,34 @@ TEST(SwapFaultTest, ReadCorruptSwapKeepsOldModelAndQuarantines) {
 // ---------------------------------------------------------------------------
 
 TEST(TrafficStatsTest, SlidingWindowEvicts) {
-  TrafficStats stats(/*window=*/4);
-  // 6 records: the first two (length 100, positive) slide out.
-  stats.Record(100, 0.9);
-  stats.Record(100, 0.9);
-  for (int i = 0; i < 4; ++i) stats.Record(10, 0.1);
+  // Two-record epochs, a window of two: the first epoch (two long,
+  // positive texts) slides out once two more epochs seal.
+  TrafficStats stats(/*epoch_records=*/2, /*epoch_window=*/2);
+  const std::string long_text(100, 'x');
+  stats.Record(long_text, 0.9);
+  stats.Record(long_text, 0.9);
+  for (int i = 0; i < 4; ++i) stats.Record("tenletters", 0.1);
 
-  const TrafficSnapshot snapshot = stats.Snapshot();
-  EXPECT_EQ(snapshot.total, 6u);
-  EXPECT_EQ(snapshot.window, 4u);
-  EXPECT_DOUBLE_EQ(snapshot.positive_ratio, 0.0);
-  EXPECT_DOUBLE_EQ(snapshot.mean_length, 10.0);
+  const TrafficProfile profile = stats.Profile();
+  EXPECT_EQ(profile.total, 6u);
+  EXPECT_EQ(profile.total_epochs, 3u);
+  EXPECT_EQ(profile.count, 4u);
+  EXPECT_DOUBLE_EQ(profile.positive_ratio, 0.0);
+  EXPECT_DOUBLE_EQ(profile.mean_length, 10.0);
 }
 
 TEST(TrafficStatsTest, PartialWindowAverages) {
-  TrafficStats stats(/*window=*/100);
-  stats.Record(10, 0.8);
-  stats.Record(30, 0.2);
-  const TrafficSnapshot snapshot = stats.Snapshot();
-  EXPECT_EQ(snapshot.total, 2u);
-  EXPECT_EQ(snapshot.window, 2u);
-  EXPECT_DOUBLE_EQ(snapshot.positive_ratio, 0.5);
-  EXPECT_DOUBLE_EQ(snapshot.mean_length, 20.0);
+  // One sealed epoch in a window of 100 averages over just its records.
+  TrafficStats stats(/*epoch_records=*/0, /*epoch_window=*/100);
+  stats.Record(std::string(10, 'a'), 0.8);
+  stats.Record(std::string(30, 'b'), 0.2);
+  ASSERT_TRUE(stats.AdvanceEpoch());
+  const TrafficProfile profile = stats.Profile();
+  EXPECT_EQ(profile.total, 2u);
+  EXPECT_EQ(profile.epochs, 1u);
+  EXPECT_EQ(profile.count, 2u);
+  EXPECT_DOUBLE_EQ(profile.positive_ratio, 0.5);
+  EXPECT_DOUBLE_EQ(profile.mean_length, 20.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -542,7 +535,7 @@ TEST(BatcherTest, HotSwapMidStreamIsPerBatchConsistent) {
     texts.push_back(dataset[i % dataset.size()].text);
   }
   // Two rounds of 32 with the swap installed between their flushes, as a
-  // swap thread's pointer flip lands between two epoll rounds.
+  // swap build's pointer flip lands between two epoll rounds.
   std::vector<std::vector<ScoredRequest>> batches;
   for (int round = 0; round < 2; ++round) {
     if (round == 1) {
@@ -587,63 +580,6 @@ TEST(BatcherTest, HotSwapMidStreamIsPerBatchConsistent) {
 // ---------------------------------------------------------------------------
 // End-to-end over a real socket
 // ---------------------------------------------------------------------------
-
-class TestClient {
- public:
-  bool Connect(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    (void)::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    return ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                     sizeof(addr)) == 0;
-  }
-  ~TestClient() {
-    if (fd_ >= 0) (void)::close(fd_);
-  }
-
-  bool Send(uint8_t tag, std::string_view payload) {
-    std::string frame;
-    AppendFrame(tag, payload, &frame);
-    return Write(frame);
-  }
-
-  /// Writes pre-framed bytes in one write(): frames sent together arrive
-  /// in one server read.
-  bool Write(std::string_view wire) {
-    size_t off = 0;
-    while (off < wire.size()) {
-      const ssize_t n = ::write(fd_, wire.data() + off, wire.size() - off);
-      if (n <= 0) return false;
-      off += static_cast<size_t>(n);
-    }
-    return true;
-  }
-
-  /// Blocking read of the next frame (10s timeout).
-  bool ReadFrame(uint8_t* tag, std::string* payload) {
-    for (int spins = 0; spins < 1000; ++spins) {
-      if (reader_.Next(tag, payload)) return true;
-      struct pollfd pfd;
-      pfd.fd = fd_;
-      pfd.events = POLLIN;
-      pfd.revents = 0;
-      if (::poll(&pfd, 1, 10) <= 0) continue;
-      char buf[4096];
-      const ssize_t n = ::read(fd_, buf, sizeof(buf));
-      if (n <= 0) return false;
-      if (!reader_.Feed(buf, static_cast<size_t>(n))) return false;
-    }
-    return false;
-  }
-
- private:
-  int fd_ = -1;
-  FrameReader reader_;
-};
 
 TEST(ServerTest, EndToEndScoresBitIdenticalToOffline) {
   const data::Dataset dataset = TinyDataset();
