@@ -21,29 +21,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 
 #include "bench_util.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "config/runtime_config.h"
-#include "data/generator.h"
-#include "data/specs.h"
 #include "la/buffer_pool.h"
 #include "la/init.h"
 #include "la/kernels.h"
 #include "la/matrix.h"
-#include "la/quant.h"
 #include "la/sparse.h"
-#include "models/deep/mini_bert.h"
 #include "nn/layers.h"
 #include "nn/ops.h"
 #include "nn/optimizer.h"
 #include "nn/variable.h"
-#include "text/tokenizer.h"
-#include "text/vocabulary.h"
 
 namespace semtag::la {
 namespace {
@@ -214,87 +206,6 @@ void SetRate(benchmark::State& state, const char* name, double per_iter) {
       benchmark::Counter::kIsRate);
 }
 
-/// One fine-tuned mini-BERT shared by the fp32/int8 ScoreAll pair: trained
-/// lazily on first use so a filtered run that skips both benchmarks pays
-/// nothing. The backbone is randomly initialized (inference throughput
-/// does not depend on pretrained weights).
-struct QuantScoreAllFixture {
-  std::unique_ptr<models::MiniBertBackbone> backbone;
-  std::unique_ptr<models::MiniBert> model;
-  std::vector<std::string> texts;
-
-  QuantScoreAllFixture() {
-    data::GeneratorConfig gc;
-    gc.bg_vocab = 2000;
-    gc.signal_topic = 16;
-    gc.positive_topics = {17, 18};
-    gc.negative_topics = {19, 20};
-    gc.seed = 99;
-    const data::Dataset d = data::GenerateDataset(
-        data::SharedLanguage(), gc, "bench", 512, 0.5);
-    // BERT-base width (d=768/heads=12/ffn=3072). At the paper-scale d=32
-    // the encoder GEMMs are only ~25% of ScoreAll (softmax/layernorm/
-    // fp32-attention and graph overhead dominate; DESIGN.md "Batched
-    // execution"), which Amdahl-caps any GEMM-tier speedup near 1.3x —
-    // measured 1.36x. The int8 tier exists for transformer widths where
-    // inference is GEMM-dominated, so the claim is measured there.
-    models::BertConfig config;
-    config.layers = 2;
-    config.dim = 768;
-    config.heads = 12;
-    config.ffn = 3072;
-    text::VocabularyBuilder builder;
-    for (const auto& text : d.Texts()) {
-      builder.AddDocument(text::Tokenize(text));
-    }
-    backbone = std::make_unique<models::MiniBertBackbone>(
-        config, builder.Build(1, 4000));
-    models::BertFinetuneOptions options;
-    options.epochs = 1;
-    options.min_optimizer_steps = 1;
-    options.max_train_examples = 64;
-    model = std::make_unique<models::MiniBert>("BERT", *backbone, options);
-    SEMTAG_CHECK(model->Train(d).ok());
-    // 128 texts keeps one fp32 iteration at BERT-base width around two
-    // seconds; items_per_second normalizes, so the pair stays comparable.
-    texts = d.Texts();
-    texts.resize(128);
-  }
-};
-
-QuantScoreAllFixture& ScoreAllFixture() {
-  static QuantScoreAllFixture fixture;
-  return fixture;
-}
-
-/// Mini-BERT batched inference end to end, fp32 vs the int8 tier — the
-/// pair the quantization speedup claim is measured on. Single pool thread
-/// so the ratio isolates the kernel change from threading.
-void RegisterQuantScoreAllBenches() {
-  benchmark::RegisterBenchmark(
-      "Kernel_MiniBertScoreAll/fp32", [](benchmark::State& state) {
-        SetGlobalPoolThreads(1);
-        auto& f = ScoreAllFixture();
-        const ScopedRuntimeOverride fp32({{"SEMTAG_QUANT", "0"}});
-        for (auto _ : state) {
-          benchmark::DoNotOptimize(f.model->ScoreAll(f.texts));
-        }
-        state.SetItemsProcessed(state.iterations() *
-                                static_cast<int64_t>(f.texts.size()));
-      });
-  benchmark::RegisterBenchmark(
-      "Kernel_MiniBertScoreAll/int8", [](benchmark::State& state) {
-        SetGlobalPoolThreads(1);
-        auto& f = ScoreAllFixture();
-        const ScopedRuntimeOverride int8({{"SEMTAG_QUANT", "1"}});
-        for (auto _ : state) {
-          benchmark::DoNotOptimize(f.model->ScoreAll(f.texts));
-        }
-        state.SetItemsProcessed(state.iterations() *
-                                static_cast<int64_t>(f.texts.size()));
-      });
-}
-
 void RegisterKernelBenches() {
   constexpr size_t kN = KernelBenchData::kN;
   constexpr size_t kNnz = KernelBenchData::kNnz;
@@ -436,74 +347,7 @@ void RegisterKernelBenches() {
           SetRate(state, "flops", 2.0 * kNnz);
         });
 
-    // Int8 inference-tier kernels. "flops" counts the equivalent fp32
-    // multiply-adds so the int8 rows compare directly against Kernel_dot /
-    // Kernel_dot4 at the same tier.
-    benchmark::RegisterBenchmark(
-        ("Kernel_quant_quantize_row_i8" + tier).c_str(),
-        [kt](benchmark::State& state) {
-          KernelBenchData d;
-          std::vector<int8_t> q(kN);
-          for (auto _ : state) {
-            float s = kt->quantize_row_i8(d.a.data(), kN, q.data());
-            benchmark::DoNotOptimize(s);
-            benchmark::DoNotOptimize(q.data());
-          }
-          SetRate(state, "elems", static_cast<double>(kN));
-        });
-
-    benchmark::RegisterBenchmark(
-        ("Kernel_quant_dot_i8" + tier).c_str(),
-        [kt](benchmark::State& state) {
-          KernelBenchData d;
-          std::vector<int8_t> qa(kN), qb(kN);
-          kt->quantize_row_i8(d.a.data(), kN, qa.data());
-          kt->quantize_row_i8(d.b0.data(), kN, qb.data());
-          for (auto _ : state) {
-            int32_t v = kt->dot_i8(qa.data(), qb.data(), kN);
-            benchmark::DoNotOptimize(v);
-          }
-          SetRate(state, "flops", 2.0 * kN);
-        });
-
-    benchmark::RegisterBenchmark(
-        ("Kernel_quant_dot4_i8" + tier).c_str(),
-        [kt](benchmark::State& state) {
-          KernelBenchData d;
-          std::vector<int8_t> qa(kN), q0(kN), q1(kN), q2(kN), q3(kN);
-          kt->quantize_row_i8(d.a.data(), kN, qa.data());
-          kt->quantize_row_i8(d.b0.data(), kN, q0.data());
-          kt->quantize_row_i8(d.b1.data(), kN, q1.data());
-          kt->quantize_row_i8(d.b2.data(), kN, q2.data());
-          kt->quantize_row_i8(d.b3.data(), kN, q3.data());
-          int32_t out[4];
-          for (auto _ : state) {
-            kt->dot4_i8(qa.data(), q0.data(), q1.data(), q2.data(),
-                        q3.data(), kN, out);
-            benchmark::DoNotOptimize(out[0]);
-          }
-          SetRate(state, "flops", 8.0 * kN);
-        });
-
-    benchmark::RegisterBenchmark(
-        ("Kernel_quant_dequant_affine_row" + tier).c_str(),
-        [kt](benchmark::State& state) {
-          KernelBenchData d;
-          std::vector<int32_t> acc(kN);
-          for (size_t i = 0; i < kN; ++i) {
-            acc[i] = static_cast<int32_t>(i * 37) - 8192;
-          }
-          for (auto _ : state) {
-            kt->dequant_affine_row(d.out0.data(), acc.data(), 0.01f,
-                                   d.b0.data(), d.b1.data(), kN,
-                                   /*fuse_relu=*/true);
-            benchmark::DoNotOptimize(d.out0.data());
-          }
-          SetRate(state, "elems", static_cast<double>(kN));
-        });
   }
-
-  RegisterQuantScoreAllBenches();
 
   // Allocations per training step: the zero-allocation acceptance metric,
   // recorded alongside the kernel rates. Steady state (after a warm-up)
@@ -624,23 +468,6 @@ int RunSmoke() {
                             grad.data() + kHd, grad.data() + 2 * kHd);
       acc += heads.Sum() + grad.Sum();
     }
-
-    // Int8 inference tier: quantize -> integer dots -> fused dequant.
-    std::vector<int8_t> qa(kN), qb0(kN), qb1(kN), qb2(kN), qb3(kN);
-    const float sa = kt.quantize_row_i8(a.data(), kN, qa.data());
-    float w_scales[4];
-    w_scales[0] = kt.quantize_row_i8(b0.data(), kN, qb0.data());
-    w_scales[1] = kt.quantize_row_i8(b1.data(), kN, qb1.data());
-    w_scales[2] = kt.quantize_row_i8(b2.data(), kN, qb2.data());
-    w_scales[3] = kt.quantize_row_i8(b3.data(), kN, qb3.data());
-    int32_t iacc[4];
-    kt.dot4_i8(qa.data(), qb0.data(), qb1.data(), qb2.data(), qb3.data(),
-               kN, iacc);
-    iacc[0] = kt.dot_i8(qa.data(), qb0.data(), kN);
-    float deq[4];
-    kt.dequant_affine_row(deq, iacc, sa, w_scales, a0, 4,
-                          /*fuse_relu=*/true);
-    acc += deq[0] + deq[1] + deq[2] + deq[3] + sa;
 
     bool finite = std::isfinite(acc);
     for (size_t i = 0; i < kN && finite; ++i) {

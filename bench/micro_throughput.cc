@@ -14,7 +14,6 @@
 #include "bench_util.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "config/runtime_config.h"
 #include "data/generator.h"
 #include "data/specs.h"
 #include "models/deep/mini_bert.h"
@@ -277,9 +276,7 @@ BENCHMARK(BM_DeepBatchMiniBertFinetuneEpoch)
 
 /// Scores 512 texts with a small trained CNN, handing ScoreAll spans of
 /// state.range(0) texts — what a serve batcher capped at that size does.
-/// `quant` arms the int8 inference tier (SEMTAG_QUANT=1) after training;
-/// otherwise it scores in fp32 whatever the runtime config says.
-void ScoreCnnInSpans(benchmark::State& state, bool quant) {
+void BM_DeepBatchScoreAll(benchmark::State& state) {
   SetGlobalPoolThreads(1);
   const data::Dataset d = BenchDataset(512);
   models::CnnOptions options;
@@ -288,7 +285,6 @@ void ScoreCnnInSpans(benchmark::State& state, bool quant) {
   options.max_train_examples = 128;
   models::TextCnn model(options);
   SEMTAG_CHECK(model.Train(d).ok());
-  const ScopedRuntimeOverride tier({{"SEMTAG_QUANT", quant ? "1" : "0"}});
   const auto texts = d.Texts();
   const size_t span = static_cast<size_t>(state.range(0));
   std::vector<std::vector<std::string>> spans;
@@ -303,20 +299,7 @@ void ScoreCnnInSpans(benchmark::State& state, bool quant) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(texts.size()));
 }
-
-void BM_DeepBatchScoreAll(benchmark::State& state) {
-  ScoreCnnInSpans(state, /*quant=*/false);
-}
 BENCHMARK(BM_DeepBatchScoreAll)->Arg(1)->Arg(32)->Iterations(2)
-    ->Repetitions(kDeepBatchRepetitions)->ReportAggregatesOnly(true);
-
-void BM_DeepBatchScoreAllQuant(benchmark::State& state) {
-  // Same sweep through the int8 inference tier (SEMTAG_QUANT=1): the
-  // span-32 row against BM_DeepBatchScoreAll/32 isolates what quantization
-  // adds on top of minibatching.
-  ScoreCnnInSpans(state, /*quant=*/true);
-}
-BENCHMARK(BM_DeepBatchScoreAllQuant)->Arg(1)->Arg(32)->Iterations(2)
     ->Repetitions(kDeepBatchRepetitions)->ReportAggregatesOnly(true);
 
 }  // namespace

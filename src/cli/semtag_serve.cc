@@ -8,9 +8,8 @@
 // Trains (or loads) the initial model, binds the epoll front end, and
 // serves the length-prefixed protocol (src/serve/protocol.h) until
 // SIGTERM/SIGINT, which triggers a graceful drain: queued requests are
-// scored and every pending response is written before exit. The model tier
-// composes with SEMTAG_QUANT. An unknown flag or a bad value exits 2
-// (`semtag_serve --help` lists the flags).
+// scored and every pending response is written before exit. An unknown
+// flag or a bad value exits 2 (`semtag_serve --help` lists the flags).
 // Hot-swap: write a sealed spec (WriteModelSpecFile) into the replan spec
 // dir (--spec-dir, default .) and send its name with opcode 0x04 —
 // scoring continues on the old model until the replacement is trained,

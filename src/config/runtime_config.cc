@@ -83,11 +83,6 @@ constexpr Knob kKnobs[] = {
        return (t.empty() || t == "avx2" || t == "scalar") &&
               Text<&C::simd>(t, c);
      }},
-    {"SEMTAG_QUANT", "0",
-     [](std::string_view t, C* c) {
-       c->quant = t == "1";
-       return t == "0" || t == "1";
-     }},
     {"SEMTAG_FAULT", "", Text<&C::fault>},
     {"SEMTAG_CELL_DEADLINE_MS", "0",
      Int<&C::cell_deadline_ms, 0, INT64_MAX>},

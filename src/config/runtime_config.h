@@ -20,7 +20,6 @@ namespace semtag {
 struct RuntimeConfig {
   int num_threads = 0;           // SEMTAG_NUM_THREADS; 0 = hardware, max 256
   std::string simd;              // SEMTAG_SIMD: avx2|scalar; "" = probe CPU
-  bool quant = false;            // SEMTAG_QUANT=1: int8 inference tier
   std::string fault;             // SEMTAG_FAULT (common/fault.h)
   int64_t cell_deadline_ms = 0;  // SEMTAG_CELL_DEADLINE_MS; 0 = none
   std::string cache_dir;         // SEMTAG_CACHE_DIR; $HOME/.cache/semtag
@@ -61,7 +60,7 @@ std::vector<std::string> RuntimeKnobNames();
 class ScopedRuntimeOverride {
  public:
   explicit ScopedRuntimeOverride(const KnobMap& knobs);
-  /// The literal form: ScopedRuntimeOverride q({{"SEMTAG_QUANT", "1"}}).
+  /// The literal form: ScopedRuntimeOverride o({{"SEMTAG_CASCADE", "simple"}}).
   ScopedRuntimeOverride(std::initializer_list<KnobMap::value_type> knobs)
       : ScopedRuntimeOverride(KnobMap(knobs)) {}
   ~ScopedRuntimeOverride();

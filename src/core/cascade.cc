@@ -274,7 +274,7 @@ Status Cascade::Train(const data::Dataset& train) {
 
   if (plan_.simple_only) {
     // No threshold to calibrate: the simple model gets every record and
-    // the deep model is never constructed, trained, or quant-frozen.
+    // the deep model is never constructed or trained.
     simple_ = models::CreateModelSeeded(plan_.simple, options_.seed);
     SEMTAG_CHECK(simple_ != nullptr);
     simple_->set_cancellation(cancellation());
@@ -375,9 +375,8 @@ std::vector<double> Cascade::ScoreAll(
   }
   SEMTAG_OBS_OBSERVE("cascade/simple_pass_us", obs::LatencyBucketsUs(),
                      simple_timer.ElapsedSeconds() * 1e6);
-  // Tier 2: low-margin examples ride the deep model's batched ScoreAll —
-  // dense absolute-boundary batches through whichever kernel tier
-  // $SEMTAG_QUANT selects.
+  // Tier 2: low-margin examples ride the deep model's batched ScoreAll in
+  // dense absolute-boundary batches.
   if (!escalated.empty()) {
     WallTimer deep_timer;
     obs::TraceSpan deep_span("cascade/deep_pass");

@@ -139,8 +139,7 @@ CascadeCalibration CalibrateCascadeThreshold(
 /// then calibrates the margin threshold on a holdout split. Scoring runs
 /// every example through the simple model (microseconds) and forwards
 /// only low-margin examples — gathered into dense batches — through the
-/// deep model's batched ScoreAll, composing with the $SEMTAG_QUANT int8
-/// tier. Scores are on the unified probability
+/// deep model's batched ScoreAll. Scores are on the unified probability
 /// scale (ProbabilityFromScore) whichever tier produced them, so the
 /// decision boundary is 0.5.
 ///

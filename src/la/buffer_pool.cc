@@ -140,33 +140,6 @@ void BufferPool::Release(float* p, size_t n) {
   }
 }
 
-namespace {
-/// Float count whose bucket holds at least `bytes` bytes. Storage is raw
-/// 32-byte-aligned bytes under the float free lists, so typed views just
-/// convert their element count and share the buckets.
-size_t FloatsForBytes(size_t bytes) {
-  return (bytes + sizeof(float) - 1) / sizeof(float);
-}
-}  // namespace
-
-int8_t* BufferPool::AcquireI8(size_t n) {
-  return reinterpret_cast<int8_t*>(
-      Acquire(FloatsForBytes(n * sizeof(int8_t))));
-}
-
-void BufferPool::ReleaseI8(int8_t* p, size_t n) {
-  Release(reinterpret_cast<float*>(p), FloatsForBytes(n * sizeof(int8_t)));
-}
-
-int32_t* BufferPool::AcquireI32(size_t n) {
-  return reinterpret_cast<int32_t*>(
-      Acquire(FloatsForBytes(n * sizeof(int32_t))));
-}
-
-void BufferPool::ReleaseI32(int32_t* p, size_t n) {
-  Release(reinterpret_cast<float*>(p), FloatsForBytes(n * sizeof(int32_t)));
-}
-
 BufferPool::Stats BufferPool::GetStats() {
   Global& g = GlobalTier();
   Stats s;

@@ -42,17 +42,6 @@ class BufferPool {
   /// Returns a buffer to the pool. `n` must match the Acquire size.
   static void Release(float* p, size_t n);
 
-  /// Typed views over the same float-sized buckets for the int8 inference
-  /// tier's scratch (quantized activation rows, int32 accumulators).
-  /// Storage is raw 32-byte-aligned bytes underneath, so reusing the float
-  /// size classes is safe and keeps one bucket array: an int8 request for
-  /// n elements maps to ceil(n/4) floats, an int32 request to n floats.
-  /// Release sizes must match the Acquire sizes, as for floats.
-  static int8_t* AcquireI8(size_t n);
-  static void ReleaseI8(int8_t* p, size_t n);
-  static int32_t* AcquireI32(size_t n);
-  static void ReleaseI32(int32_t* p, size_t n);
-
   /// Process-wide counters (monotonic; tests assert on deltas).
   static Stats GetStats();
 

@@ -3,7 +3,6 @@
 #include "common/logging.h"
 #include "config/runtime_config.h"
 #include "la/kernels_internal.h"
-#include "la/quant.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -64,13 +63,11 @@ const KernelTable& SelectedTable() {
 
 /// Snapshot collector: publishes the dispatched tier so a metrics dump
 /// records which kernel table produced the numbers (0=scalar 2=avx2, plus
-/// a name-keyed one-hot for greppability), and whether the
-/// int8 inference tier was armed at snapshot time.
+/// a name-keyed one-hot for greppability).
 void CollectKernelMetrics() {
   const SimdLevel level = ActiveSimdLevel();
   obs::GetGauge("la/simd_tier").Set(static_cast<double>(static_cast<int>(level)));
   obs::GetGauge(std::string("la/simd_tier/") + SimdLevelName(level)).Set(1.0);
-  obs::GetGauge("la/quant/enabled").Set(QuantInferenceEnabled() ? 1.0 : 0.0);
 }
 
 [[maybe_unused]] const bool g_kernel_collector =

@@ -2,7 +2,6 @@
 #define SEMTAG_LA_KERNELS_H_
 
 #include <cstddef>
-#include <cstdint>
 
 #include "la/sparse.h"
 
@@ -133,29 +132,6 @@ struct KernelTable {
   /// which share the tile's row stride ld.
   void (*attention_backward)(const AttentionTile& tile, const float* dout,
                              size_t ldo, float* dq, float* dk, float* dv);
-
-  // ---- int8 inference tier (DESIGN.md "Int8 inference tier") -------------
-  /// Symmetric per-row absmax quantization: q[i] = round(x[i] * 127/absmax)
-  /// clamped to [-127, 127] (-128 is never produced, which keeps the AVX2
-  /// maddubs sign-trick saturation-safe). Returns the dequant scale
-  /// absmax/127; an all-zero row returns 0 and writes zeros. Rounding is
-  /// nearest-even at every tier, so quantized rows are bit-identical
-  /// across scalar/avx2 — as is the whole int8 pipeline: integer
-  /// accumulation is exact and dequant avoids FMA.
-  float (*quantize_row_i8)(const float* x, size_t n, int8_t* q);
-  /// sum_i a[i] * b[i] in exact int32 arithmetic.
-  int32_t (*dot_i8)(const int8_t* a, const int8_t* b, size_t n);
-  /// Four int8 dot products sharing one left operand (quantized GEMM tile).
-  void (*dot4_i8)(const int8_t* a, const int8_t* b0, const int8_t* b1,
-                  const int8_t* b2, const int8_t* b3, size_t n,
-                  int32_t out[4]);
-  /// Dequantize one output row of the int8 GEMM, fusing bias and ReLU:
-  ///   out[j] = acc[j] * (a_scale * w_scales[j]) [+ bias[j]] [relu]
-  /// bias may be null. The product is evaluated mul-then-mul-then-add (no
-  /// FMA contraction) so every tier rounds identically.
-  void (*dequant_affine_row)(float* out, const int32_t* acc, float a_scale,
-                             const float* w_scales, const float* bias,
-                             size_t n, bool fuse_relu);
 };
 
 /// Tanh-approximation GELU backward, composed from table entries:

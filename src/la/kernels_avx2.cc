@@ -742,255 +742,6 @@ void Avx2AttentionBackward(const AttentionTile& tile, const float* dout,
   }
 }
 
-inline int32_t HSumI32x8(__m256i v) {
-  __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  lo = _mm_add_epi32(lo, hi);
-  lo = _mm_add_epi32(lo, _mm_shuffle_epi32(lo, _MM_SHUFFLE(1, 0, 3, 2)));
-  lo = _mm_add_epi32(lo, _mm_shuffle_epi32(lo, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(lo);
-}
-
-float Avx2QuantizeRowI8(const float* x, size_t n, int8_t* q) {
-  // absmax: fabs+max reassociates freely and stays exact, so the scale is
-  // bit-identical to the scalar reference.
-  const __m256 sign_mask = _mm256_set1_ps(-0.0f);
-  __m256 vmax = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    vmax = _mm256_max_ps(vmax,
-                         _mm256_andnot_ps(sign_mask, _mm256_loadu_ps(x + i)));
-  }
-  float absmax = HMax8(vmax);
-  for (; i < n; ++i) {
-    const float a = std::fabs(x[i]);
-    if (a > absmax) absmax = a;
-  }
-  if (absmax == 0.0f) {
-    for (i = 0; i < n; ++i) q[i] = 0;
-    return 0.0f;
-  }
-  const float inv = 127.0f / absmax;
-  const __m256 vinv = _mm256_set1_ps(inv);
-  // Dword order after the two saturating packs is {0,4,1,5,2,6,3,7}-
-  // permuted; one cross-lane permute restores it. cvtps rounds nearest-
-  // even exactly like the scalar lrintf, and |x*inv| <= 127(1+2eps), so
-  // saturation never reaches -128 and the clamp matches the scalar one.
-  const __m256i unshuffle = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
-  i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i v0 =
-        _mm256_cvtps_epi32(_mm256_mul_ps(_mm256_loadu_ps(x + i), vinv));
-    const __m256i v1 =
-        _mm256_cvtps_epi32(_mm256_mul_ps(_mm256_loadu_ps(x + i + 8), vinv));
-    const __m256i v2 =
-        _mm256_cvtps_epi32(_mm256_mul_ps(_mm256_loadu_ps(x + i + 16), vinv));
-    const __m256i v3 =
-        _mm256_cvtps_epi32(_mm256_mul_ps(_mm256_loadu_ps(x + i + 24), vinv));
-    const __m256i p01 = _mm256_packs_epi32(v0, v1);
-    const __m256i p23 = _mm256_packs_epi32(v2, v3);
-    const __m256i packed = _mm256_packs_epi16(p01, p23);
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(q + i),
-        _mm256_permutevar8x32_epi32(packed, unshuffle));
-  }
-  for (; i < n; ++i) {
-    long r = std::lrintf(x[i] * inv);
-    if (r > 127) r = 127;
-    if (r < -127) r = -127;
-    q[i] = static_cast<int8_t>(r);
-  }
-  return absmax / 127.0f;
-}
-
-// maddubs needs an unsigned left operand: multiply |a| by b re-signed with
-// a's sign (sign_epi8), which preserves every product a[i]*b[i] exactly.
-// Quantization never emits -128, so |a| <= 127 and each 2-element maddubs
-// sum is <= 2*127*127 = 32258 < 32767 — the saturating add cannot clip.
-int32_t Avx2DotI8(const int8_t* a, const int8_t* b, size_t n) {
-  const __m256i ones16 = _mm256_set1_epi16(1);
-  // Two independent accumulator chains (64 bytes/iteration) hide the
-  // 3-cycle madd latency; int32 adds are exact, so the reassociation
-  // cannot change the result.
-  __m256i acc = _mm256_setzero_si256();
-  __m256i accb = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const __m256i va0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i va1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i + 32));
-    const __m256i vb1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i + 32));
-    const __m256i p0 = _mm256_maddubs_epi16(_mm256_abs_epi8(va0),
-                                            _mm256_sign_epi8(vb0, va0));
-    const __m256i p1 = _mm256_maddubs_epi16(_mm256_abs_epi8(va1),
-                                            _mm256_sign_epi8(vb1, va1));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(p0, ones16));
-    accb = _mm256_add_epi32(accb, _mm256_madd_epi16(p1, ones16));
-  }
-  for (; i + 32 <= n; i += 32) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i p16 =
-        _mm256_maddubs_epi16(_mm256_abs_epi8(va), _mm256_sign_epi8(vb, va));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(p16, ones16));
-  }
-  int32_t total = HSumI32x8(_mm256_add_epi32(acc, accb));
-  for (; i < n; ++i) {
-    total += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return total;
-}
-
-void Avx2Dot4I8(const int8_t* a, const int8_t* b0, const int8_t* b1,
-                const int8_t* b2, const int8_t* b3, size_t n,
-                int32_t out[4]) {
-  const __m256i ones16 = _mm256_set1_epi16(1);
-  __m256i acc0 = _mm256_setzero_si256();
-  __m256i acc1 = _mm256_setzero_si256();
-  __m256i acc2 = _mm256_setzero_si256();
-  __m256i acc3 = _mm256_setzero_si256();
-  size_t i = 0;
-  // 64 bytes of a per iteration: the second half accumulates into the
-  // same four chains, but the two maddubs pipelines per row are
-  // independent until the add, which is enough to cover the madd
-  // latency. int32 adds are exact, so unrolling cannot change results.
-  for (; i + 64 <= n; i += 64) {
-    const __m256i va0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i va1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i + 32));
-    const __m256i abs_a0 = _mm256_abs_epi8(va0);
-    const __m256i abs_a1 = _mm256_abs_epi8(va1);
-    const __m256i b0lo =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b0 + i));
-    const __m256i b0hi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b0 + i + 32));
-    acc0 = _mm256_add_epi32(
-        acc0,
-        _mm256_add_epi32(
-            _mm256_madd_epi16(
-                _mm256_maddubs_epi16(abs_a0, _mm256_sign_epi8(b0lo, va0)),
-                ones16),
-            _mm256_madd_epi16(
-                _mm256_maddubs_epi16(abs_a1, _mm256_sign_epi8(b0hi, va1)),
-                ones16)));
-    const __m256i b1lo =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b1 + i));
-    const __m256i b1hi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b1 + i + 32));
-    acc1 = _mm256_add_epi32(
-        acc1,
-        _mm256_add_epi32(
-            _mm256_madd_epi16(
-                _mm256_maddubs_epi16(abs_a0, _mm256_sign_epi8(b1lo, va0)),
-                ones16),
-            _mm256_madd_epi16(
-                _mm256_maddubs_epi16(abs_a1, _mm256_sign_epi8(b1hi, va1)),
-                ones16)));
-    const __m256i b2lo =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b2 + i));
-    const __m256i b2hi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b2 + i + 32));
-    acc2 = _mm256_add_epi32(
-        acc2,
-        _mm256_add_epi32(
-            _mm256_madd_epi16(
-                _mm256_maddubs_epi16(abs_a0, _mm256_sign_epi8(b2lo, va0)),
-                ones16),
-            _mm256_madd_epi16(
-                _mm256_maddubs_epi16(abs_a1, _mm256_sign_epi8(b2hi, va1)),
-                ones16)));
-    const __m256i b3lo =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b3 + i));
-    const __m256i b3hi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b3 + i + 32));
-    acc3 = _mm256_add_epi32(
-        acc3,
-        _mm256_add_epi32(
-            _mm256_madd_epi16(
-                _mm256_maddubs_epi16(abs_a0, _mm256_sign_epi8(b3lo, va0)),
-                ones16),
-            _mm256_madd_epi16(
-                _mm256_maddubs_epi16(abs_a1, _mm256_sign_epi8(b3hi, va1)),
-                ones16)));
-  }
-  for (; i + 32 <= n; i += 32) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i abs_a = _mm256_abs_epi8(va);  // shared by all four rows
-    const __m256i vb0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b0 + i));
-    const __m256i vb1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b1 + i));
-    const __m256i vb2 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b2 + i));
-    const __m256i vb3 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b3 + i));
-    acc0 = _mm256_add_epi32(
-        acc0, _mm256_madd_epi16(
-                  _mm256_maddubs_epi16(abs_a, _mm256_sign_epi8(vb0, va)),
-                  ones16));
-    acc1 = _mm256_add_epi32(
-        acc1, _mm256_madd_epi16(
-                  _mm256_maddubs_epi16(abs_a, _mm256_sign_epi8(vb1, va)),
-                  ones16));
-    acc2 = _mm256_add_epi32(
-        acc2, _mm256_madd_epi16(
-                  _mm256_maddubs_epi16(abs_a, _mm256_sign_epi8(vb2, va)),
-                  ones16));
-    acc3 = _mm256_add_epi32(
-        acc3, _mm256_madd_epi16(
-                  _mm256_maddubs_epi16(abs_a, _mm256_sign_epi8(vb3, va)),
-                  ones16));
-  }
-  int32_t t0 = HSumI32x8(acc0), t1 = HSumI32x8(acc1);
-  int32_t t2 = HSumI32x8(acc2), t3 = HSumI32x8(acc3);
-  for (; i < n; ++i) {
-    const int32_t av = a[i];
-    t0 += av * b0[i];
-    t1 += av * b1[i];
-    t2 += av * b2[i];
-    t3 += av * b3[i];
-  }
-  out[0] = t0;
-  out[1] = t1;
-  out[2] = t2;
-  out[3] = t3;
-}
-
-void Avx2DequantAffineRow(float* out, const int32_t* acc, float a_scale,
-                          const float* w_scales, const float* bias, size_t n,
-                          bool fuse_relu) {
-  // mul+mul+add (not FMA): the int32 accumulators are exact, so keeping
-  // the float edge's rounding identical to the scalar reference makes the
-  // whole quantized pipeline bit-identical across tiers.
-  const __m256 va = _mm256_set1_ps(a_scale);
-  const __m256 zero = _mm256_setzero_ps();
-  size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 scale = _mm256_mul_ps(va, _mm256_loadu_ps(w_scales + j));
-    __m256 v = _mm256_mul_ps(
-        _mm256_cvtepi32_ps(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + j))),
-        scale);
-    if (bias != nullptr) v = _mm256_add_ps(v, _mm256_loadu_ps(bias + j));
-    if (fuse_relu) v = _mm256_max_ps(v, zero);
-    _mm256_storeu_ps(out + j, v);
-  }
-  for (; j < n; ++j) {
-    float v = static_cast<float>(acc[j]) * (a_scale * w_scales[j]);
-    if (bias != nullptr) v += bias[j];
-    if (fuse_relu && v < 0.0f) v = 0.0f;
-    out[j] = v;
-  }
-}
-
 }  // namespace
 
 const KernelTable& Avx2Table() {
@@ -1022,10 +773,6 @@ const KernelTable& Avx2Table() {
       &Avx2AdamUpdate,
       &Avx2AttentionForward,
       &Avx2AttentionBackward,
-      &Avx2QuantizeRowI8,
-      &Avx2DotI8,
-      &Avx2Dot4I8,
-      &Avx2DequantAffineRow,
   };
   return table;
 }

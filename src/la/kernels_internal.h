@@ -56,17 +56,6 @@ void ScalarAttentionForward(const AttentionTile& tile, float* out,
                             size_t ldo);
 void ScalarAttentionBackward(const AttentionTile& tile, const float* dout,
                              size_t ldo, float* dq, float* dk, float* dv);
-// Int8 inference tier: the whole quantized pipeline is integer-exact (and
-// the float edges avoid FMA and round nearest-even), so every tier's int8
-// entries are bit-identical to these.
-float ScalarQuantizeRowI8(const float* x, size_t n, int8_t* q);
-int32_t ScalarDotI8(const int8_t* a, const int8_t* b, size_t n);
-void ScalarDot4I8(const int8_t* a, const int8_t* b0, const int8_t* b1,
-                  const int8_t* b2, const int8_t* b3, size_t n,
-                  int32_t out[4]);
-void ScalarDequantAffineRow(float* out, const int32_t* acc, float a_scale,
-                            const float* w_scales, const float* bias,
-                            size_t n, bool fuse_relu);
 
 /// Fully-scalar table (kernels_scalar.cc).
 const KernelTable& ScalarTable();

@@ -268,67 +268,6 @@ void ScalarAttentionBackward(const AttentionTile& tile, const float* dout,
   }
 }
 
-float ScalarQuantizeRowI8(const float* x, size_t n, int8_t* q) {
-  float absmax = 0.0f;
-  for (size_t i = 0; i < n; ++i) {
-    const float a = std::fabs(x[i]);
-    if (a > absmax) absmax = a;
-  }
-  if (absmax == 0.0f) {
-    for (size_t i = 0; i < n; ++i) q[i] = 0;
-    return 0.0f;
-  }
-  // Round-to-nearest-even via lrintf matches the AVX2 cvtps path exactly.
-  // |x[i] * inv| <= 127 up to one rounding step, so the clamp only ever
-  // trims that last ulp; -128 is never produced.
-  const float inv = 127.0f / absmax;
-  for (size_t i = 0; i < n; ++i) {
-    long r = std::lrintf(x[i] * inv);
-    if (r > 127) r = 127;
-    if (r < -127) r = -127;
-    q[i] = static_cast<int8_t>(r);
-  }
-  return absmax / 127.0f;
-}
-
-int32_t ScalarDotI8(const int8_t* a, const int8_t* b, size_t n) {
-  int32_t acc = 0;
-  for (size_t i = 0; i < n; ++i) {
-    acc += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return acc;
-}
-
-void ScalarDot4I8(const int8_t* a, const int8_t* b0, const int8_t* b1,
-                  const int8_t* b2, const int8_t* b3, size_t n,
-                  int32_t out[4]) {
-  int32_t acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const int32_t av = a[i];
-    acc0 += av * b0[i];
-    acc1 += av * b1[i];
-    acc2 += av * b2[i];
-    acc3 += av * b3[i];
-  }
-  out[0] = acc0;
-  out[1] = acc1;
-  out[2] = acc2;
-  out[3] = acc3;
-}
-
-void ScalarDequantAffineRow(float* out, const int32_t* acc, float a_scale,
-                            const float* w_scales, const float* bias,
-                            size_t n, bool fuse_relu) {
-  for (size_t j = 0; j < n; ++j) {
-    // mul, mul, add — the AVX2 tier uses the same three operations (no
-    // FMA contraction), so rounding matches bit for bit.
-    float v = static_cast<float>(acc[j]) * (a_scale * w_scales[j]);
-    if (bias != nullptr) v += bias[j];
-    if (fuse_relu && v < 0.0f) v = 0.0f;
-    out[j] = v;
-  }
-}
-
 const KernelTable& ScalarTable() {
   static const KernelTable table = {
       SimdLevel::kScalar,
@@ -358,10 +297,6 @@ const KernelTable& ScalarTable() {
       &ScalarAdamUpdate,
       &ScalarAttentionForward,
       &ScalarAttentionBackward,
-      &ScalarQuantizeRowI8,
-      &ScalarDotI8,
-      &ScalarDot4I8,
-      &ScalarDequantAffineRow,
   };
   return table;
 }

@@ -157,10 +157,6 @@ const MiniBertBackbone& GetPretrainedBackbone(BertVariant variant) {
                timer.ElapsedSeconds());
   };
   LoadOrPretrain(checkpoint, backbone.get(), pretrain);
-  // The cached backbone is frozen from here on (fine-tuning clones it):
-  // build its int8 views under the same mutex that guards the cache, so
-  // featurizer users get a quant-ready backbone when $SEMTAG_QUANT=1.
-  backbone->PrepareQuantInference();
   const MiniBertBackbone& ref = *backbone;
   cache[variant] = std::move(backbone);
   return ref;

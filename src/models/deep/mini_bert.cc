@@ -8,7 +8,6 @@
 #include "common/timer.h"
 #include "la/init.h"
 #include "models/deep/sequence_classifier.h"
-#include "nn/quant.h"
 #include "nn/train_guard.h"
 #include "obs/trace.h"
 
@@ -120,17 +119,8 @@ std::unique_ptr<MiniBertBackbone> MiniBertBackbone::Clone() const {
   return clone;
 }
 
-void MiniBertBackbone::PrepareQuantInference() {
-  token_embedding_->PrepareQuantInference();
-  for (const auto& layer : layers_) layer->PrepareQuantInference();
-  // The position add, layer norms, softmaxes, and the tied MLM head stay
-  // fp32 (see DESIGN.md "Int8 inference tier").
-}
-
 PretrainStats MiniBertBackbone::Pretrain(
     const std::vector<std::string>& corpus, const PretrainOptions& options) {
-  // Weights are about to move: any int8 view built from them is stale.
-  for (const auto& p : Parameters()) nn::DropQuantWeight(p);
   PretrainStats stats;
   Rng rng(options.seed);
   nn::Adam optimizer(Parameters(), static_cast<float>(options.learning_rate));
@@ -296,12 +286,6 @@ Status MiniBert::Train(const data::Dataset& train_full) {
   set_train_seconds(timer.ElapsedSeconds());
   if (!train_status.ok()) return train_status;
   trained_ = true;
-  // Weights are frozen from here on (re-Train is a FailedPrecondition):
-  // build the int8 views so scoring can ride the quantized kernels when
-  // $SEMTAG_QUANT=1. With it unset, the views lie dormant and scoring is
-  // bit-identical to the fp32 path.
-  backbone_->PrepareQuantInference();
-  cls_head_->PrepareQuantInference();
   return Status::OK();
 }
 

@@ -67,17 +67,9 @@ class MiniBertBackbone {
   /// Encodes raw text (tokenize + [CLS] + pad).
   std::vector<int32_t> EncodeIds(std::string_view text) const;
 
-  /// Runs MLM pretraining over the corpus (in place). Drops any int8 views
-  /// first — the weights are about to change.
+  /// Runs MLM pretraining over the corpus (in place).
   PretrainStats Pretrain(const std::vector<std::string>& corpus,
                          const PretrainOptions& options);
-
-  /// Builds int8 views of the frozen inference GEMM weights (token
-  /// embedding rows, every encoder layer's Q/K/V/output/FFN weights) so
-  /// EncodeBatch routes through the quantized kernels under
-  /// $SEMTAG_QUANT=1. Call only once the weights are final; training on a
-  /// Clone() is unaffected (clones get fresh, view-less nodes).
-  void PrepareQuantInference();
 
   /// Deep copy (fine-tuning needs a private copy of the shared pretrained
   /// weights).

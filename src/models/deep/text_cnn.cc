@@ -69,11 +69,6 @@ Status TextCnn::Train(const data::Dataset& train_full) {
   set_train_seconds(timer.ElapsedSeconds());
   if (!train_status.ok()) return train_status;
   trained_ = true;
-  // Frozen now (re-Train is a FailedPrecondition): arm the int8 views for
-  // $SEMTAG_QUANT=1 scoring. Dormant and bit-neutral when it is unset.
-  embedding_->PrepareQuantInference();
-  for (auto& c : convs_) c->PrepareQuantInference();
-  head_->PrepareQuantInference();
   return Status::OK();
 }
 

@@ -71,12 +71,6 @@ Status TextLstm::Train(const data::Dataset& train_full) {
   set_train_seconds(timer.ElapsedSeconds());
   if (!train_status.ok()) return train_status;
   trained_ = true;
-  // Frozen now (re-Train is a FailedPrecondition): arm the int8 views for
-  // $SEMTAG_QUANT=1 scoring. Dormant and bit-neutral when it is unset.
-  embedding_->PrepareQuantInference();
-  if (lstm_ != nullptr) lstm_->PrepareQuantInference();
-  if (gru_ != nullptr) gru_->PrepareQuantInference();
-  head_->PrepareQuantInference();
   return Status::OK();
 }
 

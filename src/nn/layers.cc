@@ -5,8 +5,6 @@
 
 #include "common/logging.h"
 #include "la/init.h"
-#include "la/quant.h"
-#include "nn/quant.h"
 
 namespace semtag::nn {
 
@@ -31,9 +29,6 @@ Linear::Linear(size_t in_dim, size_t out_dim, Rng* rng)
       bias_(MakeZeroParam(1, out_dim)) {}
 
 Variable Linear::Forward(const Variable& x) const {
-  if (QuantRoutable(weight_)) {
-    return QuantAffine(x, weight_, &bias_, la::QuantAct::kNone);
-  }
   return AddRowBroadcast(MatMul(x, weight_), bias_);
 }
 
@@ -41,8 +36,6 @@ void Linear::CollectParameters(std::vector<Variable>* out) {
   out->push_back(weight_);
   out->push_back(bias_);
 }
-
-void Linear::PrepareQuantInference() { PrepareQuantWeight(weight_); }
 
 // ------------------------------------------------------------- Embedding
 
@@ -53,15 +46,12 @@ Embedding::Embedding(size_t vocab, size_t dim, Rng* rng, float init_stddev) {
 }
 
 Variable Embedding::Forward(const std::vector<int32_t>& ids) const {
-  if (QuantRoutable(table_)) return QuantEmbeddingLookup(table_, ids);
   return EmbeddingLookup(table_, ids);
 }
 
 void Embedding::CollectParameters(std::vector<Variable>* out) {
   out->push_back(table_);
 }
-
-void Embedding::PrepareQuantInference() { PrepareQuantWeightRows(table_); }
 
 // -------------------------------------------------------------- ConvPool
 
@@ -74,10 +64,6 @@ ConvPool::ConvPool(int width, size_t embed_dim, size_t filters, Rng* rng)
 Variable ConvPool::ForwardBatch(const Variable& x, size_t blocks) const {
   SEMTAG_CHECK(blocks >= 1 && x.rows() % blocks == 0);
   SEMTAG_CHECK(x.rows() / blocks >= static_cast<size_t>(width_));
-  if (QuantRoutable(weight_)) {
-    return MaxPoolRows(QuantConvRelu(x, weight_, bias_, width_, blocks),
-                       blocks);
-  }
   return MaxPoolRows(Relu(Conv1d(x, weight_, bias_, width_, blocks)),
                      blocks);
 }
@@ -86,8 +72,6 @@ void ConvPool::CollectParameters(std::vector<Variable>* out) {
   out->push_back(weight_);
   out->push_back(bias_);
 }
-
-void ConvPool::PrepareQuantInference() { PrepareQuantWeight(weight_); }
 
 // ------------------------------------------------------------------ Lstm
 
@@ -111,14 +95,9 @@ Variable Lstm::ForwardBatch(const Variable& x, size_t batch) const {
   // Precompute all input projections in one matmul: [T*B x 4H]. x is
   // timestep-major, so step t's gate rows are the contiguous slice
   // [t*B, (t+1)*B) and the recurrent update is one [B x 4H] GEMM.
-  const bool quant = QuantRoutable(w_x_) && QuantRoutable(w_h_);
-  Variable xproj = quant
-                       ? QuantAffine(x, w_x_, &bias_, la::QuantAct::kNone)
-                       : AddRowBroadcast(MatMul(x, w_x_), bias_);
+  Variable xproj = AddRowBroadcast(MatMul(x, w_x_), bias_);
   for (size_t t = 0; t < L; ++t) {
-    Variable hproj = quant
-                         ? QuantAffine(h, w_h_, nullptr, la::QuantAct::kNone)
-                         : MatMul(h, w_h_);
+    Variable hproj = MatMul(h, w_h_);
     Variable gates =
         Add(SliceRows(xproj, t * batch, (t + 1) * batch), hproj);
     Variable i = Sigmoid(SliceColsRange(gates, 0, H));
@@ -137,11 +116,6 @@ void Lstm::CollectParameters(std::vector<Variable>* out) {
   out->push_back(bias_);
 }
 
-void Lstm::PrepareQuantInference() {
-  PrepareQuantWeight(w_x_);
-  PrepareQuantWeight(w_h_);
-}
-
 // ------------------------------------------------------------------- Gru
 
 Gru::Gru(size_t input_dim, size_t hidden_dim, Rng* rng)
@@ -158,39 +132,22 @@ Variable Gru::ForwardBatch(const Variable& x, size_t batch) const {
   const size_t L = x.rows() / batch;  // timesteps
   const size_t H = hidden_dim_;
   Variable h(la::Matrix(batch, H));
-  const bool quant = QuantRoutable(w_xg_) && QuantRoutable(w_hg_) &&
-                     QuantRoutable(w_xc_) && QuantRoutable(w_hc_);
-  Variable xg = quant
-                    ? QuantAffine(x, w_xg_, &bias_g_, la::QuantAct::kNone)
-                    : AddRowBroadcast(MatMul(x, w_xg_), bias_g_);
-  Variable xc = quant
-                    ? QuantAffine(x, w_xc_, &bias_c_, la::QuantAct::kNone)
-                    : AddRowBroadcast(MatMul(x, w_xc_), bias_c_);
+  Variable xg = AddRowBroadcast(MatMul(x, w_xg_), bias_g_);
+  Variable xc = AddRowBroadcast(MatMul(x, w_xc_), bias_c_);
   Variable ones(la::Matrix(batch, H, 1.0f));
   for (size_t t = 0; t < L; ++t) {
-    Variable hg = quant
-                      ? QuantAffine(h, w_hg_, nullptr, la::QuantAct::kNone)
-                      : MatMul(h, w_hg_);
+    Variable hg = MatMul(h, w_hg_);
     Variable gates = Add(SliceRows(xg, t * batch, (t + 1) * batch), hg);
     Variable z = Sigmoid(SliceColsRange(gates, 0, H));
     Variable r = Sigmoid(SliceColsRange(gates, H, 2 * H));
     Variable rh = Mul(r, h);
-    Variable hc = quant
-                      ? QuantAffine(rh, w_hc_, nullptr, la::QuantAct::kNone)
-                      : MatMul(rh, w_hc_);
+    Variable hc = MatMul(rh, w_hc_);
     Variable candidate =
         Tanh(Add(SliceRows(xc, t * batch, (t + 1) * batch), hc));
     // h = (1 - z) * h + z * candidate.
     h = Add(Mul(Sub(ones, z), h), Mul(z, candidate));
   }
   return h;
-}
-
-void Gru::PrepareQuantInference() {
-  PrepareQuantWeight(w_xg_);
-  PrepareQuantWeight(w_hg_);
-  PrepareQuantWeight(w_xc_);
-  PrepareQuantWeight(w_hc_);
 }
 
 void Gru::CollectParameters(std::vector<Variable>* out) {
@@ -248,22 +205,9 @@ Variable MultiHeadSelfAttention::Forward(const Variable& x,
                                          const la::Matrix& mask) const {
   const size_t head_dim = w_o_.rows() / num_heads_;
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  // Under int8 the fused projection is one quantized GEMM (per-column
-  // scales, so each head's columns quantize exactly as a per-head weight
-  // would); the attention tiles and their softmax stay fp32.
-  Variable qkv =
-      QuantRoutable(w_qkv_)
-          ? QuantAffine(x, w_qkv_, &b_qkv_, la::QuantAct::kNone)
-          : AddRowBroadcast(MatMul(x, w_qkv_), b_qkv_);
+  Variable qkv = AddRowBroadcast(MatMul(x, w_qkv_), b_qkv_);
   Variable heads = MultiHeadAttention(qkv, mask, num_heads_, scale);
-  return QuantRoutable(w_o_)
-             ? QuantAffine(heads, w_o_, &b_o_, la::QuantAct::kNone)
-             : AddRowBroadcast(MatMul(heads, w_o_), b_o_);
-}
-
-void MultiHeadSelfAttention::PrepareQuantInference() {
-  PrepareQuantWeight(w_qkv_);
-  PrepareQuantWeight(w_o_);
+  return AddRowBroadcast(MatMul(heads, w_o_), b_o_);
 }
 
 void MultiHeadSelfAttention::CollectParameters(std::vector<Variable>* out) {
@@ -291,20 +235,9 @@ Variable TransformerEncoderLayer::Forward(const Variable& x,
   Variable attended =
       Dropout(attention_.Forward(x, mask), dropout, rng, training);
   Variable h = norm1_.Forward(Add(x, attended));
-  // ffn1 + GELU fuse into one quantized GEMM (the GELU sweep runs on the
-  // dequantized output rows).
-  Variable activated =
-      QuantRoutable(ffn1_.weight())
-          ? QuantAffine(h, ffn1_.weight(), &ffn1_.bias(), la::QuantAct::kGelu)
-          : Gelu(ffn1_.Forward(h));
-  Variable ffn = Dropout(ffn2_.Forward(activated), dropout, rng, training);
+  Variable ffn =
+      Dropout(ffn2_.Forward(Gelu(ffn1_.Forward(h))), dropout, rng, training);
   return norm2_.Forward(Add(h, ffn));
-}
-
-void TransformerEncoderLayer::PrepareQuantInference() {
-  attention_.PrepareQuantInference();
-  ffn1_.PrepareQuantInference();
-  ffn2_.PrepareQuantInference();
 }
 
 void TransformerEncoderLayer::CollectParameters(std::vector<Variable>* out) {

@@ -19,13 +19,6 @@ class Layer {
   Layer& operator=(const Layer&) = delete;
 
   virtual void CollectParameters(std::vector<Variable>* out) = 0;
-
-  /// Builds int8 views of this layer's inference GEMM weights (nn/quant.h);
-  /// Forward then routes through the quantized kernels whenever
-  /// $SEMTAG_QUANT=1. Call only on frozen weights. Default: no GEMM
-  /// weights, nothing to do. Views are dropped by DropQuantWeight sweeps
-  /// over CollectParameters (serialize.cc does this on checkpoint load).
-  virtual void PrepareQuantInference() {}
 };
 
 /// y = x W + b, W: [in x out].
@@ -35,10 +28,6 @@ class Linear : public Layer {
 
   Variable Forward(const Variable& x) const;
   void CollectParameters(std::vector<Variable>* out) override;
-  void PrepareQuantInference() override;
-
-  const Variable& weight() const { return weight_; }
-  const Variable& bias() const { return bias_; }
 
  private:
   Variable weight_;
@@ -52,7 +41,6 @@ class Embedding : public Layer {
 
   Variable Forward(const std::vector<int32_t>& ids) const;
   void CollectParameters(std::vector<Variable>* out) override;
-  void PrepareQuantInference() override;
 
   Variable& table() { return table_; }
   const Variable& table() const { return table_; }
@@ -71,7 +59,6 @@ class ConvPool : public Layer {
   /// at least the maximum width).
   Variable ForwardBatch(const Variable& x, size_t blocks) const;
   void CollectParameters(std::vector<Variable>* out) override;
-  void PrepareQuantInference() override;
 
   int width() const { return width_; }
 
@@ -91,7 +78,6 @@ class Lstm : public Layer {
   /// Returns the final hidden states [B x hidden].
   Variable ForwardBatch(const Variable& x, size_t batch) const;
   void CollectParameters(std::vector<Variable>* out) override;
-  void PrepareQuantInference() override;
 
   size_t hidden_dim() const { return hidden_dim_; }
 
@@ -112,7 +98,6 @@ class Gru : public Layer {
   /// Timestep-major input and [B x hidden] output, as Lstm::ForwardBatch.
   Variable ForwardBatch(const Variable& x, size_t batch) const;
   void CollectParameters(std::vector<Variable>* out) override;
-  void PrepareQuantInference() override;
 
   size_t hidden_dim() const { return hidden_dim_; }
 
@@ -152,7 +137,6 @@ class MultiHeadSelfAttention : public Layer {
 
   Variable Forward(const Variable& x, const la::Matrix& mask) const;
   void CollectParameters(std::vector<Variable>* out) override;
-  void PrepareQuantInference() override;
 
  private:
   size_t num_heads_;
@@ -174,7 +158,6 @@ class TransformerEncoderLayer : public Layer {
   Variable Forward(const Variable& x, const la::Matrix& mask, double dropout,
                    Rng* rng, bool training) const;
   void CollectParameters(std::vector<Variable>* out) override;
-  void PrepareQuantInference() override;
 
  private:
   MultiHeadSelfAttention attention_;

@@ -8,7 +8,6 @@
 #include "common/file_io.h"
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "nn/quant.h"
 
 namespace semtag::nn {
 
@@ -123,9 +122,6 @@ Status LoadCheckpoint(const std::string& path,
     }
     ReadRaw(buf, &pos, p.mutable_value().data(),
             rows * cols * sizeof(float));
-    // Loaded bytes replace the weight: any int8 view built from the old
-    // values is stale. The owner re-prepares once the model is frozen.
-    DropQuantWeight(p);
   }
   return Status::OK();
 }

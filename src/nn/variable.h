@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "la/matrix.h"
-#include "la/quant.h"
 
 namespace semtag::nn {
 
@@ -27,10 +26,6 @@ struct Node {
   std::vector<std::shared_ptr<Node>> parents;
   /// Adds this node's contribution to its parents' grads. Null for leaves.
   std::function<void(Node*)> backward;
-  /// Frozen int8 view of `value`, built by nn::PrepareQuantWeight* when a
-  /// model freezes; null while the weight can still change. shared_ptr so
-  /// an in-flight quantized GEMM on another thread survives invalidation.
-  std::shared_ptr<const la::QuantizedMatrix> quant_view;
 
   /// Ensures grad is allocated (zeros) and returns it.
   la::Matrix* EnsureGrad();

@@ -67,9 +67,8 @@ class TraceSpan {
 /// Process-wide key/value metadata exported in the trace JSON's
 /// "otherData" object (chrome://tracing shows it under Metadata). Used to
 /// stamp runs with environment facts a span stream cannot carry — e.g.
-/// the dispatched SIMD tier and whether the int8 inference tier was on —
-/// so an exported trace identifies which kernels produced it. Last write
-/// per key wins; thread-safe.
+/// the dispatched SIMD tier — so an exported trace identifies which
+/// kernels produced it. Last write per key wins; thread-safe.
 void SetTraceMetadata(const std::string& key, const std::string& value);
 
 /// Flushes every thread's ring into one chrome-trace JSON file (atomic

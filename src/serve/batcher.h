@@ -45,11 +45,11 @@ using BatchSink = std::function<void(const std::vector<ScoredRequest>&)>;
 ///
 /// Submit() appends to a bounded pending queue. Flush() cuts the queue
 /// into batches of at most batch_cap and drives the model's batched
-/// ScoreAll on each (the cascade tier by default, composing with
-/// SEMTAG_QUANT underneath). Batching is work-conserving: a batch is
-/// whatever was pending, cut at the cap, and nothing is held for company,
-/// so batch size follows the load. Each batch acquires one registry
-/// snapshot, so a hot-swap never splits a batch across model versions.
+/// ScoreAll on each (the cascade tier by default). Batching is
+/// work-conserving: a batch is whatever was pending, cut at the cap, and
+/// nothing is held for company, so batch size follows the load. Each
+/// batch acquires one registry snapshot, so a hot-swap never splits a
+/// batch across model versions.
 ///
 /// Admission control: Submit() returns false (shed) when queue_cap
 /// requests are already pending or the batcher is draining; callers map

@@ -129,7 +129,7 @@ Result<ModelSpec> LoadModelSpecFile(const std::string& path) {
 }
 
 Result<std::unique_ptr<models::TaggingModel>> BuildModelFromSpec(
-    const ModelSpec& spec) {
+    const ModelSpec& spec, CancellationToken cancel) {
   if (!spec.file.empty()) {
     // Persisted checkpoints (semtag train --out): the simple families the
     // paper recommends for production retraining loops.
@@ -174,6 +174,7 @@ Result<std::unique_ptr<models::TaggingModel>> BuildModelFromSpec(
       return Status::Internal("factory returned null for " + spec.model);
     }
   }
+  model->set_cancellation(std::move(cancel));
   const Status st = model->Train(train);
   if (!st.ok()) return st;
   return model;
@@ -195,12 +196,15 @@ uint64_t ModelRegistry::Install(std::unique_ptr<models::TaggingModel> model,
   return version;
 }
 
-Result<uint64_t> ModelRegistry::SwapFromSpecFile(const std::string& path) {
+Result<uint64_t> ModelRegistry::SwapFromSpecFile(const std::string& path,
+                                                 CancellationToken cancel) {
   FaultInjected(FaultPoint::kStall, path);  // holds a swap in flight (tests)
   auto spec = LoadModelSpecFile(path);
   if (!spec.ok()) return spec.status();
-  auto model = BuildModelFromSpec(*spec);
+  auto model = BuildModelFromSpec(*spec, cancel);
   if (!model.ok()) return model.status();
+  // Checkpoint loads never poll the token, and Train may end unpolled.
+  if (cancel.cancelled()) return cancel.status();
   const std::string source = StrFormat(
       "%s (spec %s)", spec->model.c_str(), path.c_str());
   const uint64_t version =
@@ -224,15 +228,17 @@ SwapSlot::SwapSlot(ModelRegistry* registry, std::function<void()> wake)
     : registry_(registry), wake_(std::move(wake)) {}
 
 SwapSlot::~SwapSlot() {
+  Cancel();
   if (worker_.joinable()) worker_.join();
 }
 
 bool SwapSlot::Start(const std::string& path, Done done) {
   if (busy()) return false;
   done_ = std::move(done);
-  worker_ = std::thread([this, path] {
+  cancel_ = CancellationToken::Manual();
+  worker_ = std::thread([this, path, cancel = cancel_] {
     obs::TraceSpan span("serve/swap");
-    result_ = registry_->SwapFromSpecFile(path);
+    result_ = registry_->SwapFromSpecFile(path, cancel);
     if (wake_) wake_();
   });
   return true;

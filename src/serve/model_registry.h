@@ -10,6 +10,7 @@
 #include <string>
 #include <thread>
 
+#include "common/cancellation.h"
 #include "common/status.h"
 #include "models/model.h"
 
@@ -57,9 +58,10 @@ struct ServableModel {
 /// Builds (trains or loads) the model a spec describes. Training uses the
 /// named synthetic dataset spec's train split at `spec.seed` — the same
 /// data path the offline grid uses, so a served model is bit-identical to
-/// its offline twin.
+/// its offline twin. `cancel` goes to the model's Train (a Cascade
+/// forwards it to both tiers).
 Result<std::unique_ptr<models::TaggingModel>> BuildModelFromSpec(
-    const ModelSpec& spec);
+    const ModelSpec& spec, CancellationToken cancel = {});
 
 /// Holds the currently-served model behind a mutex-guarded shared_ptr.
 /// (Not std::atomic<shared_ptr>: libstdc++'s _Sp_atomic releases its
@@ -87,8 +89,11 @@ class ModelRegistry {
 
   /// Loads + verifies the spec file, builds the model, and flips it in.
   /// On any failure the current model keeps serving. A `stall` fault
-  /// matching `path` sleeps before the load.
-  Result<uint64_t> SwapFromSpecFile(const std::string& path);
+  /// matching `path` sleeps before the load. Once `cancel` fires, training
+  /// stops at its next step and nothing is flipped in: the result is the
+  /// token's status.
+  Result<uint64_t> SwapFromSpecFile(const std::string& path,
+                                    CancellationToken cancel = {});
 
   /// The current model, or nullptr before the first Install. Holders keep
   /// the returned model alive across swaps.
@@ -117,7 +122,7 @@ class SwapSlot {
   /// `registry` must outlive the slot. `wake` may be empty.
   explicit SwapSlot(ModelRegistry* registry,
                     std::function<void()> wake = nullptr);
-  /// Joins a build still in flight without running its `done`.
+  /// Cancels and joins a build still in flight without running its `done`.
   ~SwapSlot();
   SwapSlot(const SwapSlot&) = delete;
   SwapSlot& operator=(const SwapSlot&) = delete;
@@ -129,6 +134,11 @@ class SwapSlot {
   /// `done`. No-op when the slot is idle.
   void Finish();
 
+  /// Cancels the build in flight, so the next Finish() waits only until
+  /// the build notices (the current training step, or a stall) and `done`
+  /// sees a Cancelled status with the registry unchanged. No-op when idle.
+  void Cancel() { cancel_.Cancel(); }
+
   /// True from a successful Start until the Finish that joins it.
   bool busy() const { return worker_.joinable(); }
 
@@ -138,6 +148,7 @@ class SwapSlot {
   ModelRegistry* registry_;
   const std::function<void()> wake_;
   Done done_;
+  CancellationToken cancel_;  // the build in flight's
   std::optional<Result<uint64_t>> result_;  // the worker's, until Finish
   std::thread worker_;  // last: it uses the members above
 };

@@ -550,7 +550,9 @@ void Server::RunLoop() {
   // Score pending requests as final (partial) batches; every accepted
   // request gets its response before the socket closes.
   batcher_.Drain(write_scored);
-  // Waits out a build in flight so its kSwap reply is written too.
+  // Cancels a build in flight and waits only until it stops, so its kSwap
+  // reply (an error; the registry keeps its version) is written too.
+  slot_.Cancel();
   slot_.Finish();
   FlushAndClose();
   running_.store(false);

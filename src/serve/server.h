@@ -67,8 +67,10 @@ struct ServerCounters {
 ///
 /// Graceful drain (SIGTERM via the ShutdownSignal fd, or Stop()): close
 /// the listen socket, stop reading, score what is pending as final
-/// partial batches, write every pending response, then exit and publish a
-/// final metrics snapshot. A second signal aborts the flush wait.
+/// partial batches, cancel a model build in flight (its kSwap gets kError
+/// and the registry keeps its version), write every pending response,
+/// then exit and publish a final metrics snapshot. A second signal aborts
+/// the flush wait.
 class Server {
  public:
   /// The registry must outlive the server and hold a model before

@@ -32,7 +32,6 @@ const KnobCase kKnobCases[] = {
      "-2"},
     {"SEMTAG_SIMD", "scalar", [](RuntimeConfig* c) { c->simd = "scalar"; },
      "sse2"},
-    {"SEMTAG_QUANT", "1", [](RuntimeConfig* c) { c->quant = true; }, "yes"},
     {"SEMTAG_FAULT", "read_corrupt:match=ckpt",
      [](RuntimeConfig* c) { c->fault = "read_corrupt:match=ckpt"; }, nullptr},
     {"SEMTAG_CELL_DEADLINE_MS", "25000",
@@ -78,7 +77,7 @@ TEST(RuntimeConfigTest, EveryKnobParsesItsValueDefaultAndInvalidValue) {
   }
   const std::vector<std::string> names = RuntimeKnobNames();
   EXPECT_EQ(covered, std::set<std::string>(names.begin(), names.end()));
-  EXPECT_EQ(names.size(), 10u);
+  EXPECT_EQ(names.size(), 9u);
 }
 
 TEST(RuntimeConfigTest, EdgeValuesKeepTheirSyntax) {
@@ -93,11 +92,11 @@ TEST(RuntimeConfigTest, ScopedOverridesNestAndRestore) {
   const RuntimeConfig before = GetRuntimeConfig();
   {
     const ScopedRuntimeOverride outer(
-        {{"SEMTAG_QUANT", "1"}, {"SEMTAG_CASCADE", "SVM+CNN"}});
-    EXPECT_TRUE(GetRuntimeConfig().quant);
+        {{"SEMTAG_CASCADE_BUDGET", "2"}, {"SEMTAG_CASCADE", "SVM+CNN"}});
+    EXPECT_EQ(GetRuntimeConfig().cascade_budget, 2.0);
     {
       const ScopedRuntimeOverride inner({{"SEMTAG_CASCADE", ""}});
-      EXPECT_TRUE(GetRuntimeConfig().quant);
+      EXPECT_EQ(GetRuntimeConfig().cascade_budget, 2.0);
       EXPECT_EQ(GetRuntimeConfig().cascade, "auto");  // "" = the default
     }
     EXPECT_EQ(GetRuntimeConfig().cascade, "SVM+CNN");

@@ -1,7 +1,7 @@
 // Confidence-gated cascade (core/cascade.h): calibration sweep, policy,
 // env parsing, end-to-end training, and the determinism contract — the
 // escalated set and the final scores must be bit-identical across thread
-// counts, batch caps, and within each SEMTAG_QUANT lane.
+// counts and batch caps.
 
 #include <algorithm>
 #include <cmath>
@@ -375,7 +375,7 @@ class CascadeDeterminismTest : public ::testing::Test {
   };
 
   /// Trains a fresh cascade and scores the test split under the current
-  /// environment (thread count, deep-batch cap, quant lane).
+  /// environment (thread count).
   Fingerprint Run(int threads) {
     SetGlobalPoolThreads(threads);
     data::Dataset d = CascadeDataset(400, 17);
@@ -427,18 +427,6 @@ TEST_F(CascadeDeterminismTest, EscalationInvariantAcrossDeepBatchCaps) {
     }
     EXPECT_EQ(capped_mask, mask) << "cap " << cap;
     EXPECT_EQ(capped_scores, scores) << "cap " << cap;
-  }
-}
-
-TEST_F(CascadeDeterminismTest, ThreadInvarianceHoldsInBothQuantLanes) {
-  // SEMTAG_QUANT changes the scores (int8 kernels), so lanes are not
-  // compared to each other — within each lane, thread-count invariance
-  // and path agreement must hold bit-for-bit.
-  for (const char* lane : {"0", "1"}) {
-    const ScopedRuntimeOverride env({{"SEMTAG_QUANT", lane}});
-    const Fingerprint t1 = Run(1);
-    const Fingerprint t4 = Run(4);
-    EXPECT_EQ(t1, t4) << "quant lane " << lane;
   }
 }
 

@@ -219,41 +219,5 @@ TEST_F(ParallelDeterminismTest, BatchedDeepInferenceBitIdentical) {
   }
 }
 
-TEST_F(ParallelDeterminismTest, QuantOverrideFlipsBetweenPoolScoreAllCalls) {
-  // Pool threads read the int8 switch inside quantizable GEMMs. Installing
-  // and restoring an override on this thread between ScoreAll calls must
-  // hand them one whole config or the other (TSan: no race), and each tier
-  // must score exactly as it does on its own.
-  models::CnnOptions options;
-  options.epochs = 1;
-  options.min_optimizer_steps = 1;
-  options.max_train_examples = 120;
-  models::TextCnn cnn(options);
-  const data::Dataset dataset = SmallDataset(160);
-  SetGlobalPoolThreads(1);
-  {
-    const ScopedRuntimeOverride fp32_training({{"SEMTAG_QUANT", "0"}});
-    ASSERT_TRUE(cnn.Train(dataset).ok());
-  }
-  const auto texts = dataset.Texts();
-
-  SetGlobalPoolThreads(4);
-  std::vector<double> fp32, int8;
-  {
-    const ScopedRuntimeOverride tier({{"SEMTAG_QUANT", "0"}});
-    fp32 = cnn.ScoreAll(texts);
-  }
-  {
-    const ScopedRuntimeOverride tier({{"SEMTAG_QUANT", "1"}});
-    int8 = cnn.ScoreAll(texts);
-  }
-  ASSERT_NE(fp32, int8) << "the int8 tier never engaged";
-  for (int round = 0; round < 4; ++round) {
-    const bool quant = round % 2 == 0;
-    const ScopedRuntimeOverride tier({{"SEMTAG_QUANT", quant ? "1" : "0"}});
-    EXPECT_EQ(cnn.ScoreAll(texts), quant ? int8 : fp32) << "round " << round;
-  }
-}
-
 }  // namespace
 }  // namespace semtag

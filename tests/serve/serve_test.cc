@@ -3,14 +3,16 @@
 // batcher scores nothing, cap=1 bit-identity, the drain's partial batch,
 // admission rejection, swap-between-rounds consistency, one queue delay
 // per scored request), traffic stats, and end-to-end socket tests pinning
-// responses bit-identical to offline Score(), one round's batch cuts, and
-// the one-swap-in-flight bound.
+// responses bit-identical to offline Score(), one round's batch cuts, the
+// one-swap-in-flight bound, and the drain cancelling a build in flight.
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -250,6 +252,28 @@ TEST(ModelRegistryTest, SwapFromCheckpointSpecFile) {
   const auto servable = registry.Acquire();
   const std::string text = dataset[0].text;
   EXPECT_EQ(servable->model->Score(text), svm->Score(text));
+}
+
+TEST(ModelRegistryTest, CancelledBuildStopsTrainingAndInstallsNothing) {
+  ModelSpec spec;
+  spec.model = "CNN";
+  spec.dataset = "SUGG";
+  spec.records = 200;
+  CancellationToken cancel = CancellationToken::Manual();
+  cancel.Cancel();
+  // The CNN polls the token before its first batch.
+  const auto built = BuildModelFromSpec(spec, cancel);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), semtag::StatusCode::kCancelled);
+
+  const std::string path = TempPath("cancelled_swap.spec");
+  ASSERT_TRUE(WriteModelSpecFile(path, spec).ok());
+  ModelRegistry registry;
+  registry.Install(TrainedSvm(TinyDataset()), "initial");
+  const auto swapped = registry.SwapFromSpecFile(path, cancel);
+  ASSERT_FALSE(swapped.ok());
+  EXPECT_EQ(swapped.status().code(), semtag::StatusCode::kCancelled);
+  EXPECT_EQ(registry.version(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -745,6 +769,51 @@ TEST(ServerTest, SecondSwapWhileOneBuildsIsShed) {
   EXPECT_EQ(counters.swaps_ok, 2u);
   EXPECT_EQ(counters.swaps_failed, 0u);
   EXPECT_EQ(registry.version(), 3u);
+}
+
+TEST(ServerTest, StopCancelsASwapBuildInFlight) {
+  const data::Dataset dataset = TinyDataset();
+  ModelRegistry registry;
+  registry.Install(TrainedSvm(dataset), "svm");
+
+  auto replacement = TrainedSvm(dataset);
+  const std::string checkpoint = TempPath("e2e_stop_checkpoint.bin");
+  ASSERT_TRUE(static_cast<models::LinearSvm*>(replacement.get())
+                  ->Save(checkpoint)
+                  .ok());
+  ModelSpec spec;
+  spec.model = "SVM";
+  spec.file = checkpoint;
+  ASSERT_TRUE(WriteModelSpecFile(TempPath("e2e_stop_swap.spec"), spec).ok());
+
+  ServerOptions options;
+  options.replan.spec_dir = testing::TempDir();
+  Server server(&registry, options);
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  {
+    // Hold the build in flight, then stop the server under it: the drain
+    // cancels the build instead of waiting it out and installing it.
+    ScopedFaults faults("stall:match=e2e_stop_swap.spec:count=1:ms=300");
+    ASSERT_TRUE(client.Send(static_cast<uint8_t>(Opcode::kSwap),
+                            "e2e_stop_swap.spec"));
+    for (int i = 0; i < 1000 && FaultTriggerCount(FaultPoint::kStall) == 0;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(FaultTriggerCount(FaultPoint::kStall), 1);
+    server.Stop();
+  }
+  uint8_t tag = 0;
+  std::string payload;
+  ASSERT_TRUE(client.ReadFrame(&tag, &payload));
+  EXPECT_EQ(tag, static_cast<uint8_t>(StatusCode::kError));
+  EXPECT_NE(payload.find("Cancelled"), std::string::npos) << payload;
+  EXPECT_EQ(registry.version(), 1u);
+  const ServerCounters counters = server.counters();
+  EXPECT_EQ(counters.swaps_ok, 0u);
+  EXPECT_EQ(counters.swaps_failed, 1u);
 }
 
 TEST(ServerTest, HotSwapOverTheWire) {
