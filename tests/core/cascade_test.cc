@@ -430,6 +430,27 @@ TEST_F(CascadeDeterminismTest, EscalationInvariantAcrossDeepBatchCaps) {
   }
 }
 
+TEST_F(CascadeDeterminismTest, ThreadInvarianceHoldsInBothQuantLanes) {
+  // The name dates from when the cascade scored in an fp32 and an int8
+  // lane; fp32 is the only lane left. ThresholdAndScoresInvariantAcrossThreads
+  // retrains per pool size; this pins the other half: one trained cascade
+  // scores bit-identically when the pool is resized between training and
+  // scoring, as a serve process resizing its pool under a loaded model does.
+  SetGlobalPoolThreads(1);
+  data::Dataset d = CascadeDataset(400, 17);
+  auto [train, test] = d.Split(0.8);
+  Cascade cascade(PinnedPair());
+  ASSERT_TRUE(cascade.Train(train).ok());
+  const auto texts = test.Texts();
+  const auto mask = cascade.EscalationMask(texts);
+  const auto scores = cascade.ScoreAll(texts);
+  for (int threads : {4, 16}) {
+    SetGlobalPoolThreads(threads);
+    EXPECT_EQ(cascade.EscalationMask(texts), mask) << threads << " threads";
+    EXPECT_EQ(cascade.ScoreAll(texts), scores) << threads << " threads";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Runner integration
 // ---------------------------------------------------------------------------
