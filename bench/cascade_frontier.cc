@@ -77,7 +77,7 @@ CellResult RunCell(const data::DatasetSpec& spec, double budget_pts,
   auto [train, test] = dataset.Split(spec.train_fraction);
   train.set_name(spec.name);
 
-  core::CascadeOptions options = core::CascadeOptionsFromConfig();
+  core::CascadeOptions options;
   options.budget_pts = budget_pts;
   core::Cascade cascade(options);
   Status st = cascade.Train(train);
@@ -188,7 +188,6 @@ int Main(int argc, char** argv) {
   // The per-tier latency attribution needs the histograms recording even
   // without an explicit --metrics flag.
   obs::SetMetricsEnabled(true);
-  core::EnsureCascadeRegistered();
 
   const std::vector<std::string> names =
       smoke ? std::vector<std::string>{"AMAZON"}

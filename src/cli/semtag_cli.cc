@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -95,50 +96,35 @@ int TrainCmd(int argc, char** argv) {
   }
   if (out.empty()) flags.Fail("out", "a file to save the model in is required");
   const data::Dataset dataset = LoadData(flags, csv);
-
-  Status save = Status::OK();
-  double train_seconds = 0.0;
+  std::unique_ptr<models::LinearModel> model;
   if (model_name == "LR") {
-    models::LogisticRegression model;
-    const Status st = model.Train(dataset);
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
-    train_seconds = model.train_seconds();
-    save = model.Save(out);
+    model = std::make_unique<models::LogisticRegression>();
   } else {
-    models::LinearSvm model;
-    const Status st = model.Train(dataset);
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
-    train_seconds = model.train_seconds();
-    save = model.Save(out);
+    model = std::make_unique<models::LinearSvm>();
   }
-  if (!save.ok()) {
-    std::fprintf(stderr, "%s\n", save.ToString().c_str());
+  Status st = model->Train(dataset);
+  if (st.ok()) st = model->Save(out);
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
   std::printf("trained %s on %zu records in %.2fs -> %s\n",
-              model_name.c_str(), dataset.size(), train_seconds,
+              model_name.c_str(), dataset.size(), model->train_seconds(),
               out.c_str());
   return 0;
 }
 
-/// Loads whichever persistable model the file contains.
-Result<std::unique_ptr<models::TaggingModel>> LoadSaved(
-    const std::string& path) {
-  if (auto lr = models::LogisticRegression::Load(path); lr.ok()) {
-    return std::unique_ptr<models::TaggingModel>(
-        new models::LogisticRegression(std::move(lr).ValueOrDie()));
+/// The --saved checkpoint, whichever family it holds. A missing flag exits
+/// 2, a file that does not load 1.
+std::unique_ptr<models::LinearModel> LoadCheckpoint(const Flags& flags,
+                                                    const std::string& path) {
+  if (path.empty()) flags.Fail("saved", "a saved model file is required");
+  auto model = models::LoadLinearModel(path);
+  if (!model.ok()) {
+    std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
+    std::exit(1);
   }
-  if (auto svm = models::LinearSvm::Load(path); svm.ok()) {
-    return std::unique_ptr<models::TaggingModel>(
-        new models::LinearSvm(std::move(svm).ValueOrDie()));
-  }
-  return Status::InvalidArgument("cannot load model from " + path);
+  return std::move(model).ValueOrDie();
 }
 
 int Evaluate(int argc, char** argv) {
@@ -147,17 +133,11 @@ int Evaluate(int argc, char** argv) {
   flags.String("saved", &saved, "a model saved by semtag train");
   flags.String("data", &csv, "CSV with text and label columns");
   flags.ParseOrExit(argc, argv, 2);
-  if (saved.empty()) flags.Fail("saved", "a saved model file is required");
-  auto model = LoadSaved(saved);
-  if (!model.ok()) {
-    std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
-    return 1;
-  }
+  const auto model = LoadCheckpoint(flags, saved);
   const data::Dataset dataset = LoadData(flags, csv);
   const auto labels = dataset.Labels();
-  const auto scores = (*model)->ScoreAll(dataset.Texts());
-  const auto preds =
-      eval::ThresholdScores(scores, (*model)->DecisionThreshold());
+  const auto scores = model->ScoreAll(dataset.Texts());
+  const auto preds = eval::ThresholdScores(scores, model->DecisionThreshold());
   const auto confusion = eval::ComputeConfusion(labels, preds);
   std::printf("records    %zu\n", dataset.size());
   std::printf("precision  %.3f\n", confusion.Precision());
@@ -179,29 +159,16 @@ int Predict(int argc, char** argv) {
   flags.Bool("explain", &explain,
              "print the three features that drive each score");
   flags.ParseOrExit(argc, argv, 2);
-  if (saved.empty()) flags.Fail("saved", "a saved model file is required");
+  const auto model = LoadCheckpoint(flags, saved);
   const data::Dataset dataset = LoadData(flags, csv);
-  // Explain needs the concrete type; try LR then SVM.
-  auto lr = models::LogisticRegression::Load(saved);
-  auto svm = lr.ok() ? Result<models::LinearSvm>(
-                           Status::NotFound("unused"))
-                     : models::LinearSvm::Load(saved);
-  if (!lr.ok() && !svm.ok()) {
-    std::fprintf(stderr, "cannot load model: %s\n",
-                 svm.status().ToString().c_str());
-    return 1;
-  }
   std::printf("prediction,score,text\n");
   for (const auto& e : dataset.examples()) {
-    const double score =
-        lr.ok() ? lr->Score(e.text) : svm->Score(e.text);
-    const double threshold = lr.ok() ? 0.5 : 0.0;
-    std::printf("%d,%.4f,\"%s\"\n", score >= threshold ? 1 : 0, score,
+    const double score = model->Score(e.text);
+    std::printf("%d,%.4f,\"%s\"\n",
+                score >= model->DecisionThreshold() ? 1 : 0, score,
                 e.text.c_str());
     if (explain) {
-      const auto contributions = lr.ok() ? lr->Explain(e.text, 3)
-                                         : svm->Explain(e.text, 3);
-      for (const auto& c : contributions) {
+      for (const auto& c : model->Explain(e.text, 3)) {
         std::printf("#   %-24s %+0.4f\n", c.feature.c_str(),
                     c.contribution);
       }
@@ -212,10 +179,11 @@ int Predict(int argc, char** argv) {
 
 /// Trains the confidence-gated cascade on 80% of the CSV and reports the
 /// calibrated threshold, the escalation rate, and held-out F1 against
-/// always-deep. Flags override SEMTAG_CASCADE / SEMTAG_CASCADE_BUDGET.
+/// always-deep. Starts from the default options (the auto policy at 0.5
+/// F1 pts); --pair and --budget override them.
 int CascadeCmd(int argc, char** argv) {
   std::string csv, pair;
-  core::CascadeOptions options = core::CascadeOptionsFromConfig();
+  core::CascadeOptions options;
   Flags flags("semtag cascade");
   flags.String("data", &csv, "CSV with text and label columns");
   flags.Number("budget", &options.budget_pts, 0.0, 100.0,
@@ -226,7 +194,6 @@ int CascadeCmd(int argc, char** argv) {
     flags.Fail("pair", "must be <simple>+<deep> (e.g. SVM+BERT) or simple");
   }
   data::Dataset data = LoadData(flags, csv);
-  core::EnsureCascadeRegistered();
   Rng rng(13);
   data.Shuffle(&rng);
   auto [train, test] = data.Split(0.8);

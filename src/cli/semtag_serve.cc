@@ -79,8 +79,8 @@ int Main(int argc, char** argv) {
   flags.String("trace", &trace, "arm tracing; export spans to this file");
   flags.ParseOrExit(argc, argv);
   if (!replan_pair.empty()) {
-    // The pair hint pins which families the planner may deploy; auto_pair
-    // stays on so the clean/dirty front-end flip still applies.
+    // The pair hint pins which families the planner may deploy; the
+    // policy stays auto so the clean/dirty front-end flip still applies.
     const Status st = core::ParseCascadePair(
         replan_pair, &replan.cascade.simple, &replan.cascade.deep);
     if (!st.ok()) flags.Fail("replan-pair", st.message());

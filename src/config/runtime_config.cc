@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cerrno>
 #include <climits>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <list>
@@ -18,20 +17,13 @@ namespace {
 
 using C = RuntimeConfig;
 
-/// A whole (int64_t) or finite real (double) number, nothing after it.
-template <typename T>
-bool Number(std::string_view text, T* out) {
+/// A whole number, nothing after it.
+bool Number(std::string_view text, int64_t* out) {
   const std::string s(text);
   char* end = nullptr;
   errno = 0;
-  T v;
-  if constexpr (std::is_integral_v<T>) {
-    v = std::strtoll(s.c_str(), &end, 10);
-  } else {
-    v = std::strtod(s.c_str(), &end);
-  }
-  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE ||
-      !std::isfinite(static_cast<double>(v))) {
+  const int64_t v = std::strtoll(s.c_str(), &end, 10);
+  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE) {
     return false;
   }
   *out = v;
@@ -51,13 +43,6 @@ bool Int(std::string_view t, C* c) {
   if (!Number(t, &v) || v < lo || v > hi) return false;
   c->*F = static_cast<std::decay_t<decltype(c->*F)>>(v);
   return true;
-}
-
-/// "<simple>+<deep>", split at the last '+' so that hybrid names such as
-/// "LR+eb" stay whole on the left.
-bool IsPair(std::string_view t) {
-  const size_t plus = t.rfind('+');
-  return plus != std::string_view::npos && plus > 0 && plus + 1 < t.size();
 }
 
 /// One knob: its name, its default as knob text, and how to parse it.
@@ -95,18 +80,6 @@ constexpr Knob kKnobs[] = {
      }},
     {"SEMTAG_METRICS", "", Text<&C::metrics_path>},
     {"SEMTAG_TRACE", "", Text<&C::trace_path>},
-    {"SEMTAG_CASCADE", "auto",
-     [](std::string_view t, C* c) {
-       return (t == "auto" || t == "simple" || IsPair(t)) &&
-              Text<&C::cascade>(t, c);
-     }},
-    {"SEMTAG_CASCADE_BUDGET", "0.5",
-     [](std::string_view t, C* c) {
-       double pts = 0.0;
-       if (!Number(t, &pts) || pts < 0.0 || pts > 100.0) return false;
-       c->cascade_budget = pts;
-       return true;
-     }},
 };
 
 const Knob* FindKnob(std::string_view name) {

@@ -26,8 +26,6 @@ struct RuntimeConfig {
   std::string home;              // $HOME (not a knob)
   std::string metrics_path;      // SEMTAG_METRICS; "" = off
   std::string trace_path;        // SEMTAG_TRACE; "" = off
-  std::string cascade;           // SEMTAG_CASCADE: auto|simple|<S>+<D>
-  double cascade_budget = 0.0;   // SEMTAG_CASCADE_BUDGET, F1 pts [0, 100]
 
   bool operator==(const RuntimeConfig&) const = default;
 };
@@ -60,7 +58,7 @@ std::vector<std::string> RuntimeKnobNames();
 class ScopedRuntimeOverride {
  public:
   explicit ScopedRuntimeOverride(const KnobMap& knobs);
-  /// The literal form: ScopedRuntimeOverride o({{"SEMTAG_CASCADE", "simple"}}).
+  /// The literal form: ScopedRuntimeOverride o({{"SEMTAG_SIMD", "scalar"}}).
   ScopedRuntimeOverride(std::initializer_list<KnobMap::value_type> knobs)
       : ScopedRuntimeOverride(KnobMap(knobs)) {}
   ~ScopedRuntimeOverride();

@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "common/timer.h"
-#include "config/runtime_config.h"
 #include "data/specs.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -22,18 +21,10 @@ namespace {
 /// the deep one, the deep tier buys nothing measurable.
 double BudgetAsF1(double budget_pts) { return budget_pts / 100.0; }
 
-std::unique_ptr<models::TaggingModel> CreateCascadeFromConfig(
-    models::ModelKind kind, uint64_t seed) {
-  SEMTAG_CHECK(kind == models::ModelKind::kCascade);
-  return std::make_unique<Cascade>(CascadeOptionsFromConfig(seed));
-}
+/// Trailing fraction of the training set held out for calibration.
+constexpr double kHoldoutFraction = 0.2;
 
 }  // namespace
-
-bool EnsureCascadeRegistered() {
-  models::SetMetaModelFactory(&CreateCascadeFromConfig);
-  return true;
-}
 
 Status ParseCascadePair(const std::string& text, models::ModelKind* simple,
                         models::ModelKind* deep) {
@@ -57,28 +48,13 @@ Status ParseCascadePair(const std::string& text, models::ModelKind* simple,
 Status ApplyCascadePolicy(const std::string& text, CascadeOptions* options) {
   if (text.empty() || text == "auto") return Status::OK();
   if (text == "simple") {
-    options->force_simple_only = true;
-    options->auto_pair = false;
+    options->policy = CascadePolicy::kSimpleOnly;
     return Status::OK();
   }
   const Status st = ParseCascadePair(text, &options->simple, &options->deep);
   if (!st.ok()) return st;
-  options->auto_pair = false;
-  options->allow_simple_only = false;  // the user asked for this pair
+  options->policy = CascadePolicy::kPinnedPair;
   return Status::OK();
-}
-
-CascadeOptions CascadeOptionsFromConfig(uint64_t seed) {
-  const RuntimeConfig& config = GetRuntimeConfig();
-  CascadeOptions options;
-  options.seed = seed;
-  options.budget_pts = config.cascade_budget;
-  if (const Status st = ApplyCascadePolicy(config.cascade, &options);
-      !st.ok()) {
-    SEMTAG_LOG(kWarning, "SEMTAG_CASCADE='%s': %s; using the auto policy",
-               config.cascade.c_str(), st.ToString().c_str());
-  }
-  return options;
 }
 
 CascadePlan PlanCascade(const DatasetProfile& profile,
@@ -98,12 +74,12 @@ CascadePlan PlanCascadeBiased(const DatasetProfile& profile,
   const HeatMapPoint point = InterpolateHeatMap(profile, reference);
   plan.expected_deep_f1 = point.bert_f1;
   plan.expected_simple_f1 = point.svm_f1;
-  if (options.force_simple_only) {
+  if (options.policy == CascadePolicy::kSimpleOnly) {
     plan.simple_only = true;
-    plan.rationale = "simple-only forced (SEMTAG_CASCADE=simple)";
+    plan.rationale = "simple-only forced (policy \"simple\")";
     return plan;
   }
-  if (options.auto_pair) {
+  if (options.policy == CascadePolicy::kAuto) {
     // LR's sigmoid spreads margins smoothly under label noise where hinge
     // training piles them up near the boundary, which starves the
     // threshold sweep of resolution — so dirty cells front with LR.
@@ -121,7 +97,7 @@ CascadePlan PlanCascadeBiased(const DatasetProfile& profile,
     bias = incumbent->simple_only ? -BudgetAsF1(margin_pts)
                                   : BudgetAsF1(margin_pts);
   }
-  if (options.allow_simple_only && edge >= bias) {
+  if (options.policy == CascadePolicy::kAuto && edge >= bias) {
     plan.simple_only = true;
     plan.rationale = StrFormat(
         "heat-map cell favours simple (expected simple F1 %.2f vs deep "
@@ -263,7 +239,7 @@ Status Cascade::Train(const data::Dataset& train) {
   plan_ = PlanCascade(profile, PaperHeatMap(), options_);
 
   const size_t holdout_size = static_cast<size_t>(
-      static_cast<double>(train.size()) * options_.holdout_fraction);
+      static_cast<double>(train.size()) * kHoldoutFraction);
   const bool calibratable = !plan_.simple_only && holdout_size >= 4;
   if (!plan_.simple_only && !calibratable) {
     plan_.simple_only = true;
@@ -287,7 +263,7 @@ Status Cascade::Train(const data::Dataset& train) {
     return Status::OK();
   }
 
-  auto [fit, holdout] = train.Split(1.0 - options_.holdout_fraction);
+  auto [fit, holdout] = train.Split(1.0 - kHoldoutFraction);
   fit.set_name(train.name());
   simple_ = models::CreateModelSeeded(plan_.simple, options_.seed);
   deep_ = models::CreateModelSeeded(plan_.deep, options_.seed);
@@ -341,14 +317,7 @@ bool Cascade::WouldEscalate(double simple_score) const {
 }
 
 double Cascade::Score(std::string_view text) const {
-  SEMTAG_CHECK(trained_);
-  const double simple_score = simple_->Score(text);
-  SEMTAG_OBS_COUNT("cascade/examples_total", 1);
-  if (!WouldEscalate(simple_score)) {
-    return simple_->ProbabilityFromScore(simple_score);
-  }
-  SEMTAG_OBS_COUNT("cascade/examples_escalated", 1);
-  return deep_->Probability(text);
+  return ScoreAll({std::string(text)})[0];
 }
 
 std::vector<double> Cascade::ScoreAll(

@@ -13,50 +13,48 @@
 
 namespace semtag::core {
 
+/// Which pair the cascade runs, and whether it may drop its deep tier.
+enum class CascadePolicy {
+  /// The planner picks the front end from the dataset profile (SVM for
+  /// clean data, LR for dirty), escalates to `deep`, and degenerates to
+  /// simple-only on heat-map cells where the simple model already wins.
+  kAuto,
+  /// `simple` and `deep` verbatim; never degenerates to simple-only.
+  kPinnedPair,
+  /// `simple` alone: the deep tier is never trained.
+  kSimpleOnly,
+};
+
 /// Configuration of the confidence-gated cascade (DESIGN.md "Cascade
-/// inference"). Defaults reproduce the production recommendation: SVM front
-/// end, mini-BERT escalation tier, threshold calibrated to give up at most
-/// 0.5 F1 points versus always-deep.
+/// inference"). The defaults are what a grid CASCADE cell runs: the auto
+/// policy over a mini-BERT escalation tier, threshold calibrated to give
+/// up at most 0.5 F1 points versus always-deep.
 struct CascadeOptions {
-  /// Simple front-end / deep escalation tier. Used verbatim when
-  /// auto_pair is false; otherwise the policy may override them from the
-  /// dataset profile (PlanCascade).
+  CascadePolicy policy = CascadePolicy::kAuto;
+  /// Simple front end / deep escalation tier (see CascadePolicy for which
+  /// one the policy may override).
   models::ModelKind simple = models::ModelKind::kSvm;
   models::ModelKind deep = models::ModelKind::kBert;
   /// Accuracy budget: the calibrated threshold is the smallest one whose
   /// holdout F1 stays within `budget_pts` F1 points (1 pt = 0.01 F1) of
   /// scoring everything with the deep model.
   double budget_pts = 0.5;
-  /// Trailing fraction of the training set held out for calibration.
-  double holdout_fraction = 0.2;
-  /// Let the policy pick the simple/deep pair per heat-map cell.
-  bool auto_pair = true;
-  /// Let the policy degenerate to simple-only (deep never trained) on
-  /// cells where the reference heat map says the simple model wins.
-  bool allow_simple_only = true;
-  /// Skip the deep tier unconditionally (SEMTAG_CASCADE=simple).
-  bool force_simple_only = false;
   uint64_t seed = 0;
 };
 
-/// The one parser of a "<simple>+<deep>" pair, behind SEMTAG_CASCADE,
-/// semtag_serve --replan-pair and the spec-file `cascade` field. Splits
-/// at the last '+', so hybrid names such as "LR+eb" stay whole on the
-/// left, and requires a simple front end and a deep escalation tier.
-/// Writes the outputs only on success.
+/// The one parser of a "<simple>+<deep>" pair, behind semtag_serve
+/// --replan-pair and ApplyCascadePolicy. Splits at the last '+', so hybrid
+/// names such as "LR+eb" stay whole on the left, and requires a simple
+/// front end and a deep escalation tier. Writes the outputs only on
+/// success.
 Status ParseCascadePair(const std::string& text, models::ModelKind* simple,
                         models::ModelKind* deep);
 
-/// Applies a pair policy to `options`: "" or "auto" leaves the pair to the
-/// planner, "simple" forces the front end alone (deep never trained), and
-/// a pair pins both tiers and never degenerates to simple-only. On error
-/// `options` is unchanged.
+/// The one parser of a policy, behind semtag cascade --pair, semtag_serve
+/// --cascade and the spec-file `cascade` field: "" or "auto" is kAuto,
+/// "simple" is kSimpleOnly, and a pair is kPinnedPair with both tiers set.
+/// On error `options` is unchanged.
 Status ApplyCascadePolicy(const std::string& text, CascadeOptions* options);
-
-/// CascadeOptions from the runtime config's SEMTAG_CASCADE policy and
-/// SEMTAG_CASCADE_BUDGET. A pair naming unknown models warns and falls
-/// back to the auto policy.
-CascadeOptions CascadeOptionsFromConfig(uint64_t seed = 0);
 
 /// What the policy decided for one dataset: the pair to use, and whether
 /// the deep tier is needed at all on this heat-map cell.
@@ -96,7 +94,7 @@ CascadePlan PlanCascadeBiased(const DatasetProfile& profile,
 
 /// Canonical spec-file name of a plan's execution shape: "simple" for a
 /// degenerate plan, "<SIMPLE>+<DEEP>" otherwise. Round-trips through
-/// ModelSpec.cascade / SEMTAG_CASCADE, and is the identity the re-planner
+/// ModelSpec.cascade (ApplyCascadePolicy), and is the identity the re-planner
 /// compares when deciding whether a profile shift actually changes the
 /// serving pair.
 std::string CascadePairName(const CascadePlan& plan);
@@ -146,8 +144,7 @@ CascadeCalibration CalibrateCascadeThreshold(
 /// Determinism: escalation membership depends only on the simple model's
 /// scores and the calibrated threshold, and both tiers score
 /// deterministically, so the escalated set and the final scores are
-/// bit-identical across thread counts at a fixed environment (the result
-/// cache key folds in the cascade knobs too).
+/// bit-identical across thread counts for fixed options.
 class Cascade : public models::TaggingModel {
  public:
   explicit Cascade(CascadeOptions options = {});
@@ -156,6 +153,7 @@ class Cascade : public models::TaggingModel {
   std::string name() const override { return "CASCADE"; }
   bool is_deep() const override { return false; }
   Status Train(const data::Dataset& train) override;
+  /// ScoreAll of a batch of one.
   double Score(std::string_view text) const override;
   std::vector<double> ScoreAll(
       const std::vector<std::string>& texts) const override;
@@ -187,13 +185,6 @@ class Cascade : public models::TaggingModel {
   std::unique_ptr<models::TaggingModel> deep_;
   bool trained_ = false;
 };
-
-/// Installs the factory hook that lets models::CreateModelSeeded build
-/// ModelKind::kCascade (the cascade lives above models/, so the factory
-/// cannot name it directly). Idempotent; returns true. Called by every
-/// cascade entry point (ExperimentRunner cells, the CLI, benches); call it
-/// before CreateModel(kCascade) from new call sites.
-bool EnsureCascadeRegistered();
 
 }  // namespace semtag::core
 

@@ -233,19 +233,6 @@ std::string ExperimentCacheKey(const data::DatasetSpec& spec,
   h = FnvMix(h, HashDouble(spec.paper_positive));
   h = FnvMix(h, HashDouble(spec.train_fraction));
   h = FnvMix(h, kRunnerVersion);
-  if (kind == models::ModelKind::kCascade) {
-    // A cascade cell's result depends on the cascade configuration, not
-    // just the dataset: fold it in so SEMTAG_CASCADE/SEMTAG_CASCADE_BUDGET
-    // changes miss the cache instead of replaying stale cells.
-    const CascadeOptions opt = CascadeOptionsFromConfig(seed);
-    h = FnvMix(h, static_cast<uint64_t>(opt.simple));
-    h = FnvMix(h, static_cast<uint64_t>(opt.deep));
-    h = FnvMix(h, HashDouble(opt.budget_pts));
-    h = FnvMix(h, HashDouble(opt.holdout_fraction));
-    h = FnvMix(h, (opt.auto_pair ? 1u : 0u) |
-                      (opt.allow_simple_only ? 2u : 0u) |
-                      (opt.force_simple_only ? 4u : 0u));
-  }
   return StrFormat("%s|%s|s%" PRIu64 "|%016" PRIx64, spec.name.c_str(),
                    models::ModelKindName(kind), seed, h);
 }
@@ -288,8 +275,13 @@ ExperimentResult TrainAndEvaluate(const data::Dataset& train,
   FaultInjected(FaultPoint::kStall, cell);
   FaultInjected(FaultPoint::kCrash, cell);
 
-  if (kind == models::ModelKind::kCascade) EnsureCascadeRegistered();
-  auto model = models::CreateModelSeeded(kind, seed);
+  // A grid CASCADE cell runs the default options: the auto policy.
+  std::unique_ptr<models::TaggingModel> model;
+  if (kind == models::ModelKind::kCascade) {
+    model = std::make_unique<Cascade>(CascadeOptions{.seed = seed});
+  } else {
+    model = models::CreateModelSeeded(kind, seed);
+  }
   SEMTAG_CHECK(model != nullptr);
   model->set_cancellation(cancel);
   const Status st = model->Train(train);

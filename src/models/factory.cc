@@ -69,14 +69,6 @@ bool IsDeep(ModelKind kind) {
   }
 }
 
-namespace {
-MetaModelFactory g_meta_factory = nullptr;
-}  // namespace
-
-void SetMetaModelFactory(MetaModelFactory factory) {
-  g_meta_factory = factory;
-}
-
 std::unique_ptr<TaggingModel> CreateModelSeeded(ModelKind kind,
                                                 uint64_t seed) {
   switch (kind) {
@@ -136,8 +128,7 @@ std::unique_ptr<TaggingModel> CreateModelSeeded(ModelKind kind,
           "SVM+eb", &GetPretrainedBackbone(BertVariant::kBert), options);
     }
     case ModelKind::kCascade:
-      return g_meta_factory != nullptr ? g_meta_factory(kind, seed)
-                                       : nullptr;
+      return nullptr;
   }
   return nullptr;
 }

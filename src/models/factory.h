@@ -38,7 +38,9 @@ bool IsDeep(ModelKind kind);
 
 /// Creates a fresh untrained model with the study's default
 /// hyper-parameters (Section 5.1). Transformer kinds pull the shared
-/// pretrained backbone from the cache (first use may pretrain).
+/// pretrained backbone from the cache (first use may pretrain). kCascade
+/// returns nullptr: the cascade lives in core/, above this layer, and its
+/// callers construct core::Cascade with the options they mean.
 std::unique_ptr<TaggingModel> CreateModel(ModelKind kind);
 
 /// Like CreateModel with a per-run seed so repetitions differ (Figure 13).
@@ -47,15 +49,6 @@ std::unique_ptr<TaggingModel> CreateModelSeeded(ModelKind kind,
 
 /// The five representative models of the main study, in paper order.
 const std::vector<ModelKind>& RepresentativeModels();
-
-/// Hook through which layers above models/ provide meta-model kinds the
-/// factory cannot construct itself (the cascade lives in core/, which
-/// links models/ — not the other way round). core/cascade.cc installs its
-/// creator via EnsureCascadeRegistered(); until then CreateModel(kCascade)
-/// returns nullptr.
-using MetaModelFactory = std::unique_ptr<TaggingModel> (*)(ModelKind kind,
-                                                           uint64_t seed);
-void SetMetaModelFactory(MetaModelFactory factory);
 
 }  // namespace semtag::models
 

@@ -80,45 +80,8 @@ Status LinearSvm::Train(const data::Dataset& train) {
   return Status::OK();
 }
 
-Status LinearSvm::Save(const std::string& path) const {
-  if (!trained_) return Status::FailedPrecondition("model not trained");
-  internal::LinearModelState state;
-  state.model_name = "SVM";
-  state.options = options_.bow;
-  const auto& vocab = vectorizer_.vocabulary();
-  for (int32_t id = 0; id < vocab.size(); ++id) {
-    state.tokens.push_back(vocab.TokenOf(id));
-    state.doc_freqs.push_back(vocab.DocFreqOf(id));
-    state.idf.push_back(vectorizer_.IdfOf(id));
-  }
-  state.weights = weights_;
-  state.bias = bias_;
-  return internal::SaveLinearModel(path, state);
-}
-
-Result<LinearSvm> LinearSvm::Load(const std::string& path) {
-  SEMTAG_ASSIGN_OR_RETURN(auto state,
-                          internal::LoadLinearModel(path, "SVM"));
-  SvmOptions options;
-  options.bow = state.options;
-  LinearSvm model(options);
-  model.vectorizer_ = internal::RestoreVectorizer(state);
-  model.weights_ = std::move(state.weights);
-  model.bias_ = state.bias;
-  model.trained_ = true;
-  return model;
-}
-
-std::vector<TokenContribution> LinearSvm::Explain(std::string_view text,
-                                                  int k) const {
-  SEMTAG_CHECK(trained_);
-  return internal::ExplainLinear(vectorizer_, weights_, text, k);
-}
-
 double LinearSvm::Score(std::string_view text) const {
-  SEMTAG_CHECK(trained_);
-  const la::SparseVector x = vectorizer_.Transform(text);
-  return x.Dot(weights_.data()) + bias_;
+  return Decision(text);
 }
 
 }  // namespace semtag::models

@@ -1,10 +1,7 @@
 #ifndef SEMTAG_MODELS_SIMPLE_LINEAR_SVM_H_
 #define SEMTAG_MODELS_SIMPLE_LINEAR_SVM_H_
 
-#include <vector>
-
-#include "models/model.h"
-#include "models/simple/linear_io.h"
+#include "models/simple/linear_model.h"
 #include "text/bow_vectorizer.h"
 
 namespace semtag::models {
@@ -26,32 +23,17 @@ struct SvmOptions {
 /// coordinate descent (the liblinear algorithm sklearn's LinearSVC wraps —
 /// Section 3.2's SVM). Score() returns the signed margin; the natural
 /// decision boundary is 0.
-class LinearSvm : public TaggingModel {
+class LinearSvm : public LinearModel {
  public:
   explicit LinearSvm(SvmOptions options = {}) : options_(options) {}
 
   std::string name() const override { return "SVM"; }
-  bool is_deep() const override { return false; }
   Status Train(const data::Dataset& train) override;
   double Score(std::string_view text) const override;
   double DecisionThreshold() const override { return 0.0; }
 
-  size_t num_features() const { return weights_.size(); }
-
-  /// Persists the trained model; Load restores a ready-to-score model.
-  Status Save(const std::string& path) const;
-  static Result<LinearSvm> Load(const std::string& path);
-
-  /// Top-k features driving this text's margin, by |weight * value|.
-  std::vector<TokenContribution> Explain(std::string_view text,
-                                         int k = 5) const;
-
  private:
   SvmOptions options_;
-  text::BowVectorizer vectorizer_;
-  std::vector<float> weights_;
-  float bias_ = 0.0f;
-  bool trained_ = false;
 };
 
 }  // namespace semtag::models

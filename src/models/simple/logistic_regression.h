@@ -1,10 +1,7 @@
 #ifndef SEMTAG_MODELS_SIMPLE_LOGISTIC_REGRESSION_H_
 #define SEMTAG_MODELS_SIMPLE_LOGISTIC_REGRESSION_H_
 
-#include <vector>
-
-#include "models/model.h"
-#include "models/simple/linear_io.h"
+#include "models/simple/linear_model.h"
 #include "text/bow_vectorizer.h"
 
 namespace semtag::models {
@@ -23,34 +20,17 @@ struct LrOptions {
 
 /// Sparse logistic regression over BoW(1,2)+TF-IDF features, trained with
 /// SGD (Section 3.2's LR). Score() returns P(y=1).
-class LogisticRegression : public TaggingModel {
+class LogisticRegression : public LinearModel {
  public:
   explicit LogisticRegression(LrOptions options = {})
       : options_(options) {}
 
   std::string name() const override { return "LR"; }
-  bool is_deep() const override { return false; }
   Status Train(const data::Dataset& train) override;
   double Score(std::string_view text) const override;
 
-  size_t num_features() const { return weights_.size(); }
-
-  /// Persists the trained model (vocabulary, IDF, weights) to a versioned
-  /// text file; Load restores a ready-to-score model.
-  Status Save(const std::string& path) const;
-  static Result<LogisticRegression> Load(const std::string& path);
-
-  /// Top-k features driving this text's score, by |weight * value|
-  /// (positive contribution pushes toward the tag).
-  std::vector<TokenContribution> Explain(std::string_view text,
-                                         int k = 5) const;
-
  private:
   LrOptions options_;
-  text::BowVectorizer vectorizer_;
-  std::vector<float> weights_;
-  float bias_ = 0.0f;
-  bool trained_ = false;
 };
 
 }  // namespace semtag::models

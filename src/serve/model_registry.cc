@@ -12,8 +12,7 @@
 #include "core/cascade.h"
 #include "data/specs.h"
 #include "models/factory.h"
-#include "models/simple/linear_svm.h"
-#include "models/simple/logistic_regression.h"
+#include "models/simple/linear_model.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -133,20 +132,17 @@ Result<std::unique_ptr<models::TaggingModel>> BuildModelFromSpec(
   if (!spec.file.empty()) {
     // Persisted checkpoints (semtag train --out): the simple families the
     // paper recommends for production retraining loops.
-    if (spec.model == "LR") {
-      auto loaded = models::LogisticRegression::Load(spec.file);
-      if (!loaded.ok()) return loaded.status();
-      return std::unique_ptr<models::TaggingModel>(
-          new models::LogisticRegression(std::move(loaded).ValueOrDie()));
+    auto loaded = models::LoadLinearModel(spec.file);
+    if (!loaded.ok()) return loaded.status();
+    std::unique_ptr<models::TaggingModel> model =
+        std::move(loaded).ValueOrDie();
+    if (model->name() != spec.model) {
+      return Status::InvalidArgument(
+          StrFormat("model type mismatch: %s holds %s, the spec asks for %s",
+                    spec.file.c_str(), model->name().c_str(),
+                    spec.model.c_str()));
     }
-    if (spec.model == "SVM") {
-      auto loaded = models::LinearSvm::Load(spec.file);
-      if (!loaded.ok()) return loaded.status();
-      return std::unique_ptr<models::TaggingModel>(
-          new models::LinearSvm(std::move(loaded).ValueOrDie()));
-    }
-    return Status::InvalidArgument(
-        "file specs support LR and SVM checkpoints, not " + spec.model);
+    return model;
   }
   auto dataset_spec = data::FindSpec(spec.dataset);
   if (!dataset_spec.ok()) return dataset_spec.status();
@@ -158,8 +154,8 @@ Result<std::unique_ptr<models::TaggingModel>> BuildModelFromSpec(
 
   std::unique_ptr<models::TaggingModel> model;
   if (spec.model == "CASCADE") {
-    // The spec pins the pair explicitly, so a swap is reproducible whatever
-    // the daemon's runtime config.
+    // The spec carries the whole policy and budget, so a swap is
+    // reproducible from the spec alone.
     core::CascadeOptions options;
     options.budget_pts = spec.budget_pts;
     options.seed = spec.seed;

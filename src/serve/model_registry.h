@@ -59,7 +59,8 @@ struct ServableModel {
 /// named synthetic dataset spec's train split at `spec.seed` — the same
 /// data path the offline grid uses, so a served model is bit-identical to
 /// its offline twin. `cancel` goes to the model's Train (a Cascade
-/// forwards it to both tiers).
+/// forwards it to both tiers). A `file` spec loads the checkpoint
+/// (models::LoadLinearModel) and refuses one whose family is not `model`.
 Result<std::unique_ptr<models::TaggingModel>> BuildModelFromSpec(
     const ModelSpec& spec, CancellationToken cancel = {});
 

@@ -53,6 +53,7 @@ class BowVectorizer {
     return static_cast<size_t>(vocab_.size());
   }
 
+  const BowOptions& options() const { return options_; }
   const Vocabulary& vocabulary() const { return vocab_; }
 
   /// IDF weight of a feature id (1.0 when use_idf is false).

@@ -42,18 +42,12 @@ const KnobCase kKnobCases[] = {
      [](RuntimeConfig* c) { c->metrics_path = "m.json"; }, nullptr},
     {"SEMTAG_TRACE", "t.json",
      [](RuntimeConfig* c) { c->trace_path = "t.json"; }, nullptr},
-    {"SEMTAG_CASCADE", "LR+eb+CNN",
-     [](RuntimeConfig* c) { c->cascade = "LR+eb+CNN"; }, "+CNN"},
-    {"SEMTAG_CASCADE_BUDGET", "1.25",
-     [](RuntimeConfig* c) { c->cascade_budget = 1.25; }, "150"},
 };
 
 TEST(RuntimeConfigTest, EveryKnobParsesItsValueDefaultAndInvalidValue) {
   RuntimeConfig defaults;
   defaults.home = "/home/u";
   defaults.cache_dir = "/home/u/.cache/semtag";
-  defaults.cascade = "auto";
-  defaults.cascade_budget = 0.5;
   EXPECT_EQ(Defaults(), defaults);
   std::set<std::string> covered;
   for (const KnobCase& knob : kKnobCases) {
@@ -77,14 +71,11 @@ TEST(RuntimeConfigTest, EveryKnobParsesItsValueDefaultAndInvalidValue) {
   }
   const std::vector<std::string> names = RuntimeKnobNames();
   EXPECT_EQ(covered, std::set<std::string>(names.begin(), names.end()));
-  EXPECT_EQ(names.size(), 9u);
+  EXPECT_EQ(names.size(), 7u);
 }
 
 TEST(RuntimeConfigTest, EdgeValuesKeepTheirSyntax) {
   EXPECT_EQ(Parse({{"SEMTAG_NUM_THREADS", "999"}}, nullptr).num_threads, 256);
-  EXPECT_EQ(Parse({{"SEMTAG_CASCADE_BUDGET", "100"}}, nullptr).cascade_budget,
-            100.0);
-  EXPECT_EQ(Parse({{"SEMTAG_CASCADE", "simple"}}, nullptr).cascade, "simple");
   EXPECT_EQ(ParseRuntimeConfig({}).cache_dir, "semtag_cache");  // no HOME
 }
 
@@ -92,14 +83,14 @@ TEST(RuntimeConfigTest, ScopedOverridesNestAndRestore) {
   const RuntimeConfig before = GetRuntimeConfig();
   {
     const ScopedRuntimeOverride outer(
-        {{"SEMTAG_CASCADE_BUDGET", "2"}, {"SEMTAG_CASCADE", "SVM+CNN"}});
-    EXPECT_EQ(GetRuntimeConfig().cascade_budget, 2.0);
+        {{"SEMTAG_CELL_DEADLINE_MS", "2"}, {"SEMTAG_SIMD", "scalar"}});
+    EXPECT_EQ(GetRuntimeConfig().cell_deadline_ms, 2);
     {
-      const ScopedRuntimeOverride inner({{"SEMTAG_CASCADE", ""}});
-      EXPECT_EQ(GetRuntimeConfig().cascade_budget, 2.0);
-      EXPECT_EQ(GetRuntimeConfig().cascade, "auto");  // "" = the default
+      const ScopedRuntimeOverride inner({{"SEMTAG_SIMD", ""}});
+      EXPECT_EQ(GetRuntimeConfig().cell_deadline_ms, 2);
+      EXPECT_EQ(GetRuntimeConfig().simd, "");  // "" = the default
     }
-    EXPECT_EQ(GetRuntimeConfig().cascade, "SVM+CNN");
+    EXPECT_EQ(GetRuntimeConfig().simd, "scalar");
     EXPECT_EQ(GetRuntimeConfig().cache_dir, before.cache_dir);
   }
   EXPECT_EQ(GetRuntimeConfig(), before);

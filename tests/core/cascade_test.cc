@@ -1,5 +1,5 @@
-// Confidence-gated cascade (core/cascade.h): calibration sweep, policy,
-// env parsing, end-to-end training, and the determinism contract — the
+// Confidence-gated cascade (core/cascade.h): calibration sweep, policy
+// and its parser, end-to-end training, and the determinism contract — the
 // escalated set and the final scores must be bit-identical across thread
 // counts and batch caps.
 
@@ -15,7 +15,6 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "config/runtime_config.h"
 #include "core/cascade.h"
 #include "core/experiment.h"
 #include "data/generator.h"
@@ -152,7 +151,7 @@ TEST(CascadeCalibrationTest, BudgetSemantics) {
 }
 
 // ---------------------------------------------------------------------------
-// PlanCascade / CascadeOptionsFromConfig
+// PlanCascade / ApplyCascadePolicy
 // ---------------------------------------------------------------------------
 
 std::vector<HeatMapRow> TwoCellReference() {
@@ -200,59 +199,59 @@ TEST(CascadePlanTest, DirtyDataFrontsWithLr) {
 
 TEST(CascadePlanTest, ForceSimpleOnlyShortCircuitsThePolicy) {
   CascadeOptions options;
-  options.force_simple_only = true;
+  options.policy = CascadePolicy::kSimpleOnly;
   const CascadePlan plan = PlanCascade(ProfileNear(1000, 0.5, true),
                                        TwoCellReference(), options);
   EXPECT_TRUE(plan.simple_only);
 }
 
-TEST(CascadePlanTest, AllowSimpleOnlyFalseKeepsThePair) {
+TEST(CascadePlanTest, PinnedPairKeepsThePair) {
   CascadeOptions options;
-  options.allow_simple_only = false;
+  options.policy = CascadePolicy::kPinnedPair;
+  options.simple = models::ModelKind::kNaiveBayes;
   const CascadePlan plan = PlanCascade(ProfileNear(1000000, 0.5, true),
                                        TwoCellReference(), options);
-  EXPECT_FALSE(plan.simple_only);
+  EXPECT_FALSE(plan.simple_only);  // where auto would degenerate
+  EXPECT_EQ(plan.simple, models::ModelKind::kNaiveBayes);
+  EXPECT_EQ(plan.deep, models::ModelKind::kBert);
 }
 
-TEST(CascadeOptionsTest, EnvParsesPairsAtTheLastPlus) {
-  const ScopedRuntimeOverride cascade({{"SEMTAG_CASCADE", "NB+BERT"}});
-  const CascadeOptions options = CascadeOptionsFromConfig();
+TEST(CascadeOptionsTest, PolicyParsesPairsAtTheLastPlus) {
+  CascadeOptions options;
+  ASSERT_TRUE(ApplyCascadePolicy("NB+BERT", &options).ok());
+  EXPECT_EQ(options.policy, CascadePolicy::kPinnedPair);
   EXPECT_EQ(options.simple, models::ModelKind::kNaiveBayes);
   EXPECT_EQ(options.deep, models::ModelKind::kBert);
-  EXPECT_FALSE(options.auto_pair);
-  EXPECT_FALSE(options.allow_simple_only);
   // Embedding-hybrid names contain '+': the split must use the LAST one.
-  const ScopedRuntimeOverride hybrid({{"SEMTAG_CASCADE", "LR+eb+CNN"}});
-  const CascadeOptions hybrid_options = CascadeOptionsFromConfig();
-  EXPECT_EQ(hybrid_options.simple, models::ModelKind::kLrEmbedding);
-  EXPECT_EQ(hybrid_options.deep, models::ModelKind::kCnn);
+  CascadeOptions hybrid;
+  ASSERT_TRUE(ApplyCascadePolicy("LR+eb+CNN", &hybrid).ok());
+  EXPECT_EQ(hybrid.simple, models::ModelKind::kLrEmbedding);
+  EXPECT_EQ(hybrid.deep, models::ModelKind::kCnn);
+  // "" and "auto" leave the defaults, the auto policy included.
+  for (const char* text : {"", "auto"}) {
+    CascadeOptions unchanged;
+    ASSERT_TRUE(ApplyCascadePolicy(text, &unchanged).ok());
+    EXPECT_EQ(unchanged.policy, CascadePolicy::kAuto) << text;
+    EXPECT_EQ(unchanged.simple, CascadeOptions{}.simple) << text;
+    EXPECT_EQ(unchanged.deep, CascadeOptions{}.deep) << text;
+  }
 }
 
-TEST(CascadeOptionsTest, EnvSimpleForcesSimpleOnly) {
-  const ScopedRuntimeOverride cascade({{"SEMTAG_CASCADE", "simple"}});
-  const CascadeOptions options = CascadeOptionsFromConfig();
-  EXPECT_TRUE(options.force_simple_only);
+TEST(CascadeOptionsTest, PolicySimpleForcesSimpleOnly) {
+  CascadeOptions options;
+  ASSERT_TRUE(ApplyCascadePolicy("simple", &options).ok());
+  EXPECT_EQ(options.policy, CascadePolicy::kSimpleOnly);
 }
 
-TEST(CascadeOptionsTest, InvalidEnvFallsBackToAutoPolicy) {
+TEST(CascadeOptionsTest, InvalidPolicyLeavesOptionsUnchanged) {
   for (const char* bad : {"BERT+SVM",  // deep in front
                           "SVM+LR",    // no deep tier
                           "bogus", "SVM+", "+BERT"}) {
-    const ScopedRuntimeOverride cascade({{"SEMTAG_CASCADE", bad}});
-    const CascadeOptions options = CascadeOptionsFromConfig();
-    EXPECT_TRUE(options.auto_pair) << bad;
-    EXPECT_FALSE(options.force_simple_only) << bad;
-  }
-}
-
-TEST(CascadeOptionsTest, BudgetEnvParsesAndValidates) {
-  {
-    const ScopedRuntimeOverride budget({{"SEMTAG_CASCADE_BUDGET", "1.25"}});
-    EXPECT_DOUBLE_EQ(CascadeOptionsFromConfig().budget_pts, 1.25);
-  }
-  for (const char* bad : {"-1", "abc", "101"}) {
-    const ScopedRuntimeOverride budget({{"SEMTAG_CASCADE_BUDGET", bad}});
-    EXPECT_DOUBLE_EQ(CascadeOptionsFromConfig().budget_pts, 0.5) << bad;
+    CascadeOptions options;
+    EXPECT_FALSE(ApplyCascadePolicy(bad, &options).ok()) << bad;
+    EXPECT_EQ(options.policy, CascadePolicy::kAuto) << bad;
+    EXPECT_EQ(options.simple, CascadeOptions{}.simple) << bad;
+    EXPECT_EQ(options.deep, CascadeOptions{}.deep) << bad;
   }
 }
 
@@ -282,18 +281,8 @@ CascadeOptions PinnedPair() {
   CascadeOptions options;
   options.simple = models::ModelKind::kSvm;
   options.deep = models::ModelKind::kCnn;
-  options.auto_pair = false;
-  options.allow_simple_only = false;
+  options.policy = CascadePolicy::kPinnedPair;
   return options;
-}
-
-TEST(CascadeModelTest, FactoryBuildsCascadeOnceRegistered) {
-  EXPECT_TRUE(EnsureCascadeRegistered());
-  auto model = models::CreateModel(models::ModelKind::kCascade);
-  ASSERT_NE(model, nullptr);
-  EXPECT_EQ(model->name(), "CASCADE");
-  EXPECT_FALSE(model->is_deep());
-  EXPECT_FALSE(models::IsDeep(models::ModelKind::kCascade));
 }
 
 TEST(CascadeModelTest, TrainsCalibratesAndScoresOnProbabilityScale) {
@@ -322,7 +311,7 @@ TEST(CascadeModelTest, TrainsCalibratesAndScoresOnProbabilityScale) {
 TEST(CascadeModelTest, SimpleOnlyPlanNeverBuildsTheDeepModel) {
   data::Dataset d = CascadeDataset(300, 12);
   CascadeOptions options = PinnedPair();
-  options.force_simple_only = true;
+  options.policy = CascadePolicy::kSimpleOnly;
   Cascade cascade(options);
   ASSERT_TRUE(cascade.Train(d).ok());
   EXPECT_TRUE(cascade.plan().simple_only);
@@ -357,6 +346,28 @@ TEST(CascadeModelTest, ScorePathsAgreeBitIdentically) {
       ASSERT_NE(cascade.deep_model(), nullptr);
       EXPECT_EQ(all[i], cascade.deep_model()->Probability(texts[i])) << i;
     }
+  }
+}
+
+// Score is ScoreAll of a batch of one, on both sides of the threshold.
+TEST(CascadeModelTest, ScoreIsScoreAllOfOneText) {
+  data::Dataset d = CascadeDataset(400, 13);
+  auto [train, test] = d.Split(0.8);
+  // A zero budget escalates wherever the simple tier trails the deep one
+  // on the holdout, so both sides of the threshold have texts.
+  CascadeOptions options = PinnedPair();
+  options.budget_pts = 0.0;
+  Cascade cascade(options);
+  ASSERT_TRUE(cascade.Train(train).ok());
+  EXPECT_FALSE(cascade.is_deep());
+  const auto texts = test.Texts();
+  const auto mask = cascade.EscalationMask(texts);
+  for (uint8_t escalated : {0, 1}) {
+    const auto it = std::find(mask.begin(), mask.end(), escalated);
+    ASSERT_NE(it, mask.end()) << "no text with escalation " << int{escalated};
+    const std::string& text = texts[it - mask.begin()];
+    EXPECT_EQ(cascade.Score(text), cascade.ScoreAll({text})[0])
+        << "escalation " << int{escalated};
   }
 }
 
@@ -477,26 +488,6 @@ TEST(CascadeIntegrationTest, GridRanksCascadeBetweenSimpleAndDeep) {
   EXPECT_EQ(cells[0].kind, models::ModelKind::kSvm);
   EXPECT_EQ(cells[2].kind, models::ModelKind::kCascade);
   EXPECT_EQ(cells[4].kind, models::ModelKind::kBert);
-}
-
-TEST(CascadeIntegrationTest, CacheKeyFoldsCascadeConfig) {
-  const auto& spec = data::AllDatasetSpecs()[0];
-  const std::string base =
-      ExperimentCacheKey(spec, models::ModelKind::kCascade, 0);
-  {
-    const ScopedRuntimeOverride budget({{"SEMTAG_CASCADE_BUDGET", "2.0"}});
-    EXPECT_NE(ExperimentCacheKey(spec, models::ModelKind::kCascade, 0),
-              base);
-    // Non-cascade keys ignore the cascade knobs.
-    EXPECT_EQ(ExperimentCacheKey(spec, models::ModelKind::kSvm, 0),
-              ExperimentCacheKey(spec, models::ModelKind::kSvm, 0));
-  }
-  {
-    const ScopedRuntimeOverride pair({{"SEMTAG_CASCADE", "NB+CNN"}});
-    EXPECT_NE(ExperimentCacheKey(spec, models::ModelKind::kCascade, 0),
-              base);
-  }
-  EXPECT_EQ(ExperimentCacheKey(spec, models::ModelKind::kCascade, 0), base);
 }
 
 }  // namespace

@@ -667,7 +667,7 @@ TEST(ReplanOptionsTest, EnvOverridesParse) {
   EXPECT_DOUBLE_EQ(options.profile_ratio, 0.3);
   EXPECT_EQ(options.cascade.simple, models::ModelKind::kLr);
   EXPECT_EQ(options.cascade.deep, models::ModelKind::kCnn);
-  EXPECT_TRUE(options.cascade.auto_pair);
+  EXPECT_EQ(options.cascade.policy, core::CascadePolicy::kAuto);
   EXPECT_DOUBLE_EQ(options.cascade.budget_pts, 2.0);
   EXPECT_EQ(options.spec_dir, "/var/replan");
   // A pair that parses as a pair but names no models keeps the pair.

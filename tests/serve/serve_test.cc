@@ -254,6 +254,29 @@ TEST(ModelRegistryTest, SwapFromCheckpointSpecFile) {
   EXPECT_EQ(servable->model->Score(text), svm->Score(text));
 }
 
+// LoadLinearModel returns whichever family the checkpoint names, so a
+// family mismatch is refused where the spec names one: an SVM spec over an
+// LR checkpoint must not serve LR scores under the SVM name.
+TEST(LinearIoTest, ModelTypeMismatchRejected) {
+  auto lr = models::CreateModelSeeded(models::ModelKind::kLr, 1);
+  ASSERT_TRUE(lr->Train(TinyDataset()).ok());
+  const std::string checkpoint = TempPath("lr_as_svm.ckpt");
+  ASSERT_TRUE(
+      static_cast<models::LinearModel*>(lr.get())->Save(checkpoint).ok());
+  ModelSpec spec;
+  spec.model = "SVM";
+  spec.file = checkpoint;
+  const auto built = BuildModelFromSpec(spec);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), semtag::StatusCode::kInvalidArgument);
+  EXPECT_NE(built.status().message().find("mismatch"), std::string::npos)
+      << built.status().ToString();
+  spec.model = "LR";
+  const auto matched = BuildModelFromSpec(spec);
+  ASSERT_TRUE(matched.ok()) << matched.status().ToString();
+  EXPECT_EQ((*matched)->name(), "LR");
+}
+
 TEST(ModelRegistryTest, CancelledBuildStopsTrainingAndInstallsNothing) {
   ModelSpec spec;
   spec.model = "CNN";
