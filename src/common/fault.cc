@@ -142,13 +142,6 @@ Status SetFaultsFromSpec(std::string_view spec) {
   return Status::OK();
 }
 
-void InjectFault(const FaultSpec& spec) {
-  Registry& r = GetRegistry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  r.faults.push_back({spec, 0, 0});
-  g_armed.store(true, std::memory_order_release);
-}
-
 void ClearFaults() {
   Registry& r = GetRegistry();
   std::lock_guard<std::mutex> lock(r.mu);

@@ -55,9 +55,6 @@ Result<FaultSpec> ParseFaultSpec(std::string_view entry);
 /// clears). Invalid entries are reported and nothing is armed.
 Status SetFaultsFromSpec(std::string_view spec);
 
-/// Programmatically arms one additional fault.
-void InjectFault(const FaultSpec& spec);
-
 /// Disarms every fault and resets trigger counters.
 void ClearFaults();
 

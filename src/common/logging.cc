@@ -9,10 +9,10 @@ namespace semtag {
 namespace {
 std::atomic<LogLevel> g_level{LogLevel::kInfo};
 
-/// Serializes sink writes: parallel cross-validation folds and experiment
-/// cells log concurrently, and interleaved vfprintf calls would shred
-/// lines. A function-local static avoids any init-order hazard with logs
-/// emitted during static initialization.
+/// Serializes sink writes: parallel experiment cells log concurrently, and
+/// interleaved vfprintf calls would shred lines. A function-local static
+/// avoids any init-order hazard with logs emitted during static
+/// initialization.
 std::mutex& SinkMutex() {
   static std::mutex& mu = *new std::mutex();
   return mu;
@@ -33,7 +33,6 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
 void SetLogLevel(LogLevel level) {
   g_level.store(level, std::memory_order_relaxed);
 }

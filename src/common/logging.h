@@ -11,7 +11,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
 /// Minimum severity printed to stderr. Defaults to kInfo; benches raise it
 /// to kWarning to keep table output clean.
-LogLevel GetLogLevel();
 void SetLogLevel(LogLevel level);
 
 namespace internal {

@@ -84,25 +84,6 @@ double Rng::Normal(double mean, double stddev) {
 
 bool Rng::Bernoulli(double p) { return UniformDouble() < p; }
 
-uint64_t Rng::Zipf(uint64_t n, double s) {
-  ZipfTable table(n, s);
-  return table.Sample(this);
-}
-
-size_t Rng::Categorical(const std::vector<double>& weights) {
-  assert(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) total += w;
-  double x = UniformDouble() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    x -= weights[i];
-    if (x <= 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
-Rng Rng::Fork() { return Rng(Next()); }
-
 ZipfTable::ZipfTable(uint64_t n, double s) {
   assert(n > 0);
   cdf_.resize(n);

@@ -43,15 +43,6 @@ class Rng {
   /// True with probability p.
   bool Bernoulli(double p);
 
-  /// Zipf-distributed integer in [0, n) with exponent s (s=1 classic Zipf).
-  /// Sampled by inversion against the precomputed CDF held by ZipfTable;
-  /// this direct method is O(log n) and exact.
-  /// Prefer ZipfTable for repeated sampling from the same distribution.
-  uint64_t Zipf(uint64_t n, double s);
-
-  /// Samples an index from an (unnormalized) weight vector.
-  size_t Categorical(const std::vector<double>& weights);
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>* v) {
@@ -61,10 +52,6 @@ class Rng {
       std::swap((*v)[i], (*v)[j]);
     }
   }
-
-  /// A fresh generator whose stream is independent of this one; used to give
-  /// each sub-component (e.g. each synthetic dataset) its own stream.
-  Rng Fork();
 
  private:
   uint64_t s_[4];

@@ -46,16 +46,6 @@ std::vector<std::string> Split(std::string_view s, char sep) {
   return out;
 }
 
-std::string Join(const std::vector<std::string>& pieces,
-                 std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(pieces[i]);
-  }
-  return out;
-}
-
 std::string_view StripAsciiWhitespace(std::string_view s) {
   size_t b = 0;
   size_t e = s.size();

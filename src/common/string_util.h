@@ -18,10 +18,6 @@ std::string ToLower(std::string_view s);
 /// Splits on a single separator character; empty pieces are kept.
 std::vector<std::string> Split(std::string_view s, char sep);
 
-/// Joins pieces with a separator.
-std::string Join(const std::vector<std::string>& pieces,
-                 std::string_view sep);
-
 /// Strips ASCII whitespace from both ends.
 std::string_view StripAsciiWhitespace(std::string_view s);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <memory>
 #include <utility>
 
@@ -60,12 +61,7 @@ void ThreadPool::RunTask(const std::function<void()>& task) {
   const auto start = metrics_on ? std::chrono::steady_clock::now()
                                 : std::chrono::steady_clock::time_point();
   obs::TraceSpan span("pool/task");
-  try {
-    task();
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!first_error_) first_error_ = std::current_exception();
-  }
+  task();
   if (metrics_on) {
     const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                         std::chrono::steady_clock::now() - start)
@@ -77,9 +73,7 @@ void ThreadPool::RunTask(const std::function<void()>& task) {
 
 void ThreadPool::Submit(std::function<void()> task) {
   if (workers_.empty()) {
-    // No workers: degrade to synchronous execution. Exceptions still go
-    // through the stored-error path so Submit/Wait semantics match the
-    // threaded pool exactly.
+    // No workers: degrade to synchronous execution.
     RunTask(task);
     return;
   }
@@ -87,23 +81,12 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));
-    ++pending_;
     depth = queue_.size();
   }
   work_cv_.notify_one();
   SEMTAG_OBS_COUNT("pool/tasks_submitted", 1);
   SEMTAG_OBS_OBSERVE("pool/queue_depth", obs::DepthBuckets(),
                      static_cast<double>(depth));
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return pending_ == 0; });
-  if (first_error_) {
-    std::exception_ptr err = std::exchange(first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
 }
 
 void ThreadPool::WorkerLoop() {
@@ -117,7 +100,6 @@ void ThreadPool::WorkerLoop() {
     lock.unlock();
     RunTask(task);
     lock.lock();
-    if (--pending_ == 0) done_cv_.notify_all();
   }
   t_worker_pool = nullptr;
 }
@@ -192,8 +174,8 @@ void ParallelFor(size_t begin, size_t end, size_t grain,
     return;
   }
 
-  // Per-call state, so concurrent ParallelFor calls (and unrelated
-  // Submit/Wait users) never observe each other's chunks or errors.
+  // Per-call state, so concurrent ParallelFor calls never observe each
+  // other's chunks or errors.
   struct State {
     std::atomic<size_t> next{0};
     std::mutex mu;

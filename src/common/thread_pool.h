@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -15,16 +14,16 @@ namespace semtag {
 /// Fixed-size worker pool with a shared FIFO work queue.
 ///
 /// This is the concurrency substrate for every parallel path in the
-/// library: the GEMM kernels in la/, cross-validation folds, experiment
-/// grid cells, and batched inference all go through a pool (usually the
-/// process-wide one from GlobalPool()). Keeping a single shared pool
-/// bounds total thread count no matter how many layers try to
-/// parallelise at once.
+/// library: the GEMM kernels in la/, experiment grid cells, and batched
+/// inference all go through ParallelFor on the process-wide pool from
+/// GlobalPool(). Keeping a single shared pool bounds total thread count no
+/// matter how many layers try to parallelise at once.
 ///
-/// Submit() enqueues a task; Wait() blocks until every submitted task has
-/// finished and rethrows the first exception any task raised (subsequent
-/// exceptions from the same batch are dropped). The destructor drains the
-/// queue before joining, so no submitted task is silently discarded.
+/// Submit() enqueues a task; the submitter tracks its own completion and
+/// errors (ParallelFor, the only submitter, counts its helpers down and
+/// keeps the first exception). A task must not throw. The destructor
+/// drains the queue before joining, so no submitted task is silently
+/// discarded.
 class ThreadPool {
  public:
   /// Spawns `threads` workers. `threads <= 1` creates no workers at all:
@@ -38,10 +37,6 @@ class ThreadPool {
 
   /// Enqueues `task` for execution on some worker.
   void Submit(std::function<void()> task);
-
-  /// Blocks until all tasks submitted so far have completed, then rethrows
-  /// the first stored task exception, if any.
-  void Wait();
 
   /// Number of worker threads (0 when constructed with threads <= 1).
   int threads() const { return static_cast<int>(workers_.size()); }
@@ -59,10 +54,7 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  // signalled when the queue grows
-  std::condition_variable done_cv_;  // signalled when pending_ hits zero
-  int64_t pending_ = 0;              // queued + currently running tasks
   bool stop_ = false;
-  std::exception_ptr first_error_;  // guarded by mu_
 };
 
 /// The process-wide pool. Created on first use with DefaultThreadCount()
@@ -76,7 +68,7 @@ int DefaultThreadCount();
 
 /// Replaces the global pool with one of `threads` workers. Benches and
 /// tests use this to sweep thread counts. Must not race with concurrent
-/// ParallelFor/Submit on the old pool (callers quiesce first).
+/// ParallelFor on the old pool (callers quiesce first).
 void SetGlobalPoolThreads(int threads);
 
 /// Runs fn(lo, hi) over [begin, end) cut into consecutive chunks of

@@ -32,11 +32,4 @@ const std::vector<SotaReference>& AllSotaReferences() {
   return kRefs;
 }
 
-Result<SotaReference> FindSota(const std::string& dataset) {
-  for (const auto& ref : AllSotaReferences()) {
-    if (ref.dataset == dataset) return ref;
-  }
-  return Status::NotFound("no SOTA reference for " + dataset);
-}
-
 }  // namespace semtag::core

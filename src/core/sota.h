@@ -4,8 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
-
 namespace semtag::core {
 
 /// A published state-of-the-art reference for one dataset (Figure 5).
@@ -28,9 +26,6 @@ struct SotaReference {
 
 /// All Figure 5 rows in paper order.
 const std::vector<SotaReference>& AllSotaReferences();
-
-/// Lookup by dataset name.
-Result<SotaReference> FindSota(const std::string& dataset);
 
 }  // namespace semtag::core
 

@@ -64,34 +64,4 @@ std::vector<DriftRecord> GenerateDriftStream(const DriftScenario& scenario) {
   return stream;
 }
 
-DriftScenario CleanToDirtyScenario(int records_per_segment, uint64_t seed) {
-  DriftScenario scenario;
-  scenario.base_dataset = "HETER";
-  scenario.seed = seed;
-
-  DriftSegment clean;
-  clean.label = "clean";
-  clean.records = records_per_segment;
-  // HETER's observed training ratio (Table 3): the live profile stays in
-  // the trained cell through this phase.
-  clean.positive_ratio = 0.714;
-  scenario.segments.push_back(clean);
-
-  DriftSegment dirty;
-  dirty.label = "dirty";
-  dirty.records = records_per_segment;
-  dirty.positive_ratio = 0.3;
-  // Open-vocabulary entity soup at a large pool (most names occur once —
-  // the BOOK effect), plus contaminated negatives and a rotated topic
-  // lexicon: OOV rate and vocabulary churn both jump, which is exactly
-  // what the TrafficStats dirtiness proxy keys on.
-  dirty.entity_rate = 0.35;
-  dirty.entity_signal = 0.5;
-  dirty.entity_pool_size = 4000;
-  dirty.neg_contamination = 0.08;
-  dirty.vocab_shift = 3;
-  scenario.segments.push_back(dirty);
-  return scenario;
-}
-
 }  // namespace semtag::data

@@ -56,14 +56,6 @@ struct DriftRecord {
 /// one segment never perturbs another).
 std::vector<DriftRecord> GenerateDriftStream(const DriftScenario& scenario);
 
-/// The canonical two-phase scenario used by replan tests and
-/// `serve_load --drift`: a clean segment matching the base dataset's
-/// training distribution, then a dirty segment (open-vocabulary entity
-/// soup + label contamination + topic rotation + ratio shift) that lands
-/// the live profile in the heat map's dirty regime.
-DriftScenario CleanToDirtyScenario(int records_per_segment = 256,
-                                   uint64_t seed = 7);
-
 }  // namespace semtag::data
 
 #endif  // SEMTAG_DATA_DRIFT_H_

@@ -69,20 +69,4 @@ Dataset UndersampleNegatives(const Dataset& source, double target_ratio,
   return out;
 }
 
-Dataset OversamplePositives(const Dataset& source, double target_ratio,
-                            Rng* rng) {
-  std::vector<size_t> pos, neg;
-  IndicesByLabel(source, &pos, &neg);
-  if (pos.empty() || source.PositiveRatio() >= target_ratio) return source;
-  // r = P' / (P' + N) -> P' = N * r / (1 - r).
-  const size_t want_pos = static_cast<size_t>(
-      std::lround(neg.size() * target_ratio / (1.0 - target_ratio)));
-  Dataset out(source.name() + "+over");
-  out.Reserve(want_pos + neg.size());
-  for (size_t i : neg) out.Add(source[i]);
-  for (size_t i : Draw(pos, want_pos, rng)) out.Add(source[i]);
-  out.Shuffle(rng);
-  return out;
-}
-
 }  // namespace semtag::data

@@ -19,11 +19,6 @@ Dataset SampleWithRatio(const Dataset& source, size_t n, double r, Rng* rng);
 Dataset UndersampleNegatives(const Dataset& source, double target_ratio,
                              Rng* rng);
 
-/// Oversamples positives (with replacement) until the ratio reaches
-/// `target_ratio`.
-Dataset OversamplePositives(const Dataset& source, double target_ratio,
-                            Rng* rng);
-
 }  // namespace semtag::data
 
 #endif  // SEMTAG_DATA_SAMPLING_H_

@@ -49,11 +49,6 @@ double F1Score(const std::vector<int>& labels,
   return ComputeConfusion(labels, predictions).F1();
 }
 
-double Accuracy(const std::vector<int>& labels,
-                const std::vector<int>& predictions) {
-  return ComputeConfusion(labels, predictions).Accuracy();
-}
-
 double Auc(const std::vector<int>& labels,
            const std::vector<double>& scores) {
   SEMTAG_CHECK(labels.size() == scores.size());

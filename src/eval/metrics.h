@@ -29,10 +29,6 @@ Confusion ComputeConfusion(const std::vector<int>& labels,
 double F1Score(const std::vector<int>& labels,
                const std::vector<int>& predictions);
 
-/// Accuracy from labels and predictions.
-double Accuracy(const std::vector<int>& labels,
-                const std::vector<int>& predictions);
-
 /// Area under the ROC curve from labels and real-valued scores, computed
 /// with the rank-statistic (Mann-Whitney) formulation; ties share ranks.
 /// Returns 0.5 when a class is empty.

@@ -33,15 +33,12 @@ float* SystemAlloc(size_t floats) {
       ::operator new(floats * sizeof(float), std::align_val_t{32}));
 }
 
-void SystemFree(float* p) { ::operator delete(p, std::align_val_t{32}); }
-
 /// The global tier: mutex-guarded free lists plus the stats counters.
 /// Leaky singleton so thread-exit flushes never race destruction order.
 struct Global {
   std::mutex mu;
   std::vector<float*> free_lists[kNumBuckets];
   std::atomic<uint64_t> system_allocs{0};
-  std::atomic<uint64_t> system_frees{0};
   std::atomic<uint64_t> pool_hits{0};
   std::atomic<uint64_t> releases{0};
 };
@@ -82,8 +79,6 @@ void CollectBufferPoolMetrics() {
   obs::GetGauge("buffer_pool/pool_hits").Set(static_cast<double>(s.pool_hits));
   obs::GetGauge("buffer_pool/system_allocs")
       .Set(static_cast<double>(s.system_allocs));
-  obs::GetGauge("buffer_pool/system_frees")
-      .Set(static_cast<double>(s.system_frees));
   obs::GetGauge("buffer_pool/releases").Set(static_cast<double>(s.releases));
 }
 
@@ -144,35 +139,9 @@ BufferPool::Stats BufferPool::GetStats() {
   Global& g = GlobalTier();
   Stats s;
   s.system_allocs = g.system_allocs.load(std::memory_order_relaxed);
-  s.system_frees = g.system_frees.load(std::memory_order_relaxed);
   s.pool_hits = g.pool_hits.load(std::memory_order_relaxed);
   s.releases = g.releases.load(std::memory_order_relaxed);
   return s;
-}
-
-void BufferPool::FlushThreadCache() {
-  Global& g = GlobalTier();
-  ThreadCache& tc = LocalCache();
-  std::lock_guard<std::mutex> lock(g.mu);
-  for (int b = 0; b < kNumBuckets; ++b) {
-    for (size_t i = 0; i < tc.depth[b]; ++i) {
-      g.free_lists[b].push_back(tc.slots[b][i]);
-    }
-    tc.depth[b] = 0;
-  }
-}
-
-void BufferPool::Clear() {
-  FlushThreadCache();
-  Global& g = GlobalTier();
-  std::lock_guard<std::mutex> lock(g.mu);
-  for (auto& list : g.free_lists) {
-    for (float* p : list) {
-      SystemFree(p);
-      g.system_frees.fetch_add(1, std::memory_order_relaxed);
-    }
-    list.clear();
-  }
 }
 
 }  // namespace semtag::la

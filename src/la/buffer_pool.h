@@ -24,13 +24,12 @@ namespace semtag::la {
 ///    acquired on; ownership handoff must be externally synchronized
 ///    (it always is: a `Matrix` move is a handoff).
 ///  - The pool itself is a leaky process-wide singleton; cached buffers
-///    stay reachable until `Clear()` or process exit. Thread-local caches
-///    flush to the global free list at thread exit.
+///    stay reachable until process exit. Thread-local caches flush to the
+///    global free list at thread exit.
 class BufferPool {
  public:
   struct Stats {
     uint64_t system_allocs = 0;  ///< calls into the system allocator
-    uint64_t system_frees = 0;   ///< buffers returned to the system
     uint64_t pool_hits = 0;      ///< acquires served from a free list
     uint64_t releases = 0;       ///< total Release calls
   };
@@ -44,13 +43,6 @@ class BufferPool {
 
   /// Process-wide counters (monotonic; tests assert on deltas).
   static Stats GetStats();
-
-  /// Frees every buffer on the global free lists (outstanding buffers are
-  /// untouched). Flushes the calling thread's cache first.
-  static void Clear();
-
-  /// Flushes the calling thread's cache to the global free lists.
-  static void FlushThreadCache();
 
   /// Size class (in floats) a request of `n` floats is served from.
   static size_t BucketFloats(size_t n);

@@ -13,13 +13,6 @@ void XavierUniform(Matrix* m, Rng* rng) {
   }
 }
 
-void HeNormal(Matrix* m, Rng* rng) {
-  const double stddev = std::sqrt(2.0 / static_cast<double>(m->rows()));
-  for (size_t i = 0; i < m->size(); ++i) {
-    m->data()[i] = static_cast<float>(rng->Normal(0.0, stddev));
-  }
-}
-
 void GaussianInit(Matrix* m, Rng* rng, float stddev) {
   for (size_t i = 0; i < m->size(); ++i) {
     m->data()[i] = static_cast<float>(rng->Normal(0.0, stddev));

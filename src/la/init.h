@@ -10,9 +10,6 @@ namespace semtag::la {
 /// (Glorot/Xavier uniform), the standard initializer for tanh/linear layers.
 void XavierUniform(Matrix* m, Rng* rng);
 
-/// Fills `m` with N(0, sqrt(2 / fan_in)) (He normal) for ReLU layers.
-void HeNormal(Matrix* m, Rng* rng);
-
 /// Fills `m` with N(0, stddev).
 void GaussianInit(Matrix* m, Rng* rng, float stddev);
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 
-#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "la/buffer_pool.h"
 #include "la/kernels.h"
@@ -115,16 +115,6 @@ Matrix& Matrix::operator=(Matrix&& other) noexcept {
 
 Matrix::~Matrix() { ReleaseStorage(); }
 
-Matrix Matrix::FromRows(const std::vector<std::vector<float>>& rows) {
-  if (rows.empty()) return Matrix();
-  Matrix m(rows.size(), rows[0].size());
-  for (size_t r = 0; r < rows.size(); ++r) {
-    SEMTAG_CHECK(rows[r].size() == m.cols());
-    std::copy(rows[r].begin(), rows[r].end(), m.Row(r));
-  }
-  return m;
-}
-
 Matrix Matrix::Uninitialized(size_t rows, size_t cols) {
   Matrix m;
   m.AllocateUninitialized(rows, cols);
@@ -159,16 +149,6 @@ float Matrix::Sum() const {
   return static_cast<float>(Kernels().sum(data_, size_));
 }
 
-float Matrix::Min() const {
-  SEMTAG_CHECK(size_ != 0);
-  return Kernels().vmin(data_, size_);
-}
-
-float Matrix::Max() const {
-  SEMTAG_CHECK(size_ != 0);
-  return Kernels().vmax(data_, size_);
-}
-
 float Matrix::Norm() const {
   return static_cast<float>(std::sqrt(Kernels().sumsq(data_, size_)));
 }
@@ -188,21 +168,6 @@ Matrix Matrix::Transposed() const {
     }
   }
   return t;
-}
-
-std::string Matrix::ToString() const {
-  std::string out = "[";
-  for (size_t r = 0; r < rows_; ++r) {
-    if (r > 0) out += ", ";
-    out += "[";
-    for (size_t c = 0; c < cols_; ++c) {
-      if (c > 0) out += ", ";
-      out += StrFormat("%g", (*this)(r, c));
-    }
-    out += "]";
-  }
-  out += "]";
-  return out;
 }
 
 namespace {

@@ -2,8 +2,6 @@
 #define SEMTAG_LA_MATRIX_H_
 
 #include <cstddef>
-#include <string>
-#include <vector>
 
 #include "common/logging.h"
 
@@ -32,9 +30,6 @@ class Matrix {
   Matrix(Matrix&& other) noexcept;
   Matrix& operator=(Matrix&& other) noexcept;
   ~Matrix();
-
-  /// Builds from nested initializer data (test convenience).
-  static Matrix FromRows(const std::vector<std::vector<float>>& rows);
 
   /// Allocates without the zero fill. Only for outputs every element of
   /// which is about to be written (e.g. dot-product GEMMs): reading before
@@ -80,8 +75,6 @@ class Matrix {
 
   /// Reductions.
   float Sum() const;
-  float Min() const;
-  float Max() const;
   /// Frobenius norm.
   float Norm() const;
 
@@ -91,9 +84,6 @@ class Matrix {
   bool SameShape(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;
   }
-
-  /// Debug rendering, e.g. "[[1, 2], [3, 4]]".
-  std::string ToString() const;
 
  private:
   /// Pool-allocates for rows x cols; contents uninitialized.

@@ -46,10 +46,4 @@ void SparseVector::AxpyInto(float s, float* dense) const {
   Kernels().sparse_axpy(entries_.data(), entries_.size(), s, dense);
 }
 
-size_t SparseMatrix::TotalNnz() const {
-  size_t n = 0;
-  for (const auto& r : rows_) n += r.nnz();
-  return n;
-}
-
 }  // namespace semtag::la

@@ -70,9 +70,6 @@ class SparseMatrix {
   const SparseVector& Row(size_t r) const { return rows_[r]; }
   SparseVector& MutableRow(size_t r) { return rows_[r]; }
 
-  /// Total number of stored nonzeros.
-  size_t TotalNnz() const;
-
  private:
   size_t num_cols_ = 0;
   std::vector<SparseVector> rows_;

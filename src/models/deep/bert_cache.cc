@@ -121,10 +121,10 @@ bool LoadOrPretrain(
 }
 
 const MiniBertBackbone& GetPretrainedBackbone(BertVariant variant) {
-  // Parallel cross-validation folds and experiment cells all reach for the
-  // shared backbones concurrently; the mutex makes the checkpoint
-  // load-or-pretrain-and-save step happen exactly once per variant in this
-  // process (LoadOrPretrain's file lock does the same across processes).
+  // Parallel experiment cells all reach for the shared backbones
+  // concurrently; the mutex makes the checkpoint load-or-pretrain-and-save
+  // step happen exactly once per variant in this process (LoadOrPretrain's
+  // file lock does the same across processes).
   // Returned references are safe to share: fine-tuning clones the backbone
   // and never mutates the cached copy.
   static std::mutex& mu = *new std::mutex();

@@ -5,10 +5,6 @@
 
 namespace semtag::models {
 
-void RuleTagger::AddKeyword(const std::string& keyword) {
-  keywords_.insert(keyword);
-}
-
 Status RuleTagger::Train(const data::Dataset& train) {
   if (train.empty()) return Status::InvalidArgument("empty training set");
   WallTimer timer;
@@ -19,8 +15,7 @@ Status RuleTagger::Train(const data::Dataset& train) {
   }
   if (keywords_.empty()) {
     return Status::FailedPrecondition(
-        "no token meets the rule-induction gap; add keywords manually or "
-        "lower min_gap");
+        "no token meets the rule-induction gap; lower min_gap");
   }
   set_train_seconds(timer.ElapsedSeconds());
   return Status::OK();

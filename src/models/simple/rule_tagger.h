@@ -26,25 +26,19 @@ struct RuleTaggerOptions {
 /// introduction contrasts with supervised learning. A text is tagged when
 /// it contains at least one rule keyword.
 ///
-/// Rules can be written by the expert (AddKeyword) or induced from labeled
-/// data (Train picks the top P-N tokens) — the latter models an expert who
-/// skims the data for trigger words. Either way the model illustrates the
-/// intro's point: cheap, interpretable, and usually well below learned
-/// models on F1.
+/// Rules are induced from labeled data (Train picks the top P-N tokens),
+/// which models an expert who skims the data for trigger words. The model
+/// illustrates the intro's point: cheap, interpretable, and usually well
+/// below learned models on F1.
 class RuleTagger : public TaggingModel {
  public:
   explicit RuleTagger(RuleTaggerOptions options = {})
       : options_(options) {}
 
-  /// Adds an expert-written keyword rule (call before or instead of
-  /// Train).
-  void AddKeyword(const std::string& keyword);
-
   std::string name() const override { return "RULES"; }
   bool is_deep() const override { return false; }
 
-  /// Induces keyword rules from the training data. A no-op for keywords
-  /// already added manually (they are kept).
+  /// Induces keyword rules from the training data.
   Status Train(const data::Dataset& train) override;
 
   /// Fraction of the text's tokens that are rule keywords; >= any hit

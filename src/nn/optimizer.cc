@@ -2,64 +2,12 @@
 
 #include <cmath>
 
-#include "common/logging.h"
 #include "la/kernels.h"
 
 namespace semtag::nn {
 
 void Optimizer::ZeroGrad() {
   for (auto& p : params_) p.ZeroGrad();
-}
-
-void Optimizer::ClipGradNorm(float max_norm) {
-  double total = 0.0;
-  for (auto& p : params_) {
-    if (!p.grad().SameShape(p.value())) continue;
-    const float norm = p.grad().Norm();
-    total += static_cast<double>(norm) * norm;
-  }
-  const double norm = std::sqrt(total);
-  if (norm <= max_norm || norm == 0.0) return;
-  const float scale = static_cast<float>(max_norm / norm);
-  for (auto& p : params_) {
-    if (!p.grad().SameShape(p.value())) continue;
-    // Scale gradient in place via the node.
-    auto node = p.node();
-    node->grad.Scale(scale);
-  }
-}
-
-Sgd::Sgd(std::vector<Variable> params, float lr, float momentum,
-         float weight_decay)
-    : Optimizer(std::move(params)),
-      lr_(lr),
-      momentum_(momentum),
-      weight_decay_(weight_decay) {
-  if (momentum_ > 0.0f) {
-    velocity_.reserve(params_.size());
-    for (const auto& p : params_) {
-      velocity_.emplace_back(p.value().rows(), p.value().cols());
-    }
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    auto node = params_[i].node();
-    if (!node->grad.SameShape(node->value)) continue;  // never touched
-    la::Matrix& w = node->value;
-    la::Matrix& g = node->grad;
-    if (weight_decay_ > 0.0f) w.Scale(1.0f - lr_ * weight_decay_);
-    if (momentum_ > 0.0f) {
-      la::Matrix& v = velocity_[i];
-      v.Scale(momentum_);
-      v.Axpy(1.0f, g);
-      w.Axpy(-lr_, v);
-    } else {
-      w.Axpy(-lr_, g);
-    }
-    g.Fill(0.0f);
-  }
 }
 
 Adam::Adam(std::vector<Variable> params, float lr, float beta1, float beta2,

@@ -29,30 +29,10 @@ class Optimizer {
   /// Zeroes all parameter gradients.
   void ZeroGrad();
 
-  /// Rescales gradients so their global L2 norm is at most max_norm.
-  void ClipGradNorm(float max_norm);
-
   const std::vector<Variable>& params() const { return params_; }
 
  protected:
   std::vector<Variable> params_;
-};
-
-/// SGD with optional momentum and decoupled L2 weight decay.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Variable> params, float lr, float momentum = 0.0f,
-      float weight_decay = 0.0f);
-
-  void Step() override;
-  void set_lr(float lr) override { lr_ = lr; }
-  float lr() const override { return lr_; }
-
- private:
-  float lr_;
-  float momentum_;
-  float weight_decay_;
-  std::vector<la::Matrix> velocity_;
 };
 
 /// Adam (Kingma & Ba) with bias correction and decoupled weight decay

@@ -5,61 +5,26 @@
 
 namespace semtag::nn {
 
-/// Learning-rate schedules. Call Next() once per optimizer step and feed
-/// the returned rate to Optimizer::set_lr (the pattern BERT training uses:
-/// linear warmup followed by linear decay to zero).
-class LrSchedule {
+/// Inverse-time learning-rate decay, lr0 / (1 + rate * step) (the classic
+/// SGD schedule). Call Next() once per optimizer step and feed the
+/// returned rate to the update.
+class InverseTimeDecayLr {
  public:
-  virtual ~LrSchedule() = default;
+  InverseTimeDecayLr(double lr0, double decay_rate)
+      : lr0_(lr0), decay_rate_(decay_rate) {}
 
   /// The learning rate for the next step (advances internal state).
   double Next() { return At(step_++); }
 
   /// The learning rate at a given step (pure).
-  virtual double At(int64_t step) const = 0;
-
-  int64_t step() const { return step_; }
-
- private:
-  int64_t step_ = 0;
-};
-
-/// Constant rate.
-class ConstantLr : public LrSchedule {
- public:
-  explicit ConstantLr(double lr) : lr_(lr) {}
-  double At(int64_t) const override { return lr_; }
-
- private:
-  double lr_;
-};
-
-/// Linear warmup from 0 over `warmup_steps`, then linear decay to 0 at
-/// `total_steps` (never negative past the end).
-class WarmupLinearDecayLr : public LrSchedule {
- public:
-  WarmupLinearDecayLr(double peak_lr, int64_t warmup_steps,
-                      int64_t total_steps);
-  double At(int64_t step) const override;
-
- private:
-  double peak_lr_;
-  int64_t warmup_steps_;
-  int64_t total_steps_;
-};
-
-/// Inverse-time decay: lr0 / (1 + rate * step) (classic SGD schedule).
-class InverseTimeDecayLr : public LrSchedule {
- public:
-  InverseTimeDecayLr(double lr0, double decay_rate)
-      : lr0_(lr0), decay_rate_(decay_rate) {}
-  double At(int64_t step) const override {
+  double At(int64_t step) const {
     return lr0_ / (1.0 + decay_rate_ * static_cast<double>(step));
   }
 
  private:
   double lr0_;
   double decay_rate_;
+  int64_t step_ = 0;
 };
 
 }  // namespace semtag::nn

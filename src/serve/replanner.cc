@@ -33,8 +33,8 @@ ReplanOptions ReplanOptions::Resolved() const {
 
 void AddReplanFlags(Flags* flags, ReplanOptions* options, std::string* pair) {
   flags->Bool("replan", &options->enabled, "enable online re-planning");
-  flags->Number("replan-epoch", &options->epoch_records, 0, INT_MAX,
-                "requests per sealed epoch; 0 = only explicit epoch advances");
+  flags->Number("replan-epoch", &options->epoch_records, 1, INT_MAX,
+                "requests per sealed epoch");
   flags->Number("replan-window", &options->epoch_window, 1, INT_MAX,
                 "sealed epochs the profile window aggregates");
   flags->Number("replan-dwell", &options->dwell_epochs, 1, INT_MAX,

@@ -39,4 +39,6 @@ expect_rejected "--no-such-flag" "$serve" --dataset SUGG --no-such-flag
 expect_rejected "--port" "$serve" --dataset SUGG --port abc
 expect_rejected "--replan-pair" \
   "$serve" --dataset SUGG --replan --replan-pair not-a-pair
+expect_rejected "--replan-epoch" \
+  "$serve" --dataset SUGG --replan --replan-epoch 0
 exit $fail

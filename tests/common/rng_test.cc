@@ -67,17 +67,6 @@ TEST(RngTest, BernoulliRate) {
   EXPECT_NEAR(hits / static_cast<double>(n), 0.3, 0.02);
 }
 
-TEST(RngTest, CategoricalFollowsWeights) {
-  Rng rng(19);
-  std::vector<double> weights = {1.0, 3.0, 6.0};
-  std::vector<int> counts(3, 0);
-  const int n = 60000;
-  for (int i = 0; i < n; ++i) ++counts[rng.Categorical(weights)];
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.02);
-  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.02);
-  EXPECT_NEAR(counts[2] / static_cast<double>(n), 0.6, 0.02);
-}
-
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(23);
   std::vector<int> v(50);
@@ -87,12 +76,6 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_NE(shuffled, v);  // astronomically unlikely to match
   std::sort(shuffled.begin(), shuffled.end());
   EXPECT_EQ(shuffled, v);
-}
-
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng a(31);
-  Rng forked = a.Fork();
-  EXPECT_NE(a.Next(), forked.Next());
 }
 
 TEST(ZipfTableTest, RankOneMostFrequent) {

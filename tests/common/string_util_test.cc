@@ -21,12 +21,6 @@ TEST(SplitTest, KeepsEmptyPieces) {
   EXPECT_EQ(Split("x", ','), (std::vector<std::string>{"x"}));
 }
 
-TEST(JoinTest, Roundtrip) {
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(Join({}, ","), "");
-  EXPECT_EQ(Join({"only"}, ","), "only");
-}
-
 TEST(StripTest, BothEnds) {
   EXPECT_EQ(StripAsciiWhitespace("  hi \t\n"), "hi");
   EXPECT_EQ(StripAsciiWhitespace("   "), "");

@@ -57,14 +57,6 @@ TEST(UndersampleNegativesTest, NoopWhenAlreadyBalanced) {
   EXPECT_EQ(same.size(), d.size());
 }
 
-TEST(OversamplePositivesTest, HitsTargetRatio) {
-  Dataset d = MakeDataset(50, 450);
-  Rng rng(6);
-  const Dataset up = OversamplePositives(d, 0.5, &rng);
-  EXPECT_NEAR(up.PositiveRatio(), 0.5, 0.01);
-  EXPECT_EQ(up.size(), 900u);  // 450 negatives + 450 resampled positives
-}
-
 TEST(SamplingTest, PreservesRecordPayloads) {
   Dataset d = MakeDataset(20, 20);
   Rng rng(7);

@@ -81,7 +81,9 @@ TEST_P(MetricsPropertyTest, AccuracyMatchesConfusionIdentity) {
   const auto preds = ThresholdScores(c.scores, 0.2);
   const Confusion conf = ComputeConfusion(c.labels, preds);
   EXPECT_EQ(conf.tp + conf.fp + conf.tn + conf.fn, 250);
-  EXPECT_NEAR(Accuracy(c.labels, preds), conf.Accuracy(), 1e-12);
+  int correct = 0;
+  for (size_t i = 0; i < preds.size(); ++i) correct += preds[i] == c.labels[i];
+  EXPECT_NEAR(correct / 250.0, conf.Accuracy(), 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MetricsPropertyTest,

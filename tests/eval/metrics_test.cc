@@ -34,7 +34,7 @@ TEST(ComputeConfusionTest, CountsAllQuadrants) {
   EXPECT_EQ(c.fn, 1);
   EXPECT_EQ(c.fp, 1);
   EXPECT_EQ(c.tn, 1);
-  EXPECT_DOUBLE_EQ(Accuracy(labels, preds), 3.0 / 5.0);
+  EXPECT_DOUBLE_EQ(c.Accuracy(), 3.0 / 5.0);
 }
 
 TEST(F1ScoreTest, PerfectAndWorst) {

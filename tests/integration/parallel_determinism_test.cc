@@ -1,6 +1,6 @@
 // The contract of the concurrency layer is not "roughly the same numbers,
 // faster" but *bit-identical* numbers at any thread count: the parallel
-// split is always by independent output slot (GEMM rows, CV folds, texts),
+// split is always by independent output slot (GEMM rows, grid cells, texts),
 // so no floating-point reduction ever crosses a thread boundary. These
 // tests pin that contract by diffing raw bits between a 1-thread and a
 // multi-thread run of every parallel path.
@@ -14,7 +14,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "config/runtime_config.h"
-#include "core/cross_validation.h"
 #include "core/experiment.h"
 #include "data/generator.h"
 #include "data/specs.h"
@@ -90,27 +89,6 @@ TEST_F(ParallelDeterminismTest, GemmBitIdenticalAcrossThreadCounts) {
       EXPECT_TRUE(BitIdentical(ref_tb, out_tb))
           << "TransB " << s.m << "x" << s.k << "x" << s.n << " @ " << threads;
     }
-  }
-}
-
-TEST_F(ParallelDeterminismTest, CrossValidationBitIdenticalToSequential) {
-  const data::Dataset dataset = SmallDataset(300);
-  for (const auto kind :
-       {models::ModelKind::kLr, models::ModelKind::kNaiveBayes}) {
-    SetGlobalPoolThreads(1);
-    const auto seq = core::CrossValidate(dataset, kind, 5, 42);
-    ASSERT_TRUE(seq.ok()) << seq.status().ToString();
-
-    SetGlobalPoolThreads(4);
-    const auto par = core::CrossValidate(dataset, kind, 5, 42);
-    ASSERT_TRUE(par.ok()) << par.status().ToString();
-
-    ASSERT_EQ(seq->fold_f1.size(), par->fold_f1.size());
-    for (size_t f = 0; f < seq->fold_f1.size(); ++f) {
-      EXPECT_EQ(seq->fold_f1[f], par->fold_f1[f]) << "fold " << f;
-    }
-    EXPECT_EQ(seq->mean_f1, par->mean_f1);
-    EXPECT_EQ(seq->stddev_f1, par->stddev_f1);
   }
 }
 

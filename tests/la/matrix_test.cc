@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,15 @@
 
 namespace semtag::la {
 namespace {
+
+/// Builds a matrix from nested rows of equal length.
+Matrix FromRows(const std::vector<std::vector<float>>& rows) {
+  Matrix m(rows.size(), rows[0].size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    std::copy(rows[r].begin(), rows[r].end(), m.Row(r));
+  }
+  return m;
+}
 
 TEST(MatrixTest, ConstructionAndAccess) {
   Matrix m(2, 3, 1.5f);
@@ -19,16 +30,9 @@ TEST(MatrixTest, ConstructionAndAccess) {
   EXPECT_FLOAT_EQ(m(0, 1), 7.0f);
 }
 
-TEST(MatrixTest, FromRows) {
-  Matrix m = Matrix::FromRows({{1, 2}, {3, 4}, {5, 6}});
-  EXPECT_EQ(m.rows(), 3u);
-  EXPECT_EQ(m.cols(), 2u);
-  EXPECT_FLOAT_EQ(m(2, 1), 6.0f);
-}
-
 TEST(MatrixTest, ElementwiseOps) {
-  Matrix a = Matrix::FromRows({{1, 2}, {3, 4}});
-  Matrix b = Matrix::FromRows({{10, 20}, {30, 40}});
+  Matrix a = FromRows({{1, 2}, {3, 4}});
+  Matrix b = FromRows({{10, 20}, {30, 40}});
   a.Add(b);
   EXPECT_FLOAT_EQ(a(1, 1), 44.0f);
   a.Sub(b);
@@ -42,15 +46,13 @@ TEST(MatrixTest, ElementwiseOps) {
 }
 
 TEST(MatrixTest, Reductions) {
-  Matrix m = Matrix::FromRows({{-1, 2}, {3, -4}});
+  Matrix m = FromRows({{-1, 2}, {3, -4}});
   EXPECT_FLOAT_EQ(m.Sum(), 0.0f);
-  EXPECT_FLOAT_EQ(m.Min(), -4.0f);
-  EXPECT_FLOAT_EQ(m.Max(), 3.0f);
   EXPECT_FLOAT_EQ(m.Norm(), std::sqrt(1.0f + 4 + 9 + 16));
 }
 
 TEST(MatrixTest, Transposed) {
-  Matrix m = Matrix::FromRows({{1, 2, 3}, {4, 5, 6}});
+  Matrix m = FromRows({{1, 2, 3}, {4, 5, 6}});
   Matrix t = m.Transposed();
   EXPECT_EQ(t.rows(), 3u);
   EXPECT_EQ(t.cols(), 2u);
@@ -58,8 +60,8 @@ TEST(MatrixTest, Transposed) {
 }
 
 TEST(MatMulTest, KnownProduct) {
-  Matrix a = Matrix::FromRows({{1, 2}, {3, 4}});
-  Matrix b = Matrix::FromRows({{5, 6}, {7, 8}});
+  Matrix a = FromRows({{1, 2}, {3, 4}});
+  Matrix b = FromRows({{5, 6}, {7, 8}});
   Matrix c;
   MatMul(a, b, &c);
   EXPECT_FLOAT_EQ(c(0, 0), 19.0f);
@@ -92,8 +94,8 @@ TEST(MatMulTest, TransposedVariantsAgree) {
 }
 
 TEST(MatrixHelpersTest, RowBroadcastAndSumRows) {
-  Matrix m = Matrix::FromRows({{1, 2}, {3, 4}});
-  Matrix row = Matrix::FromRows({{10, 20}});
+  Matrix m = FromRows({{1, 2}, {3, 4}});
+  Matrix row = FromRows({{10, 20}});
   AddRowBroadcast(&m, row);
   EXPECT_FLOAT_EQ(m(0, 0), 11.0f);
   EXPECT_FLOAT_EQ(m(1, 1), 24.0f);
@@ -112,17 +114,6 @@ TEST(InitTest, XavierWithinLimit) {
     EXPECT_LE(std::fabs(m.data()[i]), limit);
   }
   EXPECT_GT(m.Norm(), 0.0f);
-}
-
-TEST(InitTest, HeNormalHasExpectedSpread) {
-  Rng rng(7);
-  Matrix m(200, 50);
-  HeNormal(&m, &rng);
-  double sq = 0.0;
-  for (size_t i = 0; i < m.size(); ++i) {
-    sq += static_cast<double>(m.data()[i]) * m.data()[i];
-  }
-  EXPECT_NEAR(sq / static_cast<double>(m.size()), 2.0 / 200.0, 0.002);
 }
 
 TEST(DotTest, Basics) {

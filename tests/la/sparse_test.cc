@@ -67,7 +67,6 @@ TEST(SparseMatrixTest, RowsAndNnz) {
   m.AddRow(b);
   EXPECT_EQ(m.rows(), 2u);
   EXPECT_EQ(m.cols(), 100u);
-  EXPECT_EQ(m.TotalNnz(), 3u);
   EXPECT_EQ(m.Row(1).nnz(), 2u);
 }
 

@@ -8,18 +8,30 @@
 namespace semtag::models {
 namespace {
 
-TEST(RuleTaggerTest, ManualKeywordsTag) {
+/// Twenty records where "alpha beta" is always positive and "gamma delta"
+/// always negative: training induces exactly the positive tokens.
+data::Dataset TwoPhraseDataset() {
+  data::Dataset d("two-phrase");
+  for (int i = 0; i < 20; ++i) {
+    d.Add(data::Example{i % 2 ? "alpha beta" : "gamma delta", i % 2, i % 2});
+  }
+  return d;
+}
+
+TEST(RuleTaggerTest, ScoreIsTheKeywordFraction) {
   RuleTagger tagger;
-  tagger.AddKeyword("tip");
-  tagger.AddKeyword("recommend");
-  EXPECT_EQ(tagger.Predict("i recommend the soup"), 1);
-  EXPECT_EQ(tagger.Predict("the soup was fine"), 0);
-  EXPECT_GT(tagger.Score("tip tip tip"), tagger.Score("one tip here yes"));
+  ASSERT_TRUE(tagger.Train(TwoPhraseDataset()).ok());
+  EXPECT_TRUE(tagger.keywords().count("alpha"));
+  EXPECT_FALSE(tagger.keywords().count("gamma"));
+  EXPECT_EQ(tagger.Predict("we saw alpha today"), 1);
+  EXPECT_EQ(tagger.Predict("we saw gamma today"), 0);
+  EXPECT_DOUBLE_EQ(tagger.Score("alpha alpha"), 1.0);
+  EXPECT_DOUBLE_EQ(tagger.Score("one alpha here yes"), 0.25);
 }
 
 TEST(RuleTaggerTest, EmptyTextScoresZero) {
   RuleTagger tagger;
-  tagger.AddKeyword("x");
+  ASSERT_TRUE(tagger.Train(TwoPhraseDataset()).ok());
   EXPECT_DOUBLE_EQ(tagger.Score(""), 0.0);
   EXPECT_EQ(tagger.Predict(""), 0);
 }
@@ -54,19 +66,6 @@ TEST(RuleTaggerTest, FailsWhenNoTokenQualifies) {
   }
   RuleTagger tagger;
   EXPECT_EQ(tagger.Train(flat).code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(RuleTaggerTest, ManualKeywordsSurviveTraining) {
-  data::Dataset tiny("tiny");
-  for (int i = 0; i < 20; ++i) {
-    tiny.Add(data::Example{i % 2 ? "alpha beta" : "gamma delta", i % 2,
-                           i % 2});
-  }
-  RuleTagger tagger;
-  tagger.AddKeyword("customword");
-  ASSERT_TRUE(tagger.Train(tiny).ok());
-  EXPECT_TRUE(tagger.keywords().count("customword"));
-  EXPECT_TRUE(tagger.keywords().count("alpha"));
 }
 
 }  // namespace

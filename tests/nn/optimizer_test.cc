@@ -24,46 +24,10 @@ double RunQuadratic(Optimizer* optimizer, const Variable& w, int steps) {
   return err / 4.0;
 }
 
-TEST(SgdTest, ConvergesOnQuadratic) {
-  Variable w(la::Matrix(1, 4, 0.0f), true);
-  Sgd sgd({w}, 0.1f);
-  EXPECT_LT(RunQuadratic(&sgd, w, 100), 1e-3);
-}
-
-TEST(SgdTest, MomentumConverges) {
-  Variable w(la::Matrix(1, 4, 0.0f), true);
-  Sgd sgd({w}, 0.05f, 0.9f);
-  EXPECT_LT(RunQuadratic(&sgd, w, 200), 1e-2);
-}
-
 TEST(AdamTest, ConvergesOnQuadratic) {
   Variable w(la::Matrix(1, 4, 0.0f), true);
   Adam adam({w}, 0.3f);
   EXPECT_LT(RunQuadratic(&adam, w, 200), 1e-2);
-}
-
-TEST(SgdTest, WeightDecayShrinksWeights) {
-  Variable w(la::Matrix(1, 2, 10.0f), true);
-  Sgd sgd({w}, 0.1f, 0.0f, /*weight_decay=*/0.5f);
-  // Zero gradient step: only decay applies.
-  Variable loss = SumToScalar(ScalarMul(w, 0.0f));
-  Backward(loss);
-  sgd.Step();
-  EXPECT_NEAR(w.value()(0, 0), 10.0f * (1.0f - 0.1f * 0.5f), 1e-5);
-}
-
-TEST(OptimizerTest, ClipGradNormBoundsGlobalNorm) {
-  Variable a(la::Matrix(1, 3, 0.0f), true);
-  Variable b(la::Matrix(1, 3, 0.0f), true);
-  Sgd sgd({a, b}, 1.0f);
-  Variable loss =
-      SumToScalar(Add(ScalarMul(a, 30.0f), ScalarMul(b, 40.0f)));
-  Backward(loss);
-  sgd.ClipGradNorm(1.0f);
-  const double norm = std::sqrt(
-      std::pow(static_cast<double>(a.grad().Norm()), 2) +
-      std::pow(static_cast<double>(b.grad().Norm()), 2));
-  EXPECT_NEAR(norm, 1.0, 1e-4);
 }
 
 TEST(OptimizerTest, StepZeroesGradients) {

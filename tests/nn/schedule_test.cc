@@ -5,36 +5,6 @@
 namespace semtag::nn {
 namespace {
 
-TEST(ConstantLrTest, AlwaysSame) {
-  ConstantLr schedule(0.01);
-  for (int i = 0; i < 5; ++i) EXPECT_DOUBLE_EQ(schedule.Next(), 0.01);
-  EXPECT_EQ(schedule.step(), 5);
-}
-
-TEST(WarmupLinearDecayTest, WarmsUpThenDecays) {
-  WarmupLinearDecayLr schedule(1.0, 10, 110);
-  // Warmup: strictly increasing, hits peak at step 10.
-  double prev = 0.0;
-  for (int s = 0; s < 10; ++s) {
-    const double lr = schedule.At(s);
-    EXPECT_GT(lr, prev);
-    prev = lr;
-  }
-  EXPECT_DOUBLE_EQ(schedule.At(10), 1.0);
-  // Decay: strictly decreasing to 0 at total_steps.
-  EXPECT_LT(schedule.At(60), 1.0);
-  EXPECT_GT(schedule.At(60), schedule.At(100));
-  EXPECT_DOUBLE_EQ(schedule.At(110), 0.0);
-  // Never negative past the end.
-  EXPECT_DOUBLE_EQ(schedule.At(500), 0.0);
-}
-
-TEST(WarmupLinearDecayTest, MidpointsAreLinear) {
-  WarmupLinearDecayLr schedule(2.0, 4, 104);
-  EXPECT_NEAR(schedule.At(1), 2.0 * 2 / 4, 1e-12);
-  EXPECT_NEAR(schedule.At(54), 2.0 * 0.5, 1e-12);
-}
-
 TEST(InverseTimeDecayTest, HalvesAtExpectedStep) {
   InverseTimeDecayLr schedule(0.5, 0.01);
   EXPECT_DOUBLE_EQ(schedule.At(0), 0.5);

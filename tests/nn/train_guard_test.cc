@@ -1,5 +1,7 @@
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -28,15 +30,38 @@ struct Rig {
   Variable param;
 };
 
+/// Plain gradient descent, w -= lr * g. Unlike Adam's, its update scales
+/// with the gradient, so a wrong clip factor in the guard shows up in the
+/// parameters.
+class Sgd : public Optimizer {
+ public:
+  Sgd(std::vector<Variable> params, float lr)
+      : Optimizer(std::move(params)), lr_(lr) {}
+
+  void Step() override {
+    for (auto& p : params_) {
+      auto node = p.node();
+      if (!node->grad.SameShape(node->value)) continue;
+      node->value.Axpy(-lr_, node->grad);
+      node->grad.Fill(0.0f);
+    }
+  }
+  float lr() const override { return lr_; }
+  void set_lr(float lr) override { lr_ = lr; }
+
+ private:
+  float lr_;
+};
+
 class TrainGuardTest : public ::testing::Test {
  protected:
   void TearDown() override { ClearFaults(); }
 };
 
 TEST_F(TrainGuardTest, HealthyStepMatchesClipPlusStep) {
-  // Two identical rigs: one stepped through the guard, one through the
-  // plain ClipGradNorm+Step path the models used before. Bit-identical
-  // updates are the invariant that keeps cached study results valid.
+  // Two identical rigs: one stepped through the guard, one clipped by hand
+  // to the global norm and then stepped. Bit-identical updates are the
+  // invariant that keeps cached study results valid.
   Rig guarded, plain;
   Sgd opt_a({guarded.param}, 0.1f);
   Sgd opt_b({plain.param}, 0.1f);
@@ -48,10 +73,12 @@ TEST_F(TrainGuardTest, HealthyStepMatchesClipPlusStep) {
   guarded.SetGrad(3.0f, 4.0f);
   plain.SetGrad(3.0f, 4.0f);
   ASSERT_TRUE(guard.Step(1.25f).ok());
-  opt_b.ClipGradNorm(0.5f);
+  // |(3, 4)| = 5, so the clip scales the gradient by 0.5 / 5.
+  plain.param.node()->grad.Scale(static_cast<float>(0.5 / 5.0));
   opt_b.Step();
   EXPECT_EQ(guarded.param.value()(0, 0), plain.param.value()(0, 0));
   EXPECT_EQ(guarded.param.value()(0, 1), plain.param.value()(0, 1));
+  EXPECT_NEAR(guarded.param.value()(0, 0), 1.0f - 0.1f * 0.3f, 1e-6f);
   EXPECT_EQ(guard.retries(), 0);
 }
 

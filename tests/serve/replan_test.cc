@@ -8,6 +8,7 @@
 // the re-planner share.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -34,6 +35,40 @@
 
 namespace semtag::serve {
 namespace {
+
+/// The two-phase scenario the drift tests replay: a clean segment matching
+/// HETER's training distribution, then a dirty segment (open-vocabulary
+/// entity soup + label contamination + topic rotation + ratio shift) that
+/// lands the live profile in the heat map's dirty regime.
+data::DriftScenario CleanToDirtyScenario(int records_per_segment,
+                                         uint64_t seed) {
+  data::DriftScenario scenario;
+  scenario.base_dataset = "HETER";
+  scenario.seed = seed;
+
+  data::DriftSegment clean;
+  clean.label = "clean";
+  clean.records = records_per_segment;
+  // HETER's observed training ratio (Table 3): the live profile stays in
+  // the trained cell through this phase.
+  clean.positive_ratio = 0.714;
+  scenario.segments.push_back(clean);
+
+  data::DriftSegment dirty;
+  dirty.label = "dirty";
+  dirty.records = records_per_segment;
+  dirty.positive_ratio = 0.3;
+  // Most entity names occur once at this pool size (the BOOK effect), so
+  // OOV rate and vocabulary churn both jump: what the TrafficStats
+  // dirtiness proxy keys on.
+  dirty.entity_rate = 0.35;
+  dirty.entity_signal = 0.5;
+  dirty.entity_pool_size = 4000;
+  dirty.neg_contamination = 0.08;
+  dirty.vocab_shift = 3;
+  scenario.segments.push_back(dirty);
+  return scenario;
+}
 
 // ---------------------------------------------------------------------------
 // TrafficStats logical epochs + cleanliness proxy
@@ -69,7 +104,7 @@ TEST(TrafficEpochTest, CountBasedAutoSealRotatesWindow) {
 }
 
 TEST(TrafficEpochTest, CleanlinessProxySeparatesCleanFromDriftedTraffic) {
-  const data::DriftScenario scenario = data::CleanToDirtyScenario(
+  const data::DriftScenario scenario = CleanToDirtyScenario(
       /*records_per_segment=*/160, /*seed=*/11);
   const std::vector<data::DriftRecord> stream =
       data::GenerateDriftStream(scenario);
@@ -107,7 +142,7 @@ TEST(TrafficEpochTest, CleanlinessProxySeparatesCleanFromDriftedTraffic) {
 
 TEST(TrafficEpochTest, ProfileIsBitIdenticalForTheSameRecordSequence) {
   const std::vector<data::DriftRecord> stream =
-      data::GenerateDriftStream(data::CleanToDirtyScenario(64, 3));
+      data::GenerateDriftStream(CleanToDirtyScenario(64, 3));
   const auto run = [&stream] {
     TrafficStats stats(/*epoch_records=*/16, /*epoch_window=*/4);
     for (const auto& record : stream) {
@@ -133,7 +168,7 @@ TEST(TrafficEpochTest, ProfileIsBitIdenticalForTheSameRecordSequence) {
 // ---------------------------------------------------------------------------
 
 TEST(DriftStreamTest, StreamIsDeterministicAcrossCalls) {
-  const data::DriftScenario scenario = data::CleanToDirtyScenario(48, 9);
+  const data::DriftScenario scenario = CleanToDirtyScenario(48, 9);
   const auto a = data::GenerateDriftStream(scenario);
   const auto b = data::GenerateDriftStream(scenario);
   ASSERT_EQ(a.size(), b.size());
@@ -146,7 +181,7 @@ TEST(DriftStreamTest, StreamIsDeterministicAcrossCalls) {
 
 TEST(DriftStreamTest, SegmentsDrawIndependentStreams) {
   // Editing a later segment must not perturb an earlier one's bytes.
-  data::DriftScenario base = data::CleanToDirtyScenario(32, 5);
+  data::DriftScenario base = CleanToDirtyScenario(32, 5);
   data::DriftScenario edited = base;
   edited.segments[1].entity_rate = 0.9;
   edited.segments[1].vocab_shift = 7;
@@ -440,7 +475,7 @@ struct DriftRunResult {
 DriftRunResult RunDriftLoop(int threads, int batch_cap = kWave) {
   SetGlobalPoolThreads(threads);
   const std::vector<data::DriftRecord> stream =
-      data::GenerateDriftStream(data::CleanToDirtyScenario(
+      data::GenerateDriftStream(CleanToDirtyScenario(
           /*records_per_segment=*/kSegmentWaves * kWave, /*seed=*/7));
   EXPECT_EQ(stream.size(), static_cast<size_t>(kRunRecords));
 
@@ -553,7 +588,7 @@ TEST(ReplanLoopTest, MidStreamSwapNeverSplitsABatchAndEndsOnPlannedPair) {
   auto v2 = BuildModelFromSpec(RunSpec("simple"));
   ASSERT_TRUE(v2.ok());
   const std::vector<data::DriftRecord> stream =
-      data::GenerateDriftStream(data::CleanToDirtyScenario(
+      data::GenerateDriftStream(CleanToDirtyScenario(
           kSegmentWaves * kWave, 7));
   for (int wave = 0; wave < 2 * kSegmentWaves; ++wave) {
     std::vector<std::string> texts;
@@ -679,8 +714,8 @@ TEST(ReplanOptionsTest, EnvOverridesParse) {
 }
 
 // A bad value is an error that names its flag and leaves the default in
-// place; zero is a valid --replan-epoch (explicit epoch advances only);
-// only --replan turns the loop on.
+// place; zero is a bad --replan-epoch (the daemon never advances an epoch
+// itself, so no epoch would ever seal); only --replan turns the loop on.
 TEST(ReplanOptionsTest, BadValuesKeepDefaultsAndZeroDisables) {
   ReplanOptions options;
   std::string pair;
@@ -699,9 +734,12 @@ TEST(ReplanOptionsTest, BadValuesKeepDefaultsAndZeroDisables) {
   EXPECT_EQ(options.cascade.simple, core::CascadeOptions{}.simple);
 
   ReplanOptions zero;
-  ASSERT_TRUE(ParseReplanFlags({"--replan-epoch", "0"}, &zero, &pair).ok());
-  EXPECT_EQ(zero.epoch_records, 0);
-  EXPECT_EQ(zero.Resolved().epoch_records, 0);
+  const Status zero_epoch =
+      ParseReplanFlags({"--replan-epoch", "0"}, &zero, &pair);
+  EXPECT_FALSE(zero_epoch.ok());
+  EXPECT_NE(zero_epoch.message().find("--replan-epoch"), std::string::npos)
+      << zero_epoch.message();
+  EXPECT_EQ(zero.epoch_records, ReplanOptions{}.epoch_records);
   EXPECT_FALSE(zero.enabled);
   ReplanOptions enabled;
   ASSERT_TRUE(ParseReplanFlags({"--replan"}, &enabled, &pair).ok());
