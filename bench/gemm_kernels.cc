@@ -427,7 +427,6 @@ int RunSmoke() {
     kt.vfill(out1.data(), 0.125f, kN);
     acc += static_cast<float>(kt.sum(a.data(), kN));
     acc += static_cast<float>(kt.sumsq(a.data(), kN));
-    acc += kt.vmax(a.data(), kN) + kt.vmin(a.data(), kN);
     kt.softmax_row(out0.data(), kN);
     acc += kt.layernorm_row(out1.data(), a.data(), kN, 1e-5f);
     kt.vexp(out0.data(), kN);

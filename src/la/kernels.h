@@ -17,22 +17,27 @@ enum class SimdLevel {
 /// "scalar" / "avx2".
 const char* SimdLevelName(SimdLevel level);
 
-/// One (sequence, head) tile of scaled dot-product attention: t query rows
-/// attend over the same t key rows with head width hd. q/k/v point at the
-/// tile's first row inside a fused [rows x 3d] Q|K|V matrix (row stride
-/// ld); the kernels never touch columns outside [0, hd) of each row.
+/// One (sequence, head) tile of scaled dot-product attention: the first
+/// `rows` of the tile's t query rows attend over its t key rows with head
+/// width hd. q/k/v point at the tile's first row inside a fused Q|K|V
+/// matrix (row stride ld); the kernels never touch columns outside [0, hd)
+/// of each row. A query row's output and probabilities do not depend on
+/// `rows`, and a tile with rows == 1 also has the gradients of the full
+/// tile whose other output rows get zero gradient, bit for bit at every
+/// tier (the backward sums dK and dV over the `rows` query rows).
 struct AttentionTile {
   size_t t = 0;
+  size_t rows = 0;  ///< query rows, 1 <= rows <= t
   size_t hd = 0;
   size_t ld = 0;
   float scale = 1.0f;
   const float* q = nullptr;
   const float* k = nullptr;
   const float* v = nullptr;
-  /// t x t additive mask (row stride t): 0 for visible keys, -1e9 for
+  /// rows x t additive mask (row stride t): 0 for visible keys, -1e9 for
   /// padded ones. Every row must leave at least one key visible.
   const float* mask = nullptr;
-  /// t x t softmax probabilities (row stride t): written by the forward,
+  /// rows x t softmax probabilities (row stride t): written by the forward,
   /// read by the backward.
   float* probs = nullptr;
   /// Scratch of AttentionWorkFloats(t, hd) floats; contents are undefined
@@ -91,8 +96,6 @@ struct KernelTable {
   // ---- reductions (double accumulation, matching the seed) ---------------
   double (*sum)(const float* x, size_t n);
   double (*sumsq)(const float* x, size_t n);
-  float (*vmax)(const float* x, size_t n);
-  float (*vmin)(const float* x, size_t n);
 
   // ---- fused row kernels -------------------------------------------------
   /// In-place numerically-stable softmax over one row.
@@ -123,13 +126,15 @@ struct KernelTable {
                       float bc1, float bc2);
 
   // ---- fused attention (DESIGN.md "Batched execution") -------------------
-  /// probs = softmax(q k^T * scale + mask) row-wise, out = probs v: out row
-  /// i (hd floats, row stride ldo) is written, not accumulated.
+  /// probs = softmax(q k^T * scale + mask) row-wise, out = probs v, for the
+  /// tile's `rows` query rows: out row i (hd floats, row stride ldo) is
+  /// written, not accumulated.
   void (*attention_forward)(const AttentionTile& tile, float* out,
                             size_t ldo);
-  /// Backward of attention_forward from its output gradient dout (row
-  /// stride ldo) and the stored probs: accumulates (+=) into dq, dk and dv,
-  /// which share the tile's row stride ld.
+  /// Backward of attention_forward from its output gradient dout (`rows`
+  /// rows, row stride ldo) and the stored probs: accumulates (+=) into the
+  /// `rows` rows of dq and the t rows of dk and dv, which share the tile's
+  /// row stride ld.
   void (*attention_backward)(const AttentionTile& tile, const float* dout,
                              size_t ldo, float* dq, float* dk, float* dv);
 };

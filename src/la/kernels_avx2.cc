@@ -42,15 +42,6 @@ inline float HMax8(__m256 v) {
   return _mm_cvtss_f32(lo);
 }
 
-inline float HMin8(__m256 v) {
-  __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  lo = _mm_min_ps(lo, hi);
-  lo = _mm_min_ps(lo, _mm_movehl_ps(lo, lo));
-  lo = _mm_min_ss(lo, _mm_shuffle_ps(lo, lo, 1));
-  return _mm_cvtss_f32(lo);
-}
-
 inline double HSum4d(__m256d v) {
   __m128d lo = _mm256_castpd256_pd128(v);
   const __m128d hi = _mm256_extractf128_pd(v, 1);
@@ -399,22 +390,6 @@ float Avx2Max(const float* x, size_t n) {
   return m;
 }
 
-float Avx2Min(const float* x, size_t n) {
-  size_t i = 0;
-  float m = x[0];
-  if (n >= 8) {
-    __m256 vm = _mm256_loadu_ps(x);
-    for (i = 8; i + 8 <= n; i += 8) {
-      vm = _mm256_min_ps(vm, _mm256_loadu_ps(x + i));
-    }
-    m = HMin8(vm);
-  }
-  for (; i < n; ++i) {
-    if (x[i] < m) m = x[i];
-  }
-  return m;
-}
-
 void Avx2SoftmaxRow(float* row, size_t n) {
   const float mx = Avx2Max(row, n);
   const __m256 vmx = _mm256_set1_ps(mx);
@@ -665,7 +640,7 @@ void Avx2AttentionForward(const AttentionTile& tile, float* out,
   float* s = kt + hd * tp;    // [tp] one score row
   TransposePadded(tile.k, ld, t, hd, tp, kt);
   const __m256 vscale = _mm256_set1_ps(tile.scale);
-  for (size_t i = 0; i < t; ++i) {
+  for (size_t i = 0; i < tile.rows; ++i) {
     DotTransposed(tile.q + i * ld, kt, hd, tp, s);
     const float* mask = tile.mask + i * t;
     size_t j = 0;
@@ -713,7 +688,7 @@ void Avx2AttentionBackward(const AttentionTile& tile, const float* dout,
   TransposePadded(tile.v, ld, t, hd, tp, vt);
   std::memset(dkt, 0, 2 * hd * tp * sizeof(float));
   const __m256 vscale = _mm256_set1_ps(tile.scale);
-  for (size_t i = 0; i < t; ++i) {
+  for (size_t i = 0; i < tile.rows; ++i) {
     std::memcpy(p, tile.probs + i * t, t * sizeof(float));
     for (size_t j = t; j < tp; ++j) p[j] = 0.0f;
     const float* go = dout + i * ldo;
@@ -759,8 +734,6 @@ const KernelTable& Avx2Table() {
       &Avx2Fill,
       &Avx2Sum,
       &Avx2SumSq,
-      &Avx2Max,
-      &Avx2Min,
       &Avx2SoftmaxRow,
       &Avx2LayerNormRow,
       &Avx2Exp,

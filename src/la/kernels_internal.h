@@ -32,8 +32,6 @@ void ScalarHadamard(float* y, const float* x, size_t n);
 void ScalarFill(float* x, float v, size_t n);
 double ScalarSum(const float* x, size_t n);
 double ScalarSumSq(const float* x, size_t n);
-float ScalarMax(const float* x, size_t n);
-float ScalarMin(const float* x, size_t n);
 void ScalarSoftmaxRow(float* row, size_t n);
 float ScalarLayerNormRow(float* normalized, const float* row, size_t n,
                          float eps);

@@ -99,22 +99,6 @@ double ScalarSumSq(const float* x, size_t n) {
   return acc;
 }
 
-float ScalarMax(const float* x, size_t n) {
-  float m = x[0];
-  for (size_t i = 1; i < n; ++i) {
-    if (x[i] > m) m = x[i];
-  }
-  return m;
-}
-
-float ScalarMin(const float* x, size_t n) {
-  float m = x[0];
-  for (size_t i = 1; i < n; ++i) {
-    if (x[i] < m) m = x[i];
-  }
-  return m;
-}
-
 void ScalarSoftmaxRow(float* row, size_t n) {
   float mx = row[0];
   for (size_t c = 1; c < n; ++c) mx = std::max(mx, row[c]);
@@ -228,7 +212,7 @@ void DotRows(const float* x, const float* rows, size_t ld, size_t m,
 void ScalarAttentionForward(const AttentionTile& tile, float* out,
                             size_t ldo) {
   const size_t t = tile.t, hd = tile.hd, ld = tile.ld;
-  for (size_t i = 0; i < t; ++i) {
+  for (size_t i = 0; i < tile.rows; ++i) {
     float* p = tile.probs + i * t;
     DotRows(tile.q + i * ld, tile.k, ld, t, hd, p);
     ScalarScale(p, tile.scale, t);
@@ -242,16 +226,16 @@ void ScalarAttentionForward(const AttentionTile& tile, float* out,
 
 void ScalarAttentionBackward(const AttentionTile& tile, const float* dout,
                              size_t ldo, float* dq, float* dk, float* dv) {
-  const size_t t = tile.t, hd = tile.hd, ld = tile.ld;
+  const size_t t = tile.t, rows = tile.rows, hd = tile.hd, ld = tile.ld;
   const float* probs = tile.probs;
   // dV = P^T dout, one key row at a time down column j of P.
   for (size_t j = 0; j < t; ++j) {
-    AccumulateRows(dv + j * ld, probs + j, t, dout, ldo, t, hd);
+    AccumulateRows(dv + j * ld, probs + j, t, dout, ldo, rows, hd);
   }
   // dS = scale * softmax'(dP), dP = dout V^T, kept whole in `work` because
   // dK reads it column-wise.
   float* ds = tile.work;
-  for (size_t i = 0; i < t; ++i) {
+  for (size_t i = 0; i < rows; ++i) {
     float* g = ds + i * t;
     const float* y = probs + i * t;
     DotRows(dout + i * ldo, tile.v, ld, t, hd, g);
@@ -260,11 +244,11 @@ void ScalarAttentionBackward(const AttentionTile& tile, const float* dout,
     for (size_t c = 0; c < t; ++c) g[c] = y[c] * (g[c] - dot);
     ScalarScale(g, tile.scale, t);
   }
-  for (size_t i = 0; i < t; ++i) {
+  for (size_t i = 0; i < rows; ++i) {
     AccumulateRows(dq + i * ld, ds + i * t, 1, tile.k, ld, t, hd);
   }
   for (size_t j = 0; j < t; ++j) {
-    AccumulateRows(dk + j * ld, ds + j, t, tile.q, ld, t, hd);
+    AccumulateRows(dk + j * ld, ds + j, t, tile.q, ld, rows, hd);
   }
 }
 
@@ -283,8 +267,6 @@ const KernelTable& ScalarTable() {
       &ScalarFill,
       &ScalarSum,
       &ScalarSumSq,
-      &ScalarMax,
-      &ScalarMin,
       &ScalarSoftmaxRow,
       &ScalarLayerNormRow,
       &ScalarExp,

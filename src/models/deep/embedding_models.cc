@@ -32,13 +32,11 @@ std::vector<std::vector<float>> BertFeaturizer::EmbedBatch(
     std::vector<const std::vector<int32_t>*> ptrs;
     ptrs.reserve(bsz);
     for (const auto& ids : encoded) ptrs.push_back(&ids);
-    nn::Variable hidden =
-        backbone_->EncodeBatch(ptrs, /*rng=*/nullptr, /*training=*/false);
-    const la::Matrix& h = hidden.value();
-    const size_t len = h.rows() / bsz;  // rows per sequence (block-major)
+    const nn::Variable cls =
+        backbone_->EncodeCls(ptrs, /*rng=*/nullptr, /*training=*/false);
     for (size_t k = 0; k < bsz; ++k) {
-      const float* cls = h.Row(k * len);
-      out.emplace_back(cls, cls + h.cols());
+      const float* row = cls.value().Row(k);
+      out.emplace_back(row, row + cls.cols());
     }
   }
   return out;

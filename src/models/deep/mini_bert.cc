@@ -29,6 +29,7 @@ MiniBertBackbone::MiniBertBackbone(const BertConfig& config,
     : config_(config),
       encoder_(EncoderOptionsFor(config)),
       dropout_rng_(config.seed ^ 0xd00d) {
+  SEMTAG_CHECK(config_.layers >= 1);
   encoder_.SetVocabulary(std::move(word_vocab));
   Rng rng(config.seed);
   token_embedding_ = std::make_unique<nn::Embedding>(
@@ -72,9 +73,9 @@ la::Matrix MiniBertBackbone::BatchAttentionMask(
   return mask;
 }
 
-nn::Variable MiniBertBackbone::EncodeBatch(
+nn::Variable MiniBertBackbone::Encode(
     const std::vector<const std::vector<int32_t>*>& batch, Rng* rng,
-    bool training) const {
+    bool training, nn::BlockRows last_layer_rows) const {
   SEMTAG_CHECK(!batch.empty());
   const size_t T = static_cast<size_t>(config_.max_len);
   std::vector<int32_t> flat;
@@ -92,7 +93,9 @@ nn::Variable MiniBertBackbone::EncodeBatch(
   for (int l = 0; l < config_.layers; ++l) {
     const auto& layer =
         layers_[config_.share_layers ? 0 : static_cast<size_t>(l)];
-    h = layer->Forward(h, mask, config_.dropout, rng, training);
+    const bool last = l + 1 == config_.layers;
+    h = layer->Forward(h, mask, config_.dropout, rng, training,
+                       last ? last_layer_rows : nn::BlockRows::kAll);
   }
   return h;
 }
@@ -292,17 +295,10 @@ Status MiniBert::Train(const data::Dataset& train_full) {
 nn::Variable MiniBert::LogitsBatch(
     const std::vector<const std::vector<int32_t>*>& batch,
     bool training) const {
-  const size_t T = static_cast<size_t>(backbone_->config().max_len);
-  std::vector<int32_t> cls_rows(batch.size());
-  for (size_t k = 0; k < batch.size(); ++k) {
-    cls_rows[k] = static_cast<int32_t>(k * T);
-  }
   // Inference passes no RNG, so concurrent ScoreAll shards never touch the
   // model's mutable rng_ (Dropout asserts this).
-  nn::Variable hidden =
-      backbone_->EncodeBatch(batch, training ? &rng_ : nullptr, training);
-  nn::Variable cls = nn::GatherRows(hidden, cls_rows);  // [B x d]
-  return cls_head_->Forward(cls);
+  return cls_head_->Forward(
+      backbone_->EncodeCls(batch, training ? &rng_ : nullptr, training));
 }
 
 std::vector<double> MiniBert::ScoreBatch(

@@ -62,7 +62,20 @@ class MiniBertBackbone {
   /// one pad mask built per batch and reused across layers.
   nn::Variable EncodeBatch(
       const std::vector<const std::vector<int32_t>*>& batch, Rng* rng,
-      bool training) const;
+      bool training) const {
+    return Encode(batch, rng, training, nn::BlockRows::kAll);
+  }
+
+  /// Encodes B sequences as EncodeBatch does but returns only their
+  /// last-layer [CLS] states [B x d] (row s is sequence s's first row):
+  /// the last encoder layer computes the [CLS] rows alone (see
+  /// nn::TransformerEncoderLayer::Forward), every earlier layer all rows.
+  /// Equal to EncodeBatch's [CLS] rows, dropout included.
+  nn::Variable EncodeCls(
+      const std::vector<const std::vector<int32_t>*>& batch, Rng* rng,
+      bool training) const {
+    return Encode(batch, rng, training, nn::BlockRows::kFirst);
+  }
 
   /// Encodes raw text (tokenize + [CLS] + pad).
   std::vector<int32_t> EncodeIds(std::string_view text) const;
@@ -82,6 +95,11 @@ class MiniBertBackbone {
   int32_t vocab_size() const { return encoder_.vocab_size(); }
 
  private:
+  /// EncodeBatch / EncodeCls: `last_layer_rows` is the last layer's rows.
+  nn::Variable Encode(const std::vector<const std::vector<int32_t>*>& batch,
+                      Rng* rng, bool training,
+                      nn::BlockRows last_layer_rows) const;
+
   /// B stacked per-sequence additive masks [B*max_len x max_len] (key j
   /// of sequence s is -1e9 when its id is [PAD]), built once per batch into
   /// one pool-backed matrix and reused across all layers.
@@ -139,9 +157,8 @@ class MiniBert : public TaggingModel {
   }
 
  private:
-  /// The model's one forward graph: B sequences -> backbone -> each
-  /// sequence's last-layer [CLS] row -> [B x 2] logits (Score is a batch
-  /// of one).
+  /// The model's one forward graph: B sequences -> backbone [CLS] states
+  /// -> [B x 2] logits (Score is a batch of one).
   nn::Variable LogitsBatch(
       const std::vector<const std::vector<int32_t>*>& batch,
       bool training) const;

@@ -28,8 +28,8 @@ Linear::Linear(size_t in_dim, size_t out_dim, Rng* rng)
     : weight_(MakeParam(in_dim, out_dim, rng)),
       bias_(MakeZeroParam(1, out_dim)) {}
 
-Variable Linear::Forward(const Variable& x) const {
-  return AddRowBroadcast(MatMul(x, weight_), bias_);
+Variable Linear::Forward(const Variable& x, BlockRows rows) const {
+  return AddRowBroadcast(MatMul(x, weight_, rows), bias_);
 }
 
 void Linear::CollectParameters(std::vector<Variable>* out) {
@@ -202,12 +202,13 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(size_t dim, size_t num_heads,
 }
 
 Variable MultiHeadSelfAttention::Forward(const Variable& x,
-                                         const la::Matrix& mask) const {
+                                         const la::Matrix& mask,
+                                         BlockRows rows) const {
   const size_t head_dim = w_o_.rows() / num_heads_;
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
   Variable qkv = AddRowBroadcast(MatMul(x, w_qkv_), b_qkv_);
-  Variable heads = MultiHeadAttention(qkv, mask, num_heads_, scale);
-  return AddRowBroadcast(MatMul(heads, w_o_), b_o_);
+  Variable heads = MultiHeadAttention(qkv, mask, num_heads_, scale, rows);
+  return AddRowBroadcast(MatMul(heads, w_o_, rows), b_o_);
 }
 
 void MultiHeadSelfAttention::CollectParameters(std::vector<Variable>* out) {
@@ -231,12 +232,24 @@ TransformerEncoderLayer::TransformerEncoderLayer(size_t dim,
 Variable TransformerEncoderLayer::Forward(const Variable& x,
                                           const la::Matrix& mask,
                                           double dropout, Rng* rng,
-                                          bool training) const {
-  Variable attended =
-      Dropout(attention_.Forward(x, mask), dropout, rng, training);
-  Variable h = norm1_.Forward(Add(x, attended));
-  Variable ffn =
-      Dropout(ffn2_.Forward(Gelu(ffn1_.Forward(h))), dropout, rng, training);
+                                          bool training,
+                                          BlockRows rows) const {
+  const size_t t = mask.cols();
+  // Row r of a kFirst activation stands for row r*t of the full height.
+  const size_t stride = rows == BlockRows::kFirst ? t : 1;
+  Variable attended = Dropout(attention_.Forward(x, mask, rows), dropout,
+                              rng, training, stride);
+  Variable residual = x;
+  if (rows == BlockRows::kFirst) {
+    std::vector<int32_t> firsts(x.rows() / t);
+    for (size_t s = 0; s < firsts.size(); ++s) {
+      firsts[s] = static_cast<int32_t>(s * t);
+    }
+    residual = GatherRows(x, firsts);
+  }
+  Variable h = norm1_.Forward(Add(residual, attended));
+  Variable ffn = Dropout(ffn2_.Forward(Gelu(ffn1_.Forward(h, rows)), rows),
+                         dropout, rng, training, stride);
   return norm2_.Forward(Add(h, ffn));
 }
 

@@ -26,7 +26,8 @@ class Linear : public Layer {
  public:
   Linear(size_t in_dim, size_t out_dim, Rng* rng);
 
-  Variable Forward(const Variable& x) const;
+  /// `rows` describes x's rows as nn::MatMul's a_rows does.
+  Variable Forward(const Variable& x, BlockRows rows = BlockRows::kAll) const;
   void CollectParameters(std::vector<Variable>* out) override;
 
  private:
@@ -130,12 +131,15 @@ class LayerNormLayer : public Layer {
 /// [B*T x d] and `mask` [B*T x T] (B stacked per-sequence additive masks,
 /// 0 for visible and -1e9 for padded keys), so B = x.rows() / mask.cols().
 /// One fused Q|K|V projection GEMM feeds one nn::MultiHeadAttention node;
-/// attention itself stays per sequence.
+/// attention itself stays per sequence. `rows` picks the query rows, and
+/// so the output: [B*T x d] (kAll) or [B x d] (kFirst); K and V always
+/// cover all T rows.
 class MultiHeadSelfAttention : public Layer {
  public:
   MultiHeadSelfAttention(size_t dim, size_t num_heads, Rng* rng);
 
-  Variable Forward(const Variable& x, const la::Matrix& mask) const;
+  Variable Forward(const Variable& x, const la::Matrix& mask,
+                   BlockRows rows = BlockRows::kAll) const;
   void CollectParameters(std::vector<Variable>* out) override;
 
  private:
@@ -155,8 +159,17 @@ class TransformerEncoderLayer : public Layer {
   TransformerEncoderLayer(size_t dim, size_t num_heads, size_t ffn_dim,
                           Rng* rng);
 
+  /// x [B*T x d] -> [B*T x d] (kAll), or -> [B x d] (kFirst): only each
+  /// sequence's first row is produced. kFirst still projects Q|K|V on
+  /// every row (the first row attends over all T keys), then runs the
+  /// O-projection, both residuals, both LayerNorms and the FFN on the B
+  /// first rows alone. Its dropout draws the RNG as the full-height layer
+  /// does, so it equals the first rows of the kAll output bit for bit, and
+  /// so do its gradients (those of a kAll output whose other rows get zero
+  /// gradient) when T >= 4: see DESIGN.md "Batched execution".
   Variable Forward(const Variable& x, const la::Matrix& mask, double dropout,
-                   Rng* rng, bool training) const;
+                   Rng* rng, bool training,
+                   BlockRows rows = BlockRows::kAll) const;
   void CollectParameters(std::vector<Variable>* out) override;
 
  private:

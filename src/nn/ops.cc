@@ -26,11 +26,12 @@ bool Wants(const Node* n, size_t i) {
 
 }  // namespace
 
-Variable MatMul(const Variable& a, const Variable& b) {
+Variable MatMul(const Variable& a, const Variable& b, BlockRows a_rows) {
   SEMTAG_CHECK(a.cols() == b.rows());
   la::Matrix out;
   la::MatMul(a.value(), b.value(), &out);
-  return MakeOpNode(std::move(out), Parents({&a, &b}), [](Node* n) {
+  const bool isolated = a_rows == BlockRows::kFirst;
+  return MakeOpNode(std::move(out), Parents({&a, &b}), [isolated](Node* n) {
     const la::Matrix& g = n->grad;
     Node* pa = n->parents[0].get();
     Node* pb = n->parents[1].get();
@@ -41,7 +42,7 @@ Variable MatMul(const Variable& a, const Variable& b) {
     }
     if (Wants(n, 1)) {
       la::Matrix db;
-      la::MatMulTransA(pa->value, g, &db);  // a^T * g
+      la::MatMulTransA(pa->value, g, &db, isolated);  // a^T * g
       pb->EnsureGrad()->Add(db);
     }
   });
@@ -69,32 +70,35 @@ Variable MatMulBT(const Variable& a, const Variable& b) {
 }
 
 Variable MultiHeadAttention(const Variable& qkv, const la::Matrix& mask,
-                            size_t heads, float scale) {
+                            size_t heads, float scale, BlockRows rows) {
   const size_t t = mask.cols();
   SEMTAG_CHECK(t > 0 && heads > 0 && mask.rows() == qkv.rows() &&
                qkv.rows() % t == 0 && qkv.cols() % (3 * heads) == 0);
   const size_t d = qkv.cols() / 3;
   const size_t hd = d / heads;
   const size_t blocks = qkv.rows() / t;
+  // Query rows per sequence: sequence s's output rows are [s*q, (s+1)*q).
+  const size_t q = rows == BlockRows::kFirst ? 1 : t;
   // Tile (sequence s, head h): its Q block starts at row s*t, column h*hd
   // of `m` (K and V follow d and 2d columns on), and its probabilities
-  // live in rows [(s*heads + h)*t, +t) of `probs`.
+  // live in rows [(s*heads + h)*q, +q) of `probs`.
   auto tile_at = [=](const la::Matrix& m, la::Matrix& probs, float* work,
                      size_t s, size_t h) {
     la::AttentionTile tile;
     tile.t = t;
+    tile.rows = q;
     tile.hd = hd;
     tile.ld = 3 * d;
     tile.scale = scale;
     tile.q = m.Row(s * t) + h * hd;
     tile.k = tile.q + d;
     tile.v = tile.q + 2 * d;
-    tile.probs = probs.Row((s * heads + h) * t);
+    tile.probs = probs.Row((s * heads + h) * q);
     tile.work = work;
     return tile;
   };
-  la::Matrix probs = la::Matrix::Uninitialized(blocks * heads * t, t);
-  la::Matrix out = la::Matrix::Uninitialized(qkv.rows(), d);
+  la::Matrix probs = la::Matrix::Uninitialized(blocks * heads * q, t);
+  la::Matrix out = la::Matrix::Uninitialized(blocks * q, d);
   la::Matrix work =
       la::Matrix::Uninitialized(1, la::AttentionWorkFloats(t, hd));
   const la::KernelTable& kr = la::Kernels();
@@ -102,13 +106,13 @@ Variable MultiHeadAttention(const Variable& qkv, const la::Matrix& mask,
     for (size_t h = 0; h < heads; ++h) {
       la::AttentionTile tile = tile_at(qkv.value(), probs, work.data(), s, h);
       tile.mask = mask.Row(s * t);
-      kr.attention_forward(tile, out.Row(s * t) + h * hd, d);
+      kr.attention_forward(tile, out.Row(s * q) + h * hd, d);
     }
   }
   return MakeOpNode(
       std::move(out), Parents({&qkv}),
       [probs = std::move(probs), work = std::move(work), tile_at, blocks,
-       heads, t, hd, d](Node* n) mutable {
+       heads, t, q, hd, d](Node* n) mutable {
         if (!Wants(n, 0)) return;
         Node* p = n->parents[0].get();
         la::Matrix* g = p->EnsureGrad();
@@ -117,7 +121,7 @@ Variable MultiHeadAttention(const Variable& qkv, const la::Matrix& mask,
           for (size_t h = 0; h < heads; ++h) {
             float* dq = g->Row(s * t) + h * hd;
             kr.attention_backward(tile_at(p->value, probs, work.data(), s, h),
-                                  n->grad.Row(s * t) + h * hd, d, dq, dq + d,
+                                  n->grad.Row(s * q) + h * hd, d, dq, dq + d,
                                   dq + 2 * d);
           }
         }
@@ -288,16 +292,22 @@ Variable RowSoftmax(const Variable& a) {
   });
 }
 
-Variable Dropout(const Variable& a, double p, Rng* rng, bool training) {
+Variable Dropout(const Variable& a, double p, Rng* rng, bool training,
+                 size_t row_stride) {
   if (!training || p <= 0.0) return a;
   // Inference paths pass rng == nullptr; reaching this line with one would
   // mean a training=true call on a path that must not mutate RNG state.
   SEMTAG_CHECK(rng != nullptr);
-  SEMTAG_CHECK(p < 1.0);
+  SEMTAG_CHECK(p < 1.0 && row_stride >= 1);
   la::Matrix mask(a.rows(), a.cols());
   const float keep_scale = static_cast<float>(1.0 / (1.0 - p));
-  for (size_t i = 0; i < mask.size(); ++i) {
-    mask.data()[i] = rng->Bernoulli(p) ? 0.0f : keep_scale;
+  const size_t skipped = (row_stride - 1) * a.cols();
+  for (size_t r = 0; r < mask.rows(); ++r) {
+    float* m = mask.Row(r);
+    for (size_t c = 0; c < mask.cols(); ++c) {
+      m[c] = rng->Bernoulli(p) ? 0.0f : keep_scale;
+    }
+    for (size_t i = 0; i < skipped; ++i) rng->Bernoulli(p);
   }
   la::Matrix out = a.value();
   out.Mul(mask);

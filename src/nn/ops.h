@@ -13,8 +13,17 @@ namespace semtag::nn {
 /// backward pass accumulates into parents' grads (guarding each parent with
 /// requires_grad). Shapes are checked with SEMTAG_CHECK.
 
-/// [m,k] x [k,n] -> [m,n].
-Variable MatMul(const Variable& a, const Variable& b);
+/// Which rows of each stacked length-T sequence block an op produces:
+/// all T, or only the first (a BERT sequence's [CLS] position).
+enum class BlockRows { kAll, kFirst };
+
+/// [m,k] x [k,n] -> [m,n]. a_rows == BlockRows::kFirst says a's rows are
+/// the first rows of the length-T blocks of a taller product whose other
+/// rows get zero gradient; b's gradient then accumulates each row apart
+/// (la::MatMulTransA isolated_rows), bit-identical to the taller product's
+/// whenever T >= 4.
+Variable MatMul(const Variable& a, const Variable& b,
+                BlockRows a_rows = BlockRows::kAll);
 
 /// a * b^T : [m,k] x [n,k] -> [m,n] (attention scores).
 Variable MatMulBT(const Variable& a, const Variable& b);
@@ -23,12 +32,14 @@ Variable MatMulBT(const Variable& a, const Variable& b);
 /// qkv is [B*T x 3d]: the Q, K and V projections side by side, head h in
 /// columns [h*hd, (h+1)*hd) of each d-wide section (hd = d / heads). mask
 /// is [B*T x T]: B stacked per-sequence additive masks. Returns [B*T x d]
-/// with head h in columns [h*hd, (h+1)*hd). Each (sequence, head) tile runs
-/// through la::Kernels().attention_forward on its own, so a sequence's rows
-/// do not depend on the batch it rides in; the backward writes dQ, dK and
-/// dV straight into the qkv gradient.
+/// (kAll) or [B x d] (kFirst: only each sequence's first query row attends,
+/// over all T keys) with head h in columns [h*hd, (h+1)*hd). Each
+/// (sequence, head) tile runs through la::Kernels().attention_forward on
+/// its own, so a sequence's rows do not depend on the batch it rides in;
+/// the backward writes dQ, dK and dV straight into the qkv gradient.
 Variable MultiHeadAttention(const Variable& qkv, const la::Matrix& mask,
-                            size_t heads, float scale);
+                            size_t heads, float scale,
+                            BlockRows rows = BlockRows::kAll);
 
 /// Adds the [TxC] `block` to every vertically stacked [TxC] block of x
 /// ([B*T x C]) — the batched position-embedding add. Gradient of `block`
@@ -63,8 +74,14 @@ Variable Gelu(const Variable& a);
 /// Row-wise softmax.
 Variable RowSoftmax(const Variable& a);
 
-/// Inverted dropout; identity when !training or p == 0.
-Variable Dropout(const Variable& a, double p, Rng* rng, bool training);
+/// Inverted dropout; identity when !training or p == 0. With
+/// row_stride > 1, row r of `a` stands for row r * row_stride of a taller
+/// tensor whose other rows were never computed: the RNG draws exactly as
+/// for that tensor (one Bernoulli per element, skipped rows included), so
+/// the kept rows get the taller tensor's mask and the RNG ends in the same
+/// state.
+Variable Dropout(const Variable& a, double p, Rng* rng, bool training,
+                 size_t row_stride = 1);
 
 /// Copy of rows [r0, r1).
 Variable SliceRows(const Variable& a, size_t r0, size_t r1);

@@ -321,16 +321,6 @@ TEST_P(KernelsTierParityTest, ElementwiseKernelsAreBitExact) {
   }
 }
 
-TEST_P(KernelsTierParityTest, MinMaxAreExact) {
-  const KernelTable& kt = Tier();
-  Rng rng(22);
-  for (size_t n : kSizes) {
-    const auto x = RandomVec(&rng, n);
-    EXPECT_EQ(kt.vmax(x.data(), n), Ref().vmax(x.data(), n)) << "n=" << n;
-    EXPECT_EQ(kt.vmin(x.data(), n), Ref().vmin(x.data(), n)) << "n=" << n;
-  }
-}
-
 TEST_P(KernelsTierParityTest, AdamUpdateIsBitExact) {
   const KernelTable& kt = Tier();
   Rng rng(23);
@@ -538,6 +528,7 @@ struct AttentionCase {
   AttentionTile Tile() {
     AttentionTile tile;
     tile.t = t;
+    tile.rows = t;
     tile.hd = hd;
     tile.ld = ld;
     tile.scale = 1.0f / std::sqrt(static_cast<float>(hd));
@@ -592,6 +583,52 @@ TEST_P(KernelsTierParityTest, AttentionTileWithinTolerance) {
       // Columns past the tile's 3*hd are never written.
       if (i % got.ld >= 3 * hd) {
         ASSERT_EQ(dgot[i], base[i]);
+      }
+    }
+  }
+}
+
+TEST(AttentionTileTest, FirstRowsMatchFullTile) {
+  // A tile run on its first query row alone equals row 0 of the full tile
+  // bit for bit at every tier: output and probabilities, and Q, K and V
+  // gradients when the full tile's other output rows get zero gradient.
+  std::vector<SimdLevel> tiers = AvailableSimdTiers();
+  tiers.push_back(SimdLevel::kScalar);
+  Rng rng(31);
+  for (SimdLevel level : tiers) {
+    const KernelTable& kt = KernelTableFor(level);
+    for (auto [t, hd] : {std::pair<size_t, size_t>{5, 8}, {12, 8}, {20, 8},
+                         {20, 13}}) {
+      {
+        SCOPED_TRACE(testing::Message() << SimdLevelName(level) << " t=" << t
+                                        << " hd=" << hd);
+        const size_t rows = 1;
+        AttentionCase full(t, hd, &rng);
+        AttentionCase part = full;
+        for (size_t i = rows * full.ldo; i < full.dout.size(); ++i) {
+          full.dout[i] = 0.0f;
+        }
+        AttentionTile part_tile = part.Tile();
+        part_tile.rows = rows;
+        kt.attention_forward(full.Tile(), full.out.data(), full.ldo);
+        kt.attention_forward(part_tile, part.out.data(), part.ldo);
+        for (size_t i = 0; i < rows * t; ++i) {
+          ASSERT_EQ(part.probs[i], full.probs[i]) << "probs " << i;
+        }
+        for (size_t i = 0; i < rows * full.ldo; ++i) {
+          ASSERT_EQ(part.out[i], full.out[i]) << "out " << i;
+        }
+        const auto base = RandomVec(&rng, t * full.ld);
+        auto dfull = base, dpart = base;
+        kt.attention_backward(full.Tile(), full.dout.data(), full.ldo,
+                              dfull.data(), dfull.data() + hd,
+                              dfull.data() + 2 * hd);
+        kt.attention_backward(part_tile, part.dout.data(), part.ldo,
+                              dpart.data(), dpart.data() + hd,
+                              dpart.data() + 2 * hd);
+        for (size_t i = 0; i < base.size(); ++i) {
+          ASSERT_EQ(dpart[i], dfull[i]) << "grad " << i;
+        }
       }
     }
   }

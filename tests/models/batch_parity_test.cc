@@ -137,6 +137,92 @@ TEST_F(BatchParityBertTest, EncodeBatchMatchesPerSequenceEncode) {
   }
 }
 
+/// Encodes the first `n` texts of a fixed set; `ids` keeps them alive.
+std::vector<const std::vector<int32_t>*> EncodeTexts(
+    const MiniBertBackbone& backbone, size_t n,
+    std::vector<std::vector<int32_t>>* ids) {
+  const auto texts = SmallDataset(32, 83).Texts();
+  ids->clear();
+  for (size_t s = 0; s < n; ++s) ids->push_back(backbone.EncodeIds(texts[s]));
+  std::vector<const std::vector<int32_t>*> ptrs;
+  for (const auto& v : *ids) ptrs.push_back(&v);
+  return ptrs;
+}
+
+TEST_F(BatchParityBertTest, ClsEncodeMatchesFullHeightClsRows) {
+  // EncodeCls runs the last layer on the [CLS] rows alone; its states are
+  // EncodeBatch's [CLS] rows bit for bit, at inference and in training
+  // (same dropout masks, and the RNG ends in the same state).
+  const MiniBertBackbone* backbone = Backbone();
+  const size_t T = static_cast<size_t>(backbone->config().max_len);
+  for (size_t b : {1u, 3u, 32u}) {
+    std::vector<std::vector<int32_t>> ids;
+    const auto ptrs = EncodeTexts(*backbone, b, &ids);
+    for (bool training : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "B=" << b << " training "
+                                      << training);
+      Rng full_rng(5), cls_rng(5);
+      const la::Matrix full =
+          backbone->EncodeBatch(ptrs, &full_rng, training).value();
+      const la::Matrix cls =
+          backbone->EncodeCls(ptrs, &cls_rng, training).value();
+      ASSERT_EQ(cls.rows(), b);
+      for (size_t s = 0; s < b; ++s) {
+        for (size_t c = 0; c < cls.cols(); ++c) {
+          ASSERT_EQ(cls(s, c), full(s * T, c)) << "sequence " << s;
+        }
+      }
+      EXPECT_EQ(cls_rng.Next(), full_rng.Next());
+    }
+  }
+}
+
+TEST_F(BatchParityBertTest, ClsEncodeGradientsMatchFullHeight) {
+  // One fine-tune step's parameter gradients through EncodeCls equal those
+  // through EncodeBatch + GatherRows of the [CLS] rows, bit for bit at any
+  // batch size: the [CLS]-only layer's weight gradients accumulate each row
+  // apart (la::MatMulTransA isolated_rows), as the full-height product
+  // does with the zero-gradient rows between [CLS] rows.
+  const auto backbone = Backbone()->Clone();
+  const size_t T = static_cast<size_t>(backbone->config().max_len);
+  const auto params = backbone->Parameters();
+  Rng init(6);
+  nn::Linear head(static_cast<size_t>(backbone->config().dim), 2, &init);
+  for (size_t b : {3u, 4u, 32u}) {
+    SCOPED_TRACE(testing::Message() << "B=" << b);
+    std::vector<std::vector<int32_t>> ids;
+    const auto ptrs = EncodeTexts(*backbone, b, &ids);
+    std::vector<int32_t> labels, cls_rows;
+    for (size_t s = 0; s < b; ++s) {
+      labels.push_back(static_cast<int32_t>(s % 2));
+      cls_rows.push_back(static_cast<int32_t>(s * T));
+    }
+    auto grads = [&](bool cls_only) {
+      for (auto p : params) p.ZeroGrad();
+      Rng rng(7);
+      const nn::Variable states =
+          cls_only ? backbone->EncodeCls(ptrs, &rng, /*training=*/true)
+                   : nn::GatherRows(
+                         backbone->EncodeBatch(ptrs, &rng, /*training=*/true),
+                         cls_rows);
+      nn::Backward(nn::SoftmaxCrossEntropy(head.Forward(states), labels),
+                   static_cast<float>(b));
+      std::vector<la::Matrix> out;
+      for (const auto& p : params) out.push_back(p.grad());
+      return out;
+    };
+    const auto full = grads(false);
+    const auto cls = grads(true);
+    for (size_t i = 0; i < params.size(); ++i) {
+      ASSERT_TRUE(cls[i].SameShape(full[i])) << "parameter " << i;
+      for (size_t e = 0; e < full[i].size(); ++e) {
+        ASSERT_EQ(cls[i].data()[e], full[i].data()[e])
+            << "parameter " << i << " element " << e;
+      }
+    }
+  }
+}
+
 TEST_F(BatchParityBertTest, MiniBertScoreBatchAndEmbedBatchMatch) {
   BertFinetuneOptions options;
   options.epochs = 1;

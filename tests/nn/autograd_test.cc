@@ -288,6 +288,23 @@ TEST(AutogradTest, MultiHeadAttention) {
   }
 }
 
+TEST(AutogradTest, MultiHeadAttentionFirstRows) {
+  // BlockRows::kFirst: each sequence's first query row attends over all
+  // its keys; gradients reach Q of the first rows and K, V of every row.
+  Rng rng(24);
+  const size_t t = 4, d = 8, blocks = 3;
+  const Matrix mask = PaddedKeyMask(blocks, t);
+  for (size_t heads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "heads=" << heads);
+    const float scale = 1.0f / std::sqrt(static_cast<float>(d / heads));
+    CheckGradients({RandomMatrix(blocks * t, 3 * d, &rng)},
+                   [&](const std::vector<Variable>& v) {
+                     return MultiHeadAttention(v[0], mask, heads, scale,
+                                               BlockRows::kFirst);
+                   });
+  }
+}
+
 TEST(AutogradTest, MultiHeadAttentionMatchesPerHeadChain) {
   // Forward values equal the unfused per-head graph it replaced.
   Rng rng(23);
@@ -445,6 +462,26 @@ TEST(AutogradTest, DropoutInferenceNeverTouchesRng) {
   for (size_t i = 0; i < y.value().size(); ++i) {
     EXPECT_FLOAT_EQ(y.value().data()[i], 2.0f);
   }
+}
+
+TEST(AutogradTest, StridedDropoutKeepsFullHeightMaskRows) {
+  // Row r of a row_stride-3 input stands for row 3r of the full height:
+  // it gets that row's mask, and the RNG ends where the full-height draw
+  // leaves it.
+  const size_t blocks = 4, stride = 3, cols = 5;
+  Rng full_rng(17), strided_rng(17);
+  const Variable full = Dropout(Variable(Matrix(blocks * stride, cols, 1.0f)),
+                                0.3, &full_rng, /*training=*/true);
+  const Variable strided = Dropout(Variable(Matrix(blocks, cols, 1.0f)), 0.3,
+                                   &strided_rng, /*training=*/true, stride);
+  ASSERT_EQ(strided.rows(), blocks);
+  for (size_t r = 0; r < blocks; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      EXPECT_EQ(strided.value()(r, c), full.value()(r * stride, c))
+          << "row " << r << " col " << c;
+    }
+  }
+  EXPECT_EQ(strided_rng.Next(), full_rng.Next());
 }
 
 TEST(AutogradTest, DropoutTrainingScalesKeptUnits) {

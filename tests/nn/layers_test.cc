@@ -149,6 +149,74 @@ TEST(TransformerLayerTest, ShapePreservedAndTrainable) {
   EXPECT_GT(with_grad, 10);
 }
 
+/// Bitwise equality of two same-shaped matrices.
+void ExpectBitIdentical(const la::Matrix& got, const la::Matrix& want,
+                        const char* what) {
+  ASSERT_TRUE(got.SameShape(want)) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got.data()[i], want.data()[i]) << what << " element " << i;
+  }
+}
+
+TEST(TransformerLayerTest, FirstRowsMatchFullHeightLayer) {
+  // BlockRows::kFirst computes each block's first row alone. In training
+  // (dropout on), its output, the input gradient and every parameter
+  // gradient equal those of the full-height layer whose objective reads
+  // only the first rows, bit for bit at any block count, and both leave the
+  // dropout RNG in the same state.
+  const size_t d = 8, t = 12;
+  for (size_t blocks : {1u, 3u, 6u}) {
+    SCOPED_TRACE(testing::Message() << "blocks " << blocks);
+    Rng rng(8);
+    TransformerEncoderLayer layer(d, 2, 16, &rng);
+    std::vector<Variable> params;
+    layer.CollectParameters(&params);
+    la::Matrix xm(blocks * t, d);
+    for (size_t i = 0; i < xm.size(); ++i) {
+      xm.data()[i] = static_cast<float>(rng.UniformDouble(-1, 1));
+    }
+    la::Matrix weights(blocks, d);
+    for (size_t i = 0; i < weights.size(); ++i) {
+      weights.data()[i] = static_cast<float>(rng.UniformDouble(-1, 1));
+    }
+    // Block s pads its last s keys.
+    la::Matrix mask(blocks * t, t);
+    std::vector<int32_t> firsts;
+    for (size_t s = 0; s < blocks; ++s) {
+      firsts.push_back(static_cast<int32_t>(s * t));
+      for (size_t j = t - s; j < t; ++j) {
+        for (size_t i = 0; i < t; ++i) mask(s * t + i, j) = -1e9f;
+      }
+    }
+    struct Run {
+      la::Matrix out, x_grad;
+      std::vector<la::Matrix> grads;
+      uint64_t next_draw;
+    };
+    auto run = [&](BlockRows rows) {
+      for (auto& p : params) p.ZeroGrad();
+      Rng dropout_rng(9);
+      Variable x(xm, /*requires_grad=*/true);
+      Variable y =
+          layer.Forward(x, mask, 0.1, &dropout_rng, /*training=*/true, rows);
+      if (rows == BlockRows::kAll) y = GatherRows(y, firsts);
+      Backward(SumToScalar(Mul(y, Variable(weights))));
+      Run r{y.value(), x.grad(), {}, dropout_rng.Next()};
+      for (const auto& p : params) r.grads.push_back(p.grad());
+      return r;
+    };
+    const Run full = run(BlockRows::kAll);
+    const Run first = run(BlockRows::kFirst);
+    ExpectBitIdentical(first.out, full.out, "output");
+    ExpectBitIdentical(first.x_grad, full.x_grad, "input gradient");
+    for (size_t i = 0; i < params.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "parameter " << i);
+      ExpectBitIdentical(first.grads[i], full.grads[i], "parameter gradient");
+    }
+    EXPECT_EQ(first.next_draw, full.next_draw);
+  }
+}
+
 TEST(TrainingTest, TinyNetworkLearnsXor) {
   // End-to-end sanity: a 2-layer MLP fits XOR with Adam.
   Rng rng(7);
