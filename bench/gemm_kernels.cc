@@ -453,6 +453,7 @@ int RunSmoke() {
       std::vector<float> work(AttentionWorkFloats(kT, kHd));
       AttentionTile tile;
       tile.t = kT;
+      tile.rows = kT;
       tile.hd = kHd;
       tile.ld = kLd;
       tile.scale = 0.5f;

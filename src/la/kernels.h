@@ -27,7 +27,9 @@ const char* SimdLevelName(SimdLevel level);
 /// tier (the backward sums dK and dV over the `rows` query rows).
 struct AttentionTile {
   size_t t = 0;
-  size_t rows = 0;  ///< query rows, 1 <= rows <= t
+  /// Query rows, 1 <= rows <= t: the kernels abort on any other value, so
+  /// a tile left at the default cannot run as an empty no-op.
+  size_t rows = 0;
   size_t hd = 0;
   size_t ld = 0;
   float scale = 1.0f;

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/logging.h"
 #include "la/kernels_internal.h"
 
 namespace semtag::la::kernel_detail {
@@ -635,6 +636,7 @@ constexpr float kPadScore = -1e30f;
 
 void Avx2AttentionForward(const AttentionTile& tile, float* out,
                           size_t ldo) {
+  SEMTAG_CHECK(tile.rows >= 1 && tile.rows <= tile.t);
   const size_t t = tile.t, hd = tile.hd, ld = tile.ld, tp = RoundUp8(t);
   float* kt = tile.work;      // [hd x tp] K^T
   float* s = kt + hd * tp;    // [tp] one score row
@@ -676,6 +678,7 @@ void Avx2AttentionForward(const AttentionTile& tile, float* out,
 
 void Avx2AttentionBackward(const AttentionTile& tile, const float* dout,
                            size_t ldo, float* dq, float* dk, float* dv) {
+  SEMTAG_CHECK(tile.rows >= 1 && tile.rows <= tile.t);
   const size_t t = tile.t, hd = tile.hd, ld = tile.ld, tp = RoundUp8(t);
   // dK and dV accumulate transposed ([hd x tp]) so each query row's
   // contribution is one vectorized rank-1 update; they are scattered back

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/logging.h"
 #include "la/kernels_internal.h"
 
 namespace semtag::la::kernel_detail {
@@ -211,6 +212,7 @@ void DotRows(const float* x, const float* rows, size_t ld, size_t m,
 
 void ScalarAttentionForward(const AttentionTile& tile, float* out,
                             size_t ldo) {
+  SEMTAG_CHECK(tile.rows >= 1 && tile.rows <= tile.t);
   const size_t t = tile.t, hd = tile.hd, ld = tile.ld;
   for (size_t i = 0; i < tile.rows; ++i) {
     float* p = tile.probs + i * t;
@@ -226,6 +228,7 @@ void ScalarAttentionForward(const AttentionTile& tile, float* out,
 
 void ScalarAttentionBackward(const AttentionTile& tile, const float* dout,
                              size_t ldo, float* dq, float* dk, float* dv) {
+  SEMTAG_CHECK(tile.rows >= 1 && tile.rows <= tile.t);
   const size_t t = tile.t, rows = tile.rows, hd = tile.hd, ld = tile.ld;
   const float* probs = tile.probs;
   // dV = P^T dout, one key row at a time down column j of P.

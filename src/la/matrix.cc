@@ -284,27 +284,6 @@ void MatMulTransARows(const Matrix& a, const Matrix& b, Matrix* out,
   }
 }
 
-/// MatMulTransARows with isolated k rows: row kk of a and b goes through
-/// gemm_update4 alone, its k-panel padded with three zero rows of b, so
-/// each product is rounded into out as if its three panel neighbours had
-/// contributed nothing (bit-identical at every kernel tier).
-void MatMulTransAIsolatedRows(const Matrix& a, const Matrix& b, Matrix* out,
-                              size_t i0, size_t i1) {
-  static const float kZeros[kBlockN] = {};
-  const KernelTable& kr = Kernels();
-  const size_t k = a.rows(), n = b.cols();
-  for (size_t jj = 0; jj < n; jj += kBlockN) {
-    const size_t jlen = std::min(kBlockN, n - jj);
-    for (size_t i = i0; i < i1; ++i) {
-      float* orow = out->Row(i) + jj;
-      for (size_t kk = 0; kk < k; ++kk) {
-        kr.gemm_update4(orow, b.Row(kk) + jj, kZeros, kZeros, kZeros,
-                        a(kk, i), 0.0f, 0.0f, 0.0f, jlen);
-      }
-    }
-  }
-}
-
 /// Core of MatMulTransB: out rows [i0, i1) of a[m,k] * b^T with b stored
 /// [n, k]. Row-by-row dot products, four output columns at a time so each
 /// loaded A element feeds four independent accumulators (B rows j..j+3).
@@ -340,21 +319,17 @@ void MatMul(const Matrix& a, const Matrix& b, Matrix* out) {
   }
 }
 
-void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* out,
-                  bool isolated_rows) {
+void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* out) {
   SEMTAG_CHECK(a.rows() == b.rows());
   const size_t m = a.cols(), k = a.rows(), n = b.cols();
-  // An isolated row runs a whole 4-row k-panel update.
-  NoteGemm(m, n, isolated_rows ? 4 * k : k);
+  NoteGemm(m, n, k);
   *out = Matrix(m, n);
-  const auto body = isolated_rows ? &MatMulTransAIsolatedRows
-                                  : &MatMulTransARows;
   if (WorthParallel(m, n, k)) {
     ParallelFor(0, m, PerThreadGrain(m, 2), [&](size_t lo, size_t hi) {
-      body(a, b, out, lo, hi);
+      MatMulTransARows(a, b, out, lo, hi);
     });
   } else {
-    body(a, b, out, 0, m);
+    MatMulTransARows(a, b, out, 0, m);
   }
 }
 

@@ -100,14 +100,8 @@ class Matrix {
 /// out = a * b. Shapes must agree ([m,k]x[k,n] -> [m,n]); `out` is resized.
 void MatMul(const Matrix& a, const Matrix& b, Matrix* out);
 
-/// out = a^T * b. With isolated_rows, each of the k rows of a and b is
-/// accumulated on its own, rounded as in a taller product where it opens a
-/// 4-row k-panel whose other three rows of b are zero: the weight gradient
-/// of rows picked out of a product whose other rows get zero gradient
-/// (nn::MatMul with BlockRows::kFirst) then equals the taller product's bit
-/// for bit. It costs a full panel update per row, 4x the dense product.
-void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* out,
-                  bool isolated_rows = false);
+/// out = a^T * b.
+void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// out = a * b^T.
 void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* out);

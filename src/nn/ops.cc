@@ -1,5 +1,6 @@
 #include "nn/ops.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -24,14 +25,23 @@ bool Wants(const Node* n, size_t i) {
   return n->parents[i]->requires_grad;
 }
 
+/// Copy of m with each row followed by three zero rows ([4*rows x cols]).
+la::Matrix PadEachRowToPanel(const la::Matrix& m) {
+  la::Matrix out(4 * m.rows(), m.cols());
+  for (size_t r = 0; r < m.rows(); ++r) {
+    std::copy(m.Row(r), m.Row(r) + m.cols(), out.Row(4 * r));
+  }
+  return out;
+}
+
 }  // namespace
 
 Variable MatMul(const Variable& a, const Variable& b, BlockRows a_rows) {
   SEMTAG_CHECK(a.cols() == b.rows());
   la::Matrix out;
   la::MatMul(a.value(), b.value(), &out);
-  const bool isolated = a_rows == BlockRows::kFirst;
-  return MakeOpNode(std::move(out), Parents({&a, &b}), [isolated](Node* n) {
+  const bool first_rows = a_rows == BlockRows::kFirst;
+  return MakeOpNode(std::move(out), Parents({&a, &b}), [first_rows](Node* n) {
     const la::Matrix& g = n->grad;
     Node* pa = n->parents[0].get();
     Node* pb = n->parents[1].get();
@@ -42,7 +52,14 @@ Variable MatMul(const Variable& a, const Variable& b, BlockRows a_rows) {
     }
     if (Wants(n, 1)) {
       la::Matrix db;
-      la::MatMulTransA(pa->value, g, &db, isolated);  // a^T * g
+      if (first_rows) {
+        // Each row gets a 4-row k-panel of its own, as in the taller
+        // product where the rows after it carry zero gradient.
+        la::MatMulTransA(PadEachRowToPanel(pa->value), PadEachRowToPanel(g),
+                         &db);
+      } else {
+        la::MatMulTransA(pa->value, g, &db);  // a^T * g
+      }
       pb->EnsureGrad()->Add(db);
     }
   });

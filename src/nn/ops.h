@@ -19,9 +19,10 @@ enum class BlockRows { kAll, kFirst };
 
 /// [m,k] x [k,n] -> [m,n]. a_rows == BlockRows::kFirst says a's rows are
 /// the first rows of the length-T blocks of a taller product whose other
-/// rows get zero gradient; b's gradient then accumulates each row apart
-/// (la::MatMulTransA isolated_rows), bit-identical to the taller product's
-/// whenever T >= 4.
+/// rows get zero gradient; b's gradient then runs over a and the output
+/// gradient with each row followed by three zero rows, so every row fills
+/// its own 4-row GEMM k-panel as in the taller product, and equals that
+/// product's gradient bit for bit whenever T >= 4.
 Variable MatMul(const Variable& a, const Variable& b,
                 BlockRows a_rows = BlockRows::kAll);
 

@@ -599,37 +599,58 @@ TEST(AttentionTileTest, FirstRowsMatchFullTile) {
     const KernelTable& kt = KernelTableFor(level);
     for (auto [t, hd] : {std::pair<size_t, size_t>{5, 8}, {12, 8}, {20, 8},
                          {20, 13}}) {
-      {
-        SCOPED_TRACE(testing::Message() << SimdLevelName(level) << " t=" << t
-                                        << " hd=" << hd);
-        const size_t rows = 1;
-        AttentionCase full(t, hd, &rng);
-        AttentionCase part = full;
-        for (size_t i = rows * full.ldo; i < full.dout.size(); ++i) {
-          full.dout[i] = 0.0f;
-        }
-        AttentionTile part_tile = part.Tile();
-        part_tile.rows = rows;
-        kt.attention_forward(full.Tile(), full.out.data(), full.ldo);
-        kt.attention_forward(part_tile, part.out.data(), part.ldo);
-        for (size_t i = 0; i < rows * t; ++i) {
-          ASSERT_EQ(part.probs[i], full.probs[i]) << "probs " << i;
-        }
-        for (size_t i = 0; i < rows * full.ldo; ++i) {
-          ASSERT_EQ(part.out[i], full.out[i]) << "out " << i;
-        }
-        const auto base = RandomVec(&rng, t * full.ld);
-        auto dfull = base, dpart = base;
-        kt.attention_backward(full.Tile(), full.dout.data(), full.ldo,
-                              dfull.data(), dfull.data() + hd,
-                              dfull.data() + 2 * hd);
-        kt.attention_backward(part_tile, part.dout.data(), part.ldo,
-                              dpart.data(), dpart.data() + hd,
-                              dpart.data() + 2 * hd);
-        for (size_t i = 0; i < base.size(); ++i) {
-          ASSERT_EQ(dpart[i], dfull[i]) << "grad " << i;
-        }
+      SCOPED_TRACE(testing::Message() << SimdLevelName(level) << " t=" << t
+                                      << " hd=" << hd);
+      AttentionCase full(t, hd, &rng);
+      AttentionCase part = full;
+      for (size_t i = full.ldo; i < full.dout.size(); ++i) {
+        full.dout[i] = 0.0f;
       }
+      AttentionTile part_tile = part.Tile();
+      part_tile.rows = 1;
+      kt.attention_forward(full.Tile(), full.out.data(), full.ldo);
+      kt.attention_forward(part_tile, part.out.data(), part.ldo);
+      for (size_t i = 0; i < t; ++i) {
+        ASSERT_EQ(part.probs[i], full.probs[i]) << "probs " << i;
+      }
+      for (size_t i = 0; i < full.ldo; ++i) {
+        ASSERT_EQ(part.out[i], full.out[i]) << "out " << i;
+      }
+      const auto base = RandomVec(&rng, t * full.ld);
+      auto dfull = base, dpart = base;
+      kt.attention_backward(full.Tile(), full.dout.data(), full.ldo,
+                            dfull.data(), dfull.data() + hd,
+                            dfull.data() + 2 * hd);
+      kt.attention_backward(part_tile, part.dout.data(), part.ldo,
+                            dpart.data(), dpart.data() + hd,
+                            dpart.data() + 2 * hd);
+      for (size_t i = 0; i < base.size(); ++i) {
+        ASSERT_EQ(dpart[i], dfull[i]) << "grad " << i;
+      }
+    }
+  }
+}
+
+TEST(AttentionTileDeathTest, RowsOutsideOneToTAbort) {
+  // A tile whose query-row count was never set (or exceeds t) aborts
+  // instead of running zero rows and returning untouched buffers.
+  std::vector<SimdLevel> tiers = AvailableSimdTiers();
+  tiers.push_back(SimdLevel::kScalar);
+  Rng rng(32);
+  for (SimdLevel level : tiers) {
+    SCOPED_TRACE(SimdLevelName(level));
+    const KernelTable& kt = KernelTableFor(level);
+    AttentionCase c(4, 8, &rng);
+    std::vector<float> grad(c.t * c.ld, 0.0f);
+    for (size_t rows : {size_t{0}, c.t + 1}) {
+      AttentionTile tile = c.Tile();
+      tile.rows = rows;
+      EXPECT_DEATH(kt.attention_forward(tile, c.out.data(), c.ldo),
+                   "tile.rows");
+      EXPECT_DEATH(kt.attention_backward(tile, c.dout.data(), c.ldo,
+                                         grad.data(), grad.data() + c.hd,
+                                         grad.data() + 2 * c.hd),
+                   "tile.rows");
     }
   }
 }

@@ -93,36 +93,6 @@ TEST(MatMulTest, TransposedVariantsAgree) {
   }
 }
 
-TEST(MatMulTest, TransAIsolatedRowsMatchZeroPaddedProduct) {
-  // a^T b with isolated rows equals, bit for bit, the product over taller
-  // operands in which each row is followed by rows of a that are non-zero
-  // and rows of b that are zero (the weight gradient of a layer's first
-  // rows of length-t blocks against the full-height layer's), for blocks
-  // of any length t >= 4 and any row count.
-  Rng rng(4);
-  for (size_t t : {4u, 5u, 12u, 20u}) {
-    for (size_t k : {1u, 3u, 9u, 40u}) {
-      SCOPED_TRACE(testing::Message() << "t=" << t << " k=" << k);
-      Matrix a(k, 35), b(k, 300);
-      GaussianInit(&a, &rng, 1.0f);
-      GaussianInit(&b, &rng, 1.0f);
-      Matrix tall_a(k * t, a.cols()), tall_b(k * t, b.cols());
-      GaussianInit(&tall_a, &rng, 1.0f);
-      for (size_t r = 0; r < k; ++r) {
-        std::copy(a.Row(r), a.Row(r) + a.cols(), tall_a.Row(r * t));
-        std::copy(b.Row(r), b.Row(r) + b.cols(), tall_b.Row(r * t));
-      }
-      Matrix isolated, tall;
-      MatMulTransA(a, b, &isolated, /*isolated_rows=*/true);
-      MatMulTransA(tall_a, tall_b, &tall);
-      ASSERT_TRUE(isolated.SameShape(tall));
-      for (size_t i = 0; i < tall.size(); ++i) {
-        ASSERT_EQ(isolated.data()[i], tall.data()[i]) << "element " << i;
-      }
-    }
-  }
-}
-
 TEST(MatrixHelpersTest, RowBroadcastAndSumRows) {
   Matrix m = FromRows({{1, 2}, {3, 4}});
   Matrix row = FromRows({{10, 20}});

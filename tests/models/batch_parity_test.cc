@@ -180,9 +180,9 @@ TEST_F(BatchParityBertTest, ClsEncodeMatchesFullHeightClsRows) {
 TEST_F(BatchParityBertTest, ClsEncodeGradientsMatchFullHeight) {
   // One fine-tune step's parameter gradients through EncodeCls equal those
   // through EncodeBatch + GatherRows of the [CLS] rows, bit for bit at any
-  // batch size: the [CLS]-only layer's weight gradients accumulate each row
-  // apart (la::MatMulTransA isolated_rows), as the full-height product
-  // does with the zero-gradient rows between [CLS] rows.
+  // batch size: the [CLS]-only layer's weight gradients give each row a
+  // GEMM k-panel of its own, padded with zero rows, as the full-height
+  // product does with the zero-gradient rows between [CLS] rows.
   const auto backbone = Backbone()->Clone();
   const size_t T = static_cast<size_t>(backbone->config().max_len);
   const auto params = backbone->Parameters();

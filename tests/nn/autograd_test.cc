@@ -2,6 +2,7 @@
 // element, compare (f(x+h) - f(x-h)) / 2h against the autograd gradient of a
 // scalar objective sum(op(x) * weights).
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 
@@ -302,6 +303,36 @@ TEST(AutogradTest, MultiHeadAttentionFirstRows) {
                      return MultiHeadAttention(v[0], mask, heads, scale,
                                                BlockRows::kFirst);
                    });
+  }
+}
+
+TEST(AutogradTest, MatMulFirstRowsWeightGradMatchesFullHeight) {
+  // MatMul(a, b, kFirst), a being the first rows of length-t blocks,
+  // gives b the gradient of the full-height product whose other rows get
+  // zero gradient, bit for bit, for any t >= 4 and any block count.
+  Rng rng(4);
+  for (size_t t : {4u, 5u, 12u, 20u}) {
+    for (size_t blocks : {1u, 3u, 9u, 40u}) {
+      SCOPED_TRACE(testing::Message() << "t=" << t << " blocks=" << blocks);
+      const Matrix tall_a = RandomMatrix(blocks * t, 35, &rng);
+      const Matrix g = RandomMatrix(blocks, 300, &rng);
+      Matrix first_a(blocks, tall_a.cols()), tall_g(blocks * t, g.cols());
+      for (size_t s = 0; s < blocks; ++s) {
+        std::copy(tall_a.Row(s * t), tall_a.Row(s * t) + tall_a.cols(),
+                  first_a.Row(s));
+        std::copy(g.Row(s), g.Row(s) + g.cols(), tall_g.Row(s * t));
+      }
+      const Matrix b = RandomMatrix(35, 300, &rng);
+      Variable tall_b(b, /*requires_grad=*/true);
+      Variable first_b(b, /*requires_grad=*/true);
+      Backward(WeightedSum(MatMul(Variable(tall_a), tall_b), tall_g));
+      Backward(WeightedSum(
+          MatMul(Variable(first_a), first_b, BlockRows::kFirst), g));
+      for (size_t i = 0; i < b.size(); ++i) {
+        ASSERT_EQ(first_b.grad().data()[i], tall_b.grad().data()[i])
+            << "element " << i;
+      }
+    }
   }
 }
 
